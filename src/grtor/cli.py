@@ -275,9 +275,7 @@ def cmd_check_theorem(args, out):
     L = filtered_tensor(fres, iN, args.jmax)
     run = run_to_stability(L)
 
-    compare_to = min(args.jmax - 1, args.jmax)
-    cells = [(i, j) for i in range(args.imax + 1) for j in range(compare_to + 1)
-             if j + 1 <= args.jmax]
+    cells = [(i, j) for i in range(args.imax + 1) for j in range(args.jmax)]
     page1_matches = all(run.page1.dims.get(i, j) == tor_graded.get(i, j)
                         for (i, j) in cells if i <= run.page1.dims.i_max)
     return _report_run(args, out, run, tor_graded, page1_matches)

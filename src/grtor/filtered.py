@@ -226,6 +226,8 @@ def resolve_local_cyclic(ideal, cap=None):
     ring = ideal.ring
     cap = cap if cap is not None else ring.cap
     forms, gens = local_cyclic_graded_data(ideal, cap)
+    if any(f.degree() == 0 for f in forms):
+        raise LiftError("R/I is zero: the ideal contains a unit of the local ring")
     gring = forms[0].ring if forms else graded_twin(ring)
     module = ModulePresentation.cyclic(gring, forms)
     gres = minimal_resolution(module, ring.nvars + 1)
@@ -327,36 +329,41 @@ class FilteredComplex:
         truncated = 0
         levels = {}
         diffs = {}
-        k = 1
-        while k < len(rows):
-            parts = rows[k].split()
-            if parts[0] == "field":
-                field = field_from_name(" ".join(parts[1:]))
-            elif parts[0] == "imax":
-                i_max = int(parts[1])
-            elif parts[0] == "jmax":
-                j_max = int(parts[1])
-            elif parts[0] == "truncated":
-                truncated = int(parts[1])
-            elif parts[0] == "term":
-                i = int(parts[1])
-                dim = int(parts[3])
-                lv = [int(x) for x in parts[5:]]
-                if len(lv) != dim:
-                    raise LiftError("term %d: %d levels for dim %d" % (i, len(lv), dim))
-                levels[i] = lv
-            elif parts[0] == "diff":
-                i = int(parts[1])
-                nnz = int(parts[3])
-                mat = [[field.zero] * len(levels[i]) for _ in range(len(levels[i - 1]))]
-                for _ in range(nnz):
-                    k += 1
-                    r, c, v = rows[k].split()
-                    mat[int(r)][int(c)] = field.parse(v)
-                diffs[i] = mat
-            else:
-                raise LiftError("bad line in filtered-complex text: %r" % rows[k])
-            k += 1
+        pending = 0  # triples still due in the current diff block
+        for line in rows[1:]:
+            parts = line.split()
+            try:
+                if pending > 0:
+                    r, c, v = parts
+                    r, c = int(r), int(c)
+                    if r < 0 or c < 0:
+                        raise IndexError(line)
+                    mat[r][c] = field.parse(v)
+                    pending -= 1
+                elif parts[0] == "field":
+                    field = field_from_name(" ".join(parts[1:]))
+                elif parts[0] == "imax":
+                    i_max = int(parts[1])
+                elif parts[0] == "jmax":
+                    j_max = int(parts[1])
+                elif parts[0] == "truncated":
+                    truncated = int(parts[1])
+                elif parts[0] == "term":
+                    lv = [int(x) for x in parts[5:]]
+                    if len(lv) != int(parts[3]):
+                        raise ValueError(line)
+                    levels[int(parts[1])] = lv
+                elif parts[0] == "diff":
+                    i = int(parts[1])
+                    pending = int(parts[3])
+                    mat = [[field.zero] * len(levels[i]) for _ in range(len(levels[i - 1]))]
+                    diffs[i] = mat
+                else:
+                    raise ValueError(line)
+            except (ValueError, IndexError, KeyError, AttributeError, ZeroDivisionError):
+                raise LiftError("bad line in filtered-complex text: %r" % line) from None
+        if pending > 0:
+            raise LiftError("filtered-complex text ends inside a diff block")
         if field is None or i_max is None or j_max is None:
             raise LiftError("incomplete filtered-complex header")
         level_list = [levels.get(i, []) for i in range(i_max + 1)]

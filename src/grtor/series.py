@@ -142,15 +142,10 @@ class BigradedSeries:
         rows = [ln for ln in rows if ln]
         if not rows:
             raise SeriesError("empty series text")
-        head = rows[0].split()
-        if len(head) != 2:
-            raise SeriesError("series header must be 'imax jmax'")
-        series = cls(int(head[0]), int(head[1]))
+        i_max, j_max = _int_fields(rows[0], 2, "series header must be 'imax jmax'")
+        series = cls(i_max, j_max)
         for ln in rows[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise SeriesError("series line must be 'i j c': %r" % ln)
-            i, j, c = (int(x) for x in parts)
+            i, j, c = _int_fields(ln, 3, "series line must be 'i j c'")
             series._set(i, j, series.get(i, j) + c)
         return series
 
@@ -171,6 +166,17 @@ class BigradedSeries:
                 cells.append((str(c) if c else ".").rjust(width))
             out.append(("%d:" % r).rjust(5) + "".join(cells))
         return "\n".join(out) + "\n"
+
+
+def _int_fields(line, n, what):
+    """The n integers of one line of a text format, or SeriesError naming it."""
+    parts = line.split()
+    try:
+        if len(parts) == n:
+            return [int(x) for x in parts]
+    except ValueError:
+        pass
+    raise SeriesError("%s: %r" % (what, line))
 
 
 def series_from_layers(i_max, j_max, layers):
@@ -223,8 +229,7 @@ class CancellationCertificate:
             raise SeriesError("certificate text must start with 'steps N'")
         steps = []
         for ln in rows[1:]:
-            i, a, b = (int(x) for x in ln.split())
-            steps.append(Cancellation(i, a, b))
+            steps.append(Cancellation(*_int_fields(ln, 3, "certificate line must be 'i a b'")))
         return cls(steps)
 
     def __repr__(self):

@@ -1,15 +1,16 @@
-"""Spectral sequence of a filtered complex by exact rank arithmetic.
+"""Spectral sequence of a filtered complex, read off one persistence pairing.
 
-Pages are computed from the explicit cycle/boundary subquotients
-
-    rZ_i^j = ({z in L_i^j : dz in L_{i-1}^{j+r}} + L_i^{j+1}) / (L_i^{j+1} + d L_{i+1}^j)
-    rB_i^j = ((L_i^j cap d L_{i+1}^{j-r+1}) + L_i^{j+1}) / (L_i^{j+1} + d L_{i+1}^j)
-
-with dim rE_i^j = dim rZ_i^j - dim rB_i^j.  Everything reduces to ranks
-of level-sorted column echelons, tabulated once per complex.  Page-to-page
-drops split into coker(iota) at (i, j) and ker(pi) at (i-1, j+r) in equal
-numbers (the differential induces a bijection), which is exactly one
-negative consecutive cancellation z^i t^j + z^{i-1} t^{j+r} per unit.
+Each differential d_i: L_i -> L_{i-1} is reduced once as a sparse column
+matrix: columns by level, highest first; the pivot of a column is its
+nonzero row of lowest level, ties broken by index.  A pivot pairs a
+column at level a with a row at level b >= a.  The units z^i t^a and
+z^{i-1} t^b then live on pages 1..b-a and die together: one negative
+consecutive cancellation on page b - a (a pair with b = a never reaches
+page 1).  The basis vectors left unpaired make up the limit page
+(Zomorodian-Carlsson, Computing Persistent Homology, 2005; Basu-Parida,
+Spectral sequences, exact couples and persistent homology of
+filtrations, 2017).  Pages, per-page cancellations and the limit page
+are all arithmetic on that pair list.
 
 For a complex marked as a degree truncation, entries and cancellations
 outside the reliability window are flagged, never reported as numbers.
@@ -20,7 +21,7 @@ from collections import namedtuple
 
 from .fields import Field
 from .filtered import FilteredComplex
-from .linalg import ColumnEchelon, invert, kernel_basis, rank
+from .linalg import invert
 from .series import (BigradedSeries, Cancellation, CancellationCertificate,
                      verify_certificate)
 
@@ -47,244 +48,120 @@ class SpectralPage:
         return "SpectralPage(r=%s, %r)" % (label, self.dims.coefficients)
 
 
-class _Engine:
-    """Rank tables for one filtered complex.
+def _pairing(L):
+    """The persistence pairing of L as counts: ({(i, a, b): n}, {(i, level): n}).
 
-    ker2[i][a][b] = dim {z in L_i^a : dz in L_{i-1}^b}
-    img2[i][s][c] = dim (d(L_{i+1}^s) cap L_i^c)
-
-    with levels clamped to 0..j_max+1 (j_max+1 plays the role of the zero
-    subspace).
+    (i, a, b) pairs a column of d_i at level a with its pivot row, a basis
+    vector of L_{i-1} at level b.  The second table counts the basis
+    vectors in no pair.  It is kept per level, not per basis index: the
+    order of a term's basis as rows of d_{i+1} and as columns of d_i
+    differ within a level, and only the counts per level are invariants.
     """
-
-    def __init__(self, L):
-        self.L = L
-        self.field = L.field
-        self.T = L.j_max
-        self.ker2 = []
-        self.img2 = []
-        hi = self.T + 2
-        for i in range(L.i_max + 1):
-            levels = L.levels[i]
-            ncols = len(levels)
-            ker_i = [[0] * hi for _ in range(hi)]
-            for a in range(hi):
-                cols = [c for c in range(ncols) if levels[c] >= a]
-                if i == 0:
-                    for b in range(hi):
-                        ker_i[a][b] = len(cols)
-                    continue
-                d = L.diffs[i]
-                tgt_levels = L.levels[i - 1]
-                row_order = sorted(range(len(tgt_levels)), key=lambda r: (tgt_levels[r], r))
-                ech = ColumnEchelon(self.field, row_order)
-                pivot_levels = []
-                for c in cols:
-                    col = [d[r][c] for r in range(len(tgt_levels))]
-                    piv = ech.add(col)
-                    if piv is not None:
-                        pivot_levels.append(tgt_levels[row_order[piv]])
-                pivot_levels.sort()
-                for b in range(hi):
-                    below = sum(1 for pl in pivot_levels if pl < b)
-                    ker_i[a][b] = len(cols) - below
-            self.ker2.append(ker_i)
-
-            img_i = [[0] * hi for _ in range(hi)]
-            if i < L.i_max:
-                d = L.diffs[i + 1]
-                src_levels = L.levels[i + 1]
-                tgt_levels = L.levels[i]
-                row_order = sorted(range(len(tgt_levels)), key=lambda r: (tgt_levels[r], r))
-                for s in range(hi):
-                    ech = ColumnEchelon(self.field, row_order)
-                    pivot_levels = []
-                    for c in range(len(src_levels)):
-                        if src_levels[c] < s:
-                            continue
-                        col = [d[r][c] for r in range(len(tgt_levels))]
-                        piv = ech.add(col)
-                        if piv is not None:
-                            pivot_levels.append(tgt_levels[row_order[piv]])
-                    pivot_levels.sort()
-                    for c in range(hi):
-                        img_i[s][c] = sum(1 for pl in pivot_levels if pl >= c)
-            self.img2.append(img_i)
-
-    def _clamp(self, x):
-        return max(0, min(x, self.T + 1))
-
-    def zrank(self, r, i, j):
-        """dim of the level-j graded piece of {z in L_i^j : dz in L^{j+r}}."""
-        b = self._clamp(j + r)
-        return self.ker2[i][j][b] - self.ker2[i][j + 1][b]
-
-    def brank(self, r, i, j):
-        """dim of the level-j graded piece of L_i^j cap d(L_{i+1}^{j-r+1})."""
-        s = self._clamp(j - r + 1)
-        return self.img2[i][s][j] - self.img2[i][s][j + 1]
-
-    def page_dim(self, r, i, j):
-        return self.zrank(r, i, j) - self.brank(r, i, j)
-
-    def coker_count(self, r, i, j):
-        """dim coker(iota_{i,j}) from page r to page r+1."""
-        return self.zrank(r, i, j) - self.zrank(r + 1, i, j)
-
-    def ker_count(self, r, i, j):
-        """dim ker(pi_{i,j}) from page r to page r+1."""
-        return self.brank(r + 1, i, j) - self.brank(r, i, j)
+    field = L.field
+    pairs = {}
+    free = {}
+    for i, lv in enumerate(L.levels):
+        for level in lv:
+            free[(i, level)] = free.get((i, level), 0) + 1
+    for i in range(1, L.i_max + 1):
+        d, src, tgt = L.diffs[i], L.levels[i], L.levels[i - 1]
+        reduced = {}  # pivot row -> the reduced column that owns it
+        for c in sorted(range(len(src)), key=lambda c: (-src[c], c)):
+            col = {r: d[r][c] for r in range(len(tgt)) if d[r][c]}
+            while col:
+                p = min(col, key=lambda r: (tgt[r], r))
+                other = reduced.get(p)
+                if other is None:
+                    reduced[p] = col
+                    key = (i, src[c], tgt[p])
+                    pairs[key] = pairs.get(key, 0) + 1
+                    free[(i, src[c])] -= 1
+                    free[(i - 1, tgt[p])] -= 1
+                    break
+                f = field.div(col[p], other[p])
+                for r, x in other.items():
+                    v = field.sub(col.get(r, field.zero), field.mul(f, x))
+                    if v:
+                        col[r] = v
+                    else:
+                        del col[r]
+    return pairs, free
 
 
-def _engine(L):
-    eng = getattr(L, "_spectral_engine", None)
-    if eng is None:
-        eng = _Engine(L)
-        L._spectral_engine = eng
-    return eng
+def _alive(bars, r):
+    """{(i, j): units} on page r: the unpaired units and both ends of every
+    pair that dies on page r or later."""
+    pairs, free = bars
+    alive = dict(free)
+    for (i, a, b), n in pairs.items():
+        if b - a >= r:
+            alive[(i, a)] = alive.get((i, a), 0) + n
+            alive[(i - 1, b)] = alive.get((i - 1, b), 0) + n
+    return alive
 
 
-def _page_window(L, r):
-    """Cells (i, j) where the page-r entry of a truncated complex is exact.
+def _page(L, bars, r):
+    """Page r, with the cells past the reliability window flagged.
 
     Truncation keeps levels <= T; the cycle condition dz in L^{j+r} only
     probes levels up to j+r, and the discarded part of any differential
     lives in levels >= T+1, so entries with j + r <= T + 1 agree with the
     untruncated complex.
     """
-    if L.truncated_at is None:
-        return None  # everything reliable
-    return lambda i, j: j + r <= L.truncated_at + 1
+    T = L.truncated_at
+    flagged = set()
+    if T is not None:
+        flagged = {(i, j) for i in range(L.i_max + 1) for j in range(L.j_max + 1)
+                   if j + r > T + 1}
+    kept = {k: n for k, n in _alive(bars, r).items() if k not in flagged}
+    return SpectralPage(r, BigradedSeries(L.i_max, L.j_max, kept), flagged)
 
 
-def page(L, r, audit=False):
+def _cancellations(L, bars, r):
+    """Cancellations dying between pages r and r+1, and the units alive on
+    page r whose partner degree j + r is the first one past the truncation."""
+    T = L.truncated_at
+    out = sorted(PageCancellation(r, i, a)
+                 for (i, a, b), n in bars[0].items()
+                 if b - a == r and (T is None or b <= T)
+                 for _ in range(n))
+    boundary = {}
+    if T is not None and 0 <= T + 1 - r <= L.j_max:
+        j = T + 1 - r
+        alive = _alive(bars, r)
+        boundary = {(i, j): alive[(i, j)] for i in range(1, L.i_max + 1)
+                    if alive.get((i, j), 0) > 0}
+    return out, boundary
+
+
+def page(L, r):
     """Page r (r >= 1) of the spectral sequence.
 
     For truncated complexes, entries with j + r > truncation + 1 are
-    flagged indeterminate instead of reported.  With audit=True, echelon
-    representative bases of the cycle subquotients are attached (debug
-    only; dimensions are the contract, bases are not).
+    flagged indeterminate instead of reported.
     """
     if r < 1:
         raise SpectralError("pages are indexed from r = 1")
-    eng = _engine(L)
-    ok = _page_window(L, r)
-    dims = BigradedSeries(L.i_max, L.j_max)
-    flagged = set()
-    for i in range(L.i_max + 1):
-        for j in range(L.j_max + 1):
-            if ok is not None and not ok(i, j):
-                flagged.add((i, j))
-                continue
-            d = eng.page_dim(r, i, j)
-            if d < 0:
-                raise SpectralError("negative page dimension at (%d, %d)" % (i, j))
-            if d:
-                dims._set(i, j, d)
-    result = SpectralPage(r, dims, flagged)
-    if audit:
-        result.audit = _audit_bases(L, r)
-    return result
-
-
-def _audit_bases(L, r):
-    """Representative vectors of {z in L_i^j : dz in L^{j+r}} per cell."""
-    out = {}
-    field = L.field
-    for i in range(L.i_max + 1):
-        for j in range(L.j_max + 1):
-            cols = [c for c, lv in enumerate(L.levels[i]) if lv >= j]
-            if not cols:
-                continue
-            if i == 0:
-                vecs = []
-                for c in cols:
-                    v = [field.zero] * len(L.levels[i])
-                    v[c] = field.one
-                    vecs.append(v)
-            else:
-                rows = [rr for rr, lv in enumerate(L.levels[i - 1]) if lv < j + r]
-                mat = [[L.diffs[i][rr][c] for c in cols] for rr in rows]
-                ker = kernel_basis(field, mat, len(cols))
-                vecs = []
-                for k in ker:
-                    v = [field.zero] * len(L.levels[i])
-                    for c, x in zip(cols, k):
-                        v[c] = x
-                    vecs.append(v)
-            if vecs:
-                out[(i, j)] = vecs
-    return out
+    return _page(L, _pairing(L), r)
 
 
 def infinity_page(L):
-    """The limit page, computed directly as gr of homology with the induced
-    filtration (Z_i cap L^j + B_i) / B_i -- not by iterating pages; this is
-    the second code path used for cross-validation."""
-    dims = _infinity_dims_direct(L)
-    flagged = set()
-    if L.truncated_at is not None:
-        run = run_to_stability(L, _verify=False)
-        flagged = {(i, j) for i in range(L.i_max + 1)
-                   for j in range(L.j_max + 1)
-                   if j > run.window_j} | run.excluded_cells
-        kept = {k: v for k, v in dims.coefficients.items() if k not in flagged}
-        dims = BigradedSeries(L.i_max, L.j_max, kept)
-    return SpectralPage(None, dims, flagged)
+    """The limit page: the unpaired units, flagged as in run_to_stability."""
+    return run_to_stability(L).page_infinity
 
 
 def cancellations_at_page(L, r):
     """Multiset of cancellations dying between pages r and r+1, plus the
     boundary-indeterminate units (truncated complexes only).
 
-    Each unit removed as coker(iota) at (i, j) pairs with one removed as
-    ker(pi) at (i-1, j+r); the two counts are computed independently and
-    must agree (the induced map is a bijection).  A cancellation is exact
-    when its partner degree b = j + r stays within the truncation; units
-    still alive at cells with j + r beyond it would pair with degrees the
+    Each pair (i, a, b) of the pairing with b - a = r is one unit removed
+    at (i, a) together with one at (i-1, b).  A cancellation is exact
+    when its partner degree b stays within the truncation; units still
+    alive at cells with j + r beyond it would pair with degrees the
     truncation cannot see, so their fate is reported, not decided."""
     if r < 1:
         raise SpectralError("pages are indexed from r = 1")
-    eng = _engine(L)
-    T = L.truncated_at
-    out = []
-    boundary = {}
-    for i in range(L.i_max + 1):
-        for j in range(L.j_max + 1):
-            if T is not None and j + r > T:
-                if i >= 1 and j + r == T + 1:
-                    alive = eng.page_dim(r, i, j)
-                    if alive > 0:
-                        boundary[(i, j)] = alive
-                continue
-            c = eng.coker_count(r, i, j)
-            if c < 0:
-                raise SpectralError("negative coker count at (%d, %d)" % (i, j))
-            if c == 0:
-                continue
-            k = eng.ker_count(r, i - 1, j + r) if i >= 1 and j + r <= L.j_max else 0
-            if k != c:
-                raise SpectralError(
-                    "coker/ker mismatch at page %d cell (%d, %d): %d vs %d"
-                    % (r, i, j, c, k))
-            out.extend([PageCancellation(r, i, j)] * c)
-    return out, boundary
-
-
-def delta_counts(L, r):
-    """Independent coker(iota) and ker(pi) count tables for page r."""
-    eng = _engine(L)
-    coker = {}
-    ker = {}
-    for i in range(L.i_max + 1):
-        for j in range(L.j_max + 1):
-            c = eng.coker_count(r, i, j)
-            if c:
-                coker[(i, j)] = c
-            k = eng.ker_count(r, i, j)
-            if k:
-                ker[(i, j)] = k
-    return coker, ker
+    return _cancellations(L, _pairing(L), r)
 
 
 class RunResult:
@@ -300,9 +177,9 @@ class RunResult:
         self.verified = verified
 
 
-def run_to_stability(L, _verify=True):
-    """Iterate pages to stabilization, extract the per-page cancellations,
-    and assemble the certificate from page 1 to the limit.
+def run_to_stability(L):
+    """Collect the per-page cancellations up to stabilization and assemble
+    the certificate from page 1 to the limit.
 
     Exact complexes stabilize by page span+1 and the bookkeeping identity
     page1 - sum(certificate) = page_infinity holds on the whole grid.  For
@@ -311,6 +188,7 @@ def run_to_stability(L, _verify=True):
     the window j <= truncation - r_stab minus cells touched by boundary-
     indeterminate units.
     """
+    bars = _pairing(L)
     T = L.truncated_at
     span = max((max(lv) for lv in L.levels if lv), default=0)
     r_hi = span + 1 if T is None else T + 1
@@ -320,7 +198,7 @@ def run_to_stability(L, _verify=True):
     excluded_cells = set()
     last_active = 0
     for r in range(1, r_hi + 1):
-        cancels, bd = cancellations_at_page(L, r)
+        cancels, bd = _cancellations(L, bars, r)
         if cancels:
             last_active = r
             steps.extend(pc.to_cancellation() for pc in cancels)
@@ -331,79 +209,18 @@ def run_to_stability(L, _verify=True):
     r_stab = last_active + 1
     window_j = L.j_max if T is None else T - r_stab
 
-    p1 = page(L, 1)
-    pinf_dims = _infinity_dims_direct(L)
-    if T is None:
-        flagged = frozenset()
-        cells = [(i, j) for i in range(L.i_max + 1) for j in range(L.j_max + 1)]
-    else:
-        flagged = {(i, j) for i in range(L.i_max + 1) for j in range(L.j_max + 1)
-                   if j > window_j} | excluded_cells
-        kept = {k: v for k, v in pinf_dims.coefficients.items() if k not in flagged}
-        pinf_dims = BigradedSeries(L.i_max, L.j_max, kept)
-        cells = [(i, j) for i in range(L.i_max + 1) for j in range(L.j_max + 1)
-                 if (i, j) not in flagged]
-    pinf = SpectralPage(None, pinf_dims, flagged)
-
-    verified = None
-    if _verify:
-        # page 1 is always full-grid exact (j + 1 <= T + 1 for every cell)
-        verified = verify_certificate(p1.dims, cert, pinf.dims, cells=cells)
+    # page 1 is always full-grid exact (j + 1 <= T + 1 for every cell)
+    p1 = _page(L, bars, 1)
+    grid = [(i, j) for i in range(L.i_max + 1) for j in range(L.j_max + 1)]
+    flagged = frozenset()
+    if T is not None:
+        flagged = {(i, j) for (i, j) in grid if j > window_j} | excluded_cells
+    kept = {k: n for k, n in bars[1].items() if k not in flagged}
+    pinf = SpectralPage(None, BigradedSeries(L.i_max, L.j_max, kept), flagged)
+    cells = [c for c in grid if c not in flagged]
+    verified = verify_certificate(p1.dims, cert, pinf.dims, cells=cells)
     return RunResult(p1, pinf, cert, r_stab, window_j, boundary,
                      excluded_cells, verified)
-
-
-def _infinity_dims_direct(L):
-    field = L.field
-    dims = BigradedSeries(L.i_max, L.j_max)
-    for i in range(L.i_max + 1):
-        n = L.dim(i)
-        if n == 0:
-            continue
-        if i == 0:
-            zbasis = [[field.one if a == b else field.zero for a in range(n)] for b in range(n)]
-        else:
-            zbasis = kernel_basis(field, L.diffs[i], n)
-        bcols = []
-        if i < L.i_max:
-            d = L.diffs[i + 1]
-            for c in range(L.dim(i + 1)):
-                bcols.append([d[r][c] for r in range(n)])
-
-        def dim_zj_plus_b(j):
-            if j > L.j_max:
-                zj = []
-            else:
-                bad = [r for r, lv in enumerate(L.levels[i]) if lv < j]
-                if bad and zbasis:
-                    mat = [[z[r] for z in zbasis] for r in bad]
-                    combos = kernel_basis(field, mat, len(zbasis))
-                else:
-                    combos = [[field.one if a == b else field.zero
-                               for a in range(len(zbasis))] for b in range(len(zbasis))]
-                zj = []
-                for combo in combos:
-                    v = [field.zero] * n
-                    for coef, z in zip(combo, zbasis):
-                        if coef:
-                            for r in range(n):
-                                v[r] = field.add(v[r], field.mul(coef, z[r]))
-                    zj.append(v)
-            stacked = zj + [list(b) for b in bcols]
-            if not stacked:
-                return 0
-            return rank(field, [[col[r] for col in stacked] for r in range(n)])
-
-        prev = dim_zj_plus_b(0)
-        for j in range(0, L.j_max + 1):
-            nxt = dim_zj_plus_b(j + 1)
-            h = prev - nxt
-            if h < 0:
-                raise SpectralError("infinity page has a negative graded piece")
-            if h:
-                dims._set(i, j, h)
-            prev = nxt
-    return dims
 
 
 # --- reproducible random filtered complexes ---------------------------------------

@@ -14,8 +14,9 @@ from grtor.poly import LOCAL, Ring
 from grtor.resolution import closed_form_tor_series, tor_series
 from grtor.series import (BigradedSeries, decide_cancellation,
                           decide_cancellation_bruteforce, verify_certificate)
-from grtor.spectral import (delta_counts, infinity_page, page,
+from grtor.spectral import (cancellations_at_page, infinity_page, page,
                             random_filtered_complex, run_to_stability)
+from spectral_oracle import Engine, delta_counts, infinity_dims_direct
 
 
 def _report(tag, label, t0):
@@ -149,7 +150,8 @@ def test_a5_proof_mechanics_property_suite():
     """200 seeded random filtered complexes (dims <= 8, i_max <= 4,
     levels <= 6, F_32003): subquotient monotonicity, delta-count identity,
     bookkeeping exactness, alternating-sum conservation, two-path
-    agreement -- 200/200."""
+    agreement -- 200/200.  The second path is the rank-table oracle in
+    tests/spectral_oracle.py."""
     t0 = time.time()
     field = Field(32003)
     passes = 0
@@ -157,18 +159,20 @@ def test_a5_proof_mechanics_property_suite():
         L = random_filtered_complex(seed, i_max=(seed % 4) + 1, max_dim=8,
                                     max_level=6, field=field)
         run = run_to_stability(L)
+        eng = Engine(L)
         # bookkeeping exactness
         current = run.page1.dims.copy()
         for step in run.certificate:
             current = current.subtract_cancellation(step)
         assert current == run.page_infinity.dims, seed
         # two-path agreement
-        assert infinity_page(L).dims == page(L, L.j_max + 1).dims, seed
-        # monotonicity + conservation page by page
+        assert infinity_page(L).dims == infinity_dims_direct(L), seed
+        # every page against the oracle, monotonicity + conservation
         prev = None
         base = None
         for r in range(1, L.j_max + 2):
             dims = page(L, r).dims
+            assert dims == eng.page_dims(r), (seed, r)
             if prev is not None:
                 for (i, j), c in dims.coefficients.items():
                     assert c <= prev.get(i, j), seed
@@ -177,9 +181,14 @@ def test_a5_proof_mechanics_property_suite():
                 base = alt
             assert alt == base, seed
             prev = dims
-        # delta-count identity
+        # delta-count identity: the oracle's coker and ker counts both
+        # equal the cancellations of the page
         for r in range(1, L.j_max + 1):
-            coker, ker = delta_counts(L, r)
+            coker, ker = delta_counts(eng, r)
+            counts = {}
+            for pc in cancellations_at_page(L, r)[0]:
+                counts[(pc.i, pc.j)] = counts.get((pc.i, pc.j), 0) + 1
+            assert coker == counts, seed
             for (i, j), c in coker.items():
                 assert ker.get((i - 1, j + r), 0) == c, seed
         assert bool(run.verified), seed

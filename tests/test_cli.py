@@ -230,3 +230,47 @@ def test_synthetic_random_batch(capsys):
                                         "--seed", seed])
         assert code == 0
         assert "verdict: PASS" in out
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_zero_module_is_usage_error(tmp_path, capsys):
+    # 1 + X is a unit of the local ring, so M = R/I = 0
+    job = tmp_path / "m0.job"
+    job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n"
+                   "[module M]\nideal = 1 + X\n\n[module N]\nideal = X^2 - Y^5\n")
+    code, _, err = run_cli(capsys, ["check-theorem", str(job)])
+    assert_one_line_error(code, err)
+    assert "zero" in err
+
+
+@pytest.mark.parametrize("damage", ["cut inside a diff block", "diff before its terms",
+                                    "non-integer field"])
+def test_malformed_synthetic_complex_is_usage_error(tmp_path, capsys, damage):
+    from grtor.spectral import random_filtered_complex
+    lines = random_filtered_complex(3).to_text().splitlines()
+    assert lines[-1].count(" ") == 2  # the file ends inside the last diff block
+    if damage == "cut inside a diff block":
+        lines = lines[:-2]
+    elif damage == "diff before its terms":
+        lines = [ln for ln in lines if not ln.startswith("term")]
+    else:
+        lines = [ln.replace("imax 3", "imax three") for ln in lines]
+    fc = tmp_path / "bad.fc"
+    fc.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, ["check-theorem", "--synthetic", str(fc)])
+    assert_one_line_error(code, err)
+
+
+def test_cancel_non_integer_series_line_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "s.series"
+    tgt = tmp_path / "t.series"
+    src.write_text("2 4\n0 0 1\n1 x 2\n")
+    tgt.write_text("2 4\n")
+    code, _, err = run_cli(capsys, ["cancel", str(src), str(tgt)])
+    assert_one_line_error(code, err)
+    assert "'1 x 2'" in err

@@ -198,6 +198,22 @@ def test_serialization_roundtrip():
 def test_from_text_rejects_garbage():
     with pytest.raises(LiftError):
         FilteredComplex.from_text("nonsense\n")
+    head = "filtered-complex\nfield QQ\nimax 1\njmax 1\ntruncated 0\n"
+    terms = "term 0 dim 1 levels 1\nterm 1 dim 1 levels 0\n"
+    assert FilteredComplex.from_text(head + terms + "diff 1 nnz 1\n0 0 1\n").dim(1) == 1
+    for body in [terms + "diff 1 nnz 2\n0 0 1\n",    # ends inside the block
+                 "diff 1 nnz 1\n0 0 1\n" + terms,    # diff before its terms
+                 terms + "diff 1 nnz 1\n-1 0 1\n",   # negative index
+                 terms + "diff 1 nnz 1\n0 5 1\n",    # index past the term
+                 terms + "diff 1 nnz 1\n0 0 1/0\n",  # no such scalar
+                 terms.replace("dim 1", "dim one")]:
+        with pytest.raises(LiftError):
+            FilteredComplex.from_text(head + body)
+
+
+def test_unit_ideal_has_no_resolution_to_lift():
+    with pytest.raises(LiftError, match="zero"):
+        resolve_local_cyclic(IdealPresentation(cusp_ring(), ["1 + X"]))
 
 
 def test_filtered_complex_validates():

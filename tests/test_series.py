@@ -166,6 +166,17 @@ def test_certificate_text_roundtrip():
     assert CancellationCertificate.from_text(cert.to_text()) == cert
 
 
+def test_non_integer_lines_raise_series_error():
+    with pytest.raises(SeriesError, match="'1 x 2'"):
+        BigradedSeries.from_text("2 4\n1 x 2\n")
+    with pytest.raises(SeriesError, match="'two 4'"):
+        BigradedSeries.from_text("two 4\n")
+    with pytest.raises(SeriesError, match="'0 2 3 4'"):
+        CancellationCertificate.from_text("steps 1\n0 2 3 4\n")
+    with pytest.raises(SeriesError, match="'0 2 b'"):
+        CancellationCertificate.from_text("steps 1\n0 2 b\n")
+
+
 def test_diagram_output_shape():
     s = series_from_layers(1, 3, {0: {0: 1}, 1: {2: 1}})
     d = s.to_diagram()

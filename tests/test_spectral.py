@@ -4,13 +4,14 @@ complex generator, and the proof-mechanics invariants."""
 import pytest
 
 from grtor.fields import Field
-from grtor.filtered import FilteredComplex
+from grtor.filtered import FilteredComplex, filtered_tensor, resolve_local_cyclic
 from grtor.groebner import IdealPresentation
 from grtor.poly import LOCAL, Ring
 from grtor.series import Cancellation
 from grtor.spectral import (PageCancellation, SpectralError,
-                            cancellations_at_page, delta_counts, infinity_page,
-                            page, random_filtered_complex, run_to_stability)
+                            cancellations_at_page, infinity_page, page,
+                            random_filtered_complex, run_to_stability)
+from spectral_oracle import Engine, delta_counts, infinity_dims_direct
 
 
 def minimal_cancellation_complex():
@@ -102,23 +103,75 @@ def test_subquotient_monotonicity_and_conservation():
             prev = dims
 
 
+def cancellation_counts(L, r):
+    counts = {}
+    for pc in cancellations_at_page(L, r)[0]:
+        counts[(pc.i, pc.j)] = counts.get((pc.i, pc.j), 0) + 1
+    return counts
+
+
 def test_delta_count_identity():
+    # the oracle's coker(iota) and ker(pi) tables, computed apart from
+    # each other, both equal the cancellations read off the pairing
     for seed in range(20):
         L = random_filtered_complex(seed)
+        eng = Engine(L)
         for r in range(1, L.j_max + 1):
-            coker, ker = delta_counts(L, r)
-            for (i, j), c in coker.items():
-                assert ker.get((i - 1, j + r), 0) == c
-            for (i, j), c in ker.items():
-                assert coker.get((i + 1, j - r), 0) == c
+            coker, ker = delta_counts(eng, r)
+            counts = cancellation_counts(L, r)
+            assert coker == counts
+            assert ker == {(i - 1, j + r): c for (i, j), c in counts.items()}
 
 
 def test_two_path_infinity_agreement():
     for seed in range(20):
         L = random_filtered_complex(seed)
-        direct = infinity_page(L).dims
-        stabilized = page(L, L.j_max + 1).dims
-        assert direct == stabilized
+        direct = infinity_dims_direct(L)
+        assert infinity_page(L).dims == direct
+        assert page(L, L.j_max + 1).dims == direct
+
+
+def assert_oracle_agreement(L):
+    """Every page, every cancellation count and the limit page of L agree
+    with the oracle on the cells the truncation leaves reliable."""
+    eng = Engine(L)
+    T = L.truncated_at
+    grid = [(i, j) for i in range(L.i_max + 1) for j in range(L.j_max + 1)]
+    for r in range(1, L.j_max + 2):
+        p = page(L, r)
+        if T is None:
+            assert not p.indeterminate
+        else:
+            assert p.indeterminate == {(i, j) for (i, j) in grid if j + r > T + 1}
+        expected = eng.page_dims(r)
+        assert all(p.dims.get(*c) == expected.get(*c) for c in grid
+                   if c not in p.indeterminate), r
+        coker, ker = delta_counts(eng, r)
+        reliable = {(i, j): c for (i, j), c in coker.items() if T is None or j + r <= T}
+        assert cancellation_counts(L, r) == reliable, r
+        assert all(ker.get((i - 1, j + r)) == c for (i, j), c in reliable.items()), r
+    pinf = infinity_page(L)
+    direct = infinity_dims_direct(L)
+    assert all(pinf.dims.get(*c) == direct.get(*c) for c in grid
+               if c not in pinf.indeterminate)
+
+
+def test_truncated_cusps_complex_matches_oracle():
+    ring = Ring(["X", "Y"], setting=LOCAL, cap=20)
+    fres = resolve_local_cyclic(IdealPresentation(ring, ["X^2 - Y^3"]))
+    L = filtered_tensor(fres, IdealPresentation(ring, ["X^2 - Y^5"]), 12)
+    assert L.truncated_at == 12
+    assert_oracle_agreement(L)
+
+
+def test_exact_complex_matches_oracle():
+    # (XY - Z^3, X^2 - Y^3, YZ) against (X^3, Y^3, Z^3): N has finite
+    # length, so nothing is cut at jmax 16 and the complex is exact
+    ring = Ring(["X", "Y", "Z"], Field(32003), LOCAL, cap=24)
+    fres = resolve_local_cyclic(IdealPresentation(ring, ["X*Y - Z^3", "X^2 - Y^3", "Y*Z"]))
+    L = filtered_tensor(fres, IdealPresentation(ring, ["X^3", "Y^3", "Z^3"]), 16)
+    assert L.truncated_at is None
+    assert_oracle_agreement(L)
 
 
 def test_bookkeeping_exactness():
@@ -136,7 +189,6 @@ def test_truncated_complex_window_and_boundary():
     # past the truncation are reported as boundary-indeterminate, never
     # silently decided
     ring = Ring(["X", "Y"], setting=LOCAL, cap=20)
-    from grtor.filtered import resolve_local_cyclic, filtered_tensor
     fres = resolve_local_cyclic(IdealPresentation(ring, ["X^2 - Y^3"]))
     L = filtered_tensor(fres, IdealPresentation(ring, ["X^2 - Y^5"]), 12)
     run = run_to_stability(L)
@@ -157,13 +209,6 @@ def test_truncated_complex_window_and_boundary():
     pinf = infinity_page(L)
     assert all(j <= run.window_j or (i, j) in pinf.indeterminate
                for i in range(2) for j in range(13))
-
-
-def test_audit_bases_present_under_flag():
-    L = minimal_cancellation_complex()
-    p = page(L, 1, audit=True)
-    assert hasattr(p, "audit")
-    assert (1, 0) in p.audit
 
 
 def test_serialized_synthetic_complex_runs():
