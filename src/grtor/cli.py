@@ -262,13 +262,14 @@ def cmd_check_theorem(args, out):
         raise InputError("check-theorem needs a nonzero ideal in [module M]")
 
     gring = graded_twin(local)
-    iniM = initial_ideal(iM, cap)
-    mM = ModulePresentation.cyclic(gring, [g for g in iniM.generators])
-    if iN is not None:
-        iniN = initial_ideal(iN, cap)
-        mN = ModulePresentation.cyclic(gring, [g for g in iniN.generators])
-    else:
-        mN = ModulePresentation(gring, 1, (0,), [])
+    forms = {}
+    for name, ideal in (("M", iM), ("N", iN)):
+        forms[name] = initial_ideal(ideal, cap).generators if ideal is not None else []
+        if any(f.degree() == 0 for f in forms[name]):
+            raise InputError("%s = R/I is zero: the [module %s] ideal contains a unit "
+                             "of the local ring" % (name, name))
+    mM = ModulePresentation.cyclic(gring, forms["M"])
+    mN = ModulePresentation.cyclic(gring, forms["N"])
     tor_graded = tor_series(mM, mN, args.imax, args.jmax)
 
     fres = resolve_local_cyclic(iM, cap)

@@ -203,9 +203,10 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
 
     Returns (basis, syzygies): basis as tracked elements, syzygies as
     expression vectors over the input columns (zero reductions of every
-    S-pair; the product criterion is only applied when syzygies are not
-    requested, since the skipped pairs' syzygies are needed for
-    completeness).
+    S-pair).  The product criterion skips pairs with coprime lead terms
+    only for ideals (rank 1) and only when syzygies are not requested:
+    the skipped pairs' syzygies are needed for completeness, and the
+    S-vector of two vectors with coprime lead terms need not reduce to 0.
     """
     local = ring.setting == LOCAL
     if local and cap is None:
@@ -230,7 +231,8 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
             krow, ke = basis[k].vec.lead()
             if krow != grow:
                 continue
-            if not collect_syzygies and all(min(a, b) == 0 for a, b in zip(ge, ke)):
+            if (not collect_syzygies and len(shifts) == 1
+                    and all(min(a, b) == 0 for a, b in zip(ge, ke))):
                 continue  # product criterion
             pairs.add((k, new_index))
 
@@ -363,16 +365,23 @@ def module_groebner_basis(ring, columns, shifts=None, cap=None):
 def module_normal_form(vec, basis, shifts=None, cap=None):
     """Normal form of a vector of polynomials against module basis vectors
     (weak normal form in the local setting)."""
-    ring = vec[0].ring
-    rank = len(vec)
-    shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    f = _Tracked(VecPoly.from_polys(list(vec), shifts), [])
+    return module_reducer(basis, shifts if shifts is not None else (0,) * len(vec), cap)(vec)
+
+
+def module_reducer(basis, shifts, cap=None):
+    """The normal-form map against fixed module basis vectors, converting
+    the basis once for many reductions."""
     reducers = [_Tracked(VecPoly.from_polys(list(b), shifts), []) for b in basis]
-    if ring.setting == LOCAL:
-        red = _nf_mora(f, reducers, cap if cap is not None else ring.cap)
-    else:
-        red = _nf_graded(f, reducers)
-    return red.vec.to_polys()
+
+    def reduce(vec):
+        ring = vec[0].ring
+        f = _Tracked(VecPoly.from_polys(list(vec), shifts), [])
+        if ring.setting == LOCAL:
+            red = _nf_mora(f, reducers, cap if cap is not None else ring.cap)
+        else:
+            red = _nf_graded(f, reducers)
+        return red.vec.to_polys()
+    return reduce
 
 
 def _interreduce(ring, polys):

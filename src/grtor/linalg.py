@@ -53,26 +53,6 @@ def rank(field, rows):
     return len(rref(field, rows)[1])
 
 
-def kernel_basis(field, rows, ncols):
-    """Basis of the right kernel {v : rows*v = 0}; vectors of length ncols."""
-    if ncols == 0:
-        return []
-    if not rows:
-        return [[field.one if i == j else field.zero for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(field, rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            if red[r][fc]:
-                v[pc] = field.neg(red[r][fc])
-        basis.append(v)
-    return basis
-
-
 def solve(field, rows, rhs):
     """One solution of rows*x = rhs, or None if inconsistent."""
     nrows = len(rows)

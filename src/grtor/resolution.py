@@ -10,8 +10,9 @@ monomial basis, and kernels/images are rank computations there.
 
 from math import comb
 
-from .groebner import (GroebnerError, ModulePresentation, graded_piece_basis,
-                       normal_form, quotient_groebner, syzygies)
+from .groebner import (GroebnerError, ModulePresentation, VecPoly, graded_piece_basis,
+                       module_groebner_basis, module_reducer, normal_form,
+                       quotient_groebner, standard_monomials, syzygies)
 from .linalg import ColumnEchelon, rank, solve
 from .poly import GRADED
 from .series import BigradedSeries
@@ -33,15 +34,23 @@ def free_strand_basis(ring, shifts, degree):
     return basis
 
 
-def vector_strand_coords(ring, vec, index, field):
-    """Coordinates of a homogeneous vector of polynomials on a strand basis."""
+def vector_strand_coords(ring, vec, index, mono=None):
+    """Coordinates on a strand basis of x^mono * vec (vec a homogeneous
+    vector of polynomials), reduced modulo the quotient."""
+    field = ring.field
+    gb = quotient_groebner(ring)
     coords = [field.zero] * len(index)
-    for col, p in enumerate(vec):
+    for row, p in enumerate(vec):
+        if p.is_zero():
+            continue
+        if mono is not None:
+            p = p.monomial_multiple(mono)
+        if gb:
+            p = normal_form(p, gb)
         for e, c in p.terms.items():
-            key = (col, e)
-            if key not in index:
-                raise ResolutionError("vector has a term %r outside the strand" % (key,))
-            coords[index[key]] = field.add(coords[index[key]], c)
+            if (row, e) not in index:
+                raise ResolutionError("vector has a term %r outside the strand" % ((row, e),))
+            coords[index[(row, e)]] = c
     return coords
 
 
@@ -51,25 +60,12 @@ def strand_matrix(ring, rows, src_shifts, dst_shifts, degree):
     `rows` is the dst x src matrix of polynomials; returns (matrix over k,
     src basis, dst basis) with columns indexed by the source strand basis.
     """
-    field = ring.field
-    gb = quotient_groebner(ring)
     src = free_strand_basis(ring, src_shifts, degree)
     dst = free_strand_basis(ring, dst_shifts, degree)
     dst_index = {key: n for n, key in enumerate(dst)}
-    cols = []
-    for (scol, mono) in src:
-        vec = [field.zero] * len(dst)
-        for drow in range(len(dst_shifts)):
-            p = rows[drow][scol]
-            if p.is_zero():
-                continue
-            prod = p.monomial_multiple(mono)
-            if gb:
-                prod = normal_form(prod, gb)
-            for e, c in prod.terms.items():
-                vec[dst_index[(drow, e)]] = field.add(vec[dst_index[(drow, e)]], c)
-        cols.append(vec)
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(len(dst))]
+    cols = [vector_strand_coords(ring, [row[scol] for row in rows], dst_index, mono)
+            for scol, mono in src]
+    matrix = [[col[i] for col in cols] for i in range(len(dst))]
     return matrix, src, dst_index
 
 
@@ -82,7 +78,7 @@ def strand_solve(ring, rows, src_shifts, dst_shifts, target, degree):
     """
     field = ring.field
     matrix, src, dst_index = strand_matrix(ring, rows, src_shifts, dst_shifts, degree)
-    rhs = vector_strand_coords(ring, target, dst_index, field)
+    rhs = vector_strand_coords(ring, target, dst_index)
     if not src:
         return None if any(rhs) else [ring.zero() for _ in src_shifts]
     sol = solve(field, matrix, rhs) if matrix else (None if any(rhs) else [])
@@ -101,111 +97,72 @@ def strand_solve(ring, rows, src_shifts, dst_shifts, target, degree):
 class GradedModulePieces:
     """Degreewise k-bases of a presented graded module with multiplication.
 
-    Elements of the degree-D piece are coordinate vectors on the free
-    cover's strand basis, reduced modulo the span of the relations; the
-    reduced representatives are supported on non-pivot basis elements.
+    Over the polynomial cover F = ⊕ k[x](-shift), the module is F modulo
+    the relations and the quotient multiples q·e_a.  One Groebner basis of
+    that submodule, truncated at degree j_max (exact in every degree <=
+    j_max, since the input is homogeneous), gives the basis of each piece
+    (Macaulay): the standard terms (col, mono) of internal degree d, those
+    that no lead term of the same row divides.  Multiplication takes the
+    normal form of p·mono·e_col and reads its coefficients off by index.
     """
 
     def __init__(self, module, j_max):
         self.module = module
-        self.ring = module.ring
+        self.ring = ring = module.ring
         self.j_max = j_max
-        self.field = self.ring.field
-        self.gb = quotient_groebner(self.ring)
-        self._free = {}
-        self._free_index = {}
-        self._echelon = {}
-        self._quotient_index = {}
-        for d in range(0, j_max + 1):
-            basis = free_strand_basis(self.ring, module.column_degrees, d)
-            self._free[d] = basis
-            self._free_index[d] = {key: n for n, key in enumerate(basis)}
-            ech = ColumnEchelon(self.field, range(len(basis)))
-            for rel, rdeg in zip(module.relations, module.relation_degrees()):
-                for mono in graded_piece_basis(self.ring, d - rdeg):
-                    vec = [self.field.zero] * len(basis)
-                    for col, p in enumerate(rel):
-                        if p.is_zero():
-                            continue
-                        prod = p.monomial_multiple(mono)
-                        if self.gb:
-                            prod = normal_form(prod, self.gb)
-                        for e, c in prod.terms.items():
-                            n = self._free_index[d][(col, e)]
-                            vec[n] = self.field.add(vec[n], c)
-                    ech.add(vec)
-            self._echelon[d] = ech
-            pivots = {ech.row_order[p] for p in ech.pivot_positions()}
-            quot = [n for n in range(len(basis)) if n not in pivots]
-            self._quotient_index[d] = quot
+        self.field = ring.field
+        shifts = module.column_degrees
+        cols = [list(rel) for rel in module.relations]
+        cols += [[q if b == a else ring.zero() for b in range(len(shifts))]
+                 for q in ring.quotient for a in range(len(shifts))]
+        gb = module_groebner_basis(ring, cols, shifts, cap=j_max)
+        self._reduce = module_reducer(gb, shifts)
+        leads = [VecPoly.from_polys(b, shifts).lead() for b in gb]
+        self._basis = {}
+        for d in range(j_max + 1):
+            self._basis[d] = [
+                (col, mono) for col, s in enumerate(shifts) if s <= d
+                for mono in standard_monomials([e for row, e in leads if row == col],
+                                               ring.nvars, d - s)]
+        self._index = {d: {key: n for n, key in enumerate(basis)}
+                       for d, basis in self._basis.items()}
 
     def dim(self, d):
-        if d < 0 or d > self.j_max:
-            return 0
-        return len(self._quotient_index[d])
-
-    def reduce(self, d, coords):
-        """Reduce a free-cover strand vector modulo the relation span and
-        return coordinates on the quotient basis."""
-        ech = self._echelon[d]
-        field = self.field
-        vec = list(coords)
-        for piv in sorted(ech.columns):
-            r = ech.row_order[piv]
-            if vec[r]:
-                f = vec[r]
-                other = ech.columns[piv]
-                vec = [field.sub(x, field.mul(f, y)) for x, y in zip(vec, other)]
-        return [vec[n] for n in self._quotient_index[d]]
+        return len(self._basis.get(d, ()))
 
     def multiply_matrix(self, p, d_src):
         """Matrix of multiplication by the homogeneous polynomial p from the
         degree-d_src piece to the degree-(d_src + deg p) piece."""
-        d_dst = d_src + p.degree()
-        if p.is_zero() or d_src < 0 or d_src > self.j_max or d_dst > self.j_max:
-            return [[self.field.zero] * self.dim(d_src) for _ in range(self.dim(d_dst))]
-        cols = []
-        for n in self._quotient_index[d_src]:
-            col, mono = self._free[d_src][n]
-            prod = p.monomial_multiple(mono)
-            if self.gb:
-                prod = normal_form(prod, self.gb)
-            vec = [self.field.zero] * len(self._free[d_dst])
-            for e, c in prod.terms.items():
-                m = self._free_index[d_dst][(col, e)]
-                vec[m] = self.field.add(vec[m], c)
-            cols.append(self.reduce(d_dst, vec))
-        return [[cols[j][i] for j in range(len(cols))] for i in range(self.dim(d_dst))]
+        src = self._basis.get(d_src, [])
+        index = self._index.get(d_src + p.degree(), {})
+        matrix = [[self.field.zero] * len(src) for _ in index]
+        if p.is_zero() or not index:
+            return matrix
+        for n, (col, mono) in enumerate(src):
+            vec = [self.ring.zero()] * len(self.module.column_degrees)
+            vec[col] = p.monomial_multiple(mono)
+            for row, q in enumerate(self._reduce(vec)):
+                for e, c in q.terms.items():
+                    matrix[index[(row, e)]][n] = c
+        return matrix
 
 
 # --- submodule spans and minimal generators ------------------------------------
 
 
-def _submodule_echelon(ring, chosen, row_shifts, degree, free_index, field):
+def _submodule_echelon(ring, chosen, degree, free_index):
     """Echelon of the degree-`degree` span of the submodule generated by
-    `chosen` (list of (vector, internal degree)) inside ⊕ G(-row_shifts)."""
-    gb = quotient_groebner(ring)
-    ech = ColumnEchelon(field, range(len(free_index)))
+    `chosen` (list of (vector, internal degree)) on a free strand basis."""
+    ech = ColumnEchelon(ring.field, range(len(free_index)))
     for vec, vdeg in chosen:
         for mono in graded_piece_basis(ring, degree - vdeg):
-            coords = [field.zero] * len(free_index)
-            for col, p in enumerate(vec):
-                if p.is_zero():
-                    continue
-                prod = p.monomial_multiple(mono)
-                if gb:
-                    prod = normal_form(prod, gb)
-                for e, c in prod.terms.items():
-                    n = free_index[(col, e)]
-                    coords[n] = field.add(coords[n], c)
-            ech.add(coords)
+            ech.add(vector_strand_coords(ring, vec, free_index, mono))
     return ech
 
 
 def minimal_generators(ring, columns, row_shifts):
     """Minimal generating subset of homogeneous module generators
     (graded Nakayama, processed in ascending internal degree)."""
-    field = ring.field
     items = []
     for vec in columns:
         degs = {p.degree() + row_shifts[a] for a, p in enumerate(vec) if not p.is_zero()}
@@ -224,8 +181,8 @@ def minimal_generators(ring, columns, row_shifts):
             d = vdeg
             basis = free_strand_basis(ring, row_shifts, d)
             free_index = {key: n for n, key in enumerate(basis)}
-            ech = _submodule_echelon(ring, chosen, row_shifts, d, free_index, field)
-        coords = vector_strand_coords(ring, vec, free_index, field)
+            ech = _submodule_echelon(ring, chosen, d, free_index)
+        coords = vector_strand_coords(ring, vec, free_index)
         if ech.add(coords) is not None:
             chosen.append((vec, vdeg))
     return chosen

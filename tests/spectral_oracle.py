@@ -3,11 +3,32 @@
 A second code path, kept apart from `grtor.spectral` (which reads
 everything off one persistence pairing): pages from rank tables of
 level-sorted dense echelons, and the limit page directly as gr of
-homology with the induced filtration.  Slow; tests only.
+homology with the induced filtration.  Slow; tests only.  Its dense
+`kernel_basis` also serves the syzygy tests.
 """
 
-from grtor.linalg import ColumnEchelon, kernel_basis, rank
+from grtor.linalg import ColumnEchelon, rank, rref
 from grtor.series import BigradedSeries
+
+
+def kernel_basis(field, rows, ncols):
+    """Basis of the right kernel {v : rows*v = 0}; vectors of length ncols."""
+    if ncols == 0:
+        return []
+    if not rows:
+        return [[field.one if i == j else field.zero for i in range(ncols)] for j in range(ncols)]
+    red, pivots = rref(field, rows)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    basis = []
+    for fc in free:
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            if red[r][fc]:
+                v[pc] = field.neg(red[r][fc])
+        basis.append(v)
+    return basis
 
 
 class Engine:

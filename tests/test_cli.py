@@ -248,6 +248,28 @@ def test_zero_module_is_usage_error(tmp_path, capsys):
     assert "zero" in err
 
 
+def test_zero_n_module_is_usage_error(tmp_path, capsys):
+    # 1 + Y is a unit of the local ring, so N = R/I = 0: the same error as M = 0
+    job = tmp_path / "n0.job"
+    job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n"
+                   "[module M]\nideal = X^2 - Y^3\n\n[module N]\nideal = 1 + Y\n")
+    code, _, err = run_cli(capsys, ["check-theorem", str(job)])
+    assert_one_line_error(code, err)
+    assert "zero" in err and "[module N]" in err
+
+
+@pytest.mark.parametrize("module", ["M", "N"])
+def test_tor_gr_unit_ideal_prints_zero_series(tmp_path, capsys, module):
+    ideals = {"M": "x^2, y^3", "N": "x, y"}
+    ideals[module] = "1"
+    job = tmp_path / "unit.job"
+    job.write_text("[ring]\nvariables = x y\nsetting = graded\nquotient = x^3\n\n"
+                   "[module M]\nideal = %(M)s\n\n[module N]\nideal = %(N)s\n" % ideals)
+    code, out, _ = run_cli(capsys, ["tor-gr", str(job), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["series"]["terms"] == []
+
+
 @pytest.mark.parametrize("damage", ["cut inside a diff block", "diff before its terms",
                                     "non-integer field"])
 def test_malformed_synthetic_complex_is_usage_error(tmp_path, capsys, damage):

@@ -8,9 +8,11 @@ from grtor.groebner import (CapExceededError, IdealPresentation, colength,
                             groebner_basis, ideal_intersection, ideal_product,
                             initial_ideal, leading_monomial_ideal,
                             normal_form, standard_basis, syzygies)
-from grtor.linalg import kernel_basis, rank
+from grtor.linalg import rank
 from grtor.poly import LOCAL, Ring
 from grtor.resolution import strand_matrix, vector_strand_coords, free_strand_basis
+
+from spectral_oracle import kernel_basis
 
 
 def test_groebner_basis_reduced():
@@ -130,7 +132,7 @@ def test_syzygies_three_quadrics():
                 vec = [p.monomial_multiple(mono) for p in u]
                 basis = free_strand_basis(R, gen_degs, degree)
                 index = {key: n for n, key in enumerate(basis)}
-                span_cols.append(vector_strand_coords(R, vec, index, R.field))
+                span_cols.append(vector_strand_coords(R, vec, index))
         got = rank(R.field, [[col[r] for col in span_cols]
                              for r in range(len(span_cols[0]))]) if span_cols else 0
         assert got == expected
@@ -191,6 +193,17 @@ def test_module_groebner_and_membership():
     non_member = [R.parse("x"), R.zero()]
     assert not all(p.is_zero() for p in module_normal_form(non_member, basis))
 
+
+
+def test_module_groebner_basis_with_coprime_vector_leads():
+    # the lead terms x^2 and y*z of (x^2, y) and (y*z, x) are coprime, but
+    # for vectors that does not make their S-vector reduce to zero
+    R = Ring(["x", "y", "z"])
+    cols = [[R.parse("x^2"), R.parse("y")], [R.parse("y*z"), R.parse("x")]]
+    from grtor.groebner import module_groebner_basis, module_normal_form
+    basis = module_groebner_basis(R, cols, (0, 1))
+    s_vector = [R.zero(), R.parse("y^2*z - x^3")]  # y*z*(x^2, y) - x^2*(y*z, x)
+    assert all(p.is_zero() for p in module_normal_form(s_vector, basis, (0, 1)))
 
 def test_local_gr_hilbert_agreement():
     # Hilbert function of R/I (local, via the standard basis leading terms)

@@ -1,0 +1,72 @@
+"""GradedModulePieces (standard terms of one truncated Groebner basis)
+against the dense-echelon oracle: piece dimensions and multiplication ranks."""
+
+import random
+
+import pytest
+
+from grtor.fields import Field
+from grtor.groebner import ModulePresentation, monomials_of_degree
+from grtor.linalg import rank
+from grtor.poly import Ring
+from grtor.resolution import GradedModulePieces
+
+from pieces_oracle import EchelonPieces
+
+FP = Field(32003)
+G4_VARS = ["a", "b", "c", "d"]
+G4_QUADRICS = ["a^2 + b*c", "b^2 - c*d", "c^2 + a*d", "a*b + c*d"]
+
+
+def stable(n, m, d, e, as_n):
+    names = ["x%d" % k for k in range(1, n + 1)]
+    R = Ring(names, FP, quotient=["x1^%d" % e])
+    gens = ["x1^%d" % d] + ["x1^%d*%s" % (d - 1, names[k]) for k in range(1, m)]
+    return ModulePresentation.cyclic(R, gens if as_n else names)
+
+
+def g4(gens, field=FP):
+    return ModulePresentation.cyclic(Ring(G4_VARS, field), gens)
+
+
+CASES = {
+    "g4": (lambda: g4(G4_VARS), 8),
+    "g4-swap": (lambda: g4(G4_QUADRICS), 8),
+    "g4-swap-QQ": (lambda: g4(G4_QUADRICS, Field(0)), 6),
+    "stable-3324-k": (lambda: stable(3, 3, 2, 4, False), 9),
+    "stable-3324-ideal": (lambda: stable(3, 3, 2, 4, True), 9),
+    "stable-4323-ideal": (lambda: stable(4, 3, 2, 3, True), 7),
+    "rank-2": (lambda: ModulePresentation(
+        Ring(["x", "y", "z"], FP, quotient=["x^3 - y*z^2"]), 2, (0, 1),
+        [["x^2", "y"], ["y*z", "x"], ["0", "z^2"]]), 7),
+    "free": (lambda: ModulePresentation(Ring(["x", "y"], FP, quotient=["x*y"]),
+                                        1, (0,), []), 8),
+    "unit": (lambda: g4(["1"]), 5),
+}
+
+
+def random_homogeneous(ring, degree, rng):
+    p = ring.zero()
+    for mono in monomials_of_degree(ring.nvars, degree):
+        p = p + ring.monomial(mono, rng.randrange(-3, 4))
+    return p
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pieces_match_echelon_oracle(case):
+    build, top = CASES[case]
+    module = build()
+    ring = module.ring
+    rng = random.Random(sum(map(ord, case)))
+    multipliers = ring.gens() + [random_homogeneous(ring, 2, rng), ring.zero()]
+    # a low window puts Groebner basis elements right at the truncation
+    for j_max in (2, top):
+        pieces, oracle = GradedModulePieces(module, j_max), EchelonPieces(module, j_max)
+        for d in range(-1, j_max + 2):
+            assert pieces.dim(d) == oracle.dim(d), (j_max, d)
+            for p in multipliers:
+                got, want = pieces.multiply_matrix(p, d), oracle.multiply_matrix(p, d)
+                assert len(got) == len(want) and all(len(r) == pieces.dim(d) for r in got)
+                assert rank(ring.field, got) == rank(ring.field, want), (j_max, d, str(p))
+        if case == "unit":
+            assert all(pieces.dim(d) == 0 for d in range(j_max + 1))
