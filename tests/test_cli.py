@@ -1,10 +1,12 @@
 """Command line: formats, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
 
 from grtor.cli import main
+from grtor.series import BigradedSeries, CancellationCertificate, verify_certificate
 
 PAIR_JOB = """\
 # pair of plane curve germs
@@ -161,6 +163,27 @@ def test_cancel_infeasible_exit_code(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["cancel", str(src), str(tgt)])
     assert code == 2
     assert "infeasible" in out
+
+
+def test_cancel_thousands_of_cancellations(tmp_path, capsys):
+    """2,000 random cancellations (4,000 units) against the zero series."""
+    rng = random.Random(0)
+    units = {}
+    for _ in range(2000):
+        i, a = rng.randint(0, 5), rng.randint(0, 29)
+        b = rng.randint(a + 1, 30)
+        for cell in ((i + 1, a), (i, b)):
+            units[cell] = units.get(cell, 0) + 1
+    src = BigradedSeries(6, 30, units)
+    tgt = BigradedSeries(6, 30)
+    (tmp_path / "s.series").write_text(src.to_text())
+    (tmp_path / "t.series").write_text(tgt.to_text())
+    code, out, _ = run_cli(capsys, ["cancel", str(tmp_path / "s.series"),
+                                    str(tmp_path / "t.series")])
+    assert code == 0
+    cert = CancellationCertificate.from_text(out)
+    assert len(cert) == 2000
+    assert verify_certificate(src, cert, tgt)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Bigraded series arithmetic and the cancellation calculus."""
 
+import functools
 import random
 
 import pytest
@@ -145,6 +146,75 @@ def test_decide_agrees_with_bruteforce_on_random_instances():
         assert d.feasible == bf
         if d.feasible:
             assert verify_certificate(src, d.certificate, tgt)
+
+
+def _pairable(u, v):
+    (h1, t1), (h2, t2) = u, v
+    return (h1 == h2 + 1 and t1 < t2) or (h2 == h1 + 1 and t2 < t1)
+
+
+def _exhaustive_pairings(units):
+    """(fewest h = 0 units left unpaired, most pairs) over all pairings."""
+
+    @functools.lru_cache(maxsize=None)
+    def best(rest):
+        if not rest:
+            return 0, 0
+        first, rest = rest[0], rest[1:]
+        hard, pairs = best(rest)
+        hard += first[0] == 0
+        for k, other in enumerate(rest):
+            if _pairable(first, other):
+                h, p = best(rest[:k] + rest[k + 1:])
+                hard, pairs = min(hard, h), max(pairs, p + 1)
+        return hard, pairs
+
+    return best(tuple(sorted(units)))
+
+
+def test_unmatched_counts_match_exhaustive_pairings():
+    rng = random.Random(313)
+    checked = 0
+    while checked < 300:
+        src = random_series(rng, 4, 6, rng.randint(1, 12))
+        tgt = BigradedSeries(4, 6)
+        d = decide_cancellation(src, tgt)
+        if d.feasible:
+            continue
+        units = [cell for cell, c in src.coefficients.items() for _ in range(c)]
+        hard, pairs = _exhaustive_pairings(units)
+        assert d.unmatched_hard == hard, units
+        assert d.unmatched_hard + d.unmatched_boundary == len(units) - 2 * pairs, units
+        checked += 1
+
+
+def test_decision_is_invariant_under_internal_degree_shift():
+    rng = random.Random(59)
+    for n in range(240):
+        # target + random cancellations + n % 3 stray units: feasible when
+        # there are none; swapping source and target gives a negative cell
+        tgt = random_series(rng, 3, 5, rng.randint(0, 3))
+        src = random_series(rng, 3, 5, n % 3).add(tgt)
+        for _ in range(rng.randint(0, 5)):
+            i, a = rng.randint(0, 2), rng.randint(0, 4)
+            src = src.add(series_from_layers(3, 5, {i + 1: {a: 1}, i: {rng.randint(a + 1, 5): 1}}))
+        if n % 4 == 3:
+            src, tgt = tgt, src
+        c = rng.randint(1, 3)
+
+        def shift(s):
+            return BigradedSeries(s.i_max, s.j_max + c,
+                                  {(i, j + c): v for (i, j), v in s.coefficients.items()})
+
+        d = decide_cancellation(src, tgt)
+        e = decide_cancellation(shift(src), shift(tgt))
+        assert (e.feasible, e.unmatched_hard, e.unmatched_boundary) == \
+            (d.feasible, d.unmatched_hard, d.unmatched_boundary)
+        if d.negative_cell:
+            assert e.negative_cell == (d.negative_cell[0], d.negative_cell[1] + c)
+        if d.feasible:
+            assert [tuple(s) for s in e.certificate] == \
+                [(s.i, s.a + c, s.b + c) for s in d.certificate]
 
 
 def test_certificate_order_independence():
