@@ -4,7 +4,7 @@ cancellation certificates."""
 
 __version__ = "0.1.0"
 
-from .fields import QQ, Field, field_from_name
+from .fields import QQ, Field, GrtorError, field_from_name
 from .orders import MonomialOrder, compare
 from .poly import GRADED, LOCAL, Polynomial, Ring, parse_ideal
 from .series import (BigradedSeries, Cancellation, CancellationCertificate,
@@ -25,7 +25,7 @@ from .spectral import (SpectralPage, PageCancellation, cancellations_at_page,
                        run_to_stability)
 
 __all__ = [
-    "QQ", "Field", "field_from_name", "MonomialOrder", "compare",
+    "QQ", "Field", "GrtorError", "field_from_name", "MonomialOrder", "compare",
     "GRADED", "LOCAL", "Polynomial", "Ring", "parse_ideal",
     "BigradedSeries", "Cancellation", "CancellationCertificate",
     "decide_cancellation", "verify_certificate",

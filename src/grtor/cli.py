@@ -1,23 +1,24 @@
 """Batch command line: parse ring/module input files, dispatch the
 pipelines, and emit series, diagrams, certificates and verdicts.
 
-Exit codes: 0 success/verified, 1 usage/parse error, 2 infeasible or
-unverified, 3 validity window exhausted.
+Exit codes: 0 success/verified, 1 usage, parse or internal error (any
+GrtorError, or a file that cannot be read), 2 infeasible or unverified,
+3 validity window exhausted.
 """
 
 import argparse
 import json
 import sys
 
-from .fields import Field, FieldError, field_from_name
-from .groebner import (CapExceededError, GroebnerError, IdealPresentation,
-                       ModulePresentation, colength, graded_twin,
-                       initial_ideal, leading_monomial_ideal, hilbert_function)
-from .filtered import (FilteredComplex, LiftError, LiftWindowExceededError,
+from .fields import Field, GrtorError, field_from_name
+from .groebner import (CapExceededError, IdealPresentation, ModulePresentation,
+                       colength, graded_twin, initial_ideal,
+                       leading_monomial_ideal, hilbert_function)
+from .filtered import (FilteredComplex, LiftWindowExceededError,
                        filtered_tensor, resolve_local_cyclic)
-from .poly import GRADED, LOCAL, ParseError, Ring, RingError, parse_ideal  # noqa: F401
+from .poly import GRADED, LOCAL, Ring, parse_ideal
 from .resolution import tor_series
-from .series import BigradedSeries, SeriesError, decide_cancellation
+from .series import BigradedSeries, decide_cancellation
 from .spectral import run_to_stability
 
 EXIT_OK = 0
@@ -26,7 +27,7 @@ EXIT_UNVERIFIED = 2
 EXIT_WINDOW = 3
 
 
-class InputError(ValueError):
+class InputError(GrtorError):
     pass
 
 
@@ -369,8 +370,7 @@ def main(argv=None):
     except (LiftWindowExceededError, CapExceededError) as exc:
         print("window exhausted: %s" % exc, file=sys.stderr)
         return EXIT_WINDOW
-    except (InputError, ParseError, RingError, GroebnerError, SeriesError,
-            LiftError, FieldError, OSError) as exc:
+    except (GrtorError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

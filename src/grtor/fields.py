@@ -8,7 +8,13 @@ anywhere.
 from fractions import Fraction
 
 
-class FieldError(ValueError):
+class GrtorError(ValueError):
+    """Base of every error grtor raises on bad input, an exhausted validity
+    window or a failed internal check; the command line turns each into a
+    one-line message."""
+
+
+class FieldError(GrtorError):
     pass
 
 

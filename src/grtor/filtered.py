@@ -13,13 +13,14 @@ from .groebner import (CapExceededError, GroebnerError, IdealPresentation,
                        ModulePresentation, graded_twin, ideal_intersection,
                        ideal_product, ideal_sum, leading_monomial_ideal,
                        hilbert_function, normal_form, standard_basis,
-                       groebner_basis)
+                       standard_monomials, groebner_basis)
+from .fields import GrtorError
 from .poly import LOCAL, Polynomial
-from .resolution import minimal_resolution, strand_solve
+from .resolution import _matmul_poly, minimal_resolution, strand_solve
 from .series import BigradedSeries
 
 
-class LiftError(ValueError):
+class LiftError(GrtorError):
     pass
 
 
@@ -80,7 +81,7 @@ class FilteredResolution:
         """d o d = 0 up to cap, entries filtered, gr(d) equals the input
         graded differentials.  Raises on violation."""
         for i in range(2, len(self.shifts)):
-            prod = _matmul_local(self.ring, self.diffs[i - 1], self.diffs[i], self.cap)
+            prod = _matmul_poly(self.ring, self.diffs[i - 1], self.diffs[i], [], self.cap)
             for row in prod:
                 for p in row:
                     if not p.is_zero():
@@ -104,21 +105,6 @@ class FilteredResolution:
                     if dict(low.terms) != dict(g.terms):
                         raise LiftError("gr of the lift differs from the graded "
                                         "resolution at (%d,%d,%d)" % (i, a, b))
-
-
-def _matmul_local(ring, a, b, cap):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = [[ring.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = ring.zero()
-            for t in range(k):
-                if a[i][t].is_zero() or b[t][j].is_zero():
-                    continue
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s.truncate(cap)
-    return out
 
 
 def lift_resolution(gres, generators, cap):
@@ -251,16 +237,14 @@ class FilteredComplex:
     """
 
     def __init__(self, field, levels, diffs, j_max, truncated_at=None,
-                 var_actions=None, stability_bound=None, validate=True):
+                 stability_bound=None):
         self.field = field
         self.levels = [tuple(lv) for lv in levels]
         self.diffs = diffs  # diffs[0] is None
         self.j_max = j_max
         self.truncated_at = truncated_at
-        self.var_actions = var_actions
         self.stability_bound = stability_bound
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def i_max(self):
@@ -374,13 +358,15 @@ class FilteredComplex:
                    truncated_at=(j_max if truncated else None))
 
 
-def filtered_tensor(fres, n_ideal, j_max, validate=True):
+def filtered_tensor(fres, n_ideal, j_max):
     """L = F (x)_R N truncated at internal degree j_max, where N = R/n_ideal
     carries the m-adic filtration (n_ideal empty/None means N = R).
 
     Basis of each L_i: (free generator b, standard monomial u of N) with
-    level = shift_b + deg u; the differential applies the lifted matrix
-    entries followed by Mora normal form in N and truncation.
+    level = shift_b + deg u <= j_max.  The differential applies the lifted
+    matrix entries, then the full normal form in N/m^{j_max+1}N against a
+    standard basis of N (k-linear, since that basis is valid to the cap
+    >= j_max), and drops the terms whose level passes j_max.
     """
     ring = fres.ring
     field = ring.field
@@ -393,7 +379,6 @@ def filtered_tensor(fres, n_ideal, j_max, validate=True):
     else:
         nb, lm = [], []
 
-    from .groebner import standard_monomials
     basis_n = []
     n_finite_top = None
     for d in range(0, j_max + 1):
@@ -401,12 +386,6 @@ def filtered_tensor(fres, n_ideal, j_max, validate=True):
         if not layer and n_finite_top is None:
             n_finite_top = d - 1
         basis_n.extend(layer)
-    index_n = {u: k for k, u in enumerate(basis_n)}
-
-    def reduce_in_n(p):
-        if nb:
-            p = normal_form(p, nb, cap)
-        return p.truncate(j_max)
 
     levels = []
     bases = []
@@ -425,33 +404,19 @@ def filtered_tensor(fres, n_ideal, j_max, validate=True):
     for i in range(1, len(fres.shifts)):
         mat = [[field.zero] * len(bases[i]) for _ in range(len(bases[i - 1]))]
         for col, (b, u) in enumerate(bases[i]):
-            for a in range(len(fres.shifts[i - 1])):
+            for a, shift in enumerate(fres.shifts[i - 1]):
                 p = fres.diffs[i][a][b]
                 if p.is_zero():
                     continue
-                prod = reduce_in_n(p.monomial_multiple(u))
-                for e, c in prod.terms.items():
-                    key = (a, e)
-                    row = index[i - 1].get(key)
-                    if row is None:
+                for e, c in normal_form(p.monomial_multiple(u), nb, j_max).terms.items():
+                    if shift + sum(e) > j_max:
                         continue  # past the truncation
+                    row = index[i - 1].get((a, e))
+                    if row is None:
+                        raise LiftError("tensor term (%d, %s) of d_%d is not a standard "
+                                        "monomial of N" % (a, e, i))
                     mat[row][col] = field.add(mat[row][col], c)
         diffs.append(mat)
-
-    var_actions = []
-    for i in range(len(fres.shifts)):
-        acts = []
-        for v in range(ring.nvars):
-            exps = tuple(1 if t == v else 0 for t in range(ring.nvars))
-            mat = [[field.zero] * len(bases[i]) for _ in range(len(bases[i]))]
-            for col, (b, u) in enumerate(bases[i]):
-                prod = reduce_in_n(ring.monomial(u).monomial_multiple(exps))
-                for e, c in prod.terms.items():
-                    row = index[i].get((b, e))
-                    if row is not None:
-                        mat[row][col] = field.add(mat[row][col], c)
-            acts.append(mat)
-        var_actions.append(acts)
 
     bound = max((max(s, default=0) for s in fres.shifts), default=0)
     # when N is finite dimensional and everything fits under j_max, nothing
@@ -460,8 +425,7 @@ def filtered_tensor(fres, n_ideal, j_max, validate=True):
     if n_finite_top is not None and bound + n_finite_top <= j_max:
         truncated_at = None
     return FilteredComplex(field, levels, diffs, j_max, truncated_at=truncated_at,
-                           var_actions=var_actions, stability_bound=bound,
-                           validate=validate)
+                           stability_bound=bound)
 
 
 class GrComplex:

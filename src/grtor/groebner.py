@@ -1,18 +1,25 @@
-"""Groebner bases (graded orders), Mora standard bases (local orders),
+"""Groebner bases (graded orders), standard bases (local orders),
 syzygies, initial ideals and ideal arithmetic.
 
-Local computations carry a degree cap: results are certified in total
-degrees <= cap and the cap is part of every output's validity window.
+One normal form serves both settings: full reduction of the lead and
+every tail term.  Local computations carry a degree cap and drop every
+term of degree > cap, so they run in the finite-dimensional algebra
+k[x]/m^{cap+1}, where full reduction terminates and is unique (the
+"highest corner" of Greuel-Pfister, A Singular Introduction to
+Commutative Algebra, 1.7 and 6.4); Mora's ecart-driven weak normal form
+is needed only without a cap.  Results are certified in total degrees
+<= cap and the cap is part of every output's validity window.
 Module elements live in a free module with per-row degree shifts; the
 internal degree of a term x^e in row r is |e| + shift[r].
 """
 
 import math
 
+from .fields import GrtorError
 from .poly import GRADED, LOCAL, Polynomial, Ring
 
 
-class GroebnerError(ValueError):
+class GroebnerError(GrtorError):
     pass
 
 
@@ -71,15 +78,6 @@ class VecPoly:
         order = self.ring.order
         return max(self.terms, key=lambda k: (order.key(k[1]), -k[0]))
 
-    def ecart(self):
-        lead = self.lead()
-        lead_deg = self.internal_degree(lead)
-        return max(self.internal_degree(k) for k in self.terms) - lead_deg
-
-    def is_homogeneous(self):
-        degs = {self.internal_degree(k) for k in self.terms}
-        return len(degs) <= 1
-
     def add(self, other):
         fld = self.ring.field
         terms = dict(self.terms)
@@ -134,85 +132,57 @@ class _Tracked:
         return _Tracked(vec, expr)
 
 
-def _nf_graded(f, reducers, cap=None):
-    """Full normal form for global orders; returns a _Tracked remainder."""
-    ring = f.vec.ring
-    fld = ring.field
-    work = f
+def _leads(reducers):
+    """(lead key, element) of each nonzero tracked element, for `_reduce`."""
+    return [(g.vec.lead(), g) for g in reducers if not g.vec.is_zero()]
+
+
+def _reduce(f, leads, cap=None):
+    """Full normal form of a tracked element: the lead and every tail term
+    are reduced until no term is divisible by a reducer's lead term.  Terms
+    of internal degree > cap (default: the ring's cap) are dropped, those
+    of the input included.
+
+    Returns the tracked remainder.  This terminates for global orders,
+    and for the local order below a cap: each step replaces a term by
+    smaller ones, and only finitely many monomials have degree <= cap.
+    `leads` comes from `_leads`.
+    """
+    cap = cap if cap is not None else f.vec.ring.cap
+    vec = f.vec.truncate(cap) if cap is not None else f.vec
+    if not leads:
+        return _Tracked(vec, f.expr)
+    fld = vec.ring.field
+    work = _Tracked(VecPoly(vec.ring, vec.rank, dict(vec.terms), vec.shifts), f.expr)
     rem = {}
     while work.vec.terms:
         lead = work.vec.lead()
         row, e = lead
-        hit = None
-        for g in reducers:
-            if g.vec.is_zero():
-                continue
-            grow, ge = g.vec.lead()
-            if grow == row and _divides(ge, e):
-                hit = g
-                break
+        hit = next(((gl, g) for gl, g in leads if gl[0] == row and _divides(gl[1], e)), None)
         if hit is None:
-            rem[lead] = work.vec.terms[lead]
-            vec = dict(work.vec.terms)
-            del vec[lead]
-            work = _Tracked(VecPoly(ring, work.vec.rank, vec, work.vec.shifts), work.expr)
+            rem[lead] = work.vec.terms.pop(lead)
             continue
-        grow, ge = hit.vec.lead()
-        coeff = fld.div(work.vec.terms[lead], hit.vec.terms[(grow, ge)])
-        work = work.combine(hit, _sub(e, ge), coeff, cap)
-    out = VecPoly(ring, f.vec.rank, rem, f.vec.shifts)
-    return _Tracked(out, work.expr)
-
-
-def _nf_mora(f, reducers, cap):
-    """Mora weak normal form with ecart-minimal reducer selection.
-
-    Intermediate remainders with smaller ecart join the local reducer
-    set (standard termination device for local orders); everything is
-    truncated at the cap.
-    """
-    ring = f.vec.ring
-    fld = ring.field
-    tloc = list(reducers)
-    h = _Tracked(f.vec.truncate(cap), f.expr)
-    while h.vec.terms:
-        lead = h.vec.lead()
-        row, e = lead
-        best = None
-        for idx, g in enumerate(tloc):
-            if g.vec.is_zero():
-                continue
-            grow, ge = g.vec.lead()
-            if grow == row and _divides(ge, e):
-                key = (g.vec.ecart(), idx)
-                if best is None or key < best[0]:
-                    best = (key, g)
-        if best is None:
-            break
-        g = best[1]
-        if g.vec.ecart() > h.vec.ecart():
-            tloc.append(h)
-        grow, ge = g.vec.lead()
-        coeff = fld.div(h.vec.terms[lead], g.vec.terms[(grow, ge)])
-        h = h.combine(g, _sub(e, ge), coeff, cap)
-    return h
+        glead, g = hit
+        coeff = fld.div(work.vec.terms[lead], g.vec.terms[glead])
+        work = work.combine(g, _sub(e, glead[1]), coeff, cap)
+    return _Tracked(VecPoly(vec.ring, vec.rank, rem, vec.shifts), work.expr)
 
 
 def _buchberger(ring, columns, shifts, cap, collect_syzygies):
-    """Shared Buchberger / Mora loop over tracked module elements.
+    """Buchberger's loop over tracked module elements, with full
+    reduction below the cap (local rings: the cap defaults to the ring's).
 
     Returns (basis, syzygies): basis as tracked elements, syzygies as
     expression vectors over the input columns (zero reductions of every
-    S-pair).  The product criterion skips pairs with coprime lead terms
-    only for ideals (rank 1) and only when syzygies are not requested:
-    the skipped pairs' syzygies are needed for completeness, and the
-    S-vector of two vectors with coprime lead terms need not reduce to 0.
+    S-pair).  Below a cap the basis is a standard basis of the module plus
+    everything of degree > cap, since an S-pair whose lcm passes the cap
+    vanishes there.  The product criterion skips pairs with coprime lead
+    terms only for ideals (rank 1) and only when syzygies are not
+    requested: the skipped pairs' syzygies are needed for completeness,
+    and the S-vector of two vectors with coprime lead terms need not
+    reduce to 0.
     """
-    local = ring.setting == LOCAL
-    if local and cap is None:
-        cap = ring.cap
-    nf = (lambda f, T: _nf_mora(f, T, cap)) if local else (lambda f, T: _nf_graded(f, T, cap))
-
+    cap = cap if cap is not None else ring.cap
     syzygies = []
     basis = []
     for b, col in enumerate(columns):
@@ -222,13 +192,14 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
             syzygies.append(expr)
         else:
             basis.append(_Tracked(vec, expr))
+    leads = _leads(basis)
 
     pairs = set()
 
     def add_pairs(new_index):
-        grow, ge = basis[new_index].vec.lead()
+        grow, ge = leads[new_index][0]
         for k in range(new_index):
-            krow, ke = basis[k].vec.lead()
+            krow, ke = leads[k][0]
             if krow != grow:
                 continue
             if (not collect_syzygies and len(shifts) == 1
@@ -239,34 +210,34 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
     for t in range(len(basis)):
         add_pairs(t)
 
+    def pair_degree(pr):
+        (irow, ie), _ = leads[pr[0]]
+        (_, ke), _ = leads[pr[1]]
+        return sum(_lcm(ie, ke)) + shifts[irow]
+
     fld = ring.field
     while pairs:
-        def pair_degree(pr):
-            i, k = pr
-            irow, ie = basis[i].vec.lead()
-            _, ke = basis[k].vec.lead()
-            return sum(_lcm(ie, ke)) + basis[i].vec.shifts[irow]
-
         chosen = min(pairs, key=lambda pr: (pair_degree(pr), pr))
         pairs.discard(chosen)
         i, k = chosen
         gi, gk = basis[i], basis[k]
-        irow, ie = gi.vec.lead()
-        _, ke = gk.vec.lead()
+        (irow, ie), _ = leads[i]
+        (_, ke), _ = leads[k]
         lcm = _lcm(ie, ke)
-        if cap is not None and sum(lcm) + gi.vec.shifts[irow] > cap:
+        if cap is not None and sum(lcm) + shifts[irow] > cap:
             continue
         ci = fld.inv(gi.vec.terms[(irow, ie)])
         ck = fld.inv(gk.vec.terms[(irow, ke)])
         spair_i = _Tracked(gi.vec.mono_mul(_sub(lcm, ie), ci, cap),
                            [ring.monomial(_sub(lcm, ie), ci) * e for e in gi.expr])
         spair = spair_i.combine(gk, _sub(lcm, ke), ck, cap)
-        red = nf(spair, basis)
+        red = _reduce(spair, leads, cap)
         if red.vec.is_zero():
             if collect_syzygies and any(not e.is_zero() for e in red.expr):
                 syzygies.append(red.expr)
         else:
             basis.append(red)
+            leads.append((red.vec.lead(), red))
             add_pairs(len(basis) - 1)
     return basis, syzygies
 
@@ -363,24 +334,19 @@ def module_groebner_basis(ring, columns, shifts=None, cap=None):
 
 
 def module_normal_form(vec, basis, shifts=None, cap=None):
-    """Normal form of a vector of polynomials against module basis vectors
-    (weak normal form in the local setting)."""
+    """Fully reduced normal form of a vector of polynomials against module
+    basis vectors, below the cap as in `normal_form`."""
     return module_reducer(basis, shifts if shifts is not None else (0,) * len(vec), cap)(vec)
 
 
 def module_reducer(basis, shifts, cap=None):
     """The normal-form map against fixed module basis vectors, converting
     the basis once for many reductions."""
-    reducers = [_Tracked(VecPoly.from_polys(list(b), shifts), []) for b in basis]
+    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts), []) for b in basis])
 
     def reduce(vec):
-        ring = vec[0].ring
         f = _Tracked(VecPoly.from_polys(list(vec), shifts), [])
-        if ring.setting == LOCAL:
-            red = _nf_mora(f, reducers, cap if cap is not None else ring.cap)
-        else:
-            red = _nf_graded(f, reducers)
-        return red.vec.to_polys()
+        return _reduce(f, leads, cap).vec.to_polys()
     return reduce
 
 
@@ -404,26 +370,25 @@ def _interreduce(ring, polys):
 
 
 def normal_form(p, basis, cap=None):
-    """Normal form of p against a list of polynomials.
+    """Fully reduced normal form of p against a list of polynomials: no
+    term of the result is divisible by a leading monomial of the basis.
 
-    Graded rings: the unique fully reduced form.  Local rings: Mora weak
-    normal form, exact up to the cap (defaults to the ring cap).
+    Terms of degree > cap are dropped; the cap defaults to the ring's (so
+    local rings are truncated, graded ones are not).  Against a standard
+    basis of I valid up to the cap the result is the unique normal form
+    in k[x]/(I + m^{cap+1}), and the map is k-linear.
     """
-    ring = p.ring
     f = _Tracked(VecPoly.from_polys([p]), [])
-    reducers = [_Tracked(VecPoly.from_polys([g]), []) for g in basis if not g.is_zero()]
-    if ring.setting == LOCAL:
-        red = _nf_mora(f, reducers, cap if cap is not None else ring.cap)
-    else:
-        red = _nf_graded(f, reducers)
-    return red.vec.to_polys()[0]
+    leads = _leads([_Tracked(VecPoly.from_polys([g]), []) for g in basis])
+    return _reduce(f, leads, cap).vec.to_polys()[0]
 
 
 def standard_basis(ideal, cap=None):
     """Standard basis for the local-degree order, valid up to the cap.
 
-    Initial forms of the result generate the initial ideal in all total
-    degrees <= cap.
+    With the monomials of degree cap + 1 it is a standard basis of
+    I + m^{cap+1}, so initial forms of the result generate the initial
+    ideal in all total degrees <= cap.
     """
     ring = ideal.ring
     if ring.setting != LOCAL:

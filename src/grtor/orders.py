@@ -7,6 +7,8 @@ pick out its lowest-degree part, which is what standard-basis
 computation of tangent cones needs.
 """
 
+from .fields import GrtorError
+
 DEGREVLEX = "degrevlex"
 DEGLEX = "deglex"
 LOCAL_DEGREE = "local-degree"
@@ -14,7 +16,7 @@ LOCAL_DEGREE = "local-degree"
 _KINDS = (DEGREVLEX, DEGLEX, LOCAL_DEGREE)
 
 
-class OrderError(ValueError):
+class OrderError(GrtorError):
     pass
 
 

@@ -9,14 +9,14 @@ term maps {exponent tuple: nonzero coefficient}.
 
 import re
 
-from .fields import QQ, Field
+from .fields import QQ, Field, GrtorError
 from .orders import DEGREVLEX, LOCAL_DEGREE, MonomialOrder
 
 GRADED = "graded"
 LOCAL = "local"
 
 
-class RingError(ValueError):
+class RingError(GrtorError):
     pass
 
 
@@ -280,7 +280,7 @@ class Polynomial:
 _TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
 
 
-class ParseError(ValueError):
+class ParseError(GrtorError):
     pass
 
 

@@ -13,12 +13,13 @@ from math import comb
 from .groebner import (GroebnerError, ModulePresentation, VecPoly, graded_piece_basis,
                        module_groebner_basis, module_reducer, normal_form,
                        quotient_groebner, standard_monomials, syzygies)
+from .fields import GrtorError
 from .linalg import ColumnEchelon, rank, solve
 from .poly import GRADED
 from .series import BigradedSeries
 
 
-class ResolutionError(ValueError):
+class ResolutionError(GrtorError):
     pass
 
 
@@ -195,14 +196,13 @@ class GradedFreeResolution:
     """Complex of free graded modules with degree shifts and homogeneous
     differentials; diffs[i] maps term i to term i-1 (i >= 1)."""
 
-    def __init__(self, ring, shifts_per_term, diffs, i_max, minimal=True, validate=True):
+    def __init__(self, ring, shifts_per_term, diffs, i_max, minimal=True):
         self.ring = ring
         self.shifts = [tuple(s) for s in shifts_per_term]
         self.diffs = diffs  # diffs[0] is None
         self.i_max = i_max
         self.minimal = minimal
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def length(self):
@@ -237,8 +237,10 @@ class GradedFreeResolution:
                         raise ResolutionError("d o d is nonzero at homological degree %d" % i)
 
 
-def _matmul_poly(ring, a, b, gb=None):
-    """Product of polynomial matrices, entries reduced mod the quotient."""
+def _matmul_poly(ring, a, b, gb=None, cap=None):
+    """Product of polynomial matrices, each entry in normal form against
+    gb (default: the Groebner basis of the ring's quotient) below the cap
+    (default: the ring's; for a local ring the product is then truncated)."""
     if gb is None:
         gb = quotient_groebner(ring)
     n = len(a)
@@ -252,9 +254,7 @@ def _matmul_poly(ring, a, b, gb=None):
                 if a[i][t].is_zero() or b[t][j].is_zero():
                     continue
                 s = s + a[i][t] * b[t][j]
-            if gb and not s.is_zero():
-                s = normal_form(s, gb)
-            out[i][j] = s
+            out[i][j] = normal_form(s, gb, cap)
     return out
 
 

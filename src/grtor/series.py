@@ -14,12 +14,14 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from heapq import heappop, heappush
 
+from .fields import GrtorError
 
-class SeriesError(ValueError):
+
+class SeriesError(GrtorError):
     pass
 
 
-class CancellationError(ValueError):
+class CancellationError(GrtorError):
     pass
 
 

@@ -19,14 +19,14 @@ outside the reliability window are flagged, never reported as numbers.
 import random
 from collections import namedtuple
 
-from .fields import Field
+from .fields import Field, GrtorError
 from .filtered import FilteredComplex
 from .linalg import invert
 from .series import (BigradedSeries, Cancellation, CancellationCertificate,
                      verify_certificate)
 
 
-class SpectralError(ValueError):
+class SpectralError(GrtorError):
     pass
 
 

@@ -319,3 +319,59 @@ def test_cancel_non_integer_series_line_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["cancel", str(src), str(tgt)])
     assert_one_line_error(code, err)
     assert "'1 x 2'" in err
+
+
+@pytest.mark.parametrize("m_ideal, n_ideal", [("X^3 - Y^4, X*Y^2 - Y^5", "X^2 + Y^3"),
+                                              ("X^2*Y + Y^4, X^3", "X*Y - Y^3")])
+@pytest.mark.parametrize("field", [[], ["--char", "32003"]])
+@pytest.mark.parametrize("jmax", ["8", "12"])
+def test_check_theorem_pairs_that_broke_d_squared(tmp_path, capsys, m_ideal, n_ideal,
+                                                  field, jmax):
+    # a weak (not k-linear) normal form in the tensor made d o d nonzero here
+    job = tmp_path / "pair.job"
+    job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n[module M]\nideal = %s\n\n"
+                   "[module N]\nideal = %s\n" % (m_ideal, n_ideal))
+    code, out, err = run_cli(capsys, ["check-theorem", str(job), "--jmax", jmax,
+                                      "--format", "json"] + field)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "PASS"
+    assert payload["page1_matches_tor"] is True
+
+
+def test_every_error_class_derives_from_grtor_error():
+    import inspect
+    import grtor
+    from grtor import cli, fields, filtered, groebner, linalg, orders, poly
+    from grtor import resolution, series, spectral
+    found = []
+    for module in (cli, fields, filtered, groebner, linalg, orders, poly, resolution,
+                   series, spectral):
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__):
+                found.append(name)
+                assert issubclass(obj, grtor.GrtorError), name
+    assert {"InputError", "LiftWindowExceededError", "SpectralError"} <= set(found)
+
+
+@pytest.mark.parametrize("error", ["SpectralError", "ResolutionError", "OrderError",
+                                   "CancellationError"])
+def test_internal_errors_end_in_one_line(tmp_path, capsys, monkeypatch, error):
+    # an internal invariant failing under the command line is exit 1 with
+    # one 'error:' line, whichever module raised it
+    from grtor import orders, resolution, series, spectral
+    cls = {"SpectralError": spectral.SpectralError,
+           "ResolutionError": resolution.ResolutionError,
+           "OrderError": orders.OrderError,
+           "CancellationError": series.CancellationError}[error]
+
+    def broken(*args):
+        raise cls("broken invariant")
+    monkeypatch.setattr("grtor.cli.decide_cancellation", broken)
+    src = tmp_path / "s.series"
+    src.write_text("1 2\n1 0 1\n0 1 1\n")
+    code, _, err = run_cli(capsys, ["cancel", str(src), str(src)])
+    assert_one_line_error(code, err)
+    assert "broken invariant" in err
+

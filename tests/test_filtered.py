@@ -1,17 +1,22 @@
 """Lifted filtered resolutions, the filtered tensor complex, gr, and the
 exact low-degree local Tor oracle."""
 
+import random
+
 import pytest
 
 from grtor.fields import Field
-from grtor.groebner import CapExceededError, IdealPresentation
+from grtor.groebner import (CapExceededError, IdealPresentation, ModulePresentation,
+                            graded_twin, initial_ideal, normal_form, standard_basis,
+                            standard_monomials)
 from grtor.filtered import (FilteredComplex, LiftError, StableFiltration,
                             filtered_tensor, gr_complex, lift_resolution,
                             local_cyclic_graded_data, resolve_local_cyclic,
                             tor_local_low)
 from grtor.linalg import rank
 from grtor.poly import LOCAL, Ring
-from grtor.spectral import page
+from grtor.resolution import tor_series
+from grtor.spectral import page, run_to_stability
 
 
 def cusp_ring(cap=20):
@@ -85,20 +90,35 @@ def test_tensor_cap_insufficiency():
 
 
 def test_tensor_m_stability_by_rank():
-    # level j+1 span equals m * (level j span) past the stability bound
+    # level j+1 span equals m * (level j span) past the stability bound;
+    # the x_v actions on L_i = F_i (x) N are built here from normal forms
     L = cusp_ring()
     fres = resolve_local_cyclic(IdealPresentation(L, ["X^2 - Y^3"]))
     N = IdealPresentation(L, ["X^2 - Y^5"])
-    Lc = filtered_tensor(fres, N, 10)
+    j_max = 10
+    Lc = filtered_tensor(fres, N, j_max)
+    nb = standard_basis(N, fres.cap)
+    lm = [g.leading_monomial() for g in nb]
+    basis_n = [u for d in range(j_max + 1) for u in standard_monomials(lm, 2, d)]
     field = Lc.field
     for i in range(Lc.i_max + 1):
-        n = Lc.dim(i)
+        term = [(b, u) for b, s in enumerate(fres.shifts[i]) for u in basis_n
+                if s + sum(u) <= j_max]
+        assert [fres.shifts[i][b] + sum(u) for b, u in term] == list(Lc.levels[i])
+        index = {key: k for k, key in enumerate(term)}
+        n = len(term)
         for j in range(Lc.stability_bound, Lc.j_max):
             cols = []
-            for act in Lc.var_actions[i]:
-                for c in range(n):
-                    if Lc.levels[i][c] >= j:
-                        cols.append([act[r][c] for r in range(n)])
+            for v in ((1, 0), (0, 1)):
+                for b, u in term:
+                    if fres.shifts[i][b] + sum(u) < j:
+                        continue
+                    col = [field.zero] * n
+                    prod = normal_form(L.monomial(u).monomial_multiple(v), nb, j_max)
+                    for e, c in prod.terms.items():
+                        if (b, e) in index:
+                            col[index[(b, e)]] = c
+                    cols.append(col)
             got = rank(field, [[col[r] for col in cols] for r in range(n)]) if cols else 0
             expected = sum(1 for lv in Lc.levels[i] if lv >= j + 1)
             assert got == expected, (i, j)
@@ -160,7 +180,6 @@ def test_self_pair_spectral_fates_are_flagged_not_zeroed():
     # unit survives in truth, but the truncated complex alone cannot rule
     # out cancellations past the cap, so those cells must come back
     # flagged indeterminate (the low-Tor oracle is the i <= 1 route)
-    from grtor.spectral import run_to_stability
     L = cusp_ring(cap=22)
     I = IdealPresentation(L, ["X^2 - Y^3"])
     run = run_to_stability(filtered_tensor(resolve_local_cyclic(I), I, 14))
@@ -233,7 +252,6 @@ def test_filtered_complex_validates():
 def test_low_tor_oracle_matches_pipeline_degree_zero():
     # tor_local_low's gr(Tor_0) series equals the spectral pipeline's i = 0
     # output inside the reliability window
-    from grtor.spectral import run_to_stability
     L = cusp_ring(cap=24)
     for gens_m, gens_n in ((["X^2 - Y^3"], ["X^2 - Y^5"]),
                            (["X^2 + Y^3", "X*Y"], ["X^2 - Y^3"]),
@@ -252,10 +270,51 @@ def test_induced_filtration_on_homology_is_stable_in_window():
     # Artin-Rees, testably: for the m-primary worked example the induced
     # filtration on H_0 has gr concentrated in low degrees; the window tail
     # is empty
-    from grtor.spectral import run_to_stability
     L = cusp_ring()
     fres = resolve_local_cyclic(IdealPresentation(L, ["X^2 - Y^3"]))
     Lc = filtered_tensor(fres, IdealPresentation(L, ["X^2 - Y^5"]), 12)
     run = run_to_stability(Lc)
     for j in range(4, run.window_j + 1):
         assert run.page_infinity.dims.get(0, j) == 0
+
+
+def _random_local_poly(rng, ring, low, high):
+    p = ring.zero()
+    while p.is_zero():
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(low, high)
+            a = rng.randint(0, d)
+            p = p + ring.monomial((a, d - a), rng.choice([1, -1, 2, -3]))
+    return p
+
+
+def test_random_local_pairs_match_graded_tor_and_low_tor():
+    # seeded random two-variable pairs: the complex validates (d o d = 0 and
+    # filtered), page 1 is graded Tor of the initial ideals on the window,
+    # the run verifies, and E-infinity in i <= 1 equals the ideal-arithmetic
+    # Tor_0 and Tor_1 on every cell the run does not flag; seeds 71 and 77
+    # broke d o d = 0 while the tensor used a weak normal form
+    j_max, i_max = 8, 2
+    field = Field(32003)
+    for seed in range(80):
+        rng = random.Random(seed)
+        ring = Ring(["X", "Y"], field, LOCAL, cap=j_max + i_max + 2)
+        I = IdealPresentation(ring, [_random_local_poly(rng, ring, 2, 5)
+                                     for _ in range(rng.randint(1, 2))])
+        J = IdealPresentation(ring, [_random_local_poly(rng, ring, 1, 4)
+                                     for _ in range(rng.randint(1, 2))])
+        Lc = filtered_tensor(resolve_local_cyclic(I), J, j_max)
+        run = run_to_stability(Lc)
+        gring = graded_twin(ring)
+        graded = tor_series(ModulePresentation.cyclic(gring, initial_ideal(I).generators),
+                            ModulePresentation.cyclic(gring, initial_ideal(J).generators),
+                            i_max, j_max)
+        for i in range(min(i_max, run.page1.dims.i_max) + 1):
+            for j in range(j_max):
+                assert run.page1.dims.get(i, j) == graded.get(i, j), (seed, i, j)
+        assert run.verified, seed
+        low = tor_local_low(I, J, j_max)
+        for i in (0, 1):
+            for j in range(run.window_j + 1):
+                if (i, j) not in run.page_infinity.indeterminate:
+                    assert run.page_infinity.dims.get(i, j) == low.series.get(i, j), (seed, i, j)

@@ -1,13 +1,16 @@
-"""Groebner bases, Mora standard bases, syzygies, ideal arithmetic."""
+"""Groebner bases, local standard bases, syzygies, ideal arithmetic."""
 
 import math
+import random
 
 import pytest
 
+from grtor.fields import Field
 from grtor.groebner import (CapExceededError, IdealPresentation, colength,
-                            groebner_basis, ideal_intersection, ideal_product,
-                            initial_ideal, leading_monomial_ideal,
-                            normal_form, standard_basis, syzygies)
+                            groebner_basis, hilbert_function, ideal_intersection,
+                            ideal_product, initial_ideal, leading_monomial_ideal,
+                            monomials_of_degree, normal_form, standard_basis,
+                            syzygies)
 from grtor.linalg import rank
 from grtor.poly import LOCAL, Ring
 from grtor.resolution import strand_matrix, vector_strand_coords, free_strand_basis
@@ -42,6 +45,56 @@ def test_normal_form_linear_and_membership():
     member = R.parse("x^3 - x*y^2")  # = x(x^2 - y^2)
     assert normal_form(member, gb).is_zero()
     assert not normal_form(R.parse("x"), gb).is_zero()
+
+
+def test_local_normal_form_is_linear():
+    # the tail X^2*Y^5 of Y^7 + X^2*Y^5 is reduced too, as it is on its own
+    L = Ring(["X", "Y"], setting=LOCAL, cap=16)
+    sb = standard_basis(IdealPresentation(L, ["X^2 + Y^3"]))
+    f, g = L.parse("Y^7"), L.parse("X^2*Y^5")
+    assert normal_form(f + g, sb) == normal_form(f, sb) + normal_form(g, sb)
+    assert normal_form(f + g, sb) == L.parse("Y^7 - Y^8")
+
+
+def _truncated_colength(ring, gens, j):
+    """dim k[x]/(I + m^{j+1}) by dense linear algebra: the image of I in
+    k[x]/m^{j+1} is spanned by the truncated multiples x^a*g."""
+    n = ring.nvars
+    monos = [e for d in range(j + 1) for e in monomials_of_degree(n, d)]
+    col = {e: k for k, e in enumerate(monos)}
+    rows = []
+    for g in gens:
+        for a in monos:
+            row = [ring.field.zero] * len(monos)
+            for e, c in g.terms.items():
+                ae = tuple(x + y for x, y in zip(a, e))
+                if sum(ae) <= j:
+                    row[col[ae]] = c
+            rows.append(row)
+    return math.comb(n + j, n) - rank(ring.field, rows)
+
+
+def test_standard_basis_matches_truncated_rank_oracle():
+    # sum_{d <= j} H(lm(standard_basis(I)), d) equals dim k[x]/(I + m^{j+1})
+    # for every j <= cap, computed with no normal form at all
+    rng = random.Random(5)
+    for trial in range(30):
+        nvars = 2 if trial < 20 else 3
+        cap = 10 if nvars == 2 else 7
+        ring = Ring(["X", "Y", "Z"][:nvars], Field(32003), LOCAL, cap=cap)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            g = ring.zero()
+            while g.is_zero():
+                for _ in range(rng.randint(1, 4)):
+                    d = rng.randint(1, 5)
+                    mono = rng.choice(list(monomials_of_degree(nvars, d)))
+                    g = g + ring.monomial(mono, rng.randint(1, 32002))
+            gens.append(g)
+        lm = leading_monomial_ideal(IdealPresentation(ring, gens))
+        for j in range(cap + 1):
+            got = sum(hilbert_function(lm, nvars, d) for d in range(j + 1))
+            assert got == _truncated_colength(ring, gens, j), (trial, j)
 
 
 def test_standard_basis_pair_of_cusps():
