@@ -9,11 +9,11 @@ use.  All local data carries a degree cap; the associated graded
 statements below hold in degrees <= cap.
 """
 
-from .groebner import (CapExceededError, GroebnerError, IdealPresentation,
-                       ModulePresentation, graded_twin, ideal_intersection,
-                       ideal_product, ideal_sum, leading_monomial_ideal,
-                       hilbert_function, normal_form, standard_basis,
-                       standard_monomials, groebner_basis)
+from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
+                       graded_twin, ideal_intersection, ideal_product,
+                       ideal_sum, leading_monomial_ideal, hilbert_function,
+                       minimal_generator_indices, normal_form, standard_basis,
+                       standard_monomials)
 from .fields import GrtorError
 from .poly import LOCAL, Polynomial
 from .resolution import _matmul_poly, minimal_resolution, strand_solve
@@ -193,16 +193,7 @@ def local_cyclic_graded_data(ideal, cap=None):
     sb = standard_basis(ideal, cap)
     gring = graded_twin(ring)
     forms = [_to_graded(gring, g.initial_form()) for g in sb]
-    order = sorted(range(len(sb)), key=lambda k: forms[k].degree())
-    chosen = []
-    for k in order:
-        if not chosen:
-            chosen.append(k)
-            continue
-        gb = groebner_basis(IdealPresentation(gring, [forms[c] for c in chosen]))
-        if normal_form(forms[k], gb).is_zero():
-            continue
-        chosen.append(k)
+    chosen = minimal_generator_indices(gring, forms)
     return [forms[k] for k in chosen], [sb[k] for k in chosen]
 
 
@@ -230,9 +221,10 @@ class FilteredComplex:
     descending filtration given by one level per basis vector
     (L_i^j = span of basis vectors of level >= j).
 
-    diffs[i] is the matrix of d: L_i -> L_{i-1} (rows indexed by the
-    target basis); d is filtered and squares to zero.  truncated_at = T
-    marks the complex as the degree-<= T slice of an infinite complex
+    diffs[i] is d: L_i -> L_{i-1} as sparse columns, one {row: nonzero
+    scalar} per basis vector of L_i, rows indexing the basis of L_{i-1}
+    (diffs[0] is None); d is filtered and squares to zero.  truncated_at
+    = T marks the complex as the degree-<= T slice of an infinite complex
     (page data then carries a reliability window); None means exact.
     """
 
@@ -240,7 +232,7 @@ class FilteredComplex:
                  stability_bound=None):
         self.field = field
         self.levels = [tuple(lv) for lv in levels]
-        self.diffs = diffs  # diffs[0] is None
+        self.diffs = diffs
         self.j_max = j_max
         self.truncated_at = truncated_at
         self.stability_bound = stability_bound
@@ -261,24 +253,23 @@ class FilteredComplex:
                 if not 0 <= l <= self.j_max:
                     raise LiftError("basis level %d outside 0..%d" % (l, self.j_max))
         for i in range(1, len(self.levels)):
-            d = self.diffs[i]
-            if len(d) != self.dim(i - 1) or (d and len(d[0]) != self.dim(i)):
+            d, src, tgt = self.diffs[i], self.levels[i], self.levels[i - 1]
+            if len(d) != len(src) or any(not 0 <= r < len(tgt) or not x
+                                         for col in d for r, x in col.items()):
                 raise LiftError("differential %d has the wrong shape" % i)
-            for r in range(self.dim(i - 1)):
-                for c in range(self.dim(i)):
-                    if d[r][c] and self.levels[i - 1][r] < self.levels[i][c]:
-                        raise LiftError("differential %d is not filtered at (%d,%d)" % (i, r, c))
-        fld = self.field
+            bad = [(r, c) for c, col in enumerate(d) for r in col if tgt[r] < src[c]]
+            if bad:
+                raise LiftError("differential %d is not filtered at (%d,%d)" % ((i,) + min(bad)))
+        fld, zero = self.field, self.field.zero
         for i in range(2, len(self.levels)):
-            a, b = self.diffs[i - 1], self.diffs[i]
-            for r in range(self.dim(i - 2)):
-                for c in range(self.dim(i)):
-                    s = fld.zero
-                    for t in range(self.dim(i - 1)):
-                        if a[r][t] and b[t][c]:
-                            s = fld.add(s, fld.mul(a[r][t], b[t][c]))
-                    if s:
-                        raise LiftError("d o d nonzero in the filtered complex at degree %d" % i)
+            a = self.diffs[i - 1]
+            for col in self.diffs[i]:
+                s = {}
+                for t, x in col.items():
+                    for r, y in a[t].items():
+                        s[r] = fld.add(s.get(r, zero), fld.mul(y, x))
+                if any(s.values()):
+                    raise LiftError("d o d nonzero in the filtered complex at degree %d" % i)
 
     # serialization: header, per-term level vectors, sparse triples ------------
 
@@ -291,15 +282,11 @@ class FilteredComplex:
         for i, lv in enumerate(self.levels):
             lines.append("term %d dim %d levels %s" % (i, len(lv), " ".join(str(l) for l in lv)))
         for i in range(1, len(self.levels)):
-            triples = []
             d = self.diffs[i]
-            for r in range(self.dim(i - 1)):
-                for c in range(self.dim(i)):
-                    if d[r][c]:
-                        triples.append((r, c, d[r][c]))
-            lines.append("diff %d nnz %d" % (i, len(triples)))
-            for (r, c, v) in triples:
-                lines.append("%d %d %s" % (r, c, self.field.format(v)))
+            entries = sorted((r, c) for c, col in enumerate(d) for r in col)
+            lines.append("diff %d nnz %d" % (i, len(entries)))
+            for (r, c) in entries:
+                lines.append("%d %d %s" % (r, c, self.field.format(d[c][r])))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -320,9 +307,13 @@ class FilteredComplex:
                 if pending > 0:
                     r, c, v = parts
                     r, c = int(r), int(c)
-                    if r < 0 or c < 0:
+                    if not (0 <= r < nrows and 0 <= c < len(cols)):
                         raise IndexError(line)
-                    mat[r][c] = field.parse(v)
+                    x = field.parse(v)
+                    if x:
+                        cols[c][r] = x
+                    else:
+                        cols[c].pop(r, None)
                     pending -= 1
                 elif parts[0] == "field":
                     field = field_from_name(" ".join(parts[1:]))
@@ -338,21 +329,23 @@ class FilteredComplex:
                         raise ValueError(line)
                     levels[int(parts[1])] = lv
                 elif parts[0] == "diff":
+                    if field is None:
+                        raise ValueError(line)  # the field line comes first
                     i = int(parts[1])
                     pending = int(parts[3])
-                    mat = [[field.zero] * len(levels[i]) for _ in range(len(levels[i - 1]))]
-                    diffs[i] = mat
+                    nrows = len(levels[i - 1])
+                    cols = [{} for _ in levels[i]]
+                    diffs[i] = cols
                 else:
                     raise ValueError(line)
-            except (ValueError, IndexError, KeyError, AttributeError, ZeroDivisionError):
+            except (ValueError, IndexError, KeyError, ZeroDivisionError):
                 raise LiftError("bad line in filtered-complex text: %r" % line) from None
         if pending > 0:
             raise LiftError("filtered-complex text ends inside a diff block")
         if field is None or i_max is None or j_max is None:
             raise LiftError("incomplete filtered-complex header")
         level_list = [levels.get(i, []) for i in range(i_max + 1)]
-        diff_list = [None] + [diffs.get(i, [[field.zero] * len(level_list[i])
-                                            for _ in range(len(level_list[i - 1]))])
+        diff_list = [None] + [diffs.get(i, [{} for _ in level_list[i]])
                               for i in range(1, i_max + 1)]
         return cls(field, level_list, diff_list, j_max,
                    truncated_at=(j_max if truncated else None))
@@ -402,8 +395,9 @@ def filtered_tensor(fres, n_ideal, j_max):
 
     diffs = [None]
     for i in range(1, len(fres.shifts)):
-        mat = [[field.zero] * len(bases[i]) for _ in range(len(bases[i - 1]))]
-        for col, (b, u) in enumerate(bases[i]):
+        cols = []
+        for (b, u) in bases[i]:
+            col = {}
             for a, shift in enumerate(fres.shifts[i - 1]):
                 p = fres.diffs[i][a][b]
                 if p.is_zero():
@@ -415,8 +409,9 @@ def filtered_tensor(fres, n_ideal, j_max):
                     if row is None:
                         raise LiftError("tensor term (%d, %s) of d_%d is not a standard "
                                         "monomial of N" % (a, e, i))
-                    mat[row][col] = field.add(mat[row][col], c)
-        diffs.append(mat)
+                    col[row] = c
+            cols.append(col)
+        diffs.append(cols)
 
     bound = max((max(s, default=0) for s in fres.shifts), default=0)
     # when N is finite dimensional and everything fits under j_max, nothing
@@ -441,8 +436,10 @@ class GrComplex:
         L = self.complex
         idx = [[k for k, l in enumerate(L.levels[i]) if l == j] for i in range(L.i_max + 1)]
         mats = [None]
+        zero = self.field.zero
         for i in range(1, L.i_max + 1):
-            mats.append([[L.diffs[i][r][c] for c in idx[i]] for r in idx[i - 1]])
+            d = L.diffs[i]
+            mats.append([[d[c].get(r, zero) for c in idx[i]] for r in idx[i - 1]])
         return idx, mats
 
     def homology_series(self):

@@ -350,15 +350,23 @@ def module_reducer(basis, shifts, cap=None):
     return reduce
 
 
+def _minimal_leads(items, lead):
+    """The items, in order, whose lead monomial is divisible by the lead of
+    no item kept before them.  Callers sort so that divisors come first."""
+    kept, leads = [], []
+    for x in items:
+        e = lead(x)
+        if not any(_divides(d, e) for d in leads):
+            kept.append(x)
+            leads.append(e)
+    return kept
+
+
 def _interreduce(ring, polys):
     order = ring.order
     polys = [p for p in polys if not p.is_zero()]
     polys.sort(key=lambda p: order.key(p.leading_monomial()))
-    kept = []
-    for p in polys:
-        lm = p.leading_monomial()
-        if not any(_divides(q.leading_monomial(), lm) for q in kept):
-            kept.append(p)
+    kept = _minimal_leads(polys, Polynomial.leading_monomial)
     out = []
     for i, p in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
@@ -404,13 +412,7 @@ def standard_basis(ideal, cap=None):
     # head-interreduce: drop members whose leading monomial another divides
     order = ring.order
     polys.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
-    kept = []
-    for p in polys:
-        lm = p.leading_monomial()
-        if not any(q.leading_monomial() == lm or _divides(q.leading_monomial(), lm) for q in kept):
-            kept.append(p.monic())
-    kept.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
-    return kept
+    return [p.monic() for p in _minimal_leads(polys, Polynomial.leading_monomial)]
 
 
 def graded_twin(ring):
@@ -435,22 +437,22 @@ def initial_ideal(ideal, cap=None):
     else:
         forms = groebner_basis(ideal)
         gr = ring
-    forms = _minimal_homogeneous_generators(gr, forms)
-    return IdealPresentation(gr, forms)
+    return IdealPresentation(gr, [forms[k] for k in minimal_generator_indices(gr, forms)])
 
 
-def _minimal_homogeneous_generators(ring, forms):
-    """Extract a minimal generating subset of a homogeneous generator list."""
-    forms = sorted((f for f in forms if not f.is_zero()), key=lambda f: f.degree())
+def minimal_generator_indices(ring, forms):
+    """Indices of a minimal generating subset of nonzero homogeneous forms.
+
+    Forms are taken by degree, in list order within a degree, and each
+    is kept unless the ones kept before it generate it.
+    """
     chosen = []
-    for f in forms:
-        if not chosen:
-            chosen.append(f)
-            continue
-        gb = groebner_basis(IdealPresentation(ring, chosen), reduced=True)
-        if normal_form(f, gb).is_zero():
-            continue
-        chosen.append(f)
+    for k in sorted(range(len(forms)), key=lambda k: forms[k].degree()):
+        if chosen:
+            gb = groebner_basis(IdealPresentation(ring, [forms[c] for c in chosen]))
+            if normal_form(forms[k], gb).is_zero():
+                continue
+        chosen.append(k)
     return chosen
 
 
@@ -515,12 +517,8 @@ def leading_monomial_ideal(ideal, cap=None):
         basis = standard_basis(ideal, cap)
     else:
         basis = groebner_basis(ideal)
-    lms = [p.leading_monomial() for p in basis]
-    kept = []
-    for e in sorted(lms, key=sum):
-        if not any(_divides(k, e) for k in kept):
-            kept.append(e)
-    return kept
+    return _minimal_leads(sorted((p.leading_monomial() for p in basis), key=sum),
+                          lambda e: e)
 
 
 def standard_monomials(lm_gens, nvars, degree):

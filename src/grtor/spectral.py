@@ -67,7 +67,7 @@ def _pairing(L):
         d, src, tgt = L.diffs[i], L.levels[i], L.levels[i - 1]
         reduced = {}  # pivot row -> the reduced column that owns it
         for c in sorted(range(len(src)), key=lambda c: (-src[c], c)):
-            col = {r: d[r][c] for r in range(len(tgt)) if d[r][c]}
+            col = dict(d[c])
             while col:
                 p = min(col, key=lambda r: (tgt[r], r))
                 other = reduced.get(p)
@@ -335,7 +335,8 @@ def random_filtered_complex(seed, i_max=3, max_dim=8, max_level=6,
         a = diffs[i]
         tmp = [[sum_mul(field, q_dst, a, r, c) for c in range(dims[i])] for r in range(dims[i - 1])]
         mat = [[sum_mul(field, tmp, q_src_inv, r, c) for c in range(dims[i])] for r in range(dims[i - 1])]
-        conj.append(mat)
+        conj.append([{r: mat[r][c] for r in range(dims[i - 1]) if mat[r][c]}
+                     for c in range(dims[i])])
 
     j_max = max((max(lv) for lv in levels if lv), default=0)
     L = FilteredComplex(field, levels, conj, j_max, truncated_at=None)

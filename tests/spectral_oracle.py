@@ -11,6 +11,13 @@ from grtor.linalg import ColumnEchelon, rank, rref
 from grtor.series import BigradedSeries
 
 
+def dense(L, i):
+    """d_i of L as a dense row list, rows indexing the basis of L_{i-1}."""
+    cols = L.diffs[i]
+    return [[cols[c].get(r, L.field.zero) for c in range(L.dim(i))]
+            for r in range(L.dim(i - 1))]
+
+
 def kernel_basis(field, rows, ncols):
     """Basis of the right kernel {v : rows*v = 0}; vectors of length ncols."""
     if ncols == 0:
@@ -52,13 +59,13 @@ class Engine:
             levels = L.levels[i]
             ncols = len(levels)
             ker_i = [[0] * hi for _ in range(hi)]
+            d = dense(L, i) if i else None
             for a in range(hi):
                 cols = [c for c in range(ncols) if levels[c] >= a]
                 if i == 0:
                     for b in range(hi):
                         ker_i[a][b] = len(cols)
                     continue
-                d = L.diffs[i]
                 tgt_levels = L.levels[i - 1]
                 row_order = sorted(range(len(tgt_levels)), key=lambda r: (tgt_levels[r], r))
                 ech = ColumnEchelon(self.field, row_order)
@@ -76,7 +83,7 @@ class Engine:
 
             img_i = [[0] * hi for _ in range(hi)]
             if i < L.i_max:
-                d = L.diffs[i + 1]
+                d = dense(L, i + 1)
                 src_levels = L.levels[i + 1]
                 tgt_levels = L.levels[i]
                 row_order = sorted(range(len(tgt_levels)), key=lambda r: (tgt_levels[r], r))
@@ -159,10 +166,10 @@ def infinity_dims_direct(L):
         if i == 0:
             zbasis = [[field.one if a == b else field.zero for a in range(n)] for b in range(n)]
         else:
-            zbasis = kernel_basis(field, L.diffs[i], n)
+            zbasis = kernel_basis(field, dense(L, i), n)
         bcols = []
         if i < L.i_max:
-            d = L.diffs[i + 1]
+            d = dense(L, i + 1)
             for c in range(L.dim(i + 1)):
                 bcols.append([d[r][c] for r in range(n)])
 

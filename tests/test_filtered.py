@@ -4,6 +4,8 @@ exact low-degree local Tor oracle."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grtor.fields import Field
 from grtor.groebner import (CapExceededError, IdealPresentation, ModulePresentation,
@@ -16,7 +18,7 @@ from grtor.filtered import (FilteredComplex, LiftError, StableFiltration,
 from grtor.linalg import rank
 from grtor.poly import LOCAL, Ring
 from grtor.resolution import tor_series
-from grtor.spectral import page, run_to_stability
+from grtor.spectral import page, random_filtered_complex, run_to_stability
 
 
 def cusp_ring(cap=20):
@@ -140,7 +142,7 @@ def test_gr_complex_matches_page_one():
 
 def test_gr_complex_zero_differential():
     F = Field(0)
-    Lc = FilteredComplex(F, [[0, 1], [2]], [None, [[F.zero], [F.zero]]], 2)
+    Lc = FilteredComplex(F, [[0, 1], [2]], [None, [{}]], 2)
     hs = gr_complex(Lc).homology_series()
     assert hs.coefficients == {(0, 0): 1, (0, 1): 1, (1, 2): 1}
 
@@ -149,7 +151,7 @@ def test_strictly_filtered_gr_equals_homology_of_gr():
     # strictly compatible differential: gr homology equals gr of homology
     F = Field(0)
     one = F.one
-    Lc = FilteredComplex(F, [[1, 0], [1, 0]], [None, [[one, F.zero], [F.zero, one]]], 1)
+    Lc = FilteredComplex(F, [[1, 0], [1, 0]], [None, [{0: one}, {1: one}]], 1)
     from grtor.spectral import infinity_page
     assert gr_complex(Lc).homology_series() == infinity_page(Lc).dims
 
@@ -222,12 +224,75 @@ def test_from_text_rejects_garbage():
     assert FilteredComplex.from_text(head + terms + "diff 1 nnz 1\n0 0 1\n").dim(1) == 1
     for body in [terms + "diff 1 nnz 2\n0 0 1\n",    # ends inside the block
                  "diff 1 nnz 1\n0 0 1\n" + terms,    # diff before its terms
-                 terms + "diff 1 nnz 1\n-1 0 1\n",   # negative index
-                 terms + "diff 1 nnz 1\n0 5 1\n",    # index past the term
+                 terms + "diff 1 nnz 1\n-1 0 1\n",   # negative row
+                 terms + "diff 1 nnz 1\n0 -1 1\n",   # negative column
+                 terms + "diff 1 nnz 1\n0 5 1\n",    # column past L_1
+                 terms + "diff 1 nnz 1\n5 0 1\n",    # row past L_0
                  terms + "diff 1 nnz 1\n0 0 1/0\n",  # no such scalar
                  terms.replace("dim 1", "dim one")]:
         with pytest.raises(LiftError):
             FilteredComplex.from_text(head + body)
+
+
+def test_from_text_drops_zeros_and_keeps_the_last_repeat():
+    head = ("filtered-complex\nfield QQ\nimax 1\njmax 2\ntruncated 0\n"
+            "term 0 dim 2 levels 1 2\nterm 1 dim 2 levels 0 1\n")
+    L = FilteredComplex.from_text(head + "diff 1 nnz 6\n"
+                                  "1 1 5\n0 1 2\n0 0 0\n1 0 4\n0 1 -1/2\n1 1 0\n")
+    assert L.diffs[1] == [{1: 4}, {0: L.field.parse("-1/2")}]
+    text = head + "diff 1 nnz 2\n0 1 -1/2\n1 0 4\n"  # row-major
+    assert L.to_text() == text
+    assert FilteredComplex.from_text(text).to_text() == text
+
+
+def _fc_mutation(lines, draw):
+    """One random edit of a serialized complex below its first line."""
+    if len(lines) < 2:
+        return lines
+    k = draw(st.sampled_from(range(1, len(lines))))
+    kind = draw(st.sampled_from(["drop", "repeat", "swap", "cut", "token", "token", "token"]))
+    if kind == "cut":
+        return lines[:k]
+    if kind == "drop":
+        return lines[:k] + lines[k + 1:]
+    if kind == "repeat":
+        return lines[:k + 1] + lines[k:]
+    if kind == "swap":
+        m = draw(st.sampled_from(range(1, len(lines))))
+        out = list(lines)
+        out[k], out[m] = out[m], out[k]
+        return out
+    parts = lines[k].split() or [""]
+    t = draw(st.integers(0, len(parts) - 1))
+    parts[t] = draw(st.one_of(st.integers(-3, 40).map(str),
+                              st.sampled_from(["", "0", "1/0", "2/3", "x", "QQ", "Fp",
+                                               "term", "diff", "nnz"])))
+    return lines[:k] + [" ".join(parts)] + lines[k + 1:]
+
+
+@pytest.fixture(scope="module")
+def fc_texts():
+    ring = cusp_ring(cap=12)
+    fres = resolve_local_cyclic(IdealPresentation(ring, ["X^2 + Y^3", "X*Y"]))
+    tensor = filtered_tensor(fres, IdealPresentation(ring, ["X^2 - Y^5"]), 6)
+    randoms = [random_filtered_complex(seed, i_max=3, max_dim=4, max_level=4)
+               for seed in range(3)]
+    return [L.to_text().splitlines() for L in [tensor] + randoms]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_from_text_fuzz_raises_only_lift_errors(fc_texts, data):
+    # malformed .fc text ends in LiftError and nothing else; text that
+    # parses describes a valid complex and round-trips
+    lines = data.draw(st.sampled_from(fc_texts))
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _fc_mutation(lines, data.draw)
+    try:
+        L = FilteredComplex.from_text("\n".join(lines) + "\n")
+    except LiftError:
+        return
+    assert FilteredComplex.from_text(L.to_text()).to_text() == L.to_text()
 
 
 def test_unit_ideal_has_no_resolution_to_lift():
@@ -239,14 +304,31 @@ def test_filtered_complex_validates():
     F = Field(0)
     # differential dropping the level (target 0 < source 1) is not filtered
     with pytest.raises(LiftError):
-        FilteredComplex(F, [[0], [1]], [None, [[F.one]]], 1)
+        FilteredComplex(F, [[0], [1]], [None, [{0: F.one}]], 1)
     # d o d != 0 is rejected
     with pytest.raises(LiftError):
         FilteredComplex(F, [[0], [0], [0]],
-                        [None, [[F.one]], [[F.one]]], 1)
+                        [None, [{0: F.one}], [{0: F.one}]], 1)
     # level outside 0..j_max is rejected
     with pytest.raises(LiftError):
         FilteredComplex(F, [[5]], [None], 1)
+    # a column per basis vector of L_1, rows inside L_0, no stored zeros
+    for cols in ([], [{1: F.one}], [{0: F.zero}]):
+        with pytest.raises(LiftError, match="shape"):
+            FilteredComplex(F, [[1], [0]], [None, cols], 1)
+
+
+def test_one_changed_entry_of_an_exact_complex_breaks_d_squared():
+    ring = Ring(["X", "Y", "Z"], Field(32003), LOCAL, cap=24)
+    fres = resolve_local_cyclic(IdealPresentation(ring, ["X*Y - Z^3", "X^2 - Y^3", "Y*Z"]))
+    Lc = filtered_tensor(fres, IdealPresentation(ring, ["X^3", "Y^3", "Z^3"]), 16)
+    assert Lc.truncated_at is None
+    d1, d2 = Lc.diffs[1], Lc.diffs[2]
+    c, r = next((c, r) for c, col in enumerate(d2) for r in col if d1[r])
+    changed = [dict(col) for col in d2]
+    changed[c][r] = Lc.field.add(changed[c][r], changed[c][r])  # doubled
+    with pytest.raises(LiftError, match="d o d nonzero"):
+        FilteredComplex(Lc.field, Lc.levels, [None, d1, changed] + Lc.diffs[3:], Lc.j_max)
 
 
 def test_low_tor_oracle_matches_pipeline_degree_zero():

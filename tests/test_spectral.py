@@ -16,7 +16,7 @@ from spectral_oracle import Engine, delta_counts, infinity_dims_direct
 
 def minimal_cancellation_complex():
     F = Field(0)
-    return FilteredComplex(F, [[1], [0]], [None, [[F.one]]], 1)
+    return FilteredComplex(F, [[1], [0]], [None, [{0: F.one}]], 1)
 
 
 def test_minimal_complex_pages():
@@ -36,7 +36,7 @@ def test_page_requires_positive_r():
 
 def test_zero_differential_complex():
     F = Field(0)
-    L = FilteredComplex(F, [[0, 2], [1]], [None, [[F.zero], [F.zero]]], 2)
+    L = FilteredComplex(F, [[0, 2], [1]], [None, [{}]], 2)
     run = run_to_stability(L)
     assert len(run.certificate) == 0
     assert run.page1.dims == run.page_infinity.dims
