@@ -3,8 +3,19 @@
 Field elements are plain Python values (Fraction for QQ, ints in 0..p-1
 for F_p); a Field object bundles the arithmetic.  No floating point
 anywhere.
+
+The inner loops of the Groebner, echelon and spectral code call a field
+once per entry, so `add`, `sub`, `mul` and `neg` are bound once per field
+(the `operator` functions over QQ, `% p` closures over F_p) instead of
+testing the characteristic on every call, `zero` and `one` are constants,
+and `axpy` and `scale` update a whole dense row in one call.  A field
+pickles as its characteristic.
+
+Characteristics are decided prime by Miller-Rabin on the first 13 prime
+bases, which is exact below 3.3 * 10^24; larger ones are rejected.
 """
 
+import operator
 from fractions import Fraction
 
 
@@ -18,30 +29,95 @@ class FieldError(GrtorError):
     pass
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on _BASES has no strong pseudoprime below this bound
+# (Sorenson-Webster, Strong pseudoprimes to twelve prime bases, 2017)
+MAX_CHARACTERISTIC = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Exact primality for n < MAX_CHARACTERISTIC."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
+def _rational_axpy(xs, f, ys):
+    return [x - f * y for x, y in zip(xs, ys)]
+
+
+def _rational_scale(f, xs):
+    return [f * x for x in xs]
+
+
+def _prime_ops(p):
+    """add, sub, mul, neg, axpy and scale of F_p."""
+
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def neg(a):
+        return -a % p
+
+    def axpy(xs, f, ys):
+        return [(x - f * y) % p for x, y in zip(xs, ys)]
+
+    def scale(f, xs):
+        return [f * x % p for x in xs]
+
+    return add, sub, mul, neg, axpy, scale
+
+
 class Field:
-    """Exact field of characteristic 0 (QQ) or p (F_p, p prime)."""
+    """Exact field of characteristic 0 (QQ) or p (F_p, p prime).
+
+    `axpy(xs, f, ys)` is the row xs - f*ys and `scale(f, xs)` the row f*xs.
+    """
 
     def __init__(self, characteristic=0):
         if characteristic == 0:
             self.kind = "rational"
+            self.zero, self.one = Fraction(0), Fraction(1)
+            self.add, self.sub = operator.add, operator.sub
+            self.mul, self.neg = operator.mul, operator.neg
+            self.axpy, self.scale = _rational_axpy, _rational_scale
+        elif characteristic >= MAX_CHARACTERISTIC:
+            raise FieldError("characteristic %d is too large: primality is decided "
+                             "exactly only below %d" % (characteristic, MAX_CHARACTERISTIC))
         elif _is_prime(characteristic):
             self.kind = "prime-field"
+            self.zero, self.one = 0, 1
+            (self.add, self.sub, self.mul, self.neg,
+             self.axpy, self.scale) = _prime_ops(characteristic)
         else:
             raise FieldError("characteristic must be 0 or prime, got %r" % (characteristic,))
         self.char = characteristic
+
+    def __reduce__(self):
+        return (Field, (self.char,))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -54,14 +130,6 @@ class Field:
 
     # element constructors -------------------------------------------------
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.char == 0 else 1
-
     def of(self, n):
         """Image of an integer (or Fraction, over QQ) in the field."""
         if self.char == 0:
@@ -73,18 +141,6 @@ class Field:
         return n % self.char
 
     # arithmetic ------------------------------------------------------------
-
-    def add(self, a, b):
-        return a + b if self.char == 0 else (a + b) % self.char
-
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
-
-    def neg(self, a):
-        return -a if self.char == 0 else (-a) % self.char
-
-    def mul(self, a, b):
-        return a * b if self.char == 0 else (a * b) % self.char
 
     def inv(self, a):
         if not a:

@@ -344,7 +344,11 @@ class FilteredComplex:
             raise LiftError("filtered-complex text ends inside a diff block")
         if field is None or i_max is None or j_max is None:
             raise LiftError("incomplete filtered-complex header")
-        level_list = [levels.get(i, []) for i in range(i_max + 1)]
+        # the terms, not the header, size the complex
+        missing = next((i for i in range(i_max + 1) if i not in levels), None)
+        if missing is not None:
+            raise LiftError("filtered-complex text has no 'term %d' line" % missing)
+        level_list = [levels[i] for i in range(i_max + 1)]
         diff_list = [None] + [diffs.get(i, [{} for _ in level_list[i]])
                               for i in range(1, i_max + 1)]
         return cls(field, level_list, diff_list, j_max,

@@ -13,7 +13,9 @@ Module elements live in a free module with per-row degree shifts; the
 internal degree of a term x^e in row r is |e| + shift[r].
 """
 
+import heapq
 import math
+import operator
 
 from .fields import GrtorError
 from .poly import GRADED, LOCAL, Polynomial, Ring
@@ -28,7 +30,7 @@ class CapExceededError(GroebnerError):
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(operator.le, e1, e2))
 
 
 def _sub(big, small):
@@ -133,39 +135,83 @@ class _Tracked:
 
 
 def _leads(reducers):
-    """(lead key, element) of each nonzero tracked element, for `_reduce`."""
-    return [(g.vec.lead(), g) for g in reducers if not g.vec.is_zero()]
+    """{row: [(lead exponents, element)]} of the nonzero tracked elements,
+    each row's list in the given order, for `_reduce`."""
+    rows = {}
+    for g in reducers:
+        if not g.vec.is_zero():
+            row, e = g.vec.lead()
+            rows.setdefault(row, []).append((e, g))
+    return rows
 
 
 def _reduce(f, leads, cap=None):
     """Full normal form of a tracked element: the lead and every tail term
     are reduced until no term is divisible by a reducer's lead term.  Terms
     of internal degree > cap (default: the ring's cap) are dropped, those
-    of the input included.
+    of the input included; so are cofactor terms of degree > cap (or the
+    ring's cap, if lower), whose input expression must already be below it.
 
-    Returns the tracked remainder.  This terminates for global orders,
-    and for the local order below a cap: each step replaces a term by
-    smaller ones, and only finitely many monomials have degree <= cap.
-    `leads` comes from `_leads`.
+    Returns the tracked remainder.  Each term goes to the first reducer of
+    its row, in `leads` order, whose lead divides it (`leads` comes from
+    `_leads`).  Terms are taken in descending order from a heap, since a
+    step removes the largest remaining term and adds only smaller ones;
+    the vector and its expression are updated in place.  This terminates
+    for global orders, and for the local order below a cap: only finitely
+    many monomials have degree <= cap.
     """
-    cap = cap if cap is not None else f.vec.ring.cap
-    vec = f.vec.truncate(cap) if cap is not None else f.vec
+    vec = f.vec
+    ring, shifts = vec.ring, vec.shifts
+    cap = cap if cap is not None else ring.cap
+    terms = vec.truncate(cap).terms if cap is not None else dict(vec.terms)
     if not leads:
-        return _Tracked(vec, f.expr)
-    fld = vec.ring.field
-    work = _Tracked(VecPoly(vec.ring, vec.rank, dict(vec.terms), vec.shifts), f.expr)
+        return _Tracked(VecPoly(ring, vec.rank, terms, shifts), f.expr)
+    ecap = cap if ring.cap is None else min(cap, ring.cap)
+    fld = ring.field
+    sub, mul, zero = fld.sub, fld.mul, fld.zero
+    desc = ring.order.descending_key
+    heap = [(desc(e), row, (row, e)) for row, e in terms]
+    heapq.heapify(heap)
+    expr = [dict(p.terms) for p in f.expr]
     rem = {}
-    while work.vec.terms:
-        lead = work.vec.lead()
-        row, e = lead
-        hit = next(((gl, g) for gl, g in leads if gl[0] == row and _divides(gl[1], e)), None)
+    while heap:
+        _, row, lead = heapq.heappop(heap)
+        c = terms.get(lead)
+        if c is None:
+            continue  # cancelled after it was pushed
+        e = lead[1]
+        hit = next((r for r in leads.get(row, ()) if _divides(r[0], e)), None)
         if hit is None:
-            rem[lead] = work.vec.terms.pop(lead)
+            rem[lead] = terms.pop(lead)
             continue
-        glead, g = hit
-        coeff = fld.div(work.vec.terms[lead], g.vec.terms[glead])
-        work = work.combine(g, _sub(e, glead[1]), coeff, cap)
-    return _Tracked(VecPoly(vec.ring, vec.rank, rem, vec.shifts), work.expr)
+        ge, g = hit
+        coeff = fld.div(c, g.vec.terms[(row, ge)])
+        exps = _sub(e, ge)
+        for (grow, gexp), gc in g.vec.terms.items():
+            ee = tuple(map(operator.add, gexp, exps))
+            if cap is not None and sum(ee) + shifts[grow] > cap:
+                continue
+            key = (grow, ee)
+            old = terms.get(key)
+            v = sub(zero if old is None else old, mul(coeff, gc))
+            if v:
+                if old is None:
+                    heapq.heappush(heap, (desc(ee), grow, key))
+                terms[key] = v
+            elif old is not None:
+                del terms[key]
+        for a, b in zip(expr, g.expr):
+            for be, bc in b.terms.items():
+                ee = tuple(map(operator.add, be, exps))
+                if ecap is not None and sum(ee) > ecap:
+                    continue
+                v = sub(a.get(ee, zero), mul(coeff, bc))
+                if v:
+                    a[ee] = v
+                else:
+                    a.pop(ee, None)
+    return _Tracked(VecPoly(ring, vec.rank, rem, shifts),
+                    [Polynomial(ring, t) for t in expr])
 
 
 def _buchberger(ring, columns, shifts, cap, collect_syzygies):
@@ -192,14 +238,15 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
             syzygies.append(expr)
         else:
             basis.append(_Tracked(vec, expr))
-    leads = _leads(basis)
+    leads = [g.vec.lead() for g in basis]
+    reducers = _leads(basis)
 
     pairs = set()
 
     def add_pairs(new_index):
-        grow, ge = leads[new_index][0]
+        grow, ge = leads[new_index]
         for k in range(new_index):
-            krow, ke = leads[k][0]
+            krow, ke = leads[k]
             if krow != grow:
                 continue
             if (not collect_syzygies and len(shifts) == 1
@@ -211,8 +258,8 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
         add_pairs(t)
 
     def pair_degree(pr):
-        (irow, ie), _ = leads[pr[0]]
-        (_, ke), _ = leads[pr[1]]
+        irow, ie = leads[pr[0]]
+        _, ke = leads[pr[1]]
         return sum(_lcm(ie, ke)) + shifts[irow]
 
     fld = ring.field
@@ -221,8 +268,8 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
         pairs.discard(chosen)
         i, k = chosen
         gi, gk = basis[i], basis[k]
-        (irow, ie), _ = leads[i]
-        (_, ke), _ = leads[k]
+        irow, ie = leads[i]
+        _, ke = leads[k]
         lcm = _lcm(ie, ke)
         if cap is not None and sum(lcm) + shifts[irow] > cap:
             continue
@@ -231,13 +278,14 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
         spair_i = _Tracked(gi.vec.mono_mul(_sub(lcm, ie), ci, cap),
                            [ring.monomial(_sub(lcm, ie), ci) * e for e in gi.expr])
         spair = spair_i.combine(gk, _sub(lcm, ke), ck, cap)
-        red = _reduce(spair, leads, cap)
+        red = _reduce(spair, reducers, cap)
         if red.vec.is_zero():
             if collect_syzygies and any(not e.is_zero() for e in red.expr):
                 syzygies.append(red.expr)
         else:
             basis.append(red)
-            leads.append((red.vec.lead(), red))
+            leads.append(red.vec.lead())
+            reducers.setdefault(leads[-1][0], []).append((leads[-1][1], red))
             add_pairs(len(basis) - 1)
     return basis, syzygies
 

@@ -34,12 +34,10 @@ def rref(field, rows):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        m[r] = field.scale(field.inv(m[r][c]), m[r])
         for i in range(nrows):
             if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+                m[i] = field.axpy(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -113,12 +111,9 @@ class ColumnEchelon:
             if piv is None:
                 return None
             if piv not in self.columns:
-                inv = field.inv(col[self.row_order[piv]])
-                self.columns[piv] = [field.mul(inv, x) for x in col]
+                self.columns[piv] = field.scale(field.inv(col[self.row_order[piv]]), col)
                 return piv
-            other = self.columns[piv]
-            f = col[self.row_order[piv]]
-            col = [field.sub(x, field.mul(f, y)) for x, y in zip(col, other)]
+            col = field.axpy(col, col[self.row_order[piv]], self.columns[piv])
 
     def pivot_positions(self):
         return sorted(self.columns)

@@ -7,6 +7,8 @@ pick out its lowest-degree part, which is what standard-basis
 computation of tangent cones needs.
 """
 
+import operator
+
 from .fields import GrtorError
 
 DEGREVLEX = "degrevlex"
@@ -20,25 +22,45 @@ class OrderError(GrtorError):
     pass
 
 
+def _degrevlex_key(expvec):
+    return (sum(expvec), tuple(map(operator.neg, reversed(expvec))))
+
+
+def _deglex_key(expvec):
+    return (sum(expvec), tuple(expvec))
+
+
+def _deglex_descending_key(expvec):
+    return (-sum(expvec), tuple(map(operator.neg, expvec)))
+
+
+def _local_degree_key(expvec):
+    # lower total degree is larger, ties by degrevlex reversed
+    return (-sum(expvec), tuple(reversed(expvec)))
+
+
+# kind -> (key, descending key); the local-degree key is the negated
+# degrevlex key and the other way round
+_KEYS = {
+    DEGREVLEX: (_degrevlex_key, _local_degree_key),
+    DEGLEX: (_deglex_key, _deglex_descending_key),
+    LOCAL_DEGREE: (_local_degree_key, _degrevlex_key),
+}
+
+
 class MonomialOrder:
+    """A monomial order, as two sort keys bound once per kind: m1 > m2 iff
+    key(m1) > key(m2) iff descending_key(m1) < descending_key(m2)."""
+
     def __init__(self, kind):
         if kind not in _KINDS:
             raise OrderError("unknown order kind %r" % (kind,))
         self.kind = kind
+        self.key, self.descending_key = _KEYS[kind]
 
     @property
     def is_local(self):
         return self.kind == LOCAL_DEGREE
-
-    def key(self, expvec):
-        """Sort key: m1 > m2 in the order iff key(m1) > key(m2)."""
-        deg = sum(expvec)
-        if self.kind == DEGREVLEX:
-            return (deg, tuple(-e for e in reversed(expvec)))
-        if self.kind == DEGLEX:
-            return (deg, tuple(expvec))
-        # local-degree: lower total degree is larger, ties by degrevlex reversed
-        return (-deg, tuple(reversed(expvec)))
 
     def compare(self, m1, m2):
         """-1, 0 or 1 as m1 <, =, > m2.  Vectors must have equal length."""

@@ -109,12 +109,15 @@ def _page(L, bars, r):
     untruncated complex.
     """
     T = L.truncated_at
-    flagged = set()
-    if T is not None:
-        flagged = {(i, j) for i in range(L.i_max + 1) for j in range(L.j_max + 1)
-                   if j + r > T + 1}
+    flagged = set() if T is None else _cells_above(L, T + 1 - r)
     kept = {k: n for k, n in _alive(bars, r).items() if k not in flagged}
     return SpectralPage(r, BigradedSeries(L.i_max, L.j_max, kept), flagged)
+
+
+def _cells_above(L, j0):
+    """The cells (i, j) of L's grid with j > j0, listed without a scan of
+    the whole grid."""
+    return {(i, j) for i in range(L.i_max + 1) for j in range(max(j0 + 1, 0), L.j_max + 1)}
 
 
 def _cancellations(L, bars, r):
@@ -193,11 +196,16 @@ def run_to_stability(L):
     span = max((max(lv) for lv in L.levels if lv), default=0)
     r_hi = span + 1 if T is None else T + 1
 
+    # only the pages that close a pair, or that have units at the boundary
+    # degree T + 1 - r, add anything; the others in 1..r_hi are skipped
+    pages = {b - a for (_i, a, b) in bars[0]}
+    if T is not None:
+        pages.update(T + 1 - j for lv in L.levels[1:] for j in lv)
     steps = []
     boundary = {}
     excluded_cells = set()
     last_active = 0
-    for r in range(1, r_hi + 1):
+    for r in sorted(r for r in pages if 1 <= r <= r_hi):
         cancels, bd = _cancellations(L, bars, r)
         if cancels:
             last_active = r
@@ -211,13 +219,14 @@ def run_to_stability(L):
 
     # page 1 is always full-grid exact (j + 1 <= T + 1 for every cell)
     p1 = _page(L, bars, 1)
-    grid = [(i, j) for i in range(L.i_max + 1) for j in range(L.j_max + 1)]
     flagged = frozenset()
     if T is not None:
-        flagged = {(i, j) for (i, j) in grid if j > window_j} | excluded_cells
+        flagged = _cells_above(L, window_j) | excluded_cells
     kept = {k: n for k, n in bars[1].items() if k not in flagged}
     pinf = SpectralPage(None, BigradedSeries(L.i_max, L.j_max, kept), flagged)
-    cells = [c for c in grid if c not in flagged]
+    # the certificate only lowers page 1, so cells in neither support agree
+    cells = [c for c in p1.dims.coefficients.keys() | pinf.dims.coefficients.keys()
+             if c not in flagged]
     verified = verify_certificate(p1.dims, cert, pinf.dims, cells=cells)
     return RunResult(p1, pinf, cert, r_stab, window_j, boundary,
                      excluded_cells, verified)

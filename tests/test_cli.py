@@ -1,10 +1,15 @@
 """Command line: formats, exit codes, determinism."""
 
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import grtor
 from grtor.cli import main
 from grtor.series import BigradedSeries, CancellationCertificate, verify_certificate
 
@@ -375,3 +380,77 @@ def test_internal_errors_end_in_one_line(tmp_path, capsys, monkeypatch, error):
     assert_one_line_error(code, err)
     assert "broken invariant" in err
 
+
+
+# a command whose input could make it hang or exhaust memory runs in a
+# child process, bounded in address space and wall time; the child reports
+# the seconds spent inside main as its last line of standard error
+_TIMED_MAIN = ("import sys, time\n"
+               "from grtor.cli import main\n"
+               "t = time.perf_counter()\n"
+               "code = main(sys.argv[1:])\n"
+               "sys.stderr.write('seconds %f\\n' % (time.perf_counter() - t))\n"
+               "sys.exit(code)\n")
+
+
+def run_bounded(argv, memory=1 << 30, timeout=20):
+    """(exit code, stdout, stderr without the timing line, seconds inside
+    main or None if the child did not get that far)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(grtor.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_MAIN] + argv, capture_output=True,
+                          text=True, timeout=timeout, env=env, preexec_fn=limit)
+    err, _, last = proc.stderr.rstrip("\n").rpartition("\n")
+    if not last.startswith("seconds "):
+        return proc.returncode, proc.stdout, proc.stderr, None
+    return proc.returncode, proc.stdout, err + "\n" if err else "", float(last.split()[1])
+
+
+FC_HEADER = "filtered-complex\nfield %s\nimax %d\njmax %d\ntruncated %d\n"
+
+
+def test_huge_prime_characteristic(tmp_path):
+    # trial division up to sqrt(p) never finished on this prime
+    fc = tmp_path / "p.fc"
+    body = "term 0 dim 1 levels 2\nterm 1 dim 1 levels 0\ndiff 1 nnz 1\n0 0 5\n"
+    fc.write_text(FC_HEADER % ("Fp 1000000000000000003", 1, 2, 0) + body)
+    code, out, err, seconds = run_bounded(["check-theorem", "--synthetic", str(fc),
+                                           "--format", "json"])
+    assert (code, err) == (0, "") and seconds < 1
+    assert json.loads(out)["certificate"] == [[0, 0, 2]]
+    fc.write_text(FC_HEADER % ("Fp 1000000000000000001", 1, 2, 0) + body)  # 101 * ...
+    code, _, err, seconds = run_bounded(["check-theorem", "--synthetic", str(fc)])
+    assert_one_line_error(code, err)
+    assert seconds < 1
+
+
+def test_fc_header_imax_without_terms(tmp_path):
+    # the header's imax alone used to size the complex
+    fc = tmp_path / "imax.fc"
+    fc.write_text(FC_HEADER % ("Fp 32003", 200000, 4, 0))
+    code, _, err, seconds = run_bounded(["check-theorem", "--synthetic", str(fc)])
+    assert_one_line_error(code, err)
+    assert "'term 0'" in err and seconds < 1
+
+
+@pytest.mark.parametrize("truncated", [0, 1])
+def test_fc_header_jmax_sizes_no_loop(tmp_path, truncated):
+    # a 1x1 differential under jmax 10^9: the spectral run used to build
+    # the whole (i, j) grid, and a truncated one to visit every page
+    fc = tmp_path / "jmax.fc"
+    fc.write_text(FC_HEADER % ("Fp 32003", 1, 10 ** 9, truncated)
+                  + "term 0 dim 1 levels 7\nterm 1 dim 1 levels 0\ndiff 1 nnz 1\n0 0 1\n")
+    code, out, err, seconds = run_bounded(["check-theorem", "--synthetic", str(fc),
+                                           "--format", "json"])
+    assert (code, err) == (0, "") and seconds < 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "PASS" and payload["r_stab"] == 8
+    assert payload["certificate"] == [[0, 0, 7]]
+    if truncated:
+        window = 10 ** 9 - 8
+        assert payload["validity_window"] == window
+        assert payload["page_infinity_indeterminate"] == [
+            [i, j] for i in (0, 1) for j in range(window + 1, 10 ** 9 + 1)]
+    else:
+        assert payload["page_infinity_indeterminate"] == []

@@ -1,0 +1,158 @@
+"""The exact-arithmetic kernels: bound field operations and row primitives,
+pickling, and the heap-ordered normal form against the scan-based oracle
+in tests/reduce_oracle.py."""
+
+import pickle
+import random
+from fractions import Fraction
+
+import pytest
+
+from grtor.fields import MAX_CHARACTERISTIC, QQ, Field, FieldError, _is_prime
+from grtor.groebner import VecPoly, _buchberger, _divides, _leads, _reduce, _Tracked
+from grtor.poly import GRADED, LOCAL, Polynomial, Ring
+
+from reduce_oracle import oracle_leads, reduce_oracle
+
+P = 32003
+BIG_PRIME = 1000000000000000003
+
+
+# --- bound operations and row primitives --------------------------------------
+
+
+def _element(rng, p):
+    if p == 0:
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+    return rng.randrange(p)
+
+
+@pytest.mark.parametrize("p", [0, 2, P, BIG_PRIME])
+def test_bound_operations_match_plain_arithmetic(p):
+    F = Field(p)
+    kind = Fraction if p == 0 else int
+
+    def plain(x):
+        return Fraction(x) if p == 0 else x % p
+
+    rng = random.Random(p)
+    assert (F.zero, F.one) == (0, 1)
+    assert type(F.zero) is kind and type(F.one) is kind
+    for _ in range(300):
+        a, b, f = _element(rng, p), _element(rng, p), _element(rng, p)
+        for got, want in ((F.add(a, b), a + b), (F.sub(a, b), a - b),
+                          (F.mul(a, b), a * b), (F.neg(a), -a)):
+            assert got == plain(want) and type(got) is kind
+            if p:
+                assert 0 <= got < p
+        xs = [_element(rng, p) for _ in range(rng.randint(0, 6))]
+        ys = [_element(rng, p) for _ in xs]
+        axpy, scale = F.axpy(xs, f, ys), F.scale(f, xs)
+        assert axpy == [plain(x - f * y) for x, y in zip(xs, ys)]
+        assert scale == [plain(f * x) for x in xs]
+        assert all(type(x) is kind for x in axpy + scale)
+        assert xs == [plain(x) for x in xs]  # the inputs are left alone
+
+
+def test_primality_is_exact_below_the_limit():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    for n in (2 ** 61 - 1, BIG_PRIME, 2 ** 79 - 67, 10 ** 24 + 7):
+        assert _is_prime(n)
+    assert Field(BIG_PRIME).char == BIG_PRIME
+    for n in (MAX_CHARACTERISTIC, 2 ** 89 - 1):  # composite, then a Mersenne prime
+        with pytest.raises(FieldError, match="too large"):
+            Field(n)
+
+
+def test_fields_rings_and_polynomials_pickle():
+    for F in (QQ, Field(P)):
+        G = pickle.loads(pickle.dumps(F))
+        assert G == F and G.mul(G.of(-3), G.of(5)) == F.of(-15)
+        assert G.axpy([G.one], G.of(2), [G.one]) == [F.of(-1)]
+        for setting, cap in ((GRADED, None), (LOCAL, 9)):
+            R = Ring(["X", "Y"], F, setting, cap=cap)
+            S = pickle.loads(pickle.dumps(R))
+            assert S.compatible(R) and S.order == R.order
+            assert S.order.key((1, 2)) == R.order.key((1, 2))
+            p = R.parse("X^2 - 3*Y^3 + 2*X*Y")
+            q = pickle.loads(pickle.dumps(p))
+            assert q == p and str(q * q) == str(p * p)
+
+
+# --- the normal form against the oracle ------------------------------------------
+
+
+def _exps(rng, nvars, top):
+    """A random exponent vector of total degree <= top."""
+    while True:
+        e = tuple(rng.randint(0, top) for _ in range(nvars))
+        if sum(e) <= top:
+            return e
+
+
+def _coeff(rng, F):
+    return F.of(Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3)))
+
+
+def _vec(rng, ring, shifts, nterms, top):
+    terms = {}
+    for _ in range(nterms):
+        row = rng.randrange(len(shifts))
+        if top - shifts[row] >= 0:
+            terms[(row, _exps(rng, ring.nvars, top - shifts[row]))] = _coeff(rng, ring.field)
+    return VecPoly(ring, len(shifts), terms, shifts)
+
+
+def _expr(rng, ring, ncols, top):
+    return [Polynomial(ring, {_exps(rng, ring.nvars, top): _coeff(rng, ring.field)
+                              for _ in range(rng.randint(0, 3))}) for _ in range(ncols)]
+
+
+# (setting, ring cap, reduction cap, shifts): graded with and without a
+# cap, local below the ring's cap, a lower one and a higher one
+CASES = [(GRADED, None, None, (0,)), (GRADED, None, None, (0, 1)),
+         (GRADED, None, 5, (0,)), (GRADED, None, 5, (1, 0)),
+         (LOCAL, 6, None, (0,)), (LOCAL, 6, None, (0, 1)),
+         (LOCAL, 6, 4, (0, 1)), (LOCAL, 5, 7, (0,))]
+
+
+def _assert_same(got, want):
+    assert got.vec.terms == want.vec.terms
+    assert [p.terms for p in got.expr] == [p.terms for p in want.expr]
+
+
+@pytest.mark.parametrize("p", [0, P])
+@pytest.mark.parametrize("case", CASES)
+def test_reduce_matches_oracle(p, case):
+    setting, ring_cap, cap, shifts = case
+    ring = Ring(["x", "y", "z"], Field(p), setting, cap=ring_cap)
+    top = min(c for c in (ring_cap, cap, 7) if c is not None)
+    steps = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        ncols = rng.randint(1, 3)
+        # arbitrary reducers: the first divisor in list order wins, so the
+        # order matters, and reducers may share a lead term
+        reducers = [_Tracked(_vec(rng, ring, shifts, rng.randint(1, 3), rng.randint(1, 3)),
+                             _expr(rng, ring, ncols, top))
+                    for _ in range(rng.randint(0, 6))]
+        cols = [_vec(rng, ring, shifts, rng.randint(1, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))]
+        basis, _ = _buchberger(ring, cols, shifts, cap, False)
+        for reds in (reducers, reducers[::-1], basis):
+            for _ in range(4):
+                f = _Tracked(_vec(rng, ring, shifts, rng.randint(1, 8), top),
+                             _expr(rng, ring, ncols if reds is not basis else len(cols), top))
+                got = _reduce(f, _leads(reds), cap)
+                want = reduce_oracle(f, oracle_leads(reds), cap)
+                _assert_same(got, want)
+                steps += got.expr != f.expr
+                heads = oracle_leads(reds)
+                for row, e in got.vec.terms:
+                    assert not any(r == row and _divides(g, e) for (r, g), _ in heads)
+    assert steps > 100  # most reductions changed the expression

@@ -2,6 +2,7 @@
 
 import pytest
 
+from grtor.fields import Field
 from grtor.groebner import GroebnerError, IdealPresentation, ModulePresentation
 from grtor.poly import Ring
 from grtor.resolution import (GradedFreeResolution, ResolutionError,
@@ -180,3 +181,31 @@ def test_resolution_validates_dd_zero():
         GradedFreeResolution(
             R, [(0,), (1,), (2,)],
             [None, [[R.parse("x")]], [[R.parse("y")]]], 2)
+
+
+G4_QUADRICS = ["a^2 + b*c", "b^2 - c*d", "c^2 + a*d", "a*b + c*d"]
+
+
+def _stable_pair(n, m, d, e, field):
+    xs = ["x%d" % (k + 1) for k in range(n)]
+    G = Ring(xs, field, quotient=["x1^%d" % e])
+    gens = ["x1^%d" % d] + ["x1^%d*%s" % (d - 1, xs[k]) for k in range(1, m)]
+    return ModulePresentation.cyclic(G, gens), ModulePresentation.cyclic(G, xs)
+
+
+def _g4_pair(field, swap):
+    R = Ring(["a", "b", "c", "d"], field)
+    quadrics = ModulePresentation.cyclic(R, G4_QUADRICS)
+    k = ModulePresentation.cyclic(R, ["a", "b", "c", "d"])
+    return (k, quadrics) if swap else (quadrics, k)
+
+
+@pytest.mark.parametrize("pair, j_max", [
+    (lambda F: _g4_pair(F, False), 8), (lambda F: _g4_pair(F, True), 8),
+    (lambda F: _stable_pair(3, 3, 2, 4, F), 10), (lambda F: _stable_pair(4, 3, 2, 3, F), 8)],
+    ids=["g4", "g4-swap", "stable-3324", "stable-4323"])
+def test_tor_series_agrees_over_qq_and_fp(pair, j_max):
+    # small integer inputs whose Tor is the same in characteristic 0 and 32003:
+    # a slip in either field's arithmetic splits the two
+    series = [tor_series(*pair(F), 6, j_max) for F in (Field(0), Field(32003))]
+    assert series[0] == series[1] and series[0].coefficients
