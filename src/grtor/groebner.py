@@ -283,9 +283,10 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
             if collect_syzygies and any(not e.is_zero() for e in red.expr):
                 syzygies.append(red.expr)
         else:
+            row, e = red.vec.lead()
             basis.append(red)
-            leads.append(red.vec.lead())
-            reducers.setdefault(leads[-1][0], []).append((leads[-1][1], red))
+            leads.append((row, e))
+            reducers.setdefault(row, []).append((e, red))
             add_pairs(len(basis) - 1)
     return basis, syzygies
 

@@ -411,7 +411,7 @@ FC_HEADER = "filtered-complex\nfield %s\nimax %d\njmax %d\ntruncated %d\n"
 
 
 def test_huge_prime_characteristic(tmp_path):
-    # trial division up to sqrt(p) never finished on this prime
+    # a prime near 10^18 is decided at once; trial division to sqrt(p) is not
     fc = tmp_path / "p.fc"
     body = "term 0 dim 1 levels 2\nterm 1 dim 1 levels 0\ndiff 1 nnz 1\n0 0 5\n"
     fc.write_text(FC_HEADER % ("Fp 1000000000000000003", 1, 2, 0) + body)
@@ -426,7 +426,7 @@ def test_huge_prime_characteristic(tmp_path):
 
 
 def test_fc_header_imax_without_terms(tmp_path):
-    # the header's imax alone used to size the complex
+    # a header's imax without its term lines is an error, not a size
     fc = tmp_path / "imax.fc"
     fc.write_text(FC_HEADER % ("Fp 32003", 200000, 4, 0))
     code, _, err, seconds = run_bounded(["check-theorem", "--synthetic", str(fc)])
@@ -436,8 +436,8 @@ def test_fc_header_imax_without_terms(tmp_path):
 
 @pytest.mark.parametrize("truncated", [0, 1])
 def test_fc_header_jmax_sizes_no_loop(tmp_path, truncated):
-    # a 1x1 differential under jmax 10^9: the spectral run used to build
-    # the whole (i, j) grid, and a truncated one to visit every page
+    # a 1x1 differential under jmax 10^9: the spectral run must not visit
+    # the whole (i, j) grid, nor every page up to the truncation
     fc = tmp_path / "jmax.fc"
     fc.write_text(FC_HEADER % ("Fp 32003", 1, 10 ** 9, truncated)
                   + "term 0 dim 1 levels 7\nterm 1 dim 1 levels 0\ndiff 1 nnz 1\n0 0 1\n")
