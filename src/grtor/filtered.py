@@ -10,13 +10,13 @@ statements below hold in degrees <= cap.
 """
 
 from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
-                       graded_twin, ideal_intersection, ideal_product,
-                       ideal_sum, leading_monomial_ideal, hilbert_function,
-                       minimal_generator_indices, normal_form, standard_basis,
-                       standard_monomials)
+                       NormalFormTable, graded_twin, ideal_intersection,
+                       ideal_product, ideal_sum, leading_monomial_ideal,
+                       hilbert_function, minimal_generator_indices,
+                       standard_basis, standard_monomials)
 from .fields import GrtorError
 from .poly import LOCAL, Polynomial
-from .resolution import _matmul_poly, minimal_resolution, strand_solve
+from .resolution import Strands, _matmul_poly, minimal_resolution, strand_solve
 from .series import BigradedSeries
 
 
@@ -136,6 +136,7 @@ def lift_resolution(gres, generators, cap):
 
     shifts = [tuple(s) for s in gres.shifts]
     diffs = [None, [[g.truncate(cap) for g in generators]]]
+    strands = Strands(gring)
 
     for i in range(2, len(shifts)):
         d = [[_to_local(local_ring, gres.diffs[i][a][b], cap)
@@ -165,7 +166,7 @@ def lift_resolution(gres, generators, cap):
                 last_order = target_deg
                 low = [_to_graded(gring, p.homogeneous_component(target_deg - shifts[i - 2][a]))
                        for a, p in enumerate(residual)]
-                u = strand_solve(gring, gres.diffs[i - 1], shifts[i - 1],
+                u = strand_solve(strands, gres.diffs[i - 1], shifts[i - 1],
                                  shifts[i - 2], low, target_deg)
                 if u is None:
                     raise LiftWindowExceededError(
@@ -363,7 +364,8 @@ def filtered_tensor(fres, n_ideal, j_max):
     level = shift_b + deg u <= j_max.  The differential applies the lifted
     matrix entries, then the full normal form in N/m^{j_max+1}N against a
     standard basis of N (k-linear, since that basis is valid to the cap
-    >= j_max), and drops the terms whose level passes j_max.
+    >= j_max; read off one table of monomial normal forms), and drops the
+    terms whose level passes j_max.
     """
     ring = fres.ring
     field = ring.field
@@ -375,6 +377,7 @@ def filtered_tensor(fres, n_ideal, j_max):
         lm = [p.leading_monomial() for p in nb]
     else:
         nb, lm = [], []
+    nf = NormalFormTable(ring, [[g] for g in nb], cap=j_max)
 
     basis_n = []
     n_finite_top = None
@@ -406,7 +409,7 @@ def filtered_tensor(fres, n_ideal, j_max):
                 p = fres.diffs[i][a][b]
                 if p.is_zero():
                     continue
-                for e, c in normal_form(p.monomial_multiple(u), nb, j_max).terms.items():
+                for (_, e), c in nf([p], u).items():
                     if shift + sum(e) > j_max:
                         continue  # past the truncation
                     row = index[i - 1].get((a, e))

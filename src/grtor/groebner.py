@@ -385,18 +385,63 @@ def module_groebner_basis(ring, columns, shifts=None, cap=None):
 def module_normal_form(vec, basis, shifts=None, cap=None):
     """Fully reduced normal form of a vector of polynomials against module
     basis vectors, below the cap as in `normal_form`."""
-    return module_reducer(basis, shifts if shifts is not None else (0,) * len(vec), cap)(vec)
+    ring = vec[0].ring
+    shifts = tuple(shifts) if shifts is not None else (0,) * len(vec)
+    terms = NormalFormTable(ring, basis, shifts, cap)(vec)
+    return VecPoly(ring, len(vec), terms, shifts).to_polys()
 
 
-def module_reducer(basis, shifts, cap=None):
-    """The normal-form map against fixed module basis vectors, converting
-    the basis once for many reductions."""
-    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts), []) for b in basis])
+class NormalFormTable:
+    """The normal-form map against fixed module basis vectors, read off a
+    table of monomial normal forms.
 
-    def reduce(vec):
-        f = _Tracked(VecPoly.from_polys(list(vec), shifts), [])
-        return _reduce(f, leads, cap).vec.to_polys()
-    return reduce
+    Below the cap the full normal form is k-linear (see `normal_form`), so
+    NF(sum c x^e e_row) = sum c NF(x^e e_row): the table keeps the nonzero
+    terms of NF(x^e e_row) under the key (row, e), computes each on first
+    use, and applies a vector by linearity.  This is the multiplication
+    table of a finite-dimensional quotient (Faugere-Gianni-Lazard-Mora,
+    1993).  Make one per call, or per object that reduces many vectors,
+    and let it go with them: nothing else holds a table.
+    """
+
+    __slots__ = ("ring", "shifts", "cap", "_leads", "_nf")
+
+    def __init__(self, ring, basis, shifts=(0,), cap=None):
+        self.ring = ring
+        self.shifts = tuple(shifts)
+        self.cap = cap if cap is not None else ring.cap
+        self._leads = _leads([_Tracked(VecPoly.from_polys(list(b), self.shifts), [])
+                              for b in basis])
+        self._nf = {}
+
+    def monomial(self, row, e):
+        """The nonzero terms [((row', e'), c)] of NF(x^e e_row)."""
+        key = (row, e)
+        nf = self._nf.get(key)
+        if nf is None:
+            unit = VecPoly(self.ring, len(self.shifts), {key: self.ring.field.one}, self.shifts)
+            nf = list(_reduce(_Tracked(unit, []), self._leads, self.cap).vec.terms.items())
+            self._nf[key] = nf
+        return nf
+
+    def __call__(self, vec, mono=None):
+        """NF(x^mono * vec) as {(row, e): nonzero c}, for vec a list of
+        polynomials, one per row."""
+        fld = self.ring.field
+        add, mul, zero = fld.add, fld.mul, fld.zero
+        monomial = self.monomial
+        out = {}
+        for row, p in enumerate(vec):
+            for e, c in p.terms.items():
+                if mono is not None:
+                    e = tuple(map(operator.add, e, mono))
+                for k, x in monomial(row, e):
+                    v = add(out.get(k, zero), mul(c, x))
+                    if v:
+                        out[k] = v
+                    else:
+                        del out[k]
+        return out
 
 
 def _minimal_leads(items, lead):
@@ -433,8 +478,12 @@ def normal_form(p, basis, cap=None):
     Terms of degree > cap are dropped; the cap defaults to the ring's (so
     local rings are truncated, graded ones are not).  Against a standard
     basis of I valid up to the cap the result is the unique normal form
-    in k[x]/(I + m^{cap+1}), and the map is k-linear.
+    in k[x]/(I + m^{cap+1}), and the map is k-linear.  Against an empty
+    basis it is the truncation at the cap.
     """
+    if not basis:
+        cap = cap if cap is not None else p.ring.cap
+        return p if cap is None else p.truncate(cap)
     f = _Tracked(VecPoly.from_polys([p]), [])
     leads = _leads([_Tracked(VecPoly.from_polys([g]), []) for g in basis])
     return _reduce(f, leads, cap).vec.to_polys()[0]

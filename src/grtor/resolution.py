@@ -10,8 +10,8 @@ monomial basis, and kernels/images are rank computations there.
 
 from math import comb
 
-from .groebner import (GroebnerError, ModulePresentation, VecPoly, graded_piece_basis,
-                       module_groebner_basis, module_reducer, normal_form,
+from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, VecPoly,
+                       graded_piece_basis, module_groebner_basis, normal_form,
                        quotient_groebner, standard_monomials, syzygies)
 from .fields import GrtorError
 from .linalg import ColumnEchelon, rank, solve
@@ -26,63 +26,69 @@ class ResolutionError(GrtorError):
 # --- strand bases -------------------------------------------------------------
 
 
-def free_strand_basis(ring, shifts, degree):
-    """Basis [(col, monomial)] of the degree-`degree` piece of ⊕ G(-shifts)."""
-    basis = []
-    for col, s in enumerate(shifts):
-        for mono in graded_piece_basis(ring, degree - s):
-            basis.append((col, mono))
-    return basis
+class Strands:
+    """Strand bases and coordinates over G = k[x]/J for one computation:
+    the monomial basis of each G_j, enumerated once per degree, and one
+    table of monomial normal forms mod J.  Make one per call; nothing
+    keeps it past the call."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self._nf = NormalFormTable(ring, [[g] for g in quotient_groebner(ring)])
+        self._pieces = {}
+
+    def piece(self, j):
+        """The monomial basis of G_j (`graded_piece_basis`), built once."""
+        basis = self._pieces.get(j)
+        if basis is None:
+            basis = self._pieces[j] = graded_piece_basis(self.ring, j)
+        return basis
+
+    def free_basis(self, shifts, degree):
+        """Basis [(col, monomial)] of the degree-`degree` piece of ⊕ G(-shifts)."""
+        return [(col, mono) for col, s in enumerate(shifts) for mono in self.piece(degree - s)]
+
+    def coords(self, vec, index, mono=None):
+        """Coordinates on a strand basis of x^mono * vec (vec a homogeneous
+        vector of polynomials), reduced modulo the quotient."""
+        coords = [self.ring.field.zero] * len(index)
+        for row, p in enumerate(vec):
+            if p.is_zero():
+                continue
+            for (_, e), c in self._nf([p], mono).items():
+                n = index.get((row, e))
+                if n is None:
+                    raise ResolutionError("vector has a term %r outside the strand" % ((row, e),))
+                coords[n] = c
+        return coords
+
+    def matrix(self, rows, src_shifts, dst_shifts, degree):
+        """Matrix of a homogeneous map between free modules in one internal degree.
+
+        `rows` is the dst x src matrix of polynomials; returns (matrix over
+        k, src basis, dst index) with columns indexed by the source strand
+        basis.
+        """
+        src = self.free_basis(src_shifts, degree)
+        dst_index = {key: n for n, key in enumerate(self.free_basis(dst_shifts, degree))}
+        cols = [self.coords([row[scol] for row in rows], dst_index, mono) for scol, mono in src]
+        matrix = [[col[i] for col in cols] for i in range(len(dst_index))]
+        return matrix, src, dst_index
 
 
-def vector_strand_coords(ring, vec, index, mono=None):
-    """Coordinates on a strand basis of x^mono * vec (vec a homogeneous
-    vector of polynomials), reduced modulo the quotient."""
-    field = ring.field
-    gb = quotient_groebner(ring)
-    coords = [field.zero] * len(index)
-    for row, p in enumerate(vec):
-        if p.is_zero():
-            continue
-        if mono is not None:
-            p = p.monomial_multiple(mono)
-        if gb:
-            p = normal_form(p, gb)
-        for e, c in p.terms.items():
-            if (row, e) not in index:
-                raise ResolutionError("vector has a term %r outside the strand" % ((row, e),))
-            coords[index[(row, e)]] = c
-    return coords
-
-
-def strand_matrix(ring, rows, src_shifts, dst_shifts, degree):
-    """Matrix of a homogeneous map between free modules in one internal degree.
-
-    `rows` is the dst x src matrix of polynomials; returns (matrix over k,
-    src basis, dst basis) with columns indexed by the source strand basis.
-    """
-    src = free_strand_basis(ring, src_shifts, degree)
-    dst = free_strand_basis(ring, dst_shifts, degree)
-    dst_index = {key: n for n, key in enumerate(dst)}
-    cols = [vector_strand_coords(ring, [row[scol] for row in rows], dst_index, mono)
-            for scol, mono in src]
-    matrix = [[col[i] for col in cols] for i in range(len(dst))]
-    return matrix, src, dst_index
-
-
-def strand_solve(ring, rows, src_shifts, dst_shifts, target, degree):
+def strand_solve(strands, rows, src_shifts, dst_shifts, target, degree):
     """Solve (matrix of polynomials) * u = target in one internal degree.
 
     target: homogeneous vector of polynomials of internal degree `degree`
     over dst shifts.  Returns a vector of homogeneous polynomials over the
     source shifts, or None if no solution exists in this strand.
     """
-    field = ring.field
-    matrix, src, dst_index = strand_matrix(ring, rows, src_shifts, dst_shifts, degree)
-    rhs = vector_strand_coords(ring, target, dst_index)
+    ring = strands.ring
+    matrix, src, dst_index = strands.matrix(rows, src_shifts, dst_shifts, degree)
+    rhs = strands.coords(target, dst_index)
     if not src:
         return None if any(rhs) else [ring.zero() for _ in src_shifts]
-    sol = solve(field, matrix, rhs) if matrix else (None if any(rhs) else [])
+    sol = solve(ring.field, matrix, rhs) if matrix else (None if any(rhs) else [])
     if sol is None:
         return None
     out = [ring.zero() for _ in src_shifts]
@@ -104,7 +110,8 @@ class GradedModulePieces:
     j_max, since the input is homogeneous), gives the basis of each piece
     (Macaulay): the standard terms (col, mono) of internal degree d, those
     that no lead term of the same row divides.  Multiplication takes the
-    normal form of p·mono·e_col and reads its coefficients off by index.
+    normal form of p·mono·e_col, from one table of monomial normal forms
+    per object, and reads its coefficients off by index.
     """
 
     def __init__(self, module, j_max):
@@ -117,7 +124,7 @@ class GradedModulePieces:
         cols += [[q if b == a else ring.zero() for b in range(len(shifts))]
                  for q in ring.quotient for a in range(len(shifts))]
         gb = module_groebner_basis(ring, cols, shifts, cap=j_max)
-        self._reduce = module_reducer(gb, shifts)
+        self._nf = NormalFormTable(ring, gb, shifts)
         leads = [VecPoly.from_polys(b, shifts).lead() for b in gb]
         self._basis = {}
         for d in range(j_max + 1):
@@ -139,25 +146,25 @@ class GradedModulePieces:
         matrix = [[self.field.zero] * len(src) for _ in index]
         if p.is_zero() or not index:
             return matrix
+        zero = self.ring.zero()
         for n, (col, mono) in enumerate(src):
-            vec = [self.ring.zero()] * len(self.module.column_degrees)
-            vec[col] = p.monomial_multiple(mono)
-            for row, q in enumerate(self._reduce(vec)):
-                for e, c in q.terms.items():
-                    matrix[index[(row, e)]][n] = c
+            vec = [zero] * len(self.module.column_degrees)
+            vec[col] = p
+            for key, c in self._nf(vec, mono).items():
+                matrix[index[key]][n] = c
         return matrix
 
 
 # --- submodule spans and minimal generators ------------------------------------
 
 
-def _submodule_echelon(ring, chosen, degree, free_index):
+def _submodule_echelon(strands, chosen, degree, free_index):
     """Echelon of the degree-`degree` span of the submodule generated by
     `chosen` (list of (vector, internal degree)) on a free strand basis."""
-    ech = ColumnEchelon(ring.field, range(len(free_index)))
+    ech = ColumnEchelon(strands.ring.field, range(len(free_index)))
     for vec, vdeg in chosen:
-        for mono in graded_piece_basis(ring, degree - vdeg):
-            ech.add(vector_strand_coords(ring, vec, free_index, mono))
+        for mono in strands.piece(degree - vdeg):
+            ech.add(strands.coords(vec, free_index, mono))
     return ech
 
 
@@ -173,6 +180,7 @@ def minimal_generators(ring, columns, row_shifts):
             raise ResolutionError("generator is not homogeneous for the row shifts")
         items.append((vec, degs.pop()))
     items.sort(key=lambda it: it[1])
+    strands = Strands(ring)
     chosen = []
     d = None
     ech = None
@@ -180,10 +188,9 @@ def minimal_generators(ring, columns, row_shifts):
     for vec, vdeg in items:
         if vdeg != d:
             d = vdeg
-            basis = free_strand_basis(ring, row_shifts, d)
-            free_index = {key: n for n, key in enumerate(basis)}
-            ech = _submodule_echelon(ring, chosen, d, free_index)
-        coords = vector_strand_coords(ring, vec, free_index)
+            free_index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
+            ech = _submodule_echelon(strands, chosen, d, free_index)
+        coords = strands.coords(vec, free_index)
         if ech.add(coords) is not None:
             chosen.append((vec, vdeg))
     return chosen

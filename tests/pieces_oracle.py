@@ -8,7 +8,6 @@ echelon on the free cover's strand basis.  Slow; tests only.
 
 from grtor.groebner import graded_piece_basis, normal_form, quotient_groebner
 from grtor.linalg import ColumnEchelon
-from grtor.resolution import free_strand_basis
 
 
 class EchelonPieces:
@@ -30,7 +29,8 @@ class EchelonPieces:
         self._echelon = {}
         self._quotient_index = {}
         for d in range(0, j_max + 1):
-            basis = free_strand_basis(self.ring, module.column_degrees, d)
+            basis = [(col, mono) for col, s in enumerate(module.column_degrees)
+                     for mono in graded_piece_basis(self.ring, d - s)]
             self._free[d] = basis
             self._free_index[d] = {key: n for n, key in enumerate(basis)}
             ech = ColumnEchelon(self.field, range(len(basis)))

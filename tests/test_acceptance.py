@@ -6,6 +6,8 @@ import json
 import random
 import time
 
+import pytest
+
 from grtor.cli import main
 from grtor.fields import Field
 from grtor.groebner import IdealPresentation, ModulePresentation
@@ -199,6 +201,7 @@ def test_a5_proof_mechanics_property_suite():
     _report("A5", "proof-mechanics properties hold in 200/200 runs", t0)
 
 
+@pytest.mark.slow
 def test_a6_cancellation_decision_oracle():
     """Matching-based decision vs exhaustive pairing enumeration on a 4x6
     grid: every multiset of <= 6 units exhaustively, plus 2000 seeded

@@ -344,6 +344,52 @@ def test_check_theorem_pairs_that_broke_d_squared(tmp_path, capsys, m_ideal, n_i
     assert payload["page1_matches_tor"] is True
 
 
+
+def test_check_theorem_n_equal_r(tmp_path, capsys):
+    # N = R: Tor is M in homological degree 0, and the tensor reduces
+    # against an empty basis
+    job = tmp_path / "nr.job"
+    job.write_text("[ring]\nvariables = X Y Z\nsetting = local\n\n"
+                   "[module M]\nideal = X^2 - Y^3, Y^2 - Z^3\n\n[module N]\nideal = 0\n")
+    code, out, err = run_cli(capsys, ["check-theorem", str(job), "--jmax", "8",
+                                      "--format", "json"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "PASS" and payload["page1_matches_tor"] is True
+    assert payload["page1"]["terms"] == payload["tor_graded"]["terms"]
+    assert {i for i, _, _ in payload["page1"]["terms"]} == {0}
+
+
+def _permuted_outputs(tmp_path, capsys, command, setting, jobs, argv):
+    """Outputs of one command on each (variables, M, N) of `jobs`."""
+    outs = []
+    for k, (variables, m_gens, n_gens) in enumerate(jobs):
+        job = tmp_path / ("perm%d.job" % k)
+        job.write_text("[ring]\nvariables = %s\nsetting = %s\n\n[module M]\nideal = %s\n\n"
+                       "[module N]\nideal = %s\n" % (variables, setting, m_gens, n_gens))
+        code, out, err = run_cli(capsys, [command, str(job), "--format", "json"] + argv)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    return outs
+
+
+def test_check_theorem_invariant_under_variable_and_generator_order(tmp_path, capsys):
+    jobs = [("X Y Z", "X^2 - Y^3, Y^2 - Z^3", "X + Y^2 + Z^2"),
+            ("Z X Y", "Y^2 - Z^3, X^2 - Y^3", "Z^2 + X + Y^2")]
+    first, second = _permuted_outputs(tmp_path, capsys, "check-theorem", "local", jobs,
+                                      ["--jmax", "10", "--char", "32003"])
+    assert first == second
+    assert json.loads(first)["verdict"] == "PASS"
+
+
+def test_tor_gr_invariant_under_variable_and_generator_order(tmp_path, capsys):
+    jobs = [("a b c d", "a^2 + b*c, b^2 - c*d, c^2 + a*d, a*b + c*d", "a, b, c, d"),
+            ("d a b c", "a*b + c*d, c^2 + a*d, b^2 - c*d, a^2 + b*c", "d, c, b, a")]
+    first, second = _permuted_outputs(tmp_path, capsys, "tor-gr", "graded", jobs,
+                                      ["--jmax", "8"])
+    assert first == second
+    assert json.loads(first)["series"]["terms"][:2] == [[0, 0, 1], [1, 2, 4]]
+
 def test_every_error_class_derives_from_grtor_error():
     import inspect
     import grtor

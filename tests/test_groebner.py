@@ -13,7 +13,7 @@ from grtor.groebner import (CapExceededError, IdealPresentation, colength,
                             syzygies)
 from grtor.linalg import rank
 from grtor.poly import LOCAL, Ring
-from grtor.resolution import strand_matrix, vector_strand_coords, free_strand_basis
+from grtor.resolution import Strands
 
 from spectral_oracle import kernel_basis
 
@@ -170,8 +170,9 @@ def test_syzygies_three_quadrics():
         assert total.is_zero()
     # degreewise completeness against the strand-kernel oracle
     gen_degs = [2, 2, 2]
+    strands = Strands(R)
     for degree in range(2, 7):
-        mat, src, _ = strand_matrix(R, [[c[0] for c in cols]], gen_degs, (0,), degree)
+        mat, src, _ = strands.matrix([[c[0] for c in cols]], gen_degs, (0,), degree)
         expected = len(kernel_basis(R.field, mat, len(src))) if src else 0
         # span of the computed syzygies' strand vectors
         span_cols = []
@@ -183,9 +184,9 @@ def test_syzygies_three_quadrics():
             from grtor.groebner import monomials_of_degree
             for mono in monomials_of_degree(2, degree - ud):
                 vec = [p.monomial_multiple(mono) for p in u]
-                basis = free_strand_basis(R, gen_degs, degree)
+                basis = strands.free_basis(gen_degs, degree)
                 index = {key: n for n, key in enumerate(basis)}
-                span_cols.append(vector_strand_coords(R, vec, index))
+                span_cols.append(strands.coords(vec, index))
         got = rank(R.field, [[col[r] for col in span_cols]
                              for r in range(len(span_cols[0]))]) if span_cols else 0
         assert got == expected

@@ -1,6 +1,7 @@
 """The exact-arithmetic kernels: bound field operations and row primitives,
-pickling, and the heap-ordered normal form against the scan-based oracle
-in tests/reduce_oracle.py."""
+pickling, the heap-ordered normal form against the scan-based oracle in
+tests/reduce_oracle.py, and the table of monomial normal forms against
+direct reduction."""
 
 import pickle
 import random
@@ -9,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from grtor.fields import MAX_CHARACTERISTIC, QQ, Field, FieldError, _is_prime
-from grtor.groebner import VecPoly, _buchberger, _divides, _leads, _reduce, _Tracked
+from grtor.groebner import (IdealPresentation, NormalFormTable, VecPoly, _buchberger, _divides,
+                            _leads, _reduce, _Tracked, groebner_basis, module_groebner_basis,
+                            module_normal_form, normal_form, quotient_groebner, standard_basis)
 from grtor.poly import GRADED, LOCAL, Polynomial, Ring
 
 from reduce_oracle import oracle_leads, reduce_oracle
@@ -156,3 +159,88 @@ def test_reduce_matches_oracle(p, case):
                 for row, e in got.vec.terms:
                     assert not any(r == row and _divides(g, e) for (r, g), _ in heads)
     assert steps > 100  # most reductions changed the expression
+
+
+# --- the table of monomial normal forms ------------------------------------------
+
+
+def _direct(vec, basis, shifts, cap):
+    """The normal form of the whole vector in one reduction."""
+    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts), []) for b in basis])
+    return _reduce(_Tracked(VecPoly.from_polys(list(vec), shifts), []), leads, cap).vec.terms
+
+
+def _table_basis(ring, shifts, kind):
+    """Module basis vectors of one table case."""
+    if kind == "empty":
+        return []
+    if kind == "quotient":
+        return [[g] for g in quotient_groebner(ring)]
+    if len(shifts) == 1:
+        ideal = IdealPresentation(ring, ["x^2 - y^3 + x*z", "y^2 - z^3", "x*y*z"])
+        if ring.setting == LOCAL:
+            return [[g] for g in standard_basis(ideal)]
+        return [[g] for g in groebner_basis(ideal)]
+    # a rank-2 module with shifts (0, 1), the quotient adjoined in each row
+    cols = [[ring.parse("x*y"), ring.parse("z")], [ring.parse("y^2 - x*z"), ring.parse("x")],
+            [ring.parse("z^3"), ring.parse("y^2")]]
+    cols += [[q if b == a else ring.zero() for b in range(2)]
+             for q in ring.quotient for a in range(2)]
+    return module_groebner_basis(ring, cols, shifts)
+
+
+# (setting, ring cap, table cap, shifts, basis): local below and at the
+# ring's cap, graded with a quotient, rank 2 with shifts, empty bases
+TABLE_CASES = [(LOCAL, 7, 5, (0,), "ideal"), (LOCAL, 7, None, (0,), "ideal"),
+               (LOCAL, 7, 7, (0, 1), "module"), (LOCAL, 7, 5, (0, 1), "module"),
+               (GRADED, None, None, (0,), "quotient"), (GRADED, None, None, (0, 1), "module"),
+               (LOCAL, 6, 4, (0, 1), "empty"), (GRADED, None, None, (0,), "empty")]
+
+
+@pytest.mark.parametrize("p", [0, P])
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_normal_form_table_matches_direct_reduction(p, case):
+    setting, ring_cap, cap, shifts, kind = case
+    quotient = ("x*z - y^2", "x^3") if setting == GRADED else ()
+    ring = Ring(["x", "y", "z"], Field(p), setting, cap=ring_cap, quotient=quotient)
+    basis = _table_basis(ring, shifts, kind)
+    table = NormalFormTable(ring, basis, shifts, cap)  # one table for every vector
+    top = min(c for c in (ring_cap, cap, 6) if c is not None)
+    rank = len(shifts)
+    cancelled = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        mono = _exps(rng, 3, 2) if seed % 2 else None
+        vecs = [_vec(rng, ring, shifts, rng.randint(1, 8), top).to_polys()]
+        if basis:  # module members: every sum cancels
+            vecs.append(list(basis[seed % len(basis)]))
+        for vec in vecs:
+            got = table(vec, mono)
+            assert all(got.values())
+            moved = [q if mono is None else q.monomial_multiple(mono) for q in vec]
+            want = _direct(moved, basis, shifts, cap)
+            assert got == want
+            cancelled += not want
+            if rank == 1:
+                assert got == {(0, e): c
+                               for e, c in normal_form(moved[0], [b[0] for b in basis],
+                                                       cap).terms.items()}
+            else:
+                assert module_normal_form(moved, basis, shifts, cap) == \
+                    VecPoly(ring, rank, want, shifts).to_polys()
+    if basis:
+        assert cancelled >= 20
+    assert len(table._nf) > 20  # the table was reused, not rebuilt
+
+
+@pytest.mark.parametrize("p", [0, P])
+@pytest.mark.parametrize("setting, ring_cap", [(LOCAL, 6), (GRADED, None)])
+def test_normal_form_against_an_empty_basis_is_the_truncation(p, setting, ring_cap):
+    ring = Ring(["x", "y", "z"], Field(p), setting, cap=ring_cap)
+    for seed in range(30):
+        rng = random.Random(seed)
+        f = _vec(rng, ring, (0,), rng.randint(0, 8), 6).to_polys()[0]
+        for cap in (None, 3, 6, 9):
+            want = _reduce(_Tracked(VecPoly.from_polys([f]), []), {}, cap).vec.to_polys()[0]
+            got = normal_form(f, [], cap)
+            assert got == want and got.ring is ring
