@@ -5,11 +5,20 @@ for F_p); a Field object bundles the arithmetic.  No floating point
 anywhere.
 
 The inner loops of the Groebner, echelon and spectral code call a field
-once per entry, so `add`, `sub`, `mul` and `neg` are bound once per field
-(the `operator` functions over QQ, `% p` closures over F_p) instead of
-testing the characteristic on every call, `zero` and `one` are constants,
-and `axpy` and `scale` update a whole dense row in one call.  A field
-pickles as its characteristic.
+once per entry, so the operations are bound once per field instead of
+testing the characteristic on every call: `add`, `sub`, `mul`, `neg`,
+`inv` and `div`, the multiply-accumulate `submul(a, f, b)` = a - f*b,
+and the row updates `axpy` and `scale`; `zero` and `one` are constants.
+A field pickles as its characteristic.
+
+Over QQ, `submul`, `axpy`, `scale`, `inv` and `div` work on numerators
+and denominators as integers (Knuth, TAOCP vol. 2, 4.5.1): an updated
+entry is one cross-multiplication and one `Fraction(n, d)`, which
+normalises by a single gcd, instead of a `Fraction` product, a
+`Fraction` difference and the operator dispatch of each.  Every written
+entry is still one new `Fraction`, zeros and unchanged entries included,
+so a row update leaves as many live objects behind as the plain
+operators did.
 
 Characteristics are decided prime by Miller-Rabin on the first 13 prime
 bases, which is exact below 3.3 * 10^24; larger ones are rejected.
@@ -59,16 +68,39 @@ def _is_prime(n):
     return True
 
 
+def _rational_submul(a, f, b):
+    ad, d = a.denominator, f.denominator * b.denominator
+    return Fraction(a.numerator * d - f.numerator * b.numerator * ad, ad * d)
+
+
 def _rational_axpy(xs, f, ys):
-    return [x - f * y for x, y in zip(xs, ys)]
+    fn, fd = f.numerator, f.denominator
+    out = []
+    for x, y in zip(xs, ys):
+        xd, d = x.denominator, fd * y.denominator
+        out.append(Fraction(x.numerator * d - fn * y.numerator * xd, xd * d))
+    return out
 
 
 def _rational_scale(f, xs):
-    return [f * x for x in xs]
+    fn, fd = f.numerator, f.denominator
+    return [Fraction(fn * x.numerator, fd * x.denominator) for x in xs]
+
+
+def _rational_inv(a):
+    if not a:
+        raise ZeroDivisionError("field inverse of zero")
+    return Fraction(a.denominator, a.numerator)
+
+
+def _rational_div(a, b):
+    if not b:
+        raise ZeroDivisionError("field inverse of zero")
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
 
 def _prime_ops(p):
-    """add, sub, mul, neg, axpy and scale of F_p."""
+    """add, sub, mul, neg, inv, div, submul, axpy and scale of F_p."""
 
     def add(a, b):
         return (a + b) % p
@@ -82,19 +114,31 @@ def _prime_ops(p):
     def neg(a):
         return -a % p
 
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("field inverse of zero")
+        return pow(a, p - 2, p)
+
+    def div(a, b):
+        return a * inv(b) % p
+
+    def submul(a, f, b):
+        return (a - f * b) % p
+
     def axpy(xs, f, ys):
         return [(x - f * y) % p for x, y in zip(xs, ys)]
 
     def scale(f, xs):
         return [f * x % p for x in xs]
 
-    return add, sub, mul, neg, axpy, scale
+    return add, sub, mul, neg, inv, div, submul, axpy, scale
 
 
 class Field:
     """Exact field of characteristic 0 (QQ) or p (F_p, p prime).
 
-    `axpy(xs, f, ys)` is the row xs - f*ys and `scale(f, xs)` the row f*xs.
+    `submul(a, f, b)` is the scalar a - f*b, `axpy(xs, f, ys)` the row
+    xs - f*ys and `scale(f, xs)` the row f*xs.
     """
 
     def __init__(self, characteristic=0):
@@ -103,6 +147,7 @@ class Field:
             self.zero, self.one = Fraction(0), Fraction(1)
             self.add, self.sub = operator.add, operator.sub
             self.mul, self.neg = operator.mul, operator.neg
+            self.inv, self.div, self.submul = _rational_inv, _rational_div, _rational_submul
             self.axpy, self.scale = _rational_axpy, _rational_scale
         elif characteristic >= MAX_CHARACTERISTIC:
             raise FieldError("characteristic %d is too large: primality is decided "
@@ -110,8 +155,8 @@ class Field:
         elif _is_prime(characteristic):
             self.kind = "prime-field"
             self.zero, self.one = 0, 1
-            (self.add, self.sub, self.mul, self.neg,
-             self.axpy, self.scale) = _prime_ops(characteristic)
+            (self.add, self.sub, self.mul, self.neg, self.inv, self.div,
+             self.submul, self.axpy, self.scale) = _prime_ops(characteristic)
         else:
             raise FieldError("characteristic must be 0 or prime, got %r" % (characteristic,))
         self.char = characteristic
@@ -139,18 +184,6 @@ class Field:
             den = n.denominator % self.char
             return self.div(num, den)
         return n % self.char
-
-    # arithmetic ------------------------------------------------------------
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("field inverse of zero")
-        if self.char == 0:
-            return Fraction(1) / a
-        return pow(a, self.char - 2, self.char)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     # parsing / printing ----------------------------------------------------
 

@@ -267,8 +267,9 @@ class FilteredComplex:
             for col in self.diffs[i]:
                 s = {}
                 for t, x in col.items():
+                    x = fld.neg(x)
                     for r, y in a[t].items():
-                        s[r] = fld.add(s.get(r, zero), fld.mul(y, x))
+                        s[r] = fld.submul(s.get(r, zero), x, y)
                 if any(s.values()):
                     raise LiftError("d o d nonzero in the filtered complex at degree %d" % i)
 

@@ -168,7 +168,7 @@ def _reduce(f, leads, cap=None):
         return _Tracked(VecPoly(ring, vec.rank, terms, shifts), f.expr)
     ecap = cap if ring.cap is None else min(cap, ring.cap)
     fld = ring.field
-    sub, mul, zero = fld.sub, fld.mul, fld.zero
+    submul, zero = fld.submul, fld.zero
     desc = ring.order.descending_key
     heap = [(desc(e), row, (row, e)) for row, e in terms]
     heapq.heapify(heap)
@@ -193,7 +193,7 @@ def _reduce(f, leads, cap=None):
                 continue
             key = (grow, ee)
             old = terms.get(key)
-            v = sub(zero if old is None else old, mul(coeff, gc))
+            v = submul(zero if old is None else old, coeff, gc)
             if v:
                 if old is None:
                     heapq.heappush(heap, (desc(ee), grow, key))
@@ -205,7 +205,7 @@ def _reduce(f, leads, cap=None):
                 ee = tuple(map(operator.add, be, exps))
                 if ecap is not None and sum(ee) > ecap:
                     continue
-                v = sub(a.get(ee, zero), mul(coeff, bc))
+                v = submul(a.get(ee, zero), coeff, bc)
                 if v:
                     a[ee] = v
                 else:
@@ -428,15 +428,16 @@ class NormalFormTable:
         """NF(x^mono * vec) as {(row, e): nonzero c}, for vec a list of
         polynomials, one per row."""
         fld = self.ring.field
-        add, mul, zero = fld.add, fld.mul, fld.zero
+        neg, submul, zero = fld.neg, fld.submul, fld.zero
         monomial = self.monomial
         out = {}
         for row, p in enumerate(vec):
             for e, c in p.terms.items():
                 if mono is not None:
                     e = tuple(map(operator.add, e, mono))
+                c = neg(c)
                 for k, x in monomial(row, e):
-                    v = add(out.get(k, zero), mul(c, x))
+                    v = submul(out.get(k, zero), c, x)
                     if v:
                         out[k] = v
                     else:
@@ -695,24 +696,16 @@ def graded_piece_basis(ring, j):
 
 
 def _quotient_lm(ring):
-    cached = getattr(ring, "_quotient_lm_cache", None)
-    if cached is not None:
-        return cached
-    if not ring.quotient:
-        lm = []
-    else:
-        lm = leading_monomial_ideal(IdealPresentation(ring, ring.quotient))
-    ring._quotient_lm_cache = lm
-    return lm
+    if ring._quotient_lm_cache is None:
+        ring._quotient_lm_cache = (leading_monomial_ideal(IdealPresentation(ring, ring.quotient))
+                                   if ring.quotient else [])
+    return ring._quotient_lm_cache
 
 
 def quotient_groebner(ring):
-    """Reduced Groebner basis of the ring's quotient ideal (cached)."""
-    cached = getattr(ring, "_quotient_gb_cache", None)
-    if cached is not None:
-        return cached
-    gb = []
-    if ring.quotient:
-        gb = groebner_basis(IdealPresentation(ring, ring.quotient))
-    ring._quotient_gb_cache = gb
-    return gb
+    """Reduced Groebner basis of the ring's quotient ideal, memoised on the
+    ring at first use."""
+    if ring._quotient_gb_cache is None:
+        ring._quotient_gb_cache = (groebner_basis(IdealPresentation(ring, ring.quotient))
+                                   if ring.quotient else [])
+    return ring._quotient_gb_cache

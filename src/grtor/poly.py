@@ -54,6 +54,10 @@ class Ring:
             for q in self.quotient:
                 if setting == GRADED and not q.is_homogeneous():
                     raise RingError("graded quotient generator %s is not homogeneous" % q)
+        # the quotient's Groebner basis and lead monomials, computed on first
+        # use by groebner.quotient_groebner and groebner.graded_piece_basis
+        self._quotient_gb_cache = None
+        self._quotient_lm_cache = None
 
     @property
     def nvars(self):
@@ -204,12 +208,14 @@ class Polynomial:
         fld = self.ring.field
         cap = self.ring.cap
         terms = {}
+        submul, zero = fld.submul, fld.zero
         for e1, c1 in self.terms.items():
+            c1 = fld.neg(c1)
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 if cap is not None and sum(e) > cap:
                     continue
-                s = fld.add(terms.get(e, fld.zero), fld.mul(c1, c2))
+                s = submul(terms.get(e, zero), c1, c2)
                 if s:
                     terms[e] = s
                 else:

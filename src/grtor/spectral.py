@@ -80,7 +80,7 @@ def _pairing(L):
                     break
                 f = field.div(col[p], other[p])
                 for r, x in other.items():
-                    v = field.sub(col.get(r, field.zero), field.mul(f, x))
+                    v = field.submul(col.get(r, field.zero), f, x)
                     if v:
                         col[r] = v
                     else:
@@ -358,8 +358,8 @@ def random_filtered_complex(seed, i_max=3, max_dim=8, max_level=6,
 
 
 def sum_mul(field, a, b, r, c):
-    s = field.zero
+    s = field.zero  # accumulates minus the entry, with submul's sign
     for t in range(len(b)):
         if a[r][t] and b[t][c]:
-            s = field.add(s, field.mul(a[r][t], b[t][c]))
-    return s
+            s = field.submul(s, a[r][t], b[t][c])
+    return field.neg(s)

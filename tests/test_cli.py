@@ -360,6 +360,30 @@ def test_check_theorem_n_equal_r(tmp_path, capsys):
     assert {i for i, _, _ in payload["page1"]["terms"]} == {0}
 
 
+
+@pytest.mark.parametrize("variables, m_gens, n_gens, jmax", [
+    ("X Y", "X^2 - Y^3", "X^2 - Y^5", "20"),
+    ("X Y Z", "X^2 - Y^3, Y^2 - Z^3", "X + Y^2 + Z^2", "8"),
+    ("a b c d", "a^2 + b^3, b^2 - c^3 + d^4, c*d - a^3", "a - b^2, c", "8"),
+], ids=["cusps", "three", "l4"])
+def test_check_theorem_agrees_over_qq_and_fp(tmp_path, capsys, variables, m_gens, n_gens,
+                                             jmax):
+    # on these integer ideals the answer does not depend on the characteristic,
+    # so a fault in the QQ or the F_p arithmetic alone shows as a mismatch
+    job = tmp_path / "pair.job"
+    job.write_text("[ring]\nvariables = %s\nsetting = local\n\n[module M]\nideal = %s\n\n"
+                   "[module N]\nideal = %s\n" % (variables, m_gens, n_gens))
+    keys = ("page1", "page_infinity", "certificate", "verdict")
+    results = []
+    for field in ([], ["--char", "32003"]):
+        code, out, err = run_cli(capsys, ["check-theorem", str(job), "--jmax", jmax,
+                                          "--format", "json"] + field)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        results.append({k: payload[k] for k in keys})
+    assert results[0] == results[1]
+    assert results[0]["verdict"] == "PASS"
+
 def _permuted_outputs(tmp_path, capsys, command, setting, jobs, argv):
     """Outputs of one command on each (variables, M, N) of `jobs`."""
     outs = []

@@ -25,8 +25,13 @@ BIG_PRIME = 1000000000000000003
 
 
 def _element(rng, p):
+    """A random field element; over QQ small or above 2^64 in numerator
+    and denominator, of either sign."""
     if p == 0:
-        return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+        big = 2 ** 64
+        num = rng.choice([rng.randint(-50, 50), rng.randint(big, big ** 2)])
+        den = rng.choice([rng.randint(1, 12), rng.randint(big, big ** 2)])
+        return Fraction(rng.choice([-1, 1]) * num, den)
     return rng.randrange(p)
 
 
@@ -38,23 +43,43 @@ def test_bound_operations_match_plain_arithmetic(p):
     def plain(x):
         return Fraction(x) if p == 0 else x % p
 
+    def same(got, want):
+        """got is the field's canonical form of want: over QQ the exact
+        reduced (numerator, denominator) pair, with a positive denominator."""
+        if type(got) is not kind:
+            return False
+        if p:
+            return got == want % p
+        want = Fraction(want)
+        return got.denominator > 0 and (got.numerator, got.denominator) == (
+            want.numerator, want.denominator)
+
     rng = random.Random(p)
     assert (F.zero, F.one) == (0, 1)
     assert type(F.zero) is kind and type(F.one) is kind
     for _ in range(300):
         a, b, f = _element(rng, p), _element(rng, p), _element(rng, p)
+        if rng.random() < 0.2:
+            a = plain(f * b)  # the multiply-accumulate cancels to zero
         for got, want in ((F.add(a, b), a + b), (F.sub(a, b), a - b),
-                          (F.mul(a, b), a * b), (F.neg(a), -a)):
-            assert got == plain(want) and type(got) is kind
+                          (F.mul(a, b), a * b), (F.neg(a), -a), (F.submul(a, f, b), a - f * b)):
+            assert same(got, want)
             if p:
                 assert 0 <= got < p
+        if b:
+            inv = Fraction(1, b) if p == 0 else pow(b, -1, p)
+            assert same(F.inv(b), inv) and same(F.div(a, b), a * inv)
         xs = [_element(rng, p) for _ in range(rng.randint(0, 6))]
         ys = [_element(rng, p) for _ in xs]
+        xs = [plain(f * y) if rng.random() < 0.2 else x for x, y in zip(xs, ys)]
         axpy, scale = F.axpy(xs, f, ys), F.scale(f, xs)
-        assert axpy == [plain(x - f * y) for x, y in zip(xs, ys)]
-        assert scale == [plain(f * x) for x in xs]
-        assert all(type(x) is kind for x in axpy + scale)
+        assert len(axpy) == len(scale) == len(xs)
+        assert all(same(got, x - f * y) for got, x, y in zip(axpy, xs, ys))
+        assert all(same(got, f * x) for got, x in zip(scale, xs))
         assert xs == [plain(x) for x in xs]  # the inputs are left alone
+    for op in (F.inv, lambda a: F.div(F.one, a)):
+        with pytest.raises(ZeroDivisionError, match="field inverse of zero"):
+            op(F.zero)
 
 
 def test_primality_is_exact_below_the_limit():
