@@ -357,6 +357,30 @@ class FilteredComplex:
                    truncated_at=(j_max if truncated else None))
 
 
+def tensor_complex(shifts, diffs, nf, basis_n, j_max):
+    """Levels and sparse columns of F (x) N cut at level j_max.
+
+    F is a complex of free modules: shifts[i] are the shifts of F_i and
+    diffs[i] the matrix of F_i -> F_{i-1} (diffs[0] unused).  N is given
+    by its table of normal forms `nf` and a list `basis_n` of the keys
+    (row, e) of its standard terms.  The basis of each L_i is (b, key) at
+    level shift_b + deg key, kept within 0..j_max; the differential reads
+    each column off `nf.column`, which drops the terms past j_max.
+    """
+    degree = {key: nf.shifts[key[0]] + sum(key[1]) for key in basis_n}
+    bases = [[(b, key) for b, s in enumerate(term) for key in basis_n
+              if 0 <= s + degree[key] <= j_max] for term in shifts]
+    levels = [[shifts[i][b] + degree[key] for b, key in basis]
+              for i, basis in enumerate(bases)]
+    cols = [None]
+    for i in range(1, len(shifts)):
+        index = {key: n for n, key in enumerate(bases[i - 1])}
+        d = diffs[i]
+        cols.append([nf.column([row[b] for row in d], key, index, shifts[i - 1], j_max)
+                     for b, key in bases[i]])
+    return levels, cols
+
+
 def filtered_tensor(fres, n_ideal, j_max):
     """L = F (x)_R N truncated at internal degree j_max, where N = R/n_ideal
     carries the m-adic filtration (n_ideal empty/None means N = R).
@@ -366,10 +390,9 @@ def filtered_tensor(fres, n_ideal, j_max):
     matrix entries, then the full normal form in N/m^{j_max+1}N against a
     standard basis of N (k-linear, since that basis is valid to the cap
     >= j_max; read off one table of monomial normal forms), and drops the
-    terms whose level passes j_max.
+    terms whose level passes j_max (`tensor_complex`).
     """
     ring = fres.ring
-    field = ring.field
     cap = fres.cap
     if j_max > cap:
         raise CapExceededError("tensor truncation %d exceeds the resolution cap %d" % (j_max, cap))
@@ -386,48 +409,16 @@ def filtered_tensor(fres, n_ideal, j_max):
         layer = standard_monomials(lm, ring.nvars, d)
         if not layer and n_finite_top is None:
             n_finite_top = d - 1
-        basis_n.extend(layer)
+        basis_n.extend((0, u) for u in layer)
 
-    levels = []
-    bases = []
-    for i in range(len(fres.shifts)):
-        term = []
-        for b, s in enumerate(fres.shifts[i]):
-            for u in basis_n:
-                if s + sum(u) <= j_max:
-                    term.append((b, u))
-        bases.append(term)
-        levels.append([fres.shifts[i][b] + sum(u) for (b, u) in term])
-
-    index = [{key: k for k, key in enumerate(term)} for term in bases]
-
-    diffs = [None]
-    for i in range(1, len(fres.shifts)):
-        cols = []
-        for (b, u) in bases[i]:
-            col = {}
-            for a, shift in enumerate(fres.shifts[i - 1]):
-                p = fres.diffs[i][a][b]
-                if p.is_zero():
-                    continue
-                for (_, e), c in nf([p], u).items():
-                    if shift + sum(e) > j_max:
-                        continue  # past the truncation
-                    row = index[i - 1].get((a, e))
-                    if row is None:
-                        raise LiftError("tensor term (%d, %s) of d_%d is not a standard "
-                                        "monomial of N" % (a, e, i))
-                    col[row] = c
-            cols.append(col)
-        diffs.append(cols)
-
+    levels, diffs = tensor_complex(fres.shifts, fres.diffs, nf, basis_n, j_max)
     bound = max((max(s, default=0) for s in fres.shifts), default=0)
     # when N is finite dimensional and everything fits under j_max, nothing
     # was cut: the complex is exact, not a truncation
     truncated_at = j_max
     if n_finite_top is not None and bound + n_finite_top <= j_max:
         truncated_at = None
-    return FilteredComplex(field, levels, diffs, j_max, truncated_at=truncated_at,
+    return FilteredComplex(ring.field, levels, diffs, j_max, truncated_at=truncated_at,
                            stability_bound=bound)
 
 
@@ -451,8 +442,9 @@ class GrComplex:
         return idx, mats
 
     def homology_series(self):
-        """Homology dimensions of every strand: equals page 1 of the
-        spectral sequence (independent code path)."""
+        """Homology dimensions of every strand: page 1 of the spectral
+        sequence (a code path apart from the pairing), and graded Tor
+        when the complex is a graded tensor complex (`tor_series`)."""
         from .linalg import rank
         L = self.complex
         out = BigradedSeries(L.i_max, L.j_max)

@@ -385,10 +385,9 @@ def module_groebner_basis(ring, columns, shifts=None, cap=None):
 def module_normal_form(vec, basis, shifts=None, cap=None):
     """Fully reduced normal form of a vector of polynomials against module
     basis vectors, below the cap as in `normal_form`."""
-    ring = vec[0].ring
     shifts = tuple(shifts) if shifts is not None else (0,) * len(vec)
-    terms = NormalFormTable(ring, basis, shifts, cap)(vec)
-    return VecPoly(ring, len(vec), terms, shifts).to_polys()
+    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts), []) for b in basis])
+    return _reduce(_Tracked(VecPoly.from_polys(list(vec), shifts), []), leads, cap).vec.to_polys()
 
 
 class NormalFormTable:
@@ -424,25 +423,44 @@ class NormalFormTable:
             self._nf[key] = nf
         return nf
 
-    def __call__(self, vec, mono=None):
-        """NF(x^mono * vec) as {(row, e): nonzero c}, for vec a list of
-        polynomials, one per row."""
+    def __call__(self, p, key):
+        """NF(p * x^e e_row) as {(row', e'): nonzero c}, for key = (row, e)."""
         fld = self.ring.field
         neg, submul, zero = fld.neg, fld.submul, fld.zero
         monomial = self.monomial
+        row, mono = key
         out = {}
-        for row, p in enumerate(vec):
-            for e, c in p.terms.items():
-                if mono is not None:
-                    e = tuple(map(operator.add, e, mono))
-                c = neg(c)
-                for k, x in monomial(row, e):
-                    v = submul(out.get(k, zero), c, x)
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
+        for e, c in p.terms.items():
+            e = tuple(map(operator.add, e, mono))
+            c = neg(c)
+            for k, x in monomial(row, e):
+                v = submul(out.get(k, zero), c, x)
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
         return out
+
+    def column(self, polys, key, index, shifts, top):
+        """The sparse column {index[(a, k)]: c} of sum_a polys[a] (x) x^e e_row
+        for key = (row, e): the term k of NF(polys[a] * x^e e_row) sits in
+        component a, at level shifts[a] + deg k.  A term whose level passes
+        `top` is dropped (past a truncation); any other must be in `index`."""
+        row_shifts = self.shifts
+        col = {}
+        for a, p in enumerate(polys):
+            if not p.terms:
+                continue
+            s = shifts[a]
+            for k, c in self(p, key).items():
+                if s + row_shifts[k[0]] + sum(k[1]) > top:
+                    continue
+                n = index.get((a, k))
+                if n is None:
+                    raise GroebnerError("term %r of component %d lies outside the basis"
+                                        % (k, a))
+                col[n] = c
+        return col
 
 
 def _minimal_leads(items, lead):

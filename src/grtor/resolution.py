@@ -14,7 +14,7 @@ from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, VecPo
                        graded_piece_basis, module_groebner_basis, normal_form,
                        quotient_groebner, standard_monomials, syzygies)
 from .fields import GrtorError
-from .linalg import ColumnEchelon, rank, solve
+from .linalg import ColumnEchelon, solve
 from .poly import GRADED
 from .series import BigradedSeries
 
@@ -35,6 +35,7 @@ class Strands:
     def __init__(self, ring):
         self.ring = ring
         self._nf = NormalFormTable(ring, [[g] for g in quotient_groebner(ring)])
+        self._one = (0,) * ring.nvars
         self._pieces = {}
 
     def piece(self, j):
@@ -45,21 +46,19 @@ class Strands:
         return basis
 
     def free_basis(self, shifts, degree):
-        """Basis [(col, monomial)] of the degree-`degree` piece of ⊕ G(-shifts)."""
-        return [(col, mono) for col, s in enumerate(shifts) for mono in self.piece(degree - s)]
+        """Basis [(col, (0, monomial))] of the degree-`degree` piece of
+        ⊕ G(-shifts): the keys of the tensor complex of ⊕ G(-shifts) with G."""
+        return [(col, (0, mono)) for col, s in enumerate(shifts)
+                for mono in self.piece(degree - s)]
 
-    def coords(self, vec, index, mono=None):
-        """Coordinates on a strand basis of x^mono * vec (vec a homogeneous
-        vector of polynomials), reduced modulo the quotient."""
+    def coords(self, vec, index, shifts, degree, mono=None):
+        """Coordinates of x^mono * vec, reduced modulo the quotient, on the
+        strand basis `index` of the degree-`degree` piece of ⊕ G(-shifts);
+        vec is a homogeneous vector of polynomials."""
         coords = [self.ring.field.zero] * len(index)
-        for row, p in enumerate(vec):
-            if p.is_zero():
-                continue
-            for (_, e), c in self._nf([p], mono).items():
-                n = index.get((row, e))
-                if n is None:
-                    raise ResolutionError("vector has a term %r outside the strand" % ((row, e),))
-                coords[n] = c
+        key = (0, self._one if mono is None else mono)
+        for n, c in self._nf.column(vec, key, index, shifts, degree).items():
+            coords[n] = c
         return coords
 
     def matrix(self, rows, src_shifts, dst_shifts, degree):
@@ -71,7 +70,8 @@ class Strands:
         """
         src = self.free_basis(src_shifts, degree)
         dst_index = {key: n for n, key in enumerate(self.free_basis(dst_shifts, degree))}
-        cols = [self.coords([row[scol] for row in rows], dst_index, mono) for scol, mono in src]
+        cols = [self.coords([row[scol] for row in rows], dst_index, dst_shifts, degree, mono)
+                for scol, (_, mono) in src]
         matrix = [[col[i] for col in cols] for i in range(len(dst_index))]
         return matrix, src, dst_index
 
@@ -85,14 +85,14 @@ def strand_solve(strands, rows, src_shifts, dst_shifts, target, degree):
     """
     ring = strands.ring
     matrix, src, dst_index = strands.matrix(rows, src_shifts, dst_shifts, degree)
-    rhs = strands.coords(target, dst_index)
+    rhs = strands.coords(target, dst_index, dst_shifts, degree)
     if not src:
         return None if any(rhs) else [ring.zero() for _ in src_shifts]
     sol = solve(ring.field, matrix, rhs) if matrix else (None if any(rhs) else [])
     if sol is None:
         return None
     out = [ring.zero() for _ in src_shifts]
-    for coeff, (col, mono) in zip(sol, src):
+    for coeff, (col, (_, mono)) in zip(sol, src):
         if coeff:
             out[col] = out[col] + ring.monomial(mono, coeff)
     return out
@@ -102,23 +102,21 @@ def strand_solve(strands, rows, src_shifts, dst_shifts, target, degree):
 
 
 class GradedModulePieces:
-    """Degreewise k-bases of a presented graded module with multiplication.
+    """Degreewise k-bases of a presented graded module, and its table of
+    normal forms.
 
     Over the polynomial cover F = ⊕ k[x](-shift), the module is F modulo
     the relations and the quotient multiples q·e_a.  One Groebner basis of
     that submodule, truncated at degree j_max (exact in every degree <=
     j_max, since the input is homogeneous), gives the basis of each piece
     (Macaulay): the standard terms (col, mono) of internal degree d, those
-    that no lead term of the same row divides.  Multiplication takes the
-    normal form of p·mono·e_col, from one table of monomial normal forms
-    per object, and reads its coefficients off by index.
+    that no lead term of the same row divides.  One table of monomial
+    normal forms against that basis multiplies; `tor_series` hands it to
+    the tensor builder.
     """
 
     def __init__(self, module, j_max):
-        self.module = module
-        self.ring = ring = module.ring
-        self.j_max = j_max
-        self.field = ring.field
+        ring = module.ring
         shifts = module.column_degrees
         cols = [list(rel) for rel in module.relations]
         cols += [[q if b == a else ring.zero() for b in range(len(shifts))]
@@ -132,39 +130,21 @@ class GradedModulePieces:
                 (col, mono) for col, s in enumerate(shifts) if s <= d
                 for mono in standard_monomials([e for row, e in leads if row == col],
                                                ring.nvars, d - s)]
-        self._index = {d: {key: n for n, key in enumerate(basis)}
-                       for d, basis in self._basis.items()}
 
     def dim(self, d):
         return len(self._basis.get(d, ()))
-
-    def multiply_matrix(self, p, d_src):
-        """Matrix of multiplication by the homogeneous polynomial p from the
-        degree-d_src piece to the degree-(d_src + deg p) piece."""
-        src = self._basis.get(d_src, [])
-        index = self._index.get(d_src + p.degree(), {})
-        matrix = [[self.field.zero] * len(src) for _ in index]
-        if p.is_zero() or not index:
-            return matrix
-        zero = self.ring.zero()
-        for n, (col, mono) in enumerate(src):
-            vec = [zero] * len(self.module.column_degrees)
-            vec[col] = p
-            for key, c in self._nf(vec, mono).items():
-                matrix[index[key]][n] = c
-        return matrix
 
 
 # --- submodule spans and minimal generators ------------------------------------
 
 
-def _submodule_echelon(strands, chosen, degree, free_index):
+def _submodule_echelon(strands, chosen, shifts, degree, free_index):
     """Echelon of the degree-`degree` span of the submodule generated by
     `chosen` (list of (vector, internal degree)) on a free strand basis."""
     ech = ColumnEchelon(strands.ring.field, range(len(free_index)))
     for vec, vdeg in chosen:
         for mono in strands.piece(degree - vdeg):
-            ech.add(strands.coords(vec, free_index, mono))
+            ech.add(strands.coords(vec, free_index, shifts, degree, mono))
     return ech
 
 
@@ -189,8 +169,8 @@ def minimal_generators(ring, columns, row_shifts):
         if vdeg != d:
             d = vdeg
             free_index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
-            ech = _submodule_echelon(strands, chosen, d, free_index)
-        coords = strands.coords(vec, free_index)
+            ech = _submodule_echelon(strands, chosen, row_shifts, d, free_index)
+        coords = strands.coords(vec, free_index, row_shifts, d)
         if ech.add(coords) is not None:
             chosen.append((vec, vdeg))
     return chosen
@@ -388,69 +368,23 @@ def betti_series(res, i_max=None, j_max=None):
 
 def tor_series(mM, mN, i_max, j_max):
     """Bigraded Hilbert series of Tor^G(M, N): resolve M minimally, tensor
-    with N over G, take homology one internal degree at a time."""
+    with N over G, take homology one internal degree at a time.
+
+    F (x) N comes from `tensor_complex`, the builder of `filtered_tensor`,
+    with level = internal degree: every differential preserves it, so the
+    complex is exact and its strand homology is Tor."""
+    from .filtered import FilteredComplex, gr_complex, tensor_complex
     if not mM.ring.compatible(mN.ring) or tuple(
             str(q) for q in mM.ring.quotient) != tuple(str(q) for q in mN.ring.quotient):
         raise ResolutionError("modules must be presented over the same ring")
-    ring = mM.ring
-    field = ring.field
     res = minimal_resolution(mM, i_max + 1)
     pieces = GradedModulePieces(mN, j_max)
-
-    out = BigradedSeries(i_max, j_max)
-    for deg in range(0, j_max + 1):
-        spaces = {}
-        for i in range(0, min(res.length, i_max + 1) + 1):
-            basis = []
-            for b, s in enumerate(res.shifts[i]):
-                nd = pieces.dim(deg - s)
-                basis.extend((b, w) for w in range(nd))
-            spaces[i] = basis
-
-        def matrix_for(i):
-            src = spaces.get(i, [])
-            dst = spaces.get(i - 1, [])
-            if not src or not dst:
-                return None
-            dst_offsets = {}
-            off = 0
-            for a, s in enumerate(res.shifts[i - 1]):
-                dst_offsets[a] = off
-                off += pieces.dim(deg - s)
-            cols = []
-            mats = {}
-            for (b, w) in src:
-                col = [field.zero] * len(dst)
-                sb = res.shifts[i][b]
-                for a, sa in enumerate(res.shifts[i - 1]):
-                    p = res.diffs[i][a][b]
-                    if p.is_zero():
-                        continue
-                    key = (i, a, b)
-                    if key not in mats:
-                        mats[key] = pieces.multiply_matrix(p, deg - sb)
-                    block = mats[key]
-                    for r in range(len(block)):
-                        if block[r][w]:
-                            col[dst_offsets[a] + r] = field.add(
-                                col[dst_offsets[a] + r], block[r][w])
-                cols.append(col)
-            return [[cols[j][i2] for j in range(len(cols))] for i2 in range(len(dst))]
-
-        ranks = {}
-        for i in range(1, min(res.length, i_max + 1) + 1):
-            m = matrix_for(i)
-            ranks[i] = rank(field, m) if m else 0
-        for i in range(0, i_max + 1):
-            dim_i = len(spaces.get(i, []))
-            if dim_i == 0:
-                continue
-            h = dim_i - ranks.get(i, 0) - ranks.get(i + 1, 0)
-            if h < 0:
-                raise ResolutionError("negative homology dimension; resolution is broken")
-            if h:
-                out._set(i, deg, h)
-    return out
+    basis_n = [key for d in range(j_max + 1) for key in pieces._basis[d]]
+    top = min(res.length, i_max + 1) + 1
+    levels, diffs = tensor_complex(res.shifts[:top], res.diffs[:top], pieces._nf, basis_n, j_max)
+    homology = gr_complex(FilteredComplex(mM.ring.field, levels, diffs, j_max)).homology_series()
+    return BigradedSeries(i_max, j_max, {c: h for c, h in homology.coefficients.items()
+                                         if c[0] <= i_max})
 
 
 def tor_symmetry_check(mM, mN, i_max, j_max):

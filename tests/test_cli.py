@@ -218,6 +218,38 @@ def test_window_exhaustion_exit_code(pair_job, capsys):
     assert code2 == 3
 
 
+@pytest.mark.parametrize("key, value", [("cap", "abc"), ("jmax", "1.5")])
+def test_non_integer_bound_is_one_line_usage_error(tmp_path, capsys, key, value):
+    job = tmp_path / "b.job"
+    job.write_text(PAIR_JOB + "%s = %s\n" % (key, value))
+    code, out, err = run_cli(capsys, ["check-theorem", str(job)])
+    assert code == 1 and not out
+    assert err.startswith("error:") and err.count("\n") == 1 and key in err
+
+
+def test_job_file_bounds_apply_and_flags_override_them(tmp_path, capsys):
+    plain = tmp_path / "plain.job"
+    plain.write_text(PAIR_JOB.split("[bounds]")[0])
+    bounded = tmp_path / "bounded.job"
+    bounded.write_text(PAIR_JOB.replace("jmax = 12", "jmax = 8"))
+
+    def run(job, *flags):
+        code, out, _ = run_cli(capsys, ["check-theorem", str(job), "--format", "json",
+                                        "--imax", "2"] + list(flags))
+        assert code == 0
+        return out
+
+    assert run(bounded) == run(plain, "--jmax", "8")
+    assert run(bounded, "--jmax", "10") == run(plain, "--jmax", "10") != run(plain, "--jmax", "8")
+    # imax and cap come from the file too: a cap below jmax exhausts the window
+    job = tmp_path / "cap.job"
+    job.write_text(PAIR_JOB + "cap = 5\n")
+    assert run_cli(capsys, ["check-theorem", str(job)])[0] == 3
+    for job, i_max in ((bounded, 2), (plain, 6)):
+        out = run_cli(capsys, ["check-theorem", str(job), "--format", "json"])[1]
+        assert json.loads(out)["tor_graded"]["imax"] == i_max
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["gr", "/nonexistent/path.job"])
     assert code == 1
@@ -383,6 +415,45 @@ def test_check_theorem_agrees_over_qq_and_fp(tmp_path, capsys, variables, m_gens
         results.append({k: payload[k] for k in keys})
     assert results[0] == results[1]
     assert results[0]["verdict"] == "PASS"
+
+def _finite_length_ideal(rng):
+    """Generators of a seeded ideal of k[[X, Y]] of finite colength: its
+    initial ideal holds X^a and Y^b (or Y^b + c X Y)."""
+    a, b = rng.randint(2, 4), rng.randint(2, 5)
+    c = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(2)]
+    gens = ["X^%d + %d*Y^%d" % (a, c[0], rng.randint(a + 1, 6)),
+            "Y^%d + %d*X^%d*Y" % (b, c[1], rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        gens.append("X*Y^%d" % rng.randint(1, 2))
+    return ", ".join(gens)
+
+
+def test_check_theorem_tor_balance(tmp_path, capsys):
+    # Tor^R(M, N) = Tor^R(N, M) and Tor^G(gr M, gr N) = Tor^G(gr N, gr M):
+    # a second resolution, tensor complex and pairing must give the same
+    # pages 1 and infinity wherever neither run flags a cell
+    checked = nonempty = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        pair = (_finite_length_ideal(rng), _finite_length_ideal(rng))
+        runs = []
+        for m_gens, n_gens in (pair, pair[::-1]):
+            job = tmp_path / "balance.job"
+            job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n[module M]\n"
+                           "ideal = %s\n\n[module N]\nideal = %s\n" % (m_gens, n_gens))
+            code, out, err = run_cli(capsys, ["check-theorem", str(job), "--jmax", "14",
+                                              "--char", "32003", "--format", "json"])
+            assert code in (0, 2, 3) and (out or err), (seed, code, err)
+            runs.append(json.loads(out) if code in (0, 2) else None)
+        if None in runs or any(r["page_infinity_indeterminate"] or r["boundary_indeterminate"]
+                               for r in runs):
+            continue
+        checked += 1
+        nonempty += bool(runs[0]["certificate"])
+        for key in ("page1", "page_infinity"):
+            assert runs[0][key] == runs[1][key], (seed, key, pair)
+    assert checked >= 20 and nonempty >= 1
+
 
 def _permuted_outputs(tmp_path, capsys, command, setting, jobs, argv):
     """Outputs of one command on each (variables, M, N) of `jobs`."""

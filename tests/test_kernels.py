@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from grtor.fields import MAX_CHARACTERISTIC, QQ, Field, FieldError, _is_prime
-from grtor.groebner import (IdealPresentation, NormalFormTable, VecPoly, _buchberger, _divides,
-                            _leads, _reduce, _Tracked, groebner_basis, module_groebner_basis,
-                            module_normal_form, normal_form, quotient_groebner, standard_basis)
+from grtor.groebner import (GroebnerError, IdealPresentation, NormalFormTable, VecPoly,
+                            _buchberger, _divides, _leads, _reduce, _Tracked, graded_piece_basis,
+                            groebner_basis, module_groebner_basis, module_normal_form,
+                            normal_form, quotient_groebner, standard_basis)
 from grtor.poly import GRADED, LOCAL, Polynomial, Ring
 
 from reduce_oracle import oracle_leads, reduce_oracle
@@ -195,6 +196,17 @@ def _direct(vec, basis, shifts, cap):
     return _reduce(_Tracked(VecPoly.from_polys(list(vec), shifts), []), leads, cap).vec.terms
 
 
+def _table_nf(table, vec, mono):
+    """NF(x^mono * vec) from the table, one row at a time, by linearity."""
+    fld, zero = table.ring.field, table.ring.field.zero
+    mono = mono or (0,) * table.ring.nvars
+    out = {}
+    for row, p in enumerate(vec):
+        for k, c in table(p, (row, mono)).items():
+            out[k] = fld.add(out.get(k, zero), c)
+    return {k: c for k, c in out.items() if c}
+
+
 def _table_basis(ring, shifts, kind):
     """Module basis vectors of one table case."""
     if kind == "empty":
@@ -240,7 +252,7 @@ def test_normal_form_table_matches_direct_reduction(p, case):
         if basis:  # module members: every sum cancels
             vecs.append(list(basis[seed % len(basis)]))
         for vec in vecs:
-            got = table(vec, mono)
+            got = _table_nf(table, vec, mono)
             assert all(got.values())
             moved = [q if mono is None else q.monomial_multiple(mono) for q in vec]
             want = _direct(moved, basis, shifts, cap)
@@ -256,6 +268,20 @@ def test_normal_form_table_matches_direct_reduction(p, case):
     if basis:
         assert cancelled >= 20
     assert len(table._nf) > 20  # the table was reused, not rebuilt
+
+
+def test_normal_form_column_drops_terms_past_top_and_rejects_terms_outside_the_index():
+    ring = Ring(["x", "y"], Field(P), GRADED, quotient=("x^2",))
+    table = NormalFormTable(ring, [[g] for g in quotient_groebner(ring)])
+    shifts = (0, 1)
+    keys = [(a, (0, e)) for a in range(2) for d in range(4 - shifts[a])
+            for e in graded_piece_basis(ring, d)]
+    index = {key: n for n, key in enumerate(keys)}
+    polys = [ring.parse("x + 2*y"), ring.parse("y^2")]
+    # (x + 2y) x = 2xy mod x^2 at level 2; y^2 x in component 1 sits at level 4
+    assert table.column(polys, (0, (1, 0)), index, shifts, 3) == {index[(0, (0, (1, 1)))]: 2}
+    with pytest.raises(GroebnerError, match="outside the basis"):
+        table.column(polys, (0, (1, 0)), index, shifts, 4)
 
 
 @pytest.mark.parametrize("p", [0, P])

@@ -1,11 +1,13 @@
 """GradedModulePieces (standard terms of one truncated Groebner basis)
-against the dense-echelon oracle: piece dimensions and multiplication ranks."""
+against the dense-echelon oracle: piece dimensions, and the ranks of
+multiplication maps read off the tensor builder that Tor uses."""
 
 import random
 
 import pytest
 
 from grtor.fields import Field
+from grtor.filtered import FilteredComplex, GrComplex, tensor_complex
 from grtor.groebner import ModulePresentation, monomials_of_degree
 from grtor.linalg import rank
 from grtor.poly import Ring
@@ -52,6 +54,15 @@ def random_homogeneous(ring, degree, rng):
     return p
 
 
+def multiplication_strands(pieces, p, j_max):
+    """The strands of F (x) N for F = G(-deg p) --p--> G: the level-(d + deg p)
+    strand is the matrix of p: N_d -> N_{d + deg p}."""
+    basis = [key for d in range(j_max + 1) for key in pieces._basis[d]]
+    levels, diffs = tensor_complex([(0,), (p.degree(),)], [None, [[p]]], pieces._nf,
+                                   basis, j_max)
+    return GrComplex(FilteredComplex(p.ring.field, levels, diffs, j_max))
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_pieces_match_echelon_oracle(case):
     build, top = CASES[case]
@@ -64,8 +75,11 @@ def test_pieces_match_echelon_oracle(case):
         pieces, oracle = GradedModulePieces(module, j_max), EchelonPieces(module, j_max)
         for d in range(-1, j_max + 2):
             assert pieces.dim(d) == oracle.dim(d), (j_max, d)
-            for p in multipliers:
-                got, want = pieces.multiply_matrix(p, d), oracle.multiply_matrix(p, d)
+        for p in multipliers:
+            strands = multiplication_strands(pieces, p, j_max)
+            for d in range(-1, j_max + 2):
+                got = strands.strand(d + p.degree())[1][1]
+                want = oracle.multiply_matrix(p, d)
                 assert len(got) == len(want) and all(len(r) == pieces.dim(d) for r in got)
                 assert rank(ring.field, got) == rank(ring.field, want), (j_max, d, str(p))
         if case == "unit":

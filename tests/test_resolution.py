@@ -174,6 +174,16 @@ def test_closed_form_matches_engine_small():
     assert tor_series(mM, k, 6, 12) == closed_form_tor_series(2, 2, 2, 3, 6, 12)
 
 
+def test_tor_series_of_a_rank_two_module_is_balanced_and_its_betti_table():
+    # the one case whose N has more than one row: tensor keys (row, e) with row != 0
+    R = Ring(["x", "y", "z"], Field(32003), quotient=["x^3 - y*z^2"])
+    P = ModulePresentation(R, 2, (0, 1), [["x^2", "y"], ["y*z", "x"], ["0", "z^2"]])
+    k = ModulePresentation.cyclic(R, ["x", "y", "z"])
+    betti = betti_series(minimal_resolution(P, 4), 4, 9)
+    assert tor_series(P, k, 4, 9) == tor_series(k, P, 4, 9) == betti
+    assert betti.get(0, 1) == 1 and betti.total_units() > 10
+
+
 def test_resolution_validates_dd_zero():
     R = Ring(["x", "y"])
     z, o = R.zero(), R.one()
