@@ -54,23 +54,6 @@ def parse_job_file(path):
     return sections
 
 
-def _read_bounds(sections, args):
-    """Settle args.imax, args.jmax and args.cap: a flag wins over the job
-    file's [bounds], which wins over the defaults 6, 12 and jmax + imax + 2."""
-    bounds = sections.get("bounds", {})
-    for key, value in (("imax", 6), ("jmax", 12), ("cap", None)):
-        if key in bounds:
-            try:
-                value = int(bounds[key])
-            except ValueError:
-                raise InputError("%s: [bounds] %s = %r is not an integer"
-                                 % (args.input, key, bounds[key])) from None
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    if args.cap is None:
-        args.cap = args.jmax + args.imax + 2
-
-
 def build_ring(sections, args):
     ring_sec = sections.get("ring")
     if ring_sec is None:
@@ -85,8 +68,15 @@ def build_ring(sections, args):
     if not variables:
         raise InputError("[ring] needs 'variables = ...'")
     setting = ring_sec.get("setting", "graded").lower()
-    _read_bounds(sections, args)
     cap = args.cap
+    if cap is None and "cap" in sections.get("bounds", {}):
+        try:
+            cap = int(sections["bounds"]["cap"])
+        except ValueError:
+            raise InputError("%s: [bounds] cap = %r is not an integer"
+                             % (args.input, sections["bounds"]["cap"])) from None
+    if cap is None:
+        cap = args.jmax + args.imax + 2
     quotient = ring_sec.get("quotient", "")
     if setting == LOCAL:
         ring = Ring(variables, field, LOCAL, cap=cap)
@@ -335,8 +325,8 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--imax", type=int, help="default: [bounds] imax, else 6")
-        p.add_argument("--jmax", type=int, help="default: [bounds] jmax, else 12")
+        p.add_argument("--imax", type=int, default=6)
+        p.add_argument("--jmax", type=int, default=12)
         p.add_argument("--char", type=int, default=0,
                        help="prime characteristic (0 = rationals)")
         p.add_argument("--field", default=None, help="QQ or Fp <p>")

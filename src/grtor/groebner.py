@@ -396,8 +396,10 @@ class NormalFormTable:
 
     Below the cap the full normal form is k-linear (see `normal_form`), so
     NF(sum c x^e e_row) = sum c NF(x^e e_row): the table keeps the nonzero
-    terms of NF(x^e e_row) under the key (row, e), computes each on first
-    use, and applies a vector by linearity.  This is the multiplication
+    terms of NF(x^e e_row) under the key (row, e) and computes each on
+    first use.  Calling the table on a polynomial p and a key (row, e)
+    gives NF(p * x^e e_row) by linearity; `column` scatters such normal
+    forms into a tensor basis index.  This is the multiplication
     table of a finite-dimensional quotient (Faugere-Gianni-Lazard-Mora,
     1993).  Make one per call, or per object that reduces many vectors,
     and let it go with them: nothing else holds a table.
@@ -441,19 +443,20 @@ class NormalFormTable:
                     del out[k]
         return out
 
-    def column(self, polys, key, index, shifts, top):
+    def column(self, polys, key, index, shifts=None, top=None):
         """The sparse column {index[(a, k)]: c} of sum_a polys[a] (x) x^e e_row
         for key = (row, e): the term k of NF(polys[a] * x^e e_row) sits in
-        component a, at level shifts[a] + deg k.  A term whose level passes
-        `top` is dropped (past a truncation); any other must be in `index`."""
+        component a, at level shifts[a] + deg k.  Given `top`, a term whose
+        level passes it is dropped (past a truncation); every other term
+        must be in `index`."""
         row_shifts = self.shifts
         col = {}
         for a, p in enumerate(polys):
             if not p.terms:
                 continue
-            s = shifts[a]
+            room = None if top is None else top - shifts[a]
             for k, c in self(p, key).items():
-                if s + row_shifts[k[0]] + sum(k[1]) > top:
+                if room is not None and row_shifts[k[0]] + sum(k[1]) > room:
                     continue
                 n = index.get((a, k))
                 if n is None:

@@ -51,13 +51,13 @@ class Strands:
         return [(col, (0, mono)) for col, s in enumerate(shifts)
                 for mono in self.piece(degree - s)]
 
-    def coords(self, vec, index, shifts, degree, mono=None):
-        """Coordinates of x^mono * vec, reduced modulo the quotient, on the
-        strand basis `index` of the degree-`degree` piece of ⊕ G(-shifts);
-        vec is a homogeneous vector of polynomials."""
+    def coords(self, vec, index, mono=None):
+        """Coordinates on a strand basis of x^mono * vec (vec a homogeneous
+        vector of polynomials), reduced modulo the quotient.  A term outside
+        `index` raises."""
         coords = [self.ring.field.zero] * len(index)
         key = (0, self._one if mono is None else mono)
-        for n, c in self._nf.column(vec, key, index, shifts, degree).items():
+        for n, c in self._nf.column(vec, key, index).items():
             coords[n] = c
         return coords
 
@@ -70,8 +70,7 @@ class Strands:
         """
         src = self.free_basis(src_shifts, degree)
         dst_index = {key: n for n, key in enumerate(self.free_basis(dst_shifts, degree))}
-        cols = [self.coords([row[scol] for row in rows], dst_index, dst_shifts, degree, mono)
-                for scol, (_, mono) in src]
+        cols = [self.coords([row[scol] for row in rows], dst_index, mono) for scol, (_, mono) in src]
         matrix = [[col[i] for col in cols] for i in range(len(dst_index))]
         return matrix, src, dst_index
 
@@ -85,7 +84,7 @@ def strand_solve(strands, rows, src_shifts, dst_shifts, target, degree):
     """
     ring = strands.ring
     matrix, src, dst_index = strands.matrix(rows, src_shifts, dst_shifts, degree)
-    rhs = strands.coords(target, dst_index, dst_shifts, degree)
+    rhs = strands.coords(target, dst_index)
     if not src:
         return None if any(rhs) else [ring.zero() for _ in src_shifts]
     sol = solve(ring.field, matrix, rhs) if matrix else (None if any(rhs) else [])
@@ -144,7 +143,7 @@ def _submodule_echelon(strands, chosen, shifts, degree, free_index):
     ech = ColumnEchelon(strands.ring.field, range(len(free_index)))
     for vec, vdeg in chosen:
         for mono in strands.piece(degree - vdeg):
-            ech.add(strands.coords(vec, free_index, shifts, degree, mono))
+            ech.add(strands.coords(vec, free_index, mono))
     return ech
 
 
@@ -170,7 +169,7 @@ def minimal_generators(ring, columns, row_shifts):
             d = vdeg
             free_index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
             ech = _submodule_echelon(strands, chosen, row_shifts, d, free_index)
-        coords = strands.coords(vec, free_index, row_shifts, d)
+        coords = strands.coords(vec, free_index)
         if ech.add(coords) is not None:
             chosen.append((vec, vdeg))
     return chosen

@@ -186,7 +186,7 @@ def test_syzygies_three_quadrics():
                 vec = [p.monomial_multiple(mono) for p in u]
                 basis = strands.free_basis(gen_degs, degree)
                 index = {key: n for n, key in enumerate(basis)}
-                span_cols.append(strands.coords(vec, index, gen_degs, degree))
+                span_cols.append(strands.coords(vec, index))
         got = rank(R.field, [[col[r] for col in span_cols]
                              for r in range(len(span_cols[0]))]) if span_cols else 0
         assert got == expected

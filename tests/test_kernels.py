@@ -282,6 +282,8 @@ def test_normal_form_column_drops_terms_past_top_and_rejects_terms_outside_the_i
     assert table.column(polys, (0, (1, 0)), index, shifts, 3) == {index[(0, (0, (1, 1)))]: 2}
     with pytest.raises(GroebnerError, match="outside the basis"):
         table.column(polys, (0, (1, 0)), index, shifts, 4)
+    with pytest.raises(GroebnerError, match="outside the basis"):  # no top: nothing dropped
+        table.column(polys, (0, (1, 0)), index)
 
 
 @pytest.mark.parametrize("p", [0, P])

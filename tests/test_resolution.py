@@ -5,7 +5,7 @@ import pytest
 from grtor.fields import Field
 from grtor.groebner import GroebnerError, IdealPresentation, ModulePresentation
 from grtor.poly import Ring
-from grtor.resolution import (GradedFreeResolution, ResolutionError,
+from grtor.resolution import (GradedFreeResolution, ResolutionError, Strands,
                               betti_series, closed_form_tor_series,
                               ek_betti_stable, minimal_resolution, tor_series,
                               tor_symmetry_check, _matmul_poly)
@@ -182,6 +182,23 @@ def test_tor_series_of_a_rank_two_module_is_balanced_and_its_betti_table():
     betti = betti_series(minimal_resolution(P, 4), 4, 9)
     assert tor_series(P, k, 4, 9) == tor_series(k, P, 4, 9) == betti
     assert betti.get(0, 1) == 1 and betti.total_units() > 10
+
+
+def test_strand_coords_reject_a_term_outside_the_strand():
+    R = Ring(["x", "y"], quotient=("x^2",))
+    strands = Strands(R)
+    index = {key: n for n, key in enumerate(strands.free_basis((0, 1), 2))}
+    vec = [R.parse("x*y"), R.parse("x")]
+    coords = strands.coords(vec, index)
+    assert coords[index[(0, (0, (1, 1)))]] == coords[index[(1, (0, (1, 0)))]] == 1
+    assert sum(map(bool, coords)) == 2
+    # x * (x + y, 1) = (xy, x) mod x^2
+    assert strands.coords([R.parse("x + y"), R.one()], index, (1, 0)) == coords
+    # a term above the strand, from the vector or from `mono`, is an error
+    with pytest.raises(GroebnerError, match="outside the basis"):
+        strands.coords([R.parse("y^3"), R.zero()], index)
+    with pytest.raises(GroebnerError, match="outside the basis"):
+        strands.coords(vec, index, (0, 1))
 
 
 def test_resolution_validates_dd_zero():
