@@ -13,7 +13,7 @@ import sys
 from .fields import Field, GrtorError, field_from_name
 from .groebner import (CapExceededError, IdealPresentation, ModulePresentation,
                        colength, graded_twin, initial_ideal,
-                       leading_monomial_ideal, hilbert_function)
+                       leading_monomial_ideal, standard_monomial_layers)
 from .filtered import (FilteredComplex, LiftWindowExceededError,
                        filtered_tensor, resolve_local_cyclic)
 from .poly import GRADED, LOCAL, Ring, parse_ideal
@@ -137,10 +137,8 @@ def cmd_gr(args, out):
     ini = initial_ideal(ideal, cap)
     lm = leading_monomial_ideal(ideal, cap)
     series = BigradedSeries(0, args.jmax)
-    for j in range(args.jmax + 1):
-        h = hilbert_function(lm, ring.nvars, j)
-        if h:
-            series._set(0, j, h)
+    for j, layer in enumerate(standard_monomial_layers(lm, ring.nvars, args.jmax)):
+        series._set(0, j, len(layer))
     mass = colength(ideal, cap)
     if args.format == "json":
         out.write(json.dumps({
@@ -317,7 +315,9 @@ def cmd_cancel(args, out):
     return EXIT_OK if decision.feasible else EXIT_UNVERIFIED
 
 
-def make_parser():
+def make_parser(command=None):
+    """The command-line parser.  Given a command name, only that subcommand
+    gets the common options, which are most of the cost of building it."""
     parser = argparse.ArgumentParser(
         prog="grtor",
         description="Bigraded Tor series over associated graded rings and "
@@ -337,29 +337,29 @@ def make_parser():
 
     p_gr = sub.add_parser("gr", help="initial ideal and Hilbert series of the associated graded")
     p_gr.add_argument("input")
-    common(p_gr)
 
     p_tor = sub.add_parser("tor-gr", help="bigraded Tor series over a graded ring")
     p_tor.add_argument("input")
-    common(p_tor)
 
     p_check = sub.add_parser("check-theorem",
                              help="run the spectral sequence and verify the cancellation certificate")
     p_check.add_argument("input", nargs="?")
     p_check.add_argument("--synthetic", default=None,
                          help="run on a serialized filtered complex instead of ring data")
-    common(p_check)
 
     p_cancel = sub.add_parser("cancel", help="decide cancellation between two series files")
     p_cancel.add_argument("source")
     p_cancel.add_argument("target")
-    common(p_cancel)
+    for name, p in sub.choices.items():
+        if command in (None, name):
+            common(p)
     return parser
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the first word that is not an option names the command
+    args = make_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     out = sys.stdout
     try:
         if args.command == "gr":

@@ -9,12 +9,15 @@ use.  All local data carries a degree cap; the associated graded
 statements below hold in degrees <= cap.
 """
 
+from collections import Counter
+
 from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
                        NormalFormTable, graded_twin, ideal_intersection,
                        ideal_product, ideal_sum, leading_monomial_ideal,
-                       hilbert_function, minimal_generator_indices,
-                       standard_basis, standard_monomials)
+                       minimal_generator_indices, standard_basis,
+                       standard_monomial_layers)
 from .fields import GrtorError
+from .linalg import sparse_pivots
 from .poly import LOCAL, Polynomial
 from .resolution import Strands, _matmul_poly, minimal_resolution, strand_solve
 from .series import BigradedSeries
@@ -403,20 +406,16 @@ def filtered_tensor(fres, n_ideal, j_max):
         nb, lm = [], []
     nf = NormalFormTable(ring, [[g] for g in nb], cap=j_max)
 
-    basis_n = []
-    n_finite_top = None
-    for d in range(0, j_max + 1):
-        layer = standard_monomials(lm, ring.nvars, d)
-        if not layer and n_finite_top is None:
-            n_finite_top = d - 1
-        basis_n.extend((0, u) for u in layer)
+    layers = list(standard_monomial_layers(lm, ring.nvars, j_max))
+    basis_n = [(0, u) for layer in layers for u in layer]
 
     levels, diffs = tensor_complex(fres.shifts, fres.diffs, nf, basis_n, j_max)
     bound = max((max(s, default=0) for s in fres.shifts), default=0)
-    # when N is finite dimensional and everything fits under j_max, nothing
-    # was cut: the complex is exact, not a truncation
+    # when N is finite dimensional (its layers stop at or below j_max) and
+    # everything fits under j_max, nothing was cut: the complex is exact,
+    # not a truncation
     truncated_at = j_max
-    if n_finite_top is not None and bound + n_finite_top <= j_max:
+    if len(layers) <= j_max and bound + len(layers) - 1 <= j_max:
         truncated_at = None
     return FilteredComplex(ring.field, levels, diffs, j_max, truncated_at=truncated_at,
                            stability_bound=bound)
@@ -430,33 +429,27 @@ class GrComplex:
         self.complex = complex_
         self.field = complex_.field
 
-    def strand(self, j):
-        """Per-term index lists and matrices of the level-j strand."""
-        L = self.complex
-        idx = [[k for k, l in enumerate(L.levels[i]) if l == j] for i in range(L.i_max + 1)]
-        mats = [None]
-        zero = self.field.zero
-        for i in range(1, L.i_max + 1):
-            d = L.diffs[i]
-            mats.append([[d[c].get(r, zero) for c in idx[i]] for r in idx[i - 1]])
-        return idx, mats
-
     def homology_series(self):
         """Homology dimensions of every strand: page 1 of the spectral
-        sequence (a code path apart from the pairing), and graded Tor
-        when the complex is a graded tensor complex (`tor_series`)."""
-        from .linalg import rank
+        sequence (apart from the pairing, which reduces all of d in level
+        order), and graded Tor when the complex is a graded tensor
+        complex (`tor_series`).  The rank of each level-j block of d_i
+        comes from eliminating its sparse columns; a row lies in one
+        level only, so every block shares one table of pivot rows."""
         L = self.complex
+        dims = Counter((i, level) for i, lv in enumerate(L.levels) for level in lv)
+        ranks = Counter()
+        for i in range(1, L.i_max + 1):
+            src, tgt = L.levels[i], L.levels[i - 1]
+            blocks = ({r: x for r, x in col.items() if tgt[r] == src[c]}
+                      for c, col in enumerate(L.diffs[i]))
+            for c, pivot in enumerate(sparse_pivots(self.field, blocks)):
+                if pivot is not None:
+                    ranks[(i, src[c])] += 1
         out = BigradedSeries(L.i_max, L.j_max)
         for j in range(0, L.j_max + 1):
-            idx, mats = self.strand(j)
-            ranks = {}
-            for i in range(1, L.i_max + 1):
-                m = mats[i]
-                ranks[i] = rank(self.field, m) if (m and m[0:1] and len(m[0])) else 0
             for i in range(0, L.i_max + 1):
-                dim_i = len(idx[i])
-                h = dim_i - ranks.get(i, 0) - ranks.get(i + 1, 0)
+                h = dims[(i, j)] - ranks[(i, j)] - ranks[(i + 1, j)]
                 if h < 0:
                     raise LiftError("negative strand homology; complex is broken")
                 if h:
@@ -502,13 +495,16 @@ def tor_local_low(I, J, j_max, cap=None):
     lm_inter = leading_monomial_ideal(inter, cap)
     lm_prod = leading_monomial_ideal(prod, cap)
 
+    def hilbert(lm):
+        sizes = [len(layer) for layer in standard_monomial_layers(lm, ring.nvars, j_max)]
+        return sizes + [0] * (j_max + 1 - len(sizes))
+
     series = BigradedSeries(1, j_max)
-    n = ring.nvars
-    for j in range(0, j_max + 1):
-        h0 = hilbert_function(lm_sum, n, j)
+    for j, (h0, h_prod, h_inter) in enumerate(zip(hilbert(lm_sum), hilbert(lm_prod),
+                                                  hilbert(lm_inter))):
         if h0:
             series._set(0, j, h0)
-        h1 = hilbert_function(lm_prod, n, j) - hilbert_function(lm_inter, n, j)
+        h1 = h_prod - h_inter
         if h1 < 0:
             raise GroebnerError("intersection is smaller than the product; cap too small")
         if h1:

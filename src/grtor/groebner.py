@@ -14,6 +14,7 @@ internal degree of a term x^e in row r is |e| + shift[r].
 """
 
 import heapq
+import itertools
 import math
 import operator
 
@@ -128,7 +129,7 @@ class _Tracked:
         shifted = other.vec.mono_mul(exps, coeff, cap)
         vec = self.vec.add(shifted.scale(self.vec.ring.field.of(-1)))
         mono = self.vec.ring.monomial(exps, coeff)
-        expr = [a - mono * b for a, b in zip(self.expr, other.expr)]
+        expr = [a - mono * b if b.terms else a for a, b in zip(self.expr, other.expr)]
         if cap is not None:
             expr = [a.truncate(cap) for a in expr]
         return _Tracked(vec, expr)
@@ -241,7 +242,8 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
     leads = [g.vec.lead() for g in basis]
     reducers = _leads(basis)
 
-    pairs = set()
+    # S-pairs (lcm degree, i, k, lcm) with i < k, taken lowest first
+    pairs = []
 
     def add_pairs(new_index):
         grow, ge = leads[new_index]
@@ -252,31 +254,25 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
             if (not collect_syzygies and len(shifts) == 1
                     and all(min(a, b) == 0 for a, b in zip(ge, ke))):
                 continue  # product criterion
-            pairs.add((k, new_index))
+            lcm = _lcm(ke, ge)
+            heapq.heappush(pairs, (sum(lcm) + shifts[grow], k, new_index, lcm))
 
     for t in range(len(basis)):
         add_pairs(t)
 
-    def pair_degree(pr):
-        irow, ie = leads[pr[0]]
-        _, ke = leads[pr[1]]
-        return sum(_lcm(ie, ke)) + shifts[irow]
-
     fld = ring.field
     while pairs:
-        chosen = min(pairs, key=lambda pr: (pair_degree(pr), pr))
-        pairs.discard(chosen)
-        i, k = chosen
+        degree, i, k, lcm = heapq.heappop(pairs)
+        if cap is not None and degree > cap:
+            break  # every pair left lies past the cap too
         gi, gk = basis[i], basis[k]
         irow, ie = leads[i]
         _, ke = leads[k]
-        lcm = _lcm(ie, ke)
-        if cap is not None and sum(lcm) + shifts[irow] > cap:
-            continue
         ci = fld.inv(gi.vec.terms[(irow, ie)])
         ck = fld.inv(gk.vec.terms[(irow, ke)])
+        mono = ring.monomial(_sub(lcm, ie), ci)
         spair_i = _Tracked(gi.vec.mono_mul(_sub(lcm, ie), ci, cap),
-                           [ring.monomial(_sub(lcm, ie), ci) * e for e in gi.expr])
+                           [mono * e if e.terms else e for e in gi.expr])
         spair = spair_i.combine(gk, _sub(lcm, ke), ck, cap)
         red = _reduce(spair, reducers, cap)
         if red.vec.is_zero():
@@ -641,30 +637,23 @@ def leading_monomial_ideal(ideal, cap=None):
                           lambda e: e)
 
 
-def standard_monomials(lm_gens, nvars, degree):
-    """Monomials of the given degree not divisible by any generator."""
-    out = []
-    for e in monomials_of_degree(nvars, degree):
-        if not any(_divides(g, e) for g in lm_gens):
-            out.append(e)
-    return out
+def standard_monomial_layers(lm, nvars, top=None):
+    """The monomials that no exponent vector in `lm` divides, one layer per
+    degree 0, 1, .., top (no bound if None), each in descending lex order.
 
-
-def monomials_of_degree(nvars, degree):
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
-            yield (first,) + rest
-
-
-def hilbert_function(lm_gens, nvars, degree):
-    return len(standard_monomials(lm_gens, nvars, degree))
+    They form an order ideal: every divisor of a standard monomial is
+    standard.  So layer d is x_i * (layer d - 1) less the terms a lead
+    divides, and the layers stop at the first empty one."""
+    layer = [(0,) * nvars]
+    degree = 0
+    while top is None or degree <= top:
+        layer = [e for e in layer if not any(_divides(g, e) for g in lm)]
+        if not layer:
+            return
+        yield layer
+        layer = sorted({e[:i] + (e[i] + 1,) + e[i + 1:] for e in layer for i in range(nvars)},
+                       reverse=True)
+        degree += 1
 
 
 def colength(ideal, cap=None):
@@ -692,14 +681,9 @@ def colength(ideal, cap=None):
         bound = sum(p - 1 for p in pure) + 1
     else:
         bound = (cap if cap is not None else ring.cap)
-    total = 0
-    for d in range(0, bound + 1):
-        c = hilbert_function(lm, n, d)
-        if c == 0:
-            return total
-        total += c
-    if ring.setting == GRADED:
-        return total
+    layers = list(standard_monomial_layers(lm, n, bound))
+    if len(layers) <= bound or ring.setting == GRADED:
+        return sum(map(len, layers))
     return math.inf
 
 
@@ -710,10 +694,8 @@ def graded_piece_basis(ring, j):
         raise GroebnerError("graded_piece_basis needs a graded ring")
     if j < 0:
         return []
-    lm = _quotient_lm(ring)
-    mons = standard_monomials(lm, ring.nvars, j)
-    mons.sort(key=ring.order.key, reverse=True)
-    return mons
+    layers = standard_monomial_layers(_quotient_lm(ring), ring.nvars, j)
+    return sorted(next(itertools.islice(layers, j, None), []), key=ring.order.key, reverse=True)
 
 
 def _quotient_lm(ring):

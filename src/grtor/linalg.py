@@ -78,6 +78,30 @@ def invert(field, rows):
     return [r[n:] for r in red[:n]]
 
 
+def sparse_pivots(field, columns, key=None):
+    """Reduce sparse columns {row: nonzero x}, in the given order, each
+    against the reduced earlier ones, and yield each one's pivot: its
+    nonzero row that minimises `key` (default: the lowest row), or None
+    for a column in the span of the earlier ones."""
+    reduced = {}  # pivot row -> the reduced column that owns it
+    for col in columns:
+        col = dict(col)
+        while col:
+            p = min(col, key=key)
+            other = reduced.get(p)
+            if other is None:
+                reduced[p] = col
+                break
+            f = field.div(col[p], other[p])
+            for r, x in other.items():
+                v = field.submul(col.get(r, field.zero), f, x)
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+        yield p if col else None
+
+
 class ColumnEchelon:
     """Incremental column echelon form with a fixed row priority order.
 

@@ -11,8 +11,8 @@ monomial basis, and kernels/images are rank computations there.
 from math import comb
 
 from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, VecPoly,
-                       graded_piece_basis, module_groebner_basis, normal_form,
-                       quotient_groebner, standard_monomials, syzygies)
+                       _quotient_lm, module_groebner_basis, normal_form,
+                       quotient_groebner, standard_monomial_layers, syzygies)
 from .fields import GrtorError
 from .linalg import ColumnEchelon, solve
 from .poly import GRADED
@@ -28,22 +28,26 @@ class ResolutionError(GrtorError):
 
 class Strands:
     """Strand bases and coordinates over G = k[x]/J for one computation:
-    the monomial basis of each G_j, enumerated once per degree, and one
-    table of monomial normal forms mod J.  Make one per call; nothing
-    keeps it past the call."""
+    the monomial basis of each G_j, read off the layers of J's standard
+    monomials as far as a caller asks, and one table of monomial normal
+    forms mod J.  Make one per call; nothing keeps it past the call."""
 
     def __init__(self, ring):
         self.ring = ring
         self._nf = NormalFormTable(ring, [[g] for g in quotient_groebner(ring)])
         self._one = (0,) * ring.nvars
-        self._pieces = {}
+        self._layers = standard_monomial_layers(_quotient_lm(ring), ring.nvars)
+        self._pieces = []
 
     def piece(self, j):
-        """The monomial basis of G_j (`graded_piece_basis`), built once."""
-        basis = self._pieces.get(j)
-        if basis is None:
-            basis = self._pieces[j] = graded_piece_basis(self.ring, j)
-        return basis
+        """The monomial basis of G_j, descending in the ring order, as
+        `graded_piece_basis` gives it; each layer is built once."""
+        while len(self._pieces) <= j:
+            layer = next(self._layers, None)
+            if layer is None:
+                return []
+            self._pieces.append(sorted(layer, key=self.ring.order.key, reverse=True))
+        return self._pieces[j] if j >= 0 else []
 
     def free_basis(self, shifts, degree):
         """Basis [(col, (0, monomial))] of the degree-`degree` piece of
@@ -123,12 +127,11 @@ class GradedModulePieces:
         gb = module_groebner_basis(ring, cols, shifts, cap=j_max)
         self._nf = NormalFormTable(ring, gb, shifts)
         leads = [VecPoly.from_polys(b, shifts).lead() for b in gb]
-        self._basis = {}
-        for d in range(j_max + 1):
-            self._basis[d] = [
-                (col, mono) for col, s in enumerate(shifts) if s <= d
-                for mono in standard_monomials([e for row, e in leads if row == col],
-                                               ring.nvars, d - s)]
+        self._basis = {d: [] for d in range(j_max + 1)}
+        for col, s in enumerate(shifts):
+            lm = [e for row, e in leads if row == col]
+            for d, layer in enumerate(standard_monomial_layers(lm, ring.nvars, j_max - s), s):
+                self._basis[d] += [(col, mono) for mono in layer]
 
     def dim(self, d):
         return len(self._basis.get(d, ()))
@@ -147,9 +150,10 @@ def _submodule_echelon(strands, chosen, shifts, degree, free_index):
     return ech
 
 
-def minimal_generators(ring, columns, row_shifts):
+def minimal_generators(strands, columns, row_shifts):
     """Minimal generating subset of homogeneous module generators
-    (graded Nakayama, processed in ascending internal degree)."""
+    (graded Nakayama, processed in ascending internal degree), on the
+    strand bases of `strands`."""
     items = []
     for vec in columns:
         degs = {p.degree() + row_shifts[a] for a, p in enumerate(vec) if not p.is_zero()}
@@ -159,7 +163,6 @@ def minimal_generators(ring, columns, row_shifts):
             raise ResolutionError("generator is not homogeneous for the row shifts")
         items.append((vec, degs.pop()))
     items.sort(key=lambda it: it[1])
-    strands = Strands(ring)
     chosen = []
     d = None
     ech = None
@@ -296,6 +299,7 @@ def minimal_resolution(module, i_max):
         raise ResolutionError("minimal_resolution needs a graded ring")
     module = _minimize_presentation(module)
     gb = quotient_groebner(ring)
+    strands = Strands(ring)
 
     shifts_per_term = [tuple(module.column_degrees)]
     diffs = [None]
@@ -305,7 +309,7 @@ def minimal_resolution(module, i_max):
         vec = [normal_form(p, gb) if gb and not p.is_zero() else p for p in rel]
         if any(not p.is_zero() for p in vec):
             current.append(vec)
-    current = [vec for vec, _deg in minimal_generators(ring, current, shifts_per_term[0])]
+    current = [vec for vec, _deg in minimal_generators(strands, current, shifts_per_term[0])]
 
     for i in range(1, i_max + 1):
         if not current:
@@ -337,7 +341,7 @@ def minimal_resolution(module, i_max):
                 vec = [normal_form(p, gb) if not p.is_zero() else p for p in vec]
             if any(not p.is_zero() for p in vec):
                 nxt.append(vec)
-        current = [vec for vec, _deg in minimal_generators(ring, nxt, tuple(col_degs))]
+        current = [vec for vec, _deg in minimal_generators(strands, nxt, tuple(col_degs))]
 
     return GradedFreeResolution(ring, shifts_per_term, diffs, i_max)
 
@@ -376,6 +380,10 @@ def tor_series(mM, mN, i_max, j_max):
     if not mM.ring.compatible(mN.ring) or tuple(
             str(q) for q in mM.ring.quotient) != tuple(str(q) for q in mN.ring.quotient):
         raise ResolutionError("modules must be presented over the same ring")
+    low = min(mM.column_degrees + mN.column_degrees, default=0)
+    if low < 0:  # the pieces of N are read in degrees 0..j_max only
+        raise ResolutionError("column degree %d is negative; shift the modules to "
+                              "degrees >= 0" % low)
     res = minimal_resolution(mM, i_max + 1)
     pieces = GradedModulePieces(mN, j_max)
     basis_n = [key for d in range(j_max + 1) for key in pieces._basis[d]]

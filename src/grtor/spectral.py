@@ -21,7 +21,7 @@ from collections import namedtuple
 
 from .fields import Field, GrtorError
 from .filtered import FilteredComplex
-from .linalg import invert
+from .linalg import invert, sparse_pivots
 from .series import (BigradedSeries, Cancellation, CancellationCertificate,
                      verify_certificate)
 
@@ -65,26 +65,14 @@ def _pairing(L):
             free[(i, level)] = free.get((i, level), 0) + 1
     for i in range(1, L.i_max + 1):
         d, src, tgt = L.diffs[i], L.levels[i], L.levels[i - 1]
-        reduced = {}  # pivot row -> the reduced column that owns it
-        for c in sorted(range(len(src)), key=lambda c: (-src[c], c)):
-            col = dict(d[c])
-            while col:
-                p = min(col, key=lambda r: (tgt[r], r))
-                other = reduced.get(p)
-                if other is None:
-                    reduced[p] = col
-                    key = (i, src[c], tgt[p])
-                    pairs[key] = pairs.get(key, 0) + 1
-                    free[(i, src[c])] -= 1
-                    free[(i - 1, tgt[p])] -= 1
-                    break
-                f = field.div(col[p], other[p])
-                for r, x in other.items():
-                    v = field.submul(col.get(r, field.zero), f, x)
-                    if v:
-                        col[r] = v
-                    else:
-                        del col[r]
+        order = sorted(range(len(src)), key=lambda c: (-src[c], c))
+        pivots = sparse_pivots(field, (d[c] for c in order), key=lambda r: (tgt[r], r))
+        for c, p in zip(order, pivots):
+            if p is not None:
+                key = (i, src[c], tgt[p])
+                pairs[key] = pairs.get(key, 0) + 1
+                free[(i, src[c])] -= 1
+                free[(i - 1, tgt[p])] -= 1
     return pairs, free
 
 

@@ -1,5 +1,6 @@
 """Command line: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import grtor
-from grtor.cli import main
+from grtor.cli import main, make_parser
 from grtor.series import BigradedSeries, CancellationCertificate, verify_certificate
 
 PAIR_JOB = """\
@@ -580,3 +581,42 @@ def test_fc_header_jmax_sizes_no_loop(tmp_path, truncated):
             [i, j] for i in (0, 1) for j in range(window + 1, 10 ** 9 + 1)]
     else:
         assert payload["page_infinity_indeterminate"] == []
+
+
+# argv -> (exit code, SHA-256 of stdout + "\0" + stderr) at 80 columns,
+# recorded with Python 3.11's argparse from the parser that gave every
+# subcommand the common options
+PARSER_TEXTS = {
+    ("--help",): (0, "5e60d23d0f0a736c948ec567aa58cef90186dd9fc9f3687a2139bc23647bbb04"),
+    ("gr", "--help"): (0, "13323d17dcc849925750ce2d69ef2f348dc6c00e85e8e6f892c870d44988bc78"),
+    ("tor-gr", "--help"): (0, "aba5b208471e0b1fd1aeae01511afc4e777ac870cc74fbd811083a151e423fe7"),
+    ("check-theorem", "--help"): (
+        0, "c7953f38ceedd25501fe1422ebc6a4eaa59288602db33396ab46ec563969e6cc"),
+    ("cancel", "--help"): (0, "1aa182a4799d146d3b49e2019f77831f3fe03fe030add2db5de4c8eff3781916"),
+    (): (2, "4c71cab0464df552c0e2997c6786b9b1262358a18d7df957dca5d6f9ed90354e"),
+    ("nope",): (2, "8c1581ddcccae35676fde571b88df163cc298c5e2068e1c38e30388bc5a48f94"),
+    ("--help", "gr"): (0, "5e60d23d0f0a736c948ec567aa58cef90186dd9fc9f3687a2139bc23647bbb04"),
+    ("nope", "--help"): (2, "8c1581ddcccae35676fde571b88df163cc298c5e2068e1c38e30388bc5a48f94"),
+    ("tor-gr",): (2, "f47abd73e02bc46e03693fb6a840827c9d0aa485316646865b8a02d17dd82c71"),
+}
+
+
+def _exit_code(parse, argv):
+    try:
+        return parse(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", sorted(PARSER_TEXTS))
+def test_per_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    # `main` gives the common options only to the command it runs; help
+    # and the errors for a missing or unknown command must not change
+    monkeypatch.setenv("COLUMNS", "80")
+    code = _exit_code(main, argv)
+    got = capsys.readouterr()
+    full = _exit_code(make_parser().parse_args, argv)
+    assert (code, got.out, got.err) == (full,) + tuple(capsys.readouterr())
+    if sys.version_info[:2] == (3, 11):  # argparse's wording differs by version
+        digest = hashlib.sha256((got.out + "\0" + got.err).encode()).hexdigest()
+        assert (code, digest) == PARSER_TEXTS[argv]

@@ -7,14 +7,14 @@ import pytest
 
 from grtor.fields import Field
 from grtor.groebner import (CapExceededError, IdealPresentation, colength,
-                            groebner_basis, hilbert_function, ideal_intersection,
-                            ideal_product, initial_ideal, leading_monomial_ideal,
-                            monomials_of_degree, normal_form, standard_basis,
-                            syzygies)
+                            groebner_basis, ideal_intersection, ideal_product,
+                            initial_ideal, leading_monomial_ideal, normal_form,
+                            standard_basis, syzygies)
 from grtor.linalg import rank
 from grtor.poly import LOCAL, Ring
 from grtor.resolution import Strands
 
+from layers_oracle import hilbert_function, monomials_of_degree
 from spectral_oracle import kernel_basis
 
 
@@ -108,7 +108,6 @@ def test_standard_basis_pair_of_cusps():
 def test_standard_basis_homogeneous_matches_groebner():
     # for homogeneous input the filtration is degenerate: the local and
     # graded computations give the same quotient Hilbert function
-    from grtor.groebner import hilbert_function
     L = Ring(["X", "Y"], setting=LOCAL, cap=12)
     I = IdealPresentation(L, ["X^2 - Y^2", "X*Y"])
     lm_local = leading_monomial_ideal(I)
@@ -181,7 +180,6 @@ def test_syzygies_three_quadrics():
             if not udeg:
                 continue
             ud = udeg.pop()
-            from grtor.groebner import monomials_of_degree
             for mono in monomials_of_degree(2, degree - ud):
                 vec = [p.monomial_multiple(mono) for p in u]
                 basis = strands.free_basis(gen_degs, degree)
@@ -230,7 +228,6 @@ def test_local_intersection_coprime_principals_is_product():
     prod = ideal_product(f, g)
     assert sorted(leading_monomial_ideal(inter)) == sorted(leading_monomial_ideal(prod))
     # hence Tor_1 = (I cap J)/(I J) = 0 degreewise
-    from grtor.groebner import hilbert_function
     lm_i = leading_monomial_ideal(inter)
     lm_p = leading_monomial_ideal(prod)
     for j in range(12):
@@ -263,7 +260,6 @@ def test_local_gr_hilbert_agreement():
     # Hilbert function of R/I (local, via the standard basis leading terms)
     # equals that of k[x]/in(I) (graded, via a Groebner basis of the
     # initial forms) degreewise: the defining property of gr
-    from grtor.groebner import hilbert_function, initial_ideal
     L = Ring(["X", "Y"], setting=LOCAL, cap=16)
     for gens in (["X^2 - Y^3", "X^2 - Y^5"],
                  ["X^2 + Y^3", "X*Y"],
@@ -293,7 +289,6 @@ def test_colength_tie_break_independent():
 def test_colength_equals_standard_monomial_sum():
     L = Ring(["X", "Y"], setting=LOCAL, cap=16)
     I = IdealPresentation(L, ["X^2 - Y^3", "X^2 - Y^5"])
-    from grtor.groebner import hilbert_function
     lm = leading_monomial_ideal(I)
     total = sum(hilbert_function(lm, 2, j) for j in range(16))
     assert colength(I) == total == 6

@@ -236,3 +236,14 @@ def test_tor_series_agrees_over_qq_and_fp(pair, j_max):
     # a slip in either field's arithmetic splits the two
     series = [tor_series(*pair(F), 6, j_max) for F in (Field(0), Field(32003))]
     assert series[0] == series[1] and series[0].coefficients
+
+
+@pytest.mark.parametrize("m_degree, n_degree", [(-1, 0), (0, -1)])
+def test_tor_series_refuses_a_negative_column_degree(m_degree, n_degree):
+    # M = G(1)/(x) against N = G printed a spurious (1, 4): 5, and M = G/(x)
+    # against N = G(1) printed (0, 0): 2 where Tor_0 = k[y](1) has 1
+    R = Ring(["x", "y"])
+    mM = ModulePresentation(R, 1, (m_degree,), [["x"]])
+    mN = ModulePresentation(R, 1, (n_degree,), [])
+    with pytest.raises(ResolutionError, match="column degree -1 is negative"):
+        tor_series(mM, mN, 3, 4)
