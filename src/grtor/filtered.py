@@ -19,7 +19,7 @@ from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
 from .fields import GrtorError
 from .linalg import sparse_pivots
 from .poly import LOCAL, Polynomial
-from .resolution import Strands, _matmul_poly, minimal_resolution, strand_solve
+from .resolution import Strands, check_composes_to_zero, minimal_resolution, strand_solve
 from .series import BigradedSeries
 
 
@@ -83,12 +83,8 @@ class FilteredResolution:
     def check_postconditions(self):
         """d o d = 0 up to cap, entries filtered, gr(d) equals the input
         graded differentials.  Raises on violation."""
-        for i in range(2, len(self.shifts)):
-            prod = _matmul_poly(self.ring, self.diffs[i - 1], self.diffs[i], [], self.cap)
-            for row in prod:
-                for p in row:
-                    if not p.is_zero():
-                        raise LiftError("lifted differentials do not compose to zero")
+        check_composes_to_zero(NormalFormTable(self.ring, [], cap=self.cap), self.diffs,
+                               lambda i: LiftError("lifted differentials do not compose to zero"))
         if self.graded is None:
             return
         for i in range(1, len(self.shifts)):
@@ -141,6 +137,11 @@ def lift_resolution(gres, generators, cap):
     diffs = [None, [[g.truncate(cap) for g in generators]]]
     strands = Strands(gring)
 
+    def times(row, col):
+        """sum_t row[t] * col[t], truncated at the cap."""
+        return sum((p * q for p, q in zip(row, col) if p.terms and q.terms),
+                   local_ring.zero()).truncate(cap)
+
     for i in range(2, len(shifts)):
         d = [[_to_local(local_ring, gres.diffs[i][a][b], cap)
               for b in range(len(shifts[i]))]
@@ -149,15 +150,10 @@ def lift_resolution(gres, generators, cap):
         for c in range(len(shifts[i])):
             guard = 0
             last_order = -1
+            # prev * d[:, c]; a correction u updates it by -prev * u, since
+            # truncation is linear and prev never lowers a degree
+            residual = [times(row, [r[c] for r in d]) for row in prev]
             while True:
-                residual = [local_ring.zero() for _ in range(len(shifts[i - 2]))]
-                for a in range(len(shifts[i - 2])):
-                    s = local_ring.zero()
-                    for t in range(len(shifts[i - 1])):
-                        if prev[a][t].is_zero() or d[t][c].is_zero():
-                            continue
-                        s = s + prev[a][t] * d[t][c]
-                    residual[a] = s.truncate(cap)
                 degrees = [p.order_degree() + shifts[i - 2][a]
                            for a, p in enumerate(residual) if not p.is_zero()]
                 if not degrees:
@@ -175,9 +171,11 @@ def lift_resolution(gres, generators, cap):
                     raise LiftWindowExceededError(
                         "no graded correction in degree %d at column %d of d_%d"
                         % (target_deg, c, i))
-                for t in range(len(shifts[i - 1])):
-                    if not u[t].is_zero():
-                        d[t][c] = (d[t][c] - _to_local(local_ring, u[t], cap)).truncate(cap)
+                u = [_to_local(local_ring, p, cap) for p in u]
+                for t, p in enumerate(u):
+                    if p.terms:
+                        d[t][c] = (d[t][c] - p).truncate(cap)
+                residual = [r - times(row, u) for r, row in zip(residual, prev)]
                 guard += 1
                 if guard > cap + 2:
                     raise LiftWindowExceededError("correction failed to converge below the cap")

@@ -72,47 +72,32 @@ class VecPoly:
     def is_zero(self):
         return not self.terms
 
-    def internal_degree(self, key):
-        row, e = key
-        return sum(e) + self.shifts[row]
-
     def lead(self):
         """Leading term key under term-over-position (ties: lower row wins)."""
         order = self.ring.order
         return max(self.terms, key=lambda k: (order.key(k[1]), -k[0]))
 
-    def add(self, other):
-        fld = self.ring.field
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = fld.add(terms.get(k, fld.zero), c)
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return VecPoly(self.ring, self.rank, terms, self.shifts)
-
-    def scale(self, c):
-        fld = self.ring.field
-        if not c:
-            return VecPoly(self.ring, self.rank, {}, self.shifts)
-        return VecPoly(self.ring, self.rank, {k: fld.mul(v, c) for k, v in self.terms.items()}, self.shifts)
-
-    def mono_mul(self, exps, coeff, cap=None):
-        fld = self.ring.field
-        terms = {}
-        for (row, e), c in self.terms.items():
-            ee = tuple(a + b for a, b in zip(e, exps))
-            if cap is not None and sum(ee) + self.shifts[row] > cap:
-                continue
-            v = fld.mul(c, coeff)
-            if v:
-                terms[(row, ee)] = v
-        return VecPoly(self.ring, self.rank, terms, self.shifts)
-
     def truncate(self, cap):
-        terms = {k: c for k, c in self.terms.items() if self.internal_degree(k) <= cap}
+        shifts = self.shifts
+        terms = {k: c for k, c in self.terms.items() if sum(k[1]) + shifts[k[0]] <= cap}
         return VecPoly(self.ring, self.rank, terms, self.shifts)
+
+
+def _submul(fld, terms, other, exps, coeff, cap, shifts=None):
+    """terms -= coeff * x^exps * other, in place, on term dicts
+    {(row, exponents): c}; a product term whose degree (plus its row's
+    shift, given `shifts`) passes the cap is dropped."""
+    submul, zero = fld.submul, fld.zero
+    for (row, e), c in other.items():
+        ee = tuple(map(operator.add, e, exps))
+        if cap is not None and sum(ee) + (shifts[row] if shifts else 0) > cap:
+            continue
+        key = (row, ee)
+        v = submul(terms.get(key, zero), coeff, c)
+        if v:
+            terms[key] = v
+        else:
+            terms.pop(key, None)
 
 
 class _Tracked:
@@ -120,19 +105,20 @@ class _Tracked:
 
     __slots__ = ("vec", "expr")
 
-    def __init__(self, vec, expr):
+    def __init__(self, vec, expr=None):
         self.vec = vec
-        self.expr = expr  # list of Polynomial, one per input column
+        self.expr = expr  # {(input column, exponents): coefficient}; None: untracked
 
     def combine(self, other, exps, coeff, cap):
-        """self - coeff * x^exps * other, on both the vector and the expression."""
-        shifted = other.vec.mono_mul(exps, coeff, cap)
-        vec = self.vec.add(shifted.scale(self.vec.ring.field.of(-1)))
-        mono = self.vec.ring.monomial(exps, coeff)
-        expr = [a - mono * b if b.terms else a for a, b in zip(self.expr, other.expr)]
-        if cap is not None:
-            expr = [a.truncate(cap) for a in expr]
-        return _Tracked(vec, expr)
+        """self - coeff * x^exps * other, in place on both the vector and the
+        expression; terms past the cap are dropped, as in `_reduce`."""
+        vec = self.vec
+        ring = vec.ring
+        cap = cap if cap is not None else ring.cap
+        _submul(ring.field, vec.terms, other.vec.terms, exps, coeff, cap, vec.shifts)
+        if self.expr is not None:
+            ecap = cap if ring.cap is None else min(cap, ring.cap)
+            _submul(ring.field, self.expr, other.expr, exps, coeff, ecap)
 
 
 def _leads(reducers):
@@ -152,14 +138,15 @@ def _reduce(f, leads, cap=None):
     of internal degree > cap (default: the ring's cap) are dropped, those
     of the input included; so are cofactor terms of degree > cap (or the
     ring's cap, if lower), whose input expression must already be below it.
+    An untracked element (expression None) gets no cofactors.
 
     Returns the tracked remainder.  Each term goes to the first reducer of
     its row, in `leads` order, whose lead divides it (`leads` comes from
     `_leads`).  Terms are taken in descending order from a heap, since a
     step removes the largest remaining term and adds only smaller ones;
-    the vector and its expression are updated in place.  This terminates
-    for global orders, and for the local order below a cap: only finitely
-    many monomials have degree <= cap.
+    copies of the vector and its expression are updated in place.  This
+    terminates for global orders, and for the local order below a cap:
+    only finitely many monomials have degree <= cap.
     """
     vec = f.vec
     ring, shifts = vec.ring, vec.shifts
@@ -173,7 +160,7 @@ def _reduce(f, leads, cap=None):
     desc = ring.order.descending_key
     heap = [(desc(e), row, (row, e)) for row, e in terms]
     heapq.heapify(heap)
-    expr = [dict(p.terms) for p in f.expr]
+    expr = None if f.expr is None else dict(f.expr)
     rem = {}
     while heap:
         _, row, lead = heapq.heappop(heap)
@@ -201,18 +188,9 @@ def _reduce(f, leads, cap=None):
                 terms[key] = v
             elif old is not None:
                 del terms[key]
-        for a, b in zip(expr, g.expr):
-            for be, bc in b.terms.items():
-                ee = tuple(map(operator.add, be, exps))
-                if ecap is not None and sum(ee) > ecap:
-                    continue
-                v = submul(a.get(ee, zero), coeff, bc)
-                if v:
-                    a[ee] = v
-                else:
-                    a.pop(ee, None)
-    return _Tracked(VecPoly(ring, vec.rank, rem, shifts),
-                    [Polynomial(ring, t) for t in expr])
+        if expr is not None:
+            _submul(fld, expr, g.expr, exps, coeff, ecap)
+    return _Tracked(VecPoly(ring, vec.rank, rem, shifts), expr)
 
 
 def _buchberger(ring, columns, shifts, cap, collect_syzygies):
@@ -220,25 +198,28 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
     reduction below the cap (local rings: the cap defaults to the ring's).
 
     Returns (basis, syzygies): basis as tracked elements, syzygies as
-    expression vectors over the input columns (zero reductions of every
-    S-pair).  Below a cap the basis is a standard basis of the module plus
-    everything of degree > cap, since an S-pair whose lcm passes the cap
-    vanishes there.  The product criterion skips pairs with coprime lead
-    terms only for ideals (rank 1) and only when syzygies are not
-    requested: the skipped pairs' syzygies are needed for completeness,
-    and the S-vector of two vectors with coprime lead terms need not
-    reduce to 0.
+    expression term dicts over the input columns (zero reductions of
+    every S-pair).  Expressions are tracked only when syzygies are
+    collected; otherwise every `expr` is None.  Below a cap the basis is a
+    standard basis of the module plus everything of degree > cap, since
+    an S-pair whose lcm passes the cap vanishes there.  The product
+    criterion skips pairs with coprime lead terms only for ideals (rank
+    1) and only when syzygies are not requested: the skipped pairs'
+    syzygies are needed for completeness, and the S-vector of two vectors
+    with coprime lead terms need not reduce to 0.
     """
     cap = cap if cap is not None else ring.cap
+    fld = ring.field
+    one = (0,) * ring.nvars
     syzygies = []
     basis = []
     for b, col in enumerate(columns):
-        expr = [ring.one() if k == b else ring.zero() for k in range(len(columns))]
+        expr = {(b, one): fld.one} if collect_syzygies else None
         vec = col.truncate(cap) if cap is not None else col
-        if vec.is_zero():
-            syzygies.append(expr)
-        else:
+        if not vec.is_zero():
             basis.append(_Tracked(vec, expr))
+        elif collect_syzygies:
+            syzygies.append(expr)
     leads = [g.vec.lead() for g in basis]
     reducers = _leads(basis)
 
@@ -260,7 +241,7 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
     for t in range(len(basis)):
         add_pairs(t)
 
-    fld = ring.field
+    rank = len(shifts)
     while pairs:
         degree, i, k, lcm = heapq.heappop(pairs)
         if cap is not None and degree > cap:
@@ -270,13 +251,13 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
         _, ke = leads[k]
         ci = fld.inv(gi.vec.terms[(irow, ie)])
         ck = fld.inv(gk.vec.terms[(irow, ke)])
-        mono = ring.monomial(_sub(lcm, ie), ci)
-        spair_i = _Tracked(gi.vec.mono_mul(_sub(lcm, ie), ci, cap),
-                           [mono * e if e.terms else e for e in gi.expr])
-        spair = spair_i.combine(gk, _sub(lcm, ke), ck, cap)
+        # ci x^(lcm - ie) g_i - ck x^(lcm - ke) g_k
+        spair = _Tracked(VecPoly(ring, rank, {}, shifts), {} if collect_syzygies else None)
+        spair.combine(gi, _sub(lcm, ie), fld.neg(ci), cap)
+        spair.combine(gk, _sub(lcm, ke), ck, cap)
         red = _reduce(spair, reducers, cap)
         if red.vec.is_zero():
-            if collect_syzygies and any(not e.is_zero() for e in red.expr):
+            if red.expr:
                 syzygies.append(red.expr)
         else:
             row, e = red.vec.lead()
@@ -382,8 +363,8 @@ def module_normal_form(vec, basis, shifts=None, cap=None):
     """Fully reduced normal form of a vector of polynomials against module
     basis vectors, below the cap as in `normal_form`."""
     shifts = tuple(shifts) if shifts is not None else (0,) * len(vec)
-    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts), []) for b in basis])
-    return _reduce(_Tracked(VecPoly.from_polys(list(vec), shifts), []), leads, cap).vec.to_polys()
+    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts)) for b in basis])
+    return _reduce(_Tracked(VecPoly.from_polys(list(vec), shifts)), leads, cap).vec.to_polys()
 
 
 class NormalFormTable:
@@ -407,7 +388,7 @@ class NormalFormTable:
         self.ring = ring
         self.shifts = tuple(shifts)
         self.cap = cap if cap is not None else ring.cap
-        self._leads = _leads([_Tracked(VecPoly.from_polys(list(b), self.shifts), [])
+        self._leads = _leads([_Tracked(VecPoly.from_polys(list(b), self.shifts))
                               for b in basis])
         self._nf = {}
 
@@ -417,7 +398,7 @@ class NormalFormTable:
         nf = self._nf.get(key)
         if nf is None:
             unit = VecPoly(self.ring, len(self.shifts), {key: self.ring.field.one}, self.shifts)
-            nf = list(_reduce(_Tracked(unit, []), self._leads, self.cap).vec.terms.items())
+            nf = list(_reduce(_Tracked(unit), self._leads, self.cap).vec.terms.items())
             self._nf[key] = nf
         return nf
 
@@ -502,8 +483,8 @@ def normal_form(p, basis, cap=None):
     if not basis:
         cap = cap if cap is not None else p.ring.cap
         return p if cap is None else p.truncate(cap)
-    f = _Tracked(VecPoly.from_polys([p]), [])
-    leads = _leads([_Tracked(VecPoly.from_polys([g]), []) for g in basis])
+    f = _Tracked(VecPoly.from_polys([p]))
+    leads = _leads([_Tracked(VecPoly.from_polys([g])) for g in basis])
     return _reduce(f, leads, cap).vec.to_polys()[0]
 
 
@@ -586,7 +567,7 @@ def syzygies(ring, columns, shifts=None, cap=None):
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
     vecs = [VecPoly.from_polys(list(col), shifts) for col in columns]
     _, syz = _buchberger(ring, vecs, shifts, cap, True)
-    return [list(expr) for expr in syz]
+    return [VecPoly(ring, len(vecs), expr).to_polys() for expr in syz]
 
 
 def ideal_sum(I, J):

@@ -8,6 +8,7 @@ everything in sight is a finite-dimensional vector space over k with a
 monomial basis, and kernels/images are rank computations there.
 """
 
+import operator
 from math import comb
 
 from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, VecPoly,
@@ -15,7 +16,7 @@ from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, VecPo
                        quotient_groebner, standard_monomial_layers, syzygies)
 from .fields import GrtorError
 from .linalg import ColumnEchelon, solve
-from .poly import GRADED
+from .poly import GRADED, Polynomial
 from .series import BigradedSeries
 
 
@@ -203,7 +204,6 @@ class GradedFreeResolution:
         return 0
 
     def _validate(self):
-        gb = quotient_groebner(self.ring)
         for i in range(1, len(self.shifts)):
             d = self.diffs[i]
             src, dst = self.shifts[i], self.shifts[i - 1]
@@ -218,33 +218,44 @@ class GradedFreeResolution:
                             "of degree %d" % (a, b, i, src[b] - dst[a]))
                     if self.minimal and p.degree() == 0:
                         raise ResolutionError("minimal resolution has a unit entry")
-        for i in range(2, len(self.shifts)):
-            prod = _matmul_poly(self.ring, self.diffs[i - 1], self.diffs[i], gb)
-            for row in prod:
-                for p in row:
-                    if not p.is_zero():
-                        raise ResolutionError("d o d is nonzero at homological degree %d" % i)
+        nf = NormalFormTable(self.ring, [[g] for g in quotient_groebner(self.ring)])
+        check_composes_to_zero(nf, self.diffs, lambda i: ResolutionError(
+            "d o d is nonzero at homological degree %d" % i))
 
 
-def _matmul_poly(ring, a, b, gb=None, cap=None):
-    """Product of polynomial matrices, each entry in normal form against
-    gb (default: the Groebner basis of the ring's quotient) below the cap
-    (default: the ring's; for a local ring the product is then truncated)."""
-    if gb is None:
-        gb = quotient_groebner(ring)
-    n = len(a)
-    k = len(b)
-    m = len(b[0]) if k else 0
-    out = [[ring.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            s = ring.zero()
-            for t in range(k):
-                if a[i][t].is_zero() or b[t][j].is_zero():
-                    continue
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = normal_form(s, gb, cap)
-    return out
+def product_normal_forms(nf, left, right):
+    """The entries of the product left * right of polynomial matrices in
+    normal form, one column of `right` at a time, each as {(0, e): nonzero
+    c}.  Entry (a, b) sums the term products of left[a][t] and right[t][b]
+    below the table's cap, then reads the normal form of what is left off
+    the rank-1 table `nf`, which is k-linear."""
+    ring, cap = nf.ring, nf.cap
+    neg, submul, zero = ring.field.neg, ring.field.submul, ring.field.zero
+    e0 = (0, (0,) * ring.nvars)  # the key of 1 * e_0
+    for col in zip(*right):
+        for row in left:
+            s = {}
+            for p, q in zip(row, col):
+                for e, c in p.terms.items():
+                    c = neg(c)
+                    for f, d in q.terms.items():
+                        k = tuple(map(operator.add, e, f))
+                        if cap is not None and sum(k) > cap:
+                            continue
+                        v = submul(s.get(k, zero), c, d)
+                        if v:
+                            s[k] = v
+                        else:
+                            del s[k]
+            yield nf(Polynomial(ring, s), e0) if s else s
+
+
+def check_composes_to_zero(nf, diffs, error):
+    """Raise error(i) for the first i >= 2 with d_{i-1} d_i nonzero modulo
+    the basis of the table `nf`, at the first nonzero entry."""
+    for i in range(2, len(diffs)):
+        if any(product_normal_forms(nf, diffs[i - 1], diffs[i])):
+            raise error(i)
 
 
 def _minimize_presentation(module):

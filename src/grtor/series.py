@@ -158,16 +158,15 @@ class BigradedSeries:
         return series
 
     def to_diagram(self):
-        """Macaulay-style Betti diagram: rows j - i, columns i."""
+        """Macaulay-style Betti diagram: rows j - i, columns i.  Only the
+        rows that hold a nonzero cell are printed."""
         if not self.coefficients:
             return "(zero series)\n"
         cols = range(0, max(i for i, _ in self.coefficients) + 1)
-        rows_lo = min(j - i for i, j in self.coefficients)
-        rows_hi = max(j - i for i, j in self.coefficients)
         width = max(4, max(len(str(c)) for c in self.coefficients.values()) + 2)
         header = " " * 5 + "".join(str(i).rjust(width) for i in cols)
         out = [header]
-        for r in range(rows_lo, rows_hi + 1):
+        for r in sorted({j - i for i, j in self.coefficients}):
             cells = []
             for i in cols:
                 c = self.get(i, i + r)

@@ -30,6 +30,10 @@ class SpectralError(GrtorError):
     pass
 
 
+# the most page cells a run lists as flagged past a truncation
+MAX_FLAGGED_CELLS = 10 ** 6
+
+
 class PageCancellation(namedtuple("PageCancellation", "r i j")):
     """One unit removed at (i, j) on page r, paired with one at (i-1, j+r)."""
 
@@ -104,8 +108,13 @@ def _page(L, bars, r):
 
 def _cells_above(L, j0):
     """The cells (i, j) of L's grid with j > j0, listed without a scan of
-    the whole grid."""
-    return {(i, j) for i in range(L.i_max + 1) for j in range(max(j0 + 1, 0), L.j_max + 1)}
+    the whole grid; counted first, and refused past MAX_FLAGGED_CELLS."""
+    lo = max(j0 + 1, 0)
+    count = (L.i_max + 1) * max(L.j_max + 1 - lo, 0)
+    if count > MAX_FLAGGED_CELLS:
+        raise SpectralError("%d cells with j > %d lie past the truncation, more than the "
+                            "%d that can be flagged" % (count, j0, MAX_FLAGGED_CELLS))
+    return {(i, j) for i in range(L.i_max + 1) for j in range(lo, L.j_max + 1)}
 
 
 def _cancellations(L, bars, r):

@@ -583,6 +583,32 @@ def test_fc_header_jmax_sizes_no_loop(tmp_path, truncated):
         assert payload["page_infinity_indeterminate"] == []
 
 
+WIDE_BODY = "term 0 dim 1 levels 999999999\nterm 1 dim 1 levels 0\ndiff 1 nnz 1\n0 0 1\n"
+
+
+def test_wide_pair_in_table_format(tmp_path):
+    # the diagram prints the rows of its support, not every row between them
+    fc = tmp_path / "wide.fc"
+    fc.write_text(FC_HEADER % ("QQ", 1, 10 ** 9, 0) + WIDE_BODY)
+    assert len(fc.read_text().splitlines()) == 9
+    code, out, err, seconds = run_bounded(["check-theorem", "--synthetic", str(fc)])
+    assert (code, err) == (0, "") and seconds < 1
+    assert "  -1:   .   1\n999999999:   1   .\n" in out
+    assert out.endswith("0 0 999999999\nbookkeeping verified: yes\nverdict: PASS\n")
+
+
+def test_too_many_flagged_cells_is_one_error_line(tmp_path):
+    # truncated, the pair closes on page 10^9, so every cell above j = 0
+    # would be flagged: 2 * 10^9 cells are counted, not listed
+    fc = tmp_path / "wide.fc"
+    fc.write_text(FC_HEADER % ("QQ", 1, 10 ** 9, 1) + WIDE_BODY)
+    for fmt in ("table", "json"):
+        code, out, err, seconds = run_bounded(["check-theorem", "--synthetic", str(fc),
+                                               "--format", fmt])
+        assert_one_line_error(code, err)
+        assert out == "" and "2000000000 cells" in err and seconds < 1
+
+
 # argv -> (exit code, SHA-256 of stdout + "\0" + stderr) at 80 columns,
 # recorded with Python 3.11's argparse from the parser that gave every
 # subcommand the common options

@@ -1,5 +1,5 @@
-"""Golden digests: the SHA-256 of the `--format json` output of `tor-gr` and
-`check-theorem` on the ROADMAP baseline jobs.  A change that claims
+"""Golden digests: the SHA-256 of the `--format json` output of `tor-gr`,
+`check-theorem` and `gr` on the ROADMAP baseline jobs.  A change that claims
 byte-identical outputs must keep every digest; a change that means to
 alter an output records the new digest here and says why."""
 
@@ -52,6 +52,18 @@ GOLDEN = {
                            "804111bf590bdb836e052c179d190016897b3b5b3a2f3064447a9e6147c9bf53"),
     "stable-4323-QQ-j8": ("tor-gr", "graded", STABLE_4323, "QQ", 8,
                           "3600ec5e1ee544eddaaa0e8509248853d455bcfce85525349bc03fcc2b386bdd"),
+    "gr-cusps-QQ-j12": ("gr", "local", CUSPS, "QQ", 12,
+                        "a54882c7f5e18dd4201ed818ef151401c49e6bbf2832739f1b375a46c7310ae4"),
+    "gr-cusps-Fp-j30": ("gr", "local", CUSPS, P, 30,
+                        "0cb877f7fcca713a58562bdf69ab296aa552c6b234a0fa19d577425a48f1aa65"),
+    "gr-three-QQ-j8": ("gr", "local", THREE, "QQ", 8,
+                       "a7342fc198d92ee3fb4c345b3bdd84d186a394f88d5decd7d70b72a3f57d7994"),
+    "gr-three-Fp-j12": ("gr", "local", THREE, P, 12,
+                        "492dbdb152394d1f32dd109da9dfc8ed1f86c909df95c096d951ec300f1eb816"),
+    "gr-l4-QQ-j8": ("gr", "local", L4, "QQ", 8,
+                    "8cd3aa895c1736dba57f3c2bc78a8c9a357a8bac1cb4aa7f10149ff524658f9d"),
+    "gr-l4-Fp-j8": ("gr", "local", L4, P, 8,
+                    "8cd3aa895c1736dba57f3c2bc78a8c9a357a8bac1cb4aa7f10149ff524658f9d"),
 }
 
 

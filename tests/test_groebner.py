@@ -8,8 +8,8 @@ import pytest
 from grtor.fields import Field
 from grtor.groebner import (CapExceededError, IdealPresentation, colength,
                             groebner_basis, ideal_intersection, ideal_product,
-                            initial_ideal, leading_monomial_ideal, normal_form,
-                            standard_basis, syzygies)
+                            initial_ideal, leading_monomial_ideal, module_groebner_basis,
+                            normal_form, standard_basis, syzygies)
 from grtor.linalg import rank
 from grtor.poly import LOCAL, Ring
 from grtor.resolution import Strands
@@ -292,3 +292,60 @@ def test_colength_equals_standard_monomial_sum():
     lm = leading_monomial_ideal(I)
     total = sum(hilbert_function(lm, 2, j) for j in range(16))
     assert colength(I) == total == 6
+
+
+def test_only_syzygies_track_cofactors(monkeypatch):
+    # a basis that no caller expresses in its inputs builds no expressions
+    import grtor.groebner as gb
+    buchberger, built = gb._buchberger, []
+
+    def spy(*args):
+        basis, syz = buchberger(*args)
+        built.append((args[-1], basis, syz))  # (collect_syzygies, basis, syzygies)
+        return basis, syz
+    monkeypatch.setattr(gb, "_buchberger", spy)
+    R = Ring(["x", "y", "z"])
+    L = Ring(["x", "y", "z"], setting=LOCAL, cap=8)
+    gens = ["x^2 - y*z", "y^2 - x*z", "z^2 - x*y"]
+    groebner_basis(IdealPresentation(R, gens))
+    standard_basis(IdealPresentation(L, ["x^2 + y^3", "y^2 - z^3", "x*z - y^4"]))
+    module_groebner_basis(R, [[R.parse("x"), R.parse("y")], [R.parse("y^2"), R.parse("z^2")],
+                              [R.parse("z"), R.parse("x")]], (0, 1))
+    assert len(built) == 3 and all(len(basis) >= 3 for _, basis, _ in built)
+    assert all(not collect and g.expr is None for collect, basis, _ in built for g in basis)
+    syzygies(R, [[R.parse(g)] for g in gens])
+    collect, basis, syz = built[-1]
+    assert collect and syz and all(g.expr for g in basis)
+
+
+def _texts(vectors):
+    return [[str(p) for p in u] for u in vectors]
+
+
+def test_syzygies_are_pinned_on_fixed_inputs():
+    # the vectors of the polynomial-list cofactor engine, recorded before
+    # the cofactors became term dicts
+    R = Ring(["x", "y"])
+    assert _texts(syzygies(R, [[R.parse("x^2")], [R.parse("x*y")], [R.parse("y^2")]])) == [
+        ["y", "-x", "0"], ["0", "y", "-x"], ["y^2", "0", "-x^2"]]
+    # the rank-2 module P over k[x,y,z]/(x^3 - y z^2), the quotient adjoined
+    # in each row as `minimal_resolution` does
+    G = Ring(["x", "y", "z"], Field(32003), quotient=["x^3 - y*z^2"])
+    cols = [[G.parse(p) for p in rel] for rel in (["x^2", "y"], ["y*z", "x"], ["0", "z^2"])]
+    cols += [[q if b == a else G.zero() for b in range(2)] for q in G.quotient for a in range(2)]
+    m = "32002"
+    assert _texts(syzygies(G, cols, (0, 1))) == [
+        ["0", "x^3 + %s*y*z^2" % m, "0", "%s*y*z" % m, "%s*x" % m],
+        ["%s*x*z^2" % m, "z^3", "x*y + %s*x*z" % m, "z^2", "0"],
+        ["%s*y*z^2" % m, "x^2*z", "y^2 + %s*y*z" % m, "0", "%s*z" % m],
+        ["%s*x^3" % m, "x^2*z", "y^2 + %s*y*z" % m, "x^2", "y + %s*z" % m],
+        ["0", "x^3 + %s*y*z^2" % m, "0", "%s*y*z" % m, "%s*x" % m],
+        ["0", "0", "x^3 + %s*y*z^2" % m, "0", "%s*z^2" % m],
+        ["%s*x^3*y*z" % m, "x^5", "%s*x^3*y + y^3*z" % m, "0", "%s*x^3 + y^2*z" % m]]
+    # a capped local intersection: cofactor terms past the cap are dropped
+    L = Ring(["X", "Y"], setting=LOCAL, cap=10)
+    inter = ideal_intersection(IdealPresentation(L, ["X^2 - Y^3"]),
+                               IdealPresentation(L, ["X^2 - Y^5", "X*Y^2"]), cap=8)
+    assert [str(g) for g in inter.generators] == [
+        "-X^2*Y^4 + Y^7", "-X^2*Y^4 + Y^7", "X^3 - X*Y^3",
+        "X^4 - X^2*Y^3 - X^2*Y^5 + Y^8", "X^4 - X^2*Y^3 - X^2*Y^5 + Y^8"]

@@ -14,7 +14,7 @@ from grtor.groebner import (GroebnerError, IdealPresentation, NormalFormTable, V
                             _buchberger, _divides, _leads, _reduce, _Tracked, graded_piece_basis,
                             groebner_basis, module_groebner_basis, module_normal_form,
                             normal_form, quotient_groebner, standard_basis)
-from grtor.poly import GRADED, LOCAL, Polynomial, Ring
+from grtor.poly import GRADED, LOCAL, Ring
 
 from reduce_oracle import oracle_leads, reduce_oracle
 
@@ -138,8 +138,9 @@ def _vec(rng, ring, shifts, nterms, top):
 
 
 def _expr(rng, ring, ncols, top):
-    return [Polynomial(ring, {_exps(rng, ring.nvars, top): _coeff(rng, ring.field)
-                              for _ in range(rng.randint(0, 3))}) for _ in range(ncols)]
+    """A random cofactor expression: a term dict over ncols input columns."""
+    return {(rng.randrange(ncols), _exps(rng, ring.nvars, top)): _coeff(rng, ring.field)
+            for _ in range(rng.randint(0, 3 * ncols))}
 
 
 # (setting, ring cap, reduction cap, shifts): graded with and without a
@@ -152,7 +153,7 @@ CASES = [(GRADED, None, None, (0,)), (GRADED, None, None, (0, 1)),
 
 def _assert_same(got, want):
     assert got.vec.terms == want.vec.terms
-    assert [p.terms for p in got.expr] == [p.terms for p in want.expr]
+    assert got.expr == want.expr and all(got.expr.values())
 
 
 @pytest.mark.parametrize("p", [0, P])
@@ -172,15 +173,17 @@ def test_reduce_matches_oracle(p, case):
                     for _ in range(rng.randint(0, 6))]
         cols = [_vec(rng, ring, shifts, rng.randint(1, 3), rng.randint(1, 3))
                 for _ in range(rng.randint(1, 3))]
-        basis, _ = _buchberger(ring, cols, shifts, cap, False)
+        basis, _ = _buchberger(ring, cols, shifts, cap, True)  # tracked reducers
         for reds in (reducers, reducers[::-1], basis):
             for _ in range(4):
                 f = _Tracked(_vec(rng, ring, shifts, rng.randint(1, 8), top),
                              _expr(rng, ring, ncols if reds is not basis else len(cols), top))
+                before = dict(f.expr)
                 got = _reduce(f, _leads(reds), cap)
                 want = reduce_oracle(f, oracle_leads(reds), cap)
                 _assert_same(got, want)
                 steps += got.expr != f.expr
+                assert f.expr == before  # the input is left alone
                 heads = oracle_leads(reds)
                 for row, e in got.vec.terms:
                     assert not any(r == row and _divides(g, e) for (r, g), _ in heads)
@@ -192,8 +195,8 @@ def test_reduce_matches_oracle(p, case):
 
 def _direct(vec, basis, shifts, cap):
     """The normal form of the whole vector in one reduction."""
-    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts), []) for b in basis])
-    return _reduce(_Tracked(VecPoly.from_polys(list(vec), shifts), []), leads, cap).vec.terms
+    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts), None) for b in basis])
+    return _reduce(_Tracked(VecPoly.from_polys(list(vec), shifts), None), leads, cap).vec.terms
 
 
 def _table_nf(table, vec, mono):
@@ -294,6 +297,6 @@ def test_normal_form_against_an_empty_basis_is_the_truncation(p, setting, ring_c
         rng = random.Random(seed)
         f = _vec(rng, ring, (0,), rng.randint(0, 8), 6).to_polys()[0]
         for cap in (None, 3, 6, 9):
-            want = _reduce(_Tracked(VecPoly.from_polys([f]), []), {}, cap).vec.to_polys()[0]
+            want = _reduce(_Tracked(VecPoly.from_polys([f]), None), {}, cap).vec.to_polys()[0]
             got = normal_form(f, [], cap)
             assert got == want and got.ring is ring

@@ -3,13 +3,17 @@
 import pytest
 
 from grtor.fields import Field
-from grtor.groebner import GroebnerError, IdealPresentation, ModulePresentation
-from grtor.poly import Ring
+from grtor.filtered import FilteredResolution, LiftError, resolve_local_cyclic
+from grtor.groebner import (GroebnerError, IdealPresentation, ModulePresentation,
+                            NormalFormTable, quotient_groebner)
+from grtor.poly import LOCAL, Polynomial, Ring
 from grtor.resolution import (GradedFreeResolution, ResolutionError, Strands,
                               betti_series, closed_form_tor_series,
-                              ek_betti_stable, minimal_resolution, tor_series,
-                              tor_symmetry_check, _matmul_poly)
+                              ek_betti_stable, minimal_resolution, product_normal_forms,
+                              tor_series, tor_symmetry_check)
 from grtor.series import series_from_layers
+
+from matmul_oracle import matmul_poly
 
 
 def test_resolution_principal_quadric():
@@ -42,7 +46,7 @@ def test_resolution_differentials_compose_to_zero():
     R = Ring(["x", "y"], quotient=["x^3"])
     res = minimal_resolution(ModulePresentation.cyclic(R, ["x^2", "x*y^2"]), 4)
     for i in range(2, res.length + 1):
-        prod = _matmul_poly(R, res.diffs[i - 1], res.diffs[i])
+        prod = matmul_poly(R, res.diffs[i - 1], res.diffs[i])
         assert all(p.is_zero() for row in prod for p in row)
 
 
@@ -247,3 +251,68 @@ def test_tor_series_refuses_a_negative_column_degree(m_degree, n_degree):
     mN = ModulePresentation(R, 1, (n_degree,), [])
     with pytest.raises(ResolutionError, match="column degree -1 is negative"):
         tor_series(mM, mN, 3, 4)
+
+
+# --- d o d through the normal-form table, against the polynomial product ----------
+
+L4_GENS = ["a^2 + b^3", "b^2 - c^3 + d^4", "c*d - a^3"]
+
+
+def _l4_lift(cap=10):
+    L = Ring(["a", "b", "c", "d"], Field(32003), LOCAL, cap=cap)
+    return resolve_local_cyclic(IdealPresentation(L, L4_GENS), cap)
+
+
+def _changed(diffs, i, factor=2):
+    """A copy of diffs whose d_i has one coefficient multiplied by factor:
+    the lowest term of its first nonzero entry."""
+    out = [None] + [[list(row) for row in d] for d in diffs[1:]]
+    a, b = next((a, b) for a, row in enumerate(out[i]) for b, p in enumerate(row) if p.terms)
+    p = out[i][a][b]
+    e = min(p.terms, key=sum)
+    terms = dict(p.terms)
+    terms[e] = p.ring.field.mul(terms[e], p.ring.field.of(factor))
+    out[i][a][b] = Polynomial(p.ring, terms)
+    return out
+
+
+def _scaled(d):
+    """d with entry (t, c) scaled by t + 2c + 1, so that products no longer cancel."""
+    return [[p.scale(t + 2 * c + 1) for c, p in enumerate(row)] for t, row in enumerate(d)]
+
+
+def test_changing_one_coefficient_of_d2_breaks_d_squared():
+    res = minimal_resolution(_g4_pair(Field(32003), False)[0], 4)
+    assert len(res.shifts) > 3
+    with pytest.raises(ResolutionError, match="d o d is nonzero at homological degree 2"):
+        GradedFreeResolution(res.ring, res.shifts, _changed(res.diffs, 2), res.i_max)
+    fres = _l4_lift()
+    fres.check_postconditions()
+    broken = FilteredResolution(fres.ring, fres.shifts, _changed(fres.diffs, 2), fres.cap,
+                                graded=fres.graded)
+    with pytest.raises(LiftError, match="do not compose to zero"):
+        broken.check_postconditions()
+
+
+@pytest.mark.parametrize("case", ["g4", "g4-swap", "stable-3324", "l4"])
+def test_product_normal_forms_match_the_polynomial_product(case):
+    if case == "l4":
+        res = _l4_lift()
+        ring, gb, cap = res.ring, [], res.cap
+    else:
+        F = Field(32003)
+        M = _stable_pair(3, 3, 2, 4, F)[0] if case == "stable-3324" else \
+            _g4_pair(F, case == "g4-swap")[0]
+        res = minimal_resolution(M, 4)
+        ring, gb, cap = res.ring, quotient_groebner(res.ring), None
+    nf = NormalFormTable(ring, [[g] for g in gb], cap=cap)
+    nonzero = 0
+    for i in range(2, len(res.diffs)):
+        for right in (res.diffs[i], _scaled(res.diffs[i])):
+            want = matmul_poly(ring, res.diffs[i - 1], right, gb, cap)
+            got = list(product_normal_forms(nf, res.diffs[i - 1], right))
+            # one column of the right factor at a time
+            assert got == [{(0, e): c for e, c in want[a][b].terms.items()}
+                           for b in range(len(right[0])) for a in range(len(want))]
+            nonzero += sum(map(bool, got))
+    assert nonzero > 0

@@ -251,3 +251,10 @@ def test_diagram_output_shape():
     s = series_from_layers(1, 3, {0: {0: 1}, 1: {2: 1}})
     d = s.to_diagram()
     assert "0:" in d and "1:" in d
+
+
+def test_diagram_prints_only_rows_with_a_nonzero_cell():
+    s = series_from_layers(1, 9, {0: {0: 1}, 1: {9: 2}})
+    assert s.to_diagram() == ("        0   1\n"
+                              "   0:   1   .\n"
+                              "   8:   .   2\n")
