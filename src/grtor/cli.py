@@ -12,12 +12,13 @@ import sys
 
 from .fields import Field, GrtorError, field_from_name
 from .groebner import (CapExceededError, IdealPresentation, ModulePresentation,
-                       colength, graded_twin, initial_ideal,
-                       leading_monomial_ideal, standard_monomial_layers)
+                       colength, initial_ideal, leading_monomial_ideal,
+                       minimal_initial_forms, standard_basis,
+                       standard_monomial_layers)
 from .filtered import (FilteredComplex, LiftWindowExceededError,
-                       filtered_tensor, resolve_local_cyclic)
+                       resolve_local_cyclic, tensor_over_basis)
 from .poly import GRADED, LOCAL, Ring, parse_ideal
-from .resolution import tor_series
+from .resolution import tor_from_resolution, tor_series
 from .series import BigradedSeries, decide_cancellation
 from .spectral import run_to_stability
 
@@ -261,23 +262,21 @@ def cmd_check_theorem(args, out):
         local = ring
     iM = module_ideal(sections, "M", local)
     iN = module_ideal(sections, "N", local)
-    if iM is None:
+    if iM is None or not iM.generators:
         raise InputError("check-theorem needs a nonzero ideal in [module M]")
-
-    gring = graded_twin(local)
-    forms = {}
     for name, ideal in (("M", iM), ("N", iN)):
-        forms[name] = initial_ideal(ideal, cap).generators if ideal is not None else []
-        if any(f.degree() == 0 for f in forms[name]):
+        # the ideal holds a unit of the local ring iff a generator does
+        if ideal is not None and any(g.order_degree() == 0 for g in ideal.generators):
             raise InputError("%s = R/I is zero: the [module %s] ideal contains a unit "
                              "of the local ring" % (name, name))
-    mM = ModulePresentation.cyclic(gring, forms["M"])
-    mN = ModulePresentation.cyclic(gring, forms["N"])
-    tor_graded = tor_series(mM, mN, args.imax, args.jmax)
 
+    # one resolution of gr M and one standard basis per ideal serve both sides
     fres = resolve_local_cyclic(iM, cap)
-    L = filtered_tensor(fres, iN, args.jmax)
-    run = run_to_stability(L)
+    basis_n = standard_basis(iN, cap) if iN is not None else []
+    gring = fres.graded.ring
+    mN = ModulePresentation.cyclic(gring, minimal_initial_forms(gring, basis_n)[0])
+    tor_graded = tor_from_resolution(fres.graded, mN, args.imax, args.jmax)
+    run = run_to_stability(tensor_over_basis(fres, basis_n, args.jmax))
 
     cells = [(i, j) for i in range(args.imax + 1) for j in range(args.jmax)]
     page1_matches = all(run.page1.dims.get(i, j) == tor_graded.get(i, j)

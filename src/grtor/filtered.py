@@ -14,7 +14,7 @@ from collections import Counter
 from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
                        NormalFormTable, graded_twin, ideal_intersection,
                        ideal_product, ideal_sum, leading_monomial_ideal,
-                       minimal_generator_indices, standard_basis,
+                       minimal_initial_forms, standard_basis,
                        standard_monomial_layers)
 from .fields import GrtorError
 from .linalg import sparse_pivots
@@ -186,32 +186,19 @@ def lift_resolution(gres, generators, cap):
     return out
 
 
-def local_cyclic_graded_data(ideal, cap=None):
-    """Standard basis bookkeeping for a cyclic local module R/I: returns
-    (minimal initial forms over the graded twin, matching local standard
-    basis elements)."""
-    ring = ideal.ring
-    cap = cap if cap is not None else ring.cap
-    sb = standard_basis(ideal, cap)
-    gring = graded_twin(ring)
-    forms = [_to_graded(gring, g.initial_form()) for g in sb]
-    chosen = minimal_generator_indices(gring, forms)
-    return [forms[k] for k in chosen], [sb[k] for k in chosen]
-
-
 def resolve_local_cyclic(ideal, cap=None):
-    """Lifted filtered resolution of R/I over the regular local ring:
-    minimal graded resolution of k[x]/in(I), then the order-by-order lift."""
+    """Lifted filtered resolution of R/I over the regular local ring: the
+    complete minimal graded resolution of k[x]/in(I) (the result's
+    `graded`), then the order-by-order lift."""
     ring = ideal.ring
     cap = cap if cap is not None else ring.cap
-    forms, gens = local_cyclic_graded_data(ideal, cap)
+    if not ideal.generators:
+        raise LiftError("R/I is R: the ideal has no generators")
+    gring = graded_twin(ring)
+    forms, gens = minimal_initial_forms(gring, standard_basis(ideal, cap))
     if any(f.degree() == 0 for f in forms):
         raise LiftError("R/I is zero: the ideal contains a unit of the local ring")
-    gring = forms[0].ring if forms else graded_twin(ring)
-    module = ModulePresentation.cyclic(gring, forms)
-    gres = minimal_resolution(module, ring.nvars + 1)
-    if [str(p) for p in gres.diffs[1][0]] != [str(f) for f in forms]:
-        raise LiftError("graded resolution reordered the minimal generators")
+    gres = minimal_resolution(ModulePresentation.cyclic(gring, forms), ring.nvars + 1)
     return lift_resolution(gres, gens, cap)
 
 
@@ -383,27 +370,29 @@ def tensor_complex(shifts, diffs, nf, basis_n, j_max):
 
 
 def filtered_tensor(fres, n_ideal, j_max):
-    """L = F (x)_R N truncated at internal degree j_max, where N = R/n_ideal
-    carries the m-adic filtration (n_ideal empty/None means N = R).
+    """L = F (x)_R R/n_ideal truncated at internal degree j_max (n_ideal
+    None means N = R): its standard basis, then `tensor_over_basis`."""
+    basis = standard_basis(n_ideal, fres.cap) if n_ideal is not None else []
+    return tensor_over_basis(fres, basis, j_max)
+
+
+def tensor_over_basis(fres, basis, j_max):
+    """L = F (x)_R N truncated at internal degree j_max, N = R/I m-adically
+    filtered, for `basis` a standard basis of I to the cap (empty: N = R).
 
     Basis of each L_i: (free generator b, standard monomial u of N) with
     level = shift_b + deg u <= j_max.  The differential applies the lifted
-    matrix entries, then the full normal form in N/m^{j_max+1}N against a
-    standard basis of N (k-linear, since that basis is valid to the cap
+    matrix entries, then the full normal form in N/m^{j_max+1}N against
+    the standard basis (k-linear, since that basis is valid to the cap
     >= j_max; read off one table of monomial normal forms), and drops the
     terms whose level passes j_max (`tensor_complex`).
     """
     ring = fres.ring
-    cap = fres.cap
-    if j_max > cap:
-        raise CapExceededError("tensor truncation %d exceeds the resolution cap %d" % (j_max, cap))
-    if n_ideal is not None and n_ideal.generators:
-        nb = standard_basis(n_ideal, cap)
-        lm = [p.leading_monomial() for p in nb]
-    else:
-        nb, lm = [], []
-    nf = NormalFormTable(ring, [[g] for g in nb], cap=j_max)
-
+    if j_max > fres.cap:
+        raise CapExceededError("tensor truncation %d exceeds the resolution cap %d"
+                               % (j_max, fres.cap))
+    nf = NormalFormTable(ring, [[g] for g in basis], cap=j_max)
+    lm = [p.leading_monomial() for p in basis]
     layers = list(standard_monomial_layers(lm, ring.nvars, j_max))
     basis_n = [(0, u) for layer in layers for u in layer]
 

@@ -525,16 +525,18 @@ def initial_ideal(ideal, cap=None):
     """
     ring = ideal.ring
     if ring.setting == LOCAL:
-        basis = standard_basis(ideal, cap)
         gr = graded_twin(ring)
-        forms = []
-        for p in basis:
-            f = p.initial_form()
-            forms.append(Polynomial(gr, dict(f.terms)))
-    else:
-        forms = groebner_basis(ideal)
-        gr = ring
-    return IdealPresentation(gr, [forms[k] for k in minimal_generator_indices(gr, forms)])
+        return IdealPresentation(gr, minimal_initial_forms(gr, standard_basis(ideal, cap))[0])
+    forms = groebner_basis(ideal)
+    return IdealPresentation(ring, [forms[k] for k in minimal_generator_indices(ring, forms)])
+
+
+def minimal_initial_forms(gr, basis):
+    """(minimal generators of in(I) over the graded twin `gr`, the elements
+    they come from) of a local standard basis of I: gr(R/I) = gr/in(I)."""
+    forms = [Polynomial(gr, dict(p.initial_form().terms)) for p in basis]
+    chosen = minimal_generator_indices(gr, forms)
+    return [forms[k] for k in chosen], [basis[k] for k in chosen]
 
 
 def minimal_generator_indices(ring, forms):

@@ -12,7 +12,7 @@ import operator
 from math import comb
 
 from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, VecPoly,
-                       _quotient_lm, module_groebner_basis, normal_form,
+                       _quotient_lm, module_groebner_basis,
                        quotient_groebner, standard_monomial_layers, syzygies)
 from .fields import GrtorError
 from .linalg import ColumnEchelon, solve
@@ -49,6 +49,10 @@ class Strands:
                 return []
             self._pieces.append(sorted(layer, key=self.ring.order.key, reverse=True))
         return self._pieces[j] if j >= 0 else []
+
+    def reduce(self, p):
+        """The normal form of p modulo J, read off the table."""
+        return Polynomial(self.ring, {e: c for (_, e), c in self._nf(p, (0, self._one)).items()})
 
     def free_basis(self, shifts, degree):
         """Basis [(col, (0, monomial))] of the degree-`degree` piece of
@@ -309,15 +313,15 @@ def minimal_resolution(module, i_max):
     if ring.setting != GRADED:
         raise ResolutionError("minimal_resolution needs a graded ring")
     module = _minimize_presentation(module)
-    gb = quotient_groebner(ring)
     strands = Strands(ring)
+    reduce = strands.reduce if ring.quotient else None
 
     shifts_per_term = [tuple(module.column_degrees)]
     diffs = [None]
 
     current = []
     for rel in module.relations:
-        vec = [normal_form(p, gb) if gb and not p.is_zero() else p for p in rel]
+        vec = [reduce(p) if reduce and p.terms else p for p in rel]
         if any(not p.is_zero() for p in vec):
             current.append(vec)
     current = [vec for vec, _deg in minimal_generators(strands, current, shifts_per_term[0])]
@@ -348,8 +352,8 @@ def minimal_resolution(module, i_max):
         nxt = []
         for u in raw:
             vec = [u[b] for b in range(len(current))]
-            if gb:
-                vec = [normal_form(p, gb) if not p.is_zero() else p for p in vec]
+            if reduce:
+                vec = [reduce(p) if p.terms else p for p in vec]
             if any(not p.is_zero() for p in vec):
                 nxt.append(vec)
         current = [vec for vec, _deg in minimal_generators(strands, nxt, tuple(col_degs))]
@@ -381,13 +385,8 @@ def betti_series(res, i_max=None, j_max=None):
 
 
 def tor_series(mM, mN, i_max, j_max):
-    """Bigraded Hilbert series of Tor^G(M, N): resolve M minimally, tensor
-    with N over G, take homology one internal degree at a time.
-
-    F (x) N comes from `tensor_complex`, the builder of `filtered_tensor`,
-    with level = internal degree: every differential preserves it, so the
-    complex is exact and its strand homology is Tor."""
-    from .filtered import FilteredComplex, gr_complex, tensor_complex
+    """Bigraded Hilbert series of Tor^G(M, N): resolve M minimally to
+    homological degree i_max + 1, then `tor_from_resolution`."""
     if not mM.ring.compatible(mN.ring) or tuple(
             str(q) for q in mM.ring.quotient) != tuple(str(q) for q in mN.ring.quotient):
         raise ResolutionError("modules must be presented over the same ring")
@@ -395,12 +394,20 @@ def tor_series(mM, mN, i_max, j_max):
     if low < 0:  # the pieces of N are read in degrees 0..j_max only
         raise ResolutionError("column degree %d is negative; shift the modules to "
                               "degrees >= 0" % low)
-    res = minimal_resolution(mM, i_max + 1)
+    return tor_from_resolution(minimal_resolution(mM, i_max + 1), mN, i_max, j_max)
+
+
+def tor_from_resolution(res, mN, i_max, j_max):
+    """Tor^G(M, N) for i <= i_max off a minimal graded free resolution F of
+    M to homological degree i_max + 1 or further (later terms are not
+    read): the strand homology of F (x) N from `tensor_complex`, with level
+    = internal degree, which every differential preserves."""
+    from .filtered import FilteredComplex, gr_complex, tensor_complex
     pieces = GradedModulePieces(mN, j_max)
     basis_n = [key for d in range(j_max + 1) for key in pieces._basis[d]]
     top = min(res.length, i_max + 1) + 1
     levels, diffs = tensor_complex(res.shifts[:top], res.diffs[:top], pieces._nf, basis_n, j_max)
-    homology = gr_complex(FilteredComplex(mM.ring.field, levels, diffs, j_max)).homology_series()
+    homology = gr_complex(FilteredComplex(mN.ring.field, levels, diffs, j_max)).homology_series()
     return BigradedSeries(i_max, j_max, {c: h for c, h in homology.coefficients.items()
                                          if c[0] <= i_max})
 

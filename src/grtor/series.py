@@ -159,19 +159,21 @@ class BigradedSeries:
 
     def to_diagram(self):
         """Macaulay-style Betti diagram: rows j - i, columns i.  Only the
-        rows that hold a nonzero cell are printed."""
+        rows that hold a nonzero cell are printed, each label padded to the
+        widest one (at least 5 characters)."""
         if not self.coefficients:
             return "(zero series)\n"
         cols = range(0, max(i for i, _ in self.coefficients) + 1)
         width = max(4, max(len(str(c)) for c in self.coefficients.values()) + 2)
-        header = " " * 5 + "".join(str(i).rjust(width) for i in cols)
-        out = [header]
-        for r in sorted({j - i for i, j in self.coefficients}):
+        rows = sorted({j - i for i, j in self.coefficients})
+        pad = max(5, max(len("%d:" % r) for r in rows))
+        out = [" " * pad + "".join(str(i).rjust(width) for i in cols)]
+        for r in rows:
             cells = []
             for i in cols:
                 c = self.get(i, i + r)
                 cells.append((str(c) if c else ".").rjust(width))
-            out.append(("%d:" % r).rjust(5) + "".join(cells))
+            out.append(("%d:" % r).rjust(pad) + "".join(cells))
         return "\n".join(out) + "\n"
 
 

@@ -7,10 +7,13 @@ import random
 import resource
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import grtor
+import grtor.groebner
+import grtor.resolution
 from grtor.cli import main, make_parser
 from grtor.series import BigradedSeries, CancellationCertificate, verify_certificate
 
@@ -289,9 +292,10 @@ def test_zero_module_is_usage_error(tmp_path, capsys):
     job = tmp_path / "m0.job"
     job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n"
                    "[module M]\nideal = 1 + X\n\n[module N]\nideal = X^2 - Y^5\n")
-    code, _, err = run_cli(capsys, ["check-theorem", str(job)])
-    assert_one_line_error(code, err)
-    assert "zero" in err
+    code, out, err = run_cli(capsys, ["check-theorem", str(job)])
+    assert (code, out) == (1, "")
+    assert err == ("error: M = R/I is zero: the [module M] ideal contains a unit "
+                   "of the local ring\n")
 
 
 def test_zero_n_module_is_usage_error(tmp_path, capsys):
@@ -299,9 +303,10 @@ def test_zero_n_module_is_usage_error(tmp_path, capsys):
     job = tmp_path / "n0.job"
     job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n"
                    "[module M]\nideal = X^2 - Y^3\n\n[module N]\nideal = 1 + Y\n")
-    code, _, err = run_cli(capsys, ["check-theorem", str(job)])
-    assert_one_line_error(code, err)
-    assert "zero" in err and "[module N]" in err
+    code, out, err = run_cli(capsys, ["check-theorem", str(job)])
+    assert (code, out) == (1, "")
+    assert err == ("error: N = R/I is zero: the [module N] ideal contains a unit "
+                   "of the local ring\n")
 
 
 @pytest.mark.parametrize("module", ["M", "N"])
@@ -587,14 +592,26 @@ WIDE_BODY = "term 0 dim 1 levels 999999999\nterm 1 dim 1 levels 0\ndiff 1 nnz 1\
 
 
 def test_wide_pair_in_table_format(tmp_path):
-    # the diagram prints the rows of its support, not every row between them
+    # the diagram prints the rows of its support, not every row between
+    # them, and pads every row label to the widest one
     fc = tmp_path / "wide.fc"
     fc.write_text(FC_HEADER % ("QQ", 1, 10 ** 9, 0) + WIDE_BODY)
     assert len(fc.read_text().splitlines()) == 9
     code, out, err, seconds = run_bounded(["check-theorem", "--synthetic", str(fc)])
     assert (code, err) == (0, "") and seconds < 1
-    assert "  -1:   .   1\n999999999:   1   .\n" in out
+    assert ("page 1 (reliable cells):\n             0   1\n"
+            "       -1:   .   1\n999999999:   1   .\n") in out
     assert out.endswith("0 0 999999999\nbookkeeping verified: yes\nverdict: PASS\n")
+
+
+def test_check_theorem_empty_generator_list_is_one_error_line(tmp_path):
+    # 'ideal = ,' lists no generators: M = R, which has no resolution to lift
+    job = tmp_path / "empty.job"
+    job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n"
+                   "[module M]\nideal = ,\n\n[module N]\nideal = X^2 - Y^5\n")
+    code, out, err, seconds = run_bounded(["check-theorem", str(job)])
+    assert (code, out) == (1, "") and seconds < 1
+    assert err == "error: check-theorem needs a nonzero ideal in [module M]\n"
 
 
 def test_too_many_flagged_cells_is_one_error_line(tmp_path):
@@ -646,3 +663,31 @@ def test_per_command_parser_prints_what_the_full_parser_prints(capsys, monkeypat
     if sys.version_info[:2] == (3, 11):  # argparse's wording differs by version
         digest = hashlib.sha256((got.out + "\0" + got.err).encode()).hexdigest()
         assert (code, digest) == PARSER_TEXTS[argv]
+
+
+def test_check_theorem_builds_each_artifact_once(tmp_path, capsys, monkeypatch):
+    # one standard basis per ideal and one resolution of gr M, which both
+    # graded Tor and the lift read
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((grtor.groebner, "standard_basis"),
+                        (grtor.resolution, "minimal_resolution")):
+        original = getattr(owner, name)
+        wrapper = counted(name, original)
+        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "grtor"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    job = tmp_path / "l4.job"
+    job.write_text("[ring]\nvariables = a b c d\nsetting = local\n\n"
+                   "[module M]\nideal = a^2 + b^3, b^2 - c^3 + d^4, c*d - a^3\n\n"
+                   "[module N]\nideal = a - b^2, c\n")
+    code, out, _ = run_cli(capsys, ["check-theorem", str(job), "--jmax", "8",
+                                    "--format", "json"])
+    assert code == 0 and json.loads(out)["verdict"] == "PASS"
+    assert calls == {"standard_basis": 2, "minimal_resolution": 1}

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from grtor.fields import Field
 from grtor.groebner import (CapExceededError, IdealPresentation, ModulePresentation,
-                            graded_twin, initial_ideal, normal_form, standard_basis)
+                            graded_twin, initial_ideal, minimal_initial_forms,
+                            normal_form, standard_basis)
 from grtor.filtered import (FilteredComplex, LiftError, StableFiltration,
                             filtered_tensor, gr_complex, lift_resolution,
-                            local_cyclic_graded_data, resolve_local_cyclic,
-                            tor_local_low)
+                            resolve_local_cyclic, tor_local_low)
 from grtor.linalg import rank
-from grtor.poly import LOCAL, Ring
+from grtor.poly import GRADED, LOCAL, Ring
 from grtor.resolution import tor_series
 from grtor.spectral import page, random_filtered_complex, run_to_stability
 
@@ -52,7 +52,8 @@ def test_lift_with_unit_correction():
 
 def test_lift_rejects_wrong_initial_forms():
     L = cusp_ring()
-    forms, gens = local_cyclic_graded_data(IdealPresentation(L, ["X^2 - Y^3"]))
+    I = IdealPresentation(L, ["X^2 - Y^3"])
+    forms, gens = minimal_initial_forms(graded_twin(L), standard_basis(I))
     from grtor.groebner import ModulePresentation
     from grtor.resolution import minimal_resolution
     gres = minimal_resolution(ModulePresentation.cyclic(forms[0].ring, forms), 3)
@@ -299,6 +300,25 @@ def test_from_text_fuzz_raises_only_lift_errors(fc_texts, data):
 def test_unit_ideal_has_no_resolution_to_lift():
     with pytest.raises(LiftError, match="zero"):
         resolve_local_cyclic(IdealPresentation(cusp_ring(), ["1 + X"]))
+
+
+def test_ideal_without_generators_has_no_resolution_to_lift():
+    # R/(0) = R: there is no first differential to lift
+    with pytest.raises(LiftError, match="no generators"):
+        resolve_local_cyclic(IdealPresentation(cusp_ring(), []))
+
+
+def test_minimal_initial_forms_keep_the_elements_they_come_from():
+    # the standard basis of (X^2 - Y^2, X*Y) ends in X^3, a lead no other
+    # lead divides, but X^3 = X(X^2 - Y^2) + Y(X*Y) among the initial forms
+    L = cusp_ring()
+    basis = standard_basis(IdealPresentation(L, ["X^2 - Y^2", "X*Y"]))
+    assert [str(g) for g in basis] == ["Y^2 - X^2", "X*Y", "X^3"]
+    forms, gens = minimal_initial_forms(graded_twin(L), basis)
+    assert gens == basis[:2]
+    assert [str(f) for f in forms] == ["-X^2 + Y^2", "X*Y"]
+    assert all(f.ring.setting == GRADED for f in forms)
+    assert minimal_initial_forms(graded_twin(L), []) == ([], [])
 
 
 def test_filtered_complex_validates():

@@ -1,5 +1,6 @@
 """Golden digests: the SHA-256 of the `--format json` output of `tor-gr`,
-`check-theorem` and `gr` on the ROADMAP baseline jobs.  A change that claims
+`check-theorem` and `gr` on the ROADMAP baseline jobs, and of a few
+`check-theorem` runs with further options (`--imax`, `--format table`).  A change that claims
 byte-identical outputs must keep every digest; a change that means to
 alter an output records the new digest here and says why."""
 
@@ -15,6 +16,8 @@ P = "32003"
 CUSPS = ("X Y", "X^2 - Y^3", "X^2 - Y^5")
 THREE = ("X Y Z", "X^2 - Y^3, Y^2 - Z^3", "X + Y^2 + Z^2")
 L4 = ("a b c d", "a^2 + b^3, b^2 - c^3 + d^4, c*d - a^3", "a - b^2, c")
+# N of finite length under jmax 16: the tensor complex is exact
+EXACT = ("X Y Z", "X*Y - Z^3, X^2 - Y^3, Y*Z", "X^3, Y^3, Z^3")
 G4_QUADRICS = "a^2 + b*c, b^2 - c*d, c^2 + a*d, a*b + c*d"
 G4 = ("a b c d", G4_QUADRICS, "a, b, c, d")
 G4_SWAP = ("a b c d", "a, b, c, d", G4_QUADRICS)
@@ -22,7 +25,8 @@ G4_SWAP = ("a b c d", "a, b, c, d", G4_QUADRICS)
 STABLE_3324 = ("x1 x2 x3", "x1^2, x1*x2, x1*x3", "x1, x2, x3", "x1^4")
 STABLE_4323 = ("x1 x2 x3 x4", "x1^2, x1*x2, x1*x3", "x1, x2, x3, x4", "x1^3")
 
-# name -> (command, setting, ideal, field, jmax, SHA-256 of the printed JSON)
+# name -> (command, setting, ideal, field, jmax[, further options], SHA-256
+# of the printed output)
 GOLDEN = {
     "cusps-QQ-j12": ("check-theorem", "local", CUSPS, "QQ", 12,
                      "d7cba8244205500686ac5a8e4682014a44cf0fd0aa8e60c24b14d3a3a7f55e28"),
@@ -36,6 +40,22 @@ GOLDEN = {
                  "ddcb48fdb55a1af149515d591a14214a8e63b502de8557db19ddba57e126948a"),
     "l4-Fp-j8": ("check-theorem", "local", L4, P, 8,
                  "ddcb48fdb55a1af149515d591a14214a8e63b502de8557db19ddba57e126948a"),
+    # --imax 0 and 1 resolve gr M less far than the lift does
+    "three-QQ-j8-i0": ("check-theorem", "local", THREE, "QQ", 8, ("--imax", "0"),
+                       "2bc3f5f77e9c285413043914113b4133f4c4107e4e0002edec55ab7056e716f2"),
+    "three-QQ-j8-i1": ("check-theorem", "local", THREE, "QQ", 8, ("--imax", "1"),
+                       "998b2b6792596893691a04510aac1b067bc60cf8ab7ffa9a9f068345cd6849e9"),
+    "l4-Fp-j8-i0": ("check-theorem", "local", L4, P, 8, ("--imax", "0"),
+                    "f9ab3d61f11df1e03376ca892c0f6699924bc63c53d89df586676759d69216d8"),
+    "l4-Fp-j8-i1": ("check-theorem", "local", L4, P, 8, ("--imax", "1"),
+                    "759a4636e4b6be89f1fc0b12e51c680680eb4cd4553989a91e6b64de925ca6f0"),
+    "exact-Fp-j16": ("check-theorem", "local", EXACT, P, 16,
+                     "955ba58e265184de8290c98d8fb0b64ed572c7ad3585022484c8bc0469cfcbf8"),
+    # a graded job file runs check-theorem on the same local ring
+    "cusps-graded-QQ-j12": ("check-theorem", "graded", CUSPS, "QQ", 12,
+                            "d7cba8244205500686ac5a8e4682014a44cf0fd0aa8e60c24b14d3a3a7f55e28"),
+    "three-QQ-j8-table": ("check-theorem", "local", THREE, "QQ", 8, ("--format", "table"),
+                          "8afd42facee3dd20560c13a1b3db6ffc2af26dfa9180ff9de037a8be5e04aa30"),
     "g4-Fp-j12": ("tor-gr", "graded", G4, P, 12,
                   "af0c7ad72e9dbac2028760102aee95709e9a2005aeefe5f9ca51e54e41bd7df4"),
     "g4-QQ-j6": ("tor-gr", "graded", G4, "QQ", 6,
@@ -76,12 +96,13 @@ def job_text(setting, ideal):
     return "\n".join(lines) + "\n"
 
 
-def digest(tmp_path, command, setting, ideal, field, jmax):
+def digest(tmp_path, command, setting, ideal, field, jmax, options=()):
     path = tmp_path / "job"
     path.write_text(job_text(setting, ideal))
     argv = [command, str(path), "--jmax", str(jmax), "--format", "json"]
     if field != "QQ":
         argv += ["--char", field]
+    argv += list(options)  # a later --format wins
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
