@@ -12,7 +12,7 @@ import sys
 
 from .fields import Field, GrtorError, field_from_name
 from .groebner import (CapExceededError, IdealPresentation, ModulePresentation,
-                       colength, initial_ideal, leading_monomial_ideal,
+                       basis_leads, colength_from_leads, graded_twin,
                        minimal_initial_forms, standard_basis,
                        standard_monomial_layers)
 from .filtered import (FilteredComplex, LiftWindowExceededError,
@@ -91,23 +91,22 @@ def build_ring(sections, args):
 
 
 def module_ideal(sections, name, ring):
-    sec = sections.get("module %s" % name.lower()) or sections.get(name.lower())
+    sec = sections.get("module %s" % name.lower(), sections.get(name.lower()))
     if sec is None:
         raise InputError("input file needs a [module %s] section" % name)
     text = sec.get("ideal", "").strip()
     filtration = sec.get("filtration", "m-adic").lower()
     if filtration != "m-adic":
         raise InputError("only the m-adic filtration is supported in job files")
-    if not text or text == "0":
-        return None
     gens = parse_ideal(ring, text)
     if ring.setting == LOCAL and any(g.is_zero() for g in gens):
-        # nonzero source text that died at the ring cap
-        check = Ring(ring.variables, ring.field, GRADED)
-        if any(not g.is_zero() for g in parse_ideal(check, text)):
-            raise CapExceededError(
-                "a generator of [module %s] truncated to zero at cap %d" % (name, ring.cap))
-    return IdealPresentation(ring, gens)
+        # a generator that is zero here but not in the graded parse died at the cap
+        for g, full in zip(gens, parse_ideal(graded_twin(ring), text)):
+            if g.is_zero() and not full.is_zero():
+                raise CapExceededError("generator %s of [module %s] truncated to zero "
+                                       "at cap %d" % (full, name, ring.cap))
+    gens = [g for g in gens if not g.is_zero()]  # a literal 0 generates nothing
+    return IdealPresentation(ring, gens) if gens else None
 
 
 def series_json(series):
@@ -135,22 +134,24 @@ def cmd_gr(args, out):
     ideal = module_ideal(sections, "M", ring)
     if ideal is None:
         raise InputError("gr needs a nonzero ideal in [module M]")
-    ini = initial_ideal(ideal, cap)
-    lm = leading_monomial_ideal(ideal, cap)
+    # one standard basis gives the initial ideal, its leads and the colength
+    basis = standard_basis(ideal, cap)
+    ini = minimal_initial_forms(graded_twin(ring), basis)[0]
+    lm = basis_leads(basis)
     series = BigradedSeries(0, args.jmax)
     for j, layer in enumerate(standard_monomial_layers(lm, ring.nvars, args.jmax)):
         series._set(0, j, len(layer))
-    mass = colength(ideal, cap)
+    mass = colength_from_leads(ring, lm, cap)
     if args.format == "json":
         out.write(json.dumps({
             "command": "gr",
-            "initial_ideal": [str(g) for g in ini.generators],
+            "initial_ideal": [str(g) for g in ini],
             "series": series_json(series),
             "colength": (None if mass == float("inf") else mass),
             "validity_window": min(args.jmax, cap),
         }, sort_keys=True) + "\n")
     else:
-        out.write("initial ideal: (%s)\n" % ", ".join(str(g) for g in ini.generators))
+        out.write("initial ideal: (%s)\n" % ", ".join(str(g) for g in ini))
         out.write("colength: %s\n" % ("infinite" if mass == float("inf") else mass))
         out.write("hilbert series of the associated graded (j <= %d):\n" % args.jmax)
         emit_series(series, args.format, out)
@@ -262,7 +263,7 @@ def cmd_check_theorem(args, out):
         local = ring
     iM = module_ideal(sections, "M", local)
     iN = module_ideal(sections, "N", local)
-    if iM is None or not iM.generators:
+    if iM is None:
         raise InputError("check-theorem needs a nonzero ideal in [module M]")
     for name, ideal in (("M", iM), ("N", iN)):
         # the ideal holds a unit of the local ring iff a generator does

@@ -12,10 +12,10 @@ statements below hold in degrees <= cap.
 from collections import Counter
 
 from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
-                       NormalFormTable, graded_twin, ideal_intersection,
-                       ideal_product, ideal_sum, leading_monomial_ideal,
-                       minimal_initial_forms, standard_basis,
-                       standard_monomial_layers)
+                       NormalFormTable, colength_from_leads, graded_twin,
+                       ideal_intersection, ideal_product, ideal_sum,
+                       leading_monomial_ideal, minimal_initial_forms,
+                       standard_basis, standard_monomial_layers)
 from .fields import GrtorError
 from .linalg import sparse_pivots
 from .poly import LOCAL, Polynomial
@@ -76,9 +76,6 @@ class FilteredResolution:
     @property
     def length(self):
         return len(self.shifts) - 1
-
-    def filtration(self, i):
-        return StableFiltration(SHIFTED_M_ADIC, self.shifts[i])
 
     def check_postconditions(self):
         """d o d = 0 up to cap, entries filtered, gr(d) equals the input
@@ -473,7 +470,6 @@ def tor_local_low(I, J, j_max, cap=None):
     """
     ring = I.ring
     cap = cap if cap is not None else ring.cap
-    from .groebner import colength as _colength
     total = ideal_sum(I, J)
     inter = ideal_intersection(I, J, cap)
     prod = ideal_product(I, J)
@@ -496,4 +492,4 @@ def tor_local_low(I, J, j_max, cap=None):
             raise GroebnerError("intersection is smaller than the product; cap too small")
         if h1:
             series._set(1, j, h1)
-    return LowTor(total, inter, prod, series, _colength(total, cap))
+    return LowTor(total, inter, prod, series, colength_from_leads(ring, lm_sum, cap))

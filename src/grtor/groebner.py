@@ -611,11 +611,14 @@ def ideal_intersection(I, J, cap=None):
 
 def leading_monomial_ideal(ideal, cap=None):
     """Exponent tuples generating the leading monomial ideal (minimalized)."""
-    ring = ideal.ring
-    if ring.setting == LOCAL:
-        basis = standard_basis(ideal, cap)
-    else:
-        basis = groebner_basis(ideal)
+    if ideal.ring.setting == LOCAL:
+        return basis_leads(standard_basis(ideal, cap))
+    return basis_leads(groebner_basis(ideal))
+
+
+def basis_leads(basis):
+    """Minimal exponent tuples generating the leading monomials of a
+    standard or Groebner basis: its leading monomial ideal."""
     return _minimal_leads(sorted((p.leading_monomial() for p in basis), key=sum),
                           lambda e: e)
 
@@ -646,8 +649,11 @@ def colength(ideal, cap=None):
     local setting 'infinite' means: not finite within the cap's validity
     window.
     """
-    ring = ideal.ring
-    lm = leading_monomial_ideal(ideal, cap)
+    return colength_from_leads(ideal.ring, leading_monomial_ideal(ideal, cap), cap)
+
+
+def colength_from_leads(ring, lm, cap=None):
+    """`colength` of an ideal of `ring` off its leading monomial ideal lm."""
     if any(sum(e) == 0 for e in lm):
         return 0  # unit ideal
     n = ring.nvars

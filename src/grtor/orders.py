@@ -58,10 +58,6 @@ class MonomialOrder:
         self.kind = kind
         self.key, self.descending_key = _KEYS[kind]
 
-    @property
-    def is_local(self):
-        return self.kind == LOCAL_DEGREE
-
     def compare(self, m1, m2):
         """-1, 0 or 1 as m1 <, =, > m2.  Vectors must have equal length."""
         if len(m1) != len(m2):

@@ -156,9 +156,9 @@ def _submodule_echelon(strands, chosen, shifts, degree, free_index):
 
 
 def minimal_generators(strands, columns, row_shifts):
-    """Minimal generating subset of homogeneous module generators
-    (graded Nakayama, processed in ascending internal degree), on the
-    strand bases of `strands`."""
+    """Minimal generating subset of homogeneous module generators, as
+    [(vector, internal degree)] (graded Nakayama, processed in ascending
+    internal degree), on the strand bases of `strands`."""
     items = []
     for vec in columns:
         degs = {p.degree() + row_shifts[a] for a, p in enumerate(vec) if not p.is_zero()}
@@ -324,30 +324,26 @@ def minimal_resolution(module, i_max):
         vec = [reduce(p) if reduce and p.terms else p for p in rel]
         if any(not p.is_zero() for p in vec):
             current.append(vec)
-    current = [vec for vec, _deg in minimal_generators(strands, current, shifts_per_term[0])]
+    chosen = minimal_generators(strands, current, shifts_per_term[0])
 
     for i in range(1, i_max + 1):
-        if not current:
+        if not chosen:
             break
         row_shifts = shifts_per_term[i - 1]
-        col_degs = []
-        for vec in current:
-            degs = {p.degree() + row_shifts[a] for a, p in enumerate(vec) if not p.is_zero()}
-            col_degs.append(degs.pop())
+        current = [vec for vec, _deg in chosen]
+        col_degs = tuple(deg for _vec, deg in chosen)
         d = [[current[b][a] for b in range(len(current))] for a in range(len(row_shifts))]
-        shifts_per_term.append(tuple(col_degs))
+        shifts_per_term.append(col_degs)
         diffs.append(d)
         if i == i_max:
             break
         # syzygies over G: adjoin quotient multiples of the free basis vectors
         aug_cols = list(current)
-        aug_degs = list(col_degs)
         for q in ring.quotient:
             for a in range(len(row_shifts)):
                 vec = [ring.zero()] * len(row_shifts)
                 vec[a] = q
                 aug_cols.append(vec)
-                aug_degs.append(q.degree() + row_shifts[a])
         raw = syzygies(ring, aug_cols, row_shifts)
         nxt = []
         for u in raw:
@@ -356,7 +352,7 @@ def minimal_resolution(module, i_max):
                 vec = [reduce(p) if p.terms else p for p in vec]
             if any(not p.is_zero() for p in vec):
                 nxt.append(vec)
-        current = [vec for vec, _deg in minimal_generators(strands, nxt, tuple(col_degs))]
+        chosen = minimal_generators(strands, nxt, col_degs)
 
     return GradedFreeResolution(ring, shifts_per_term, diffs, i_max)
 

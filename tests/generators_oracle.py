@@ -1,0 +1,42 @@
+"""Second code path for `grtor.resolution.minimal_generators`.
+
+The program chooses minimal generators with a dense echelon
+(`linalg.ColumnEchelon`).  This oracle makes the same graded-Nakayama
+choice on sparse strand columns with `linalg.sparse_pivots`, the
+elimination the strand ranks and the spectral pairing run on: in
+ascending internal degree d, the columns of every monomial multiple of
+the generators kept so far, then the candidates of degree d in order,
+and a candidate is kept when its pivot is not None.  The rank decision
+is the dense echelon's, so both must keep the same candidates.  Tests
+only.
+"""
+
+import itertools
+import operator
+
+from grtor.linalg import sparse_pivots
+
+
+def _column(strands, vec, index, mono=None):
+    """The strand coordinates of x^mono * vec as a sparse column."""
+    return {n: c for n, c in enumerate(strands.coords(vec, index, mono)) if c}
+
+
+def sparse_minimal_generators(strands, columns, row_shifts):
+    """[(vector, internal degree)] as `minimal_generators` returns them."""
+    items = []
+    for vec in columns:
+        degs = {p.degree() + row_shifts[a] for a, p in enumerate(vec) if not p.is_zero()}
+        if degs:
+            items.append((vec, degs.pop()))
+    items.sort(key=operator.itemgetter(1))
+    chosen = []
+    for d, group in itertools.groupby(items, key=operator.itemgetter(1)):
+        group = list(group)
+        index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
+        span = (_column(strands, vec, index, mono)
+                for vec, vdeg in chosen for mono in strands.piece(d - vdeg))
+        fresh = (_column(strands, vec, index) for vec, _ in group)
+        pivots = list(sparse_pivots(strands.ring.field, itertools.chain(span, fresh)))
+        chosen += [item for item, p in zip(group, pivots[-len(group):]) if p is not None]
+    return chosen

@@ -665,9 +665,9 @@ def test_per_command_parser_prints_what_the_full_parser_prints(capsys, monkeypat
         assert (code, digest) == PARSER_TEXTS[argv]
 
 
-def test_check_theorem_builds_each_artifact_once(tmp_path, capsys, monkeypatch):
-    # one standard basis per ideal and one resolution of gr M, which both
-    # graded Tor and the lift read
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (module, function name) in `targets`, wherever
+    a `grtor` module holds the function; returns the Counter."""
     calls = Counter()
 
     def counted(name, fn):
@@ -676,13 +676,20 @@ def test_check_theorem_builds_each_artifact_once(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for owner, name in ((grtor.groebner, "standard_basis"),
-                        (grtor.resolution, "minimal_resolution")):
+    for owner, name in targets:
         original = getattr(owner, name)
         wrapper = counted(name, original)
         for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "grtor"]:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_check_theorem_builds_each_artifact_once(tmp_path, capsys, monkeypatch):
+    # one standard basis per ideal and one resolution of gr M, which both
+    # graded Tor and the lift read
+    calls = count_calls(monkeypatch, ((grtor.groebner, "standard_basis"),
+                                      (grtor.resolution, "minimal_resolution")))
     job = tmp_path / "l4.job"
     job.write_text("[ring]\nvariables = a b c d\nsetting = local\n\n"
                    "[module M]\nideal = a^2 + b^3, b^2 - c^3 + d^4, c*d - a^3\n\n"
@@ -691,3 +698,68 @@ def test_check_theorem_builds_each_artifact_once(tmp_path, capsys, monkeypatch):
                                     "--format", "json"])
     assert code == 0 and json.loads(out)["verdict"] == "PASS"
     assert calls == {"standard_basis": 2, "minimal_resolution": 1}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_gr_computes_one_standard_basis(tmp_path, capsys, monkeypatch, fmt):
+    # the initial ideal, the series and the colength read one basis
+    calls = count_calls(monkeypatch, ((grtor.groebner, "standard_basis"),))
+    job = tmp_path / "gr.job"
+    job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n"
+                   "[module M]\nideal = X^2 - Y^3, X^2 - Y^5\n")
+    code, out, _ = run_cli(capsys, ["gr", str(job), "--jmax", "6", "--format", fmt])
+    assert code == 0 and "X^2" in out and "Y^3" in out
+    assert calls == {"standard_basis": 1}
+
+
+def _job(tmp_path, setting, m_ideal, n_line):
+    job = tmp_path / ("%s.job" % len(list(tmp_path.iterdir())))
+    variables = "X Y" if setting == "local" else "x y"
+    job.write_text("[ring]\nvariables = %s\nsetting = %s\n\n[module M]\nideal = %s\n\n"
+                   "[module N]\n%s\n" % (variables, setting, m_ideal, n_line))
+    return str(job)
+
+
+@pytest.mark.parametrize("command", ["check-theorem", "gr"])
+def test_literal_zero_generator_is_dropped_in_a_local_job(tmp_path, capsys, command):
+    # '0' among the generators generates nothing; it is not a generator
+    # that the cap truncated to zero
+    outs = set()
+    for m_ideal in ("X^2 - Y^3", "0, X^2 - Y^3", "X^2 - Y^3, 0, 0"):
+        job = _job(tmp_path, "local", m_ideal, "ideal = X^2 - Y^5")
+        code, out, err = run_cli(capsys, [command, job, "--format", "json"])
+        assert (code, err) == (0, "")
+        outs.add(out)
+    assert len(outs) == 1
+
+
+def test_literal_zero_generator_is_dropped_in_a_graded_job(tmp_path, capsys):
+    outs = set()
+    for m_ideal in ("x^2", "0, x^2", "x^2, 0"):
+        job = _job(tmp_path, "graded", m_ideal, "ideal = x, y")
+        code, out, err = run_cli(capsys, ["tor-gr", job, "--format", "json"])
+        assert (code, err) == (0, "")
+        outs.add(out)
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("setting,command", [("local", "check-theorem"),
+                                             ("graded", "tor-gr")])
+def test_zero_ideal_is_the_omitted_ideal(tmp_path, capsys, setting, command):
+    # N = R/0 = R: 'ideal = 0', 'ideal = 0, 0' and no ideal line agree
+    m_ideal = "X^2 - Y^3" if setting == "local" else "x^2"
+    outs = set()
+    for n_line in ("ideal = 0", "ideal = 0, 0", ""):
+        job = _job(tmp_path, setting, m_ideal, n_line)
+        code, out, err = run_cli(capsys, [command, job, "--format", "json"])
+        assert (code, err) == (0, "")
+        outs.add(out)
+    assert len(outs) == 1
+
+
+def test_generator_truncated_at_the_cap_is_named(tmp_path, capsys):
+    # Y^3 dies at cap 2, X - Y does not, and the literal 0 is no generator
+    job = _job(tmp_path, "local", "0, X - Y, Y^3", "ideal = X")
+    code, out, err = run_cli(capsys, ["check-theorem", job, "--cap", "2"])
+    assert (code, out) == (3, "")
+    assert err == "window exhausted: generator Y^3 of [module M] truncated to zero at cap 2\n"

@@ -1,5 +1,7 @@
 """Minimal resolutions, Betti tables, Tor series, stable-ideal closed forms."""
 
+import random
+
 import pytest
 
 from grtor.fields import Field
@@ -9,10 +11,12 @@ from grtor.groebner import (GroebnerError, IdealPresentation, ModulePresentation
 from grtor.poly import LOCAL, Polynomial, Ring
 from grtor.resolution import (GradedFreeResolution, ResolutionError, Strands,
                               betti_series, closed_form_tor_series,
-                              ek_betti_stable, minimal_resolution, product_normal_forms,
-                              tor_series, tor_symmetry_check)
+                              ek_betti_stable, minimal_generators, minimal_resolution,
+                              product_normal_forms, tor_series, tor_symmetry_check)
 from grtor.series import series_from_layers
 
+from generators_oracle import sparse_minimal_generators
+from layers_oracle import monomials_of_degree
 from matmul_oracle import matmul_poly
 
 
@@ -203,6 +207,51 @@ def test_strand_coords_reject_a_term_outside_the_strand():
         strands.coords([R.parse("y^3"), R.zero()], index)
     with pytest.raises(GroebnerError, match="outside the basis"):
         strands.coords(vec, index, (0, 1))
+
+
+def _random_form(rng, ring, degree):
+    """A form of the given degree with small random coefficients; often 0."""
+    p = ring.zero()
+    for e in monomials_of_degree(ring.nvars, degree) if degree >= 0 else ():
+        if rng.random() < 0.4:
+            p = p + ring.monomial(e, rng.randint(-2, 2))
+    return p
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("quotient", [(), ("x^2 - y*z", "y^3")])
+def test_minimal_generators_match_sparse_pivots(char, quotient):
+    # the dense echelon keeps exactly the candidates sparse pivots keep, on
+    # random homogeneous vectors mixed with zero vectors, combinations of
+    # candidates of the same degree and monomial multiples of candidates
+    rng = random.Random(7 * char + len(quotient))
+    ring = Ring(["x", "y", "z"], Field(char), quotient=quotient)
+    x = ring.gens()
+    kept = dropped = 0
+    for _ in range(15):
+        shifts = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3)))
+        items = []
+        for _ in range(rng.randint(2, 6)):
+            d = rng.randint(max(shifts), max(shifts) + 2)
+            items.append(([_random_form(rng, ring, d - s) for s in shifts], d))
+        for _ in range(rng.randint(2, 5)):
+            (u, d), (v, e) = rng.sample(items, 2)
+            if d == e:
+                c = ring.const(rng.randint(1, 5))
+                items.append(([c * p + q for p, q in zip(u, v)], d))
+            else:
+                xi = rng.choice(x)
+                items.append(([xi * p for p in u], d + 1))
+        items.append(([ring.zero()] * len(shifts), None))
+        rng.shuffle(items)
+        cols = [vec for vec, _ in items]
+        where = {id(vec): k for k, vec in enumerate(cols)}
+        got = minimal_generators(Strands(ring), cols, shifts)
+        want = sparse_minimal_generators(Strands(ring), cols, shifts)
+        assert [(where[id(v)], d) for v, d in got] == [(where[id(v)], d) for v, d in want]
+        kept += len(got)
+        dropped += len(cols) - len(got)
+    assert kept > 20 and dropped > 20
 
 
 def test_resolution_validates_dd_zero():
