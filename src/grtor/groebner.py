@@ -326,13 +326,6 @@ class ModulePresentation:
         gens = [ring.parse(g) if isinstance(g, str) else g for g in ideal_gens]
         return cls(ring, 1, (0,), [(g,) for g in gens])
 
-    def relation_degrees(self):
-        out = []
-        for rel in self.relations:
-            degs = [p.degree() + self.column_degrees[a] for a, p in enumerate(rel) if not p.is_zero()]
-            out.append(degs[0] if degs else 0)
-        return out
-
 
 def groebner_basis(ideal, reduced=True):
     """Reduced Groebner basis of an ideal over a graded ring."""

@@ -45,12 +45,6 @@ def rref(field, rows):
     return m, pivots
 
 
-def rank(field, rows):
-    if not rows:
-        return 0
-    return len(rref(field, rows)[1])
-
-
 def solve(field, rows, rhs):
     """One solution of rows*x = rhs, or None if inconsistent."""
     nrows = len(rows)

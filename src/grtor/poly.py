@@ -232,7 +232,7 @@ class Polynomial:
     def monomial_multiple(self, exps, coeff=None):
         """self * coeff*x^exps, re-truncating in the local setting."""
         fld = self.ring.field
-        coeff = fld.one if coeff is None else coeff
+        coeff = fld.one if coeff is None else fld.of(coeff)
         cap = self.ring.cap
         terms = {}
         for e, c in self.terms.items():

@@ -10,6 +10,17 @@ from grtor.groebner import graded_piece_basis, normal_form, quotient_groebner
 from grtor.linalg import ColumnEchelon
 
 
+def relation_degrees(module):
+    """The degree of each relation of a graded presentation (0 for a zero
+    relation): the degree of its first nonzero entry plus that entry's
+    column degree."""
+    out = []
+    for rel in module.relations:
+        degs = [p.degree() + module.column_degrees[a] for a, p in enumerate(rel) if not p.is_zero()]
+        out.append(degs[0] if degs else 0)
+    return out
+
+
 class EchelonPieces:
     """Degreewise k-bases of a presented graded module with multiplication.
 
@@ -34,7 +45,7 @@ class EchelonPieces:
             self._free[d] = basis
             self._free_index[d] = {key: n for n, key in enumerate(basis)}
             ech = ColumnEchelon(self.field, range(len(basis)))
-            for rel, rdeg in zip(module.relations, module.relation_degrees()):
+            for rel, rdeg in zip(module.relations, relation_degrees(module)):
                 for mono in graded_piece_basis(self.ring, d - rdeg):
                     vec = [self.field.zero] * len(basis)
                     for col, p in enumerate(rel):

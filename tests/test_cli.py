@@ -95,6 +95,22 @@ def test_check_theorem_json(pair_job, capsys):
     assert payload["boundary_indeterminate"] == [[1, 1, 12, 2]]
 
 
+def test_page1_check_reads_row_jmax(pair_job, capsys, monkeypatch):
+    # graded Tor changed in row j = jmax alone must fail the page-1 check
+    real = grtor.cli.tor_from_resolution
+
+    def bumped(*args):
+        tor = real(*args)
+        tor.coefficients[(0, tor.j_max)] = tor.get(0, tor.j_max) + 1
+        return tor
+    monkeypatch.setattr("grtor.cli.tor_from_resolution", bumped)
+    code, out, _ = run_cli(capsys, ["check-theorem", pair_job, "--format", "json",
+                                    "--imax", "2", "--jmax", "12"])
+    payload = json.loads(out)
+    assert payload["page1_matches_tor"] is False and payload["verdict"] == "FAIL"
+    assert code != 0
+
+
 def test_check_theorem_graded_input_empty_certificate(graded_job, capsys):
     code, out, _ = run_cli(capsys, ["check-theorem", graded_job,
                                     "--imax", "2", "--jmax", "8"])
@@ -612,6 +628,20 @@ def test_check_theorem_empty_generator_list_is_one_error_line(tmp_path):
     code, out, err, seconds = run_bounded(["check-theorem", str(job)])
     assert (code, out) == (1, "") and seconds < 1
     assert err == "error: check-theorem needs a nonzero ideal in [module M]\n"
+
+
+def test_check_theorem_huge_imax_compares_only_the_support(tmp_path):
+    # the page-1 check reads the cells where either side is nonzero, not a
+    # dense (i, j) grid of 10^8 rows
+    job = tmp_path / "xy.job"
+    job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n"
+                   "[module M]\nideal = X\n\n[module N]\nideal = Y\n")
+    code, out, err, seconds = run_bounded(["check-theorem", str(job), "--imax", "100000000",
+                                           "--format", "json"])
+    assert (code, err) == (0, "") and seconds < 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "PASS" and payload["page1_matches_tor"] is True
+    assert payload["tor_graded"] == {"imax": 100000000, "jmax": 12, "terms": [[0, 0, 1]]}
 
 
 def test_too_many_flagged_cells_is_one_error_line(tmp_path):

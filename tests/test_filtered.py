@@ -14,12 +14,12 @@ from grtor.groebner import (CapExceededError, IdealPresentation, ModulePresentat
 from grtor.filtered import (FilteredComplex, LiftError, StableFiltration,
                             filtered_tensor, gr_complex, lift_resolution,
                             resolve_local_cyclic, tor_local_low)
-from grtor.linalg import rank
 from grtor.poly import GRADED, LOCAL, Ring
 from grtor.resolution import tor_series
 from grtor.spectral import page, random_filtered_complex, run_to_stability
 
 from layers_oracle import standard_monomials
+from spectral_oracle import rank
 
 
 def cusp_ring(cap=20):

@@ -10,12 +10,11 @@ from grtor.groebner import (CapExceededError, IdealPresentation, colength,
                             groebner_basis, ideal_intersection, ideal_product,
                             initial_ideal, leading_monomial_ideal, module_groebner_basis,
                             normal_form, standard_basis, syzygies)
-from grtor.linalg import rank
 from grtor.poly import LOCAL, Ring
 from grtor.resolution import Strands
 
 from layers_oracle import hilbert_function, monomials_of_degree
-from spectral_oracle import kernel_basis
+from spectral_oracle import kernel_basis, rank
 
 
 def test_groebner_basis_reduced():

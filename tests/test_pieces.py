@@ -11,7 +11,6 @@ import pytest
 from grtor.fields import Field
 from grtor.filtered import FilteredComplex, GrComplex, tensor_complex
 from grtor.groebner import ModulePresentation
-from grtor.linalg import rank
 from grtor.poly import Ring
 from grtor.resolution import GradedModulePieces, minimal_resolution
 from grtor.series import BigradedSeries
@@ -19,7 +18,7 @@ from grtor.spectral import random_filtered_complex
 
 from layers_oracle import monomials_of_degree
 from pieces_oracle import EchelonPieces
-from spectral_oracle import dense
+from spectral_oracle import dense, rank
 
 FP = Field(32003)
 G4_VARS = ["a", "b", "c", "d"]
