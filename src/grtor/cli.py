@@ -12,9 +12,8 @@ import sys
 
 from .fields import Field, GrtorError, field_from_name
 from .groebner import (CapExceededError, IdealPresentation, ModulePresentation,
-                       basis_leads, colength_from_leads, graded_twin,
-                       minimal_initial_forms, standard_basis,
-                       standard_monomial_layers)
+                       basis_leads, colength_from_leads, graded_twin, initial_forms,
+                       minimal_initial_forms, standard_basis, standard_monomial_layers)
 from .filtered import (FilteredComplex, LiftWindowExceededError,
                        resolve_local_cyclic, tensor_over_basis)
 from .poly import GRADED, LOCAL, Ring, parse_ideal
@@ -30,6 +29,15 @@ EXIT_WINDOW = 3
 
 class InputError(GrtorError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError, so that
+    `main` reports them as one `error:` line with exit code 1.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def parse_job_file(path):
@@ -59,12 +67,7 @@ def build_ring(sections, args):
     ring_sec = sections.get("ring")
     if ring_sec is None:
         raise InputError("input file needs a [ring] section")
-    if args.char:
-        field = Field(args.char)
-    elif args.field:
-        field = field_from_name(args.field)
-    else:
-        field = field_from_name(ring_sec.get("field", "QQ"))
+    field = Field(args.char) if args.char else field_from_name(ring_sec.get("field", "QQ"))
     variables = ring_sec.get("variables", "").split()
     if not variables:
         raise InputError("[ring] needs 'variables = ...'")
@@ -271,11 +274,13 @@ def cmd_check_theorem(args, out):
             raise InputError("%s = R/I is zero: the [module %s] ideal contains a unit "
                              "of the local ring" % (name, name))
 
-    # one resolution of gr M and one standard basis per ideal serve both sides
+    # one resolution of gr M and one standard basis per ideal serve both sides;
+    # gr N needs no minimal presentation, since its pieces read a Groebner
+    # basis of the initial forms
     fres = resolve_local_cyclic(iM, cap)
     basis_n = standard_basis(iN, cap) if iN is not None else []
     gring = fres.graded.ring
-    mN = ModulePresentation.cyclic(gring, minimal_initial_forms(gring, basis_n)[0])
+    mN = ModulePresentation.cyclic(gring, initial_forms(gring, basis_n))
     tor_graded = tor_from_resolution(fres.graded, mN, args.imax, args.jmax)
     run = run_to_stability(tensor_over_basis(fres, basis_n, args.jmax))
 
@@ -321,7 +326,7 @@ def cmd_cancel(args, out):
 def make_parser(command=None):
     """The command-line parser.  Given a command name, only that subcommand
     gets the common options, which are most of the cost of building it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grtor",
         description="Bigraded Tor series over associated graded rings and "
                     "negative consecutive cancellation certificates.")
@@ -332,11 +337,9 @@ def make_parser(command=None):
         p.add_argument("--jmax", type=int, default=12)
         p.add_argument("--char", type=int, default=0,
                        help="prime characteristic (0 = rationals)")
-        p.add_argument("--field", default=None, help="QQ or Fp <p>")
         p.add_argument("--cap", type=int, default=None,
                        help="local truncation cap (default: [bounds] cap, else jmax + imax + 2)")
         p.add_argument("--format", choices=["table", "series", "json"], default="table")
-        p.add_argument("--seed", type=int, default=0)
 
     p_gr = sub.add_parser("gr", help="initial ideal and Hilbert series of the associated graded")
     p_gr.add_argument("input")
@@ -349,6 +352,7 @@ def make_parser(command=None):
     p_check.add_argument("input", nargs="?")
     p_check.add_argument("--synthetic", default=None,
                          help="run on a serialized filtered complex instead of ring data")
+    p_check.add_argument("--seed", type=int, default=0, help="seed of --synthetic random")
 
     p_cancel = sub.add_parser("cancel", help="decide cancellation between two series files")
     p_cancel.add_argument("source")
@@ -361,10 +365,10 @@ def make_parser(command=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    # the first word that is not an option names the command
-    args = make_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     out = sys.stdout
     try:
+        # the first word that is not an option names the command
+        args = make_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
         if args.command == "gr":
             return cmd_gr(args, out)
         if args.command == "tor-gr":

@@ -13,9 +13,9 @@ from collections import Counter
 
 from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
                        NormalFormTable, colength_from_leads, graded_twin,
-                       ideal_intersection, ideal_product, ideal_sum,
-                       leading_monomial_ideal, minimal_initial_forms,
-                       standard_basis, standard_monomial_layers)
+                       ideal_intersection, ideal_product, ideal_sum, initial_forms,
+                       leading_monomial_ideal, standard_basis,
+                       standard_monomial_layers)
 from .fields import GrtorError
 from .linalg import sparse_pivots
 from .poly import LOCAL, Polynomial
@@ -192,11 +192,14 @@ def resolve_local_cyclic(ideal, cap=None):
     if not ideal.generators:
         raise LiftError("R/I is R: the ideal has no generators")
     gring = graded_twin(ring)
-    forms, gens = minimal_initial_forms(gring, standard_basis(ideal, cap))
+    basis = standard_basis(ideal, cap)
+    forms = initial_forms(gring, basis)
     if any(f.degree() == 0 for f in forms):
         raise LiftError("R/I is zero: the ideal contains a unit of the local ring")
+    # d_1 keeps a minimal subset of the initial forms; the lift starts from
+    # the standard basis elements they come from
     gres = minimal_resolution(ModulePresentation.cyclic(gring, forms), ring.nvars + 1)
-    return lift_resolution(gres, gens, cap)
+    return lift_resolution(gres, [basis[k] for k in gres.kept_relations], cap)
 
 
 # --- the truncated filtered complex ---------------------------------------------
@@ -430,14 +433,15 @@ class GrComplex:
             for c, pivot in enumerate(sparse_pivots(self.field, blocks)):
                 if pivot is not None:
                     ranks[(i, src[c])] += 1
+        # a rank at (i + 1, j) pivots on a row of L_i at level j, so only the
+        # cells that hold basis vectors can hold homology
         out = BigradedSeries(L.i_max, L.j_max)
-        for j in range(0, L.j_max + 1):
-            for i in range(0, L.i_max + 1):
-                h = dims[(i, j)] - ranks[(i, j)] - ranks[(i + 1, j)]
-                if h < 0:
-                    raise LiftError("negative strand homology; complex is broken")
-                if h:
-                    out._set(i, j, h)
+        for (i, j), n in dims.items():
+            h = n - ranks[(i, j)] - ranks[(i + 1, j)]
+            if h < 0:
+                raise LiftError("negative strand homology; complex is broken")
+            if h:
+                out._set(i, j, h)
         return out
 
 
@@ -449,13 +453,11 @@ def gr_complex(L):
 
 
 class LowTor:
-    """Tor_0 = R/(I+J) and Tor_1 = (I cap J)/(I*J) for cyclic local modules,
-    with associated graded Hilbert series via initial ideals."""
+    """The associated graded Hilbert series of Tor_0 = R/(I+J) and Tor_1 =
+    (I cap J)/(I*J) for cyclic local modules, via initial ideals, and the
+    colength of Tor_0."""
 
-    def __init__(self, tor0_ideal, tor1_num, tor1_den, series, tor0_colength):
-        self.tor0_ideal = tor0_ideal
-        self.tor1_num = tor1_num
-        self.tor1_den = tor1_den
+    def __init__(self, series, tor0_colength):
         self.series = series  # BigradedSeries, layers 0 and 1
         self.tor0_colength = tor0_colength
 
@@ -492,4 +494,4 @@ def tor_local_low(I, J, j_max, cap=None):
             raise GroebnerError("intersection is smaller than the product; cap too small")
         if h1:
             series._set(1, j, h1)
-    return LowTor(total, inter, prod, series, colength_from_leads(ring, lm_sum, cap))
+    return LowTor(series, colength_from_leads(ring, lm_sum, cap))

@@ -327,17 +327,14 @@ class ModulePresentation:
         return cls(ring, 1, (0,), [(g,) for g in gens])
 
 
-def groebner_basis(ideal, reduced=True):
+def groebner_basis(ideal):
     """Reduced Groebner basis of an ideal over a graded ring."""
     ring = ideal.ring
     if ring.setting != GRADED:
         raise GroebnerError("groebner_basis needs a graded ring; use standard_basis for local")
     cols = [VecPoly.from_polys([g]) for g in ideal.generators]
     basis, _ = _buchberger(ring, cols, (0,), None, False)
-    polys = [t.vec.to_polys()[0] for t in basis]
-    if not reduced:
-        return polys
-    return _interreduce(ring, polys)
+    return _interreduce(ring, [t.vec.to_polys()[0] for t in basis])
 
 
 def module_groebner_basis(ring, columns, shifts=None, cap=None):
@@ -514,30 +511,41 @@ def initial_ideal(ideal, cap=None):
     """The ideal of initial forms, presented over the graded twin ring.
 
     For a local ideal I this presents gr(R/I) = k[x]/in(I); valid up to
-    the cap.  Homogeneous input comes back unchanged (minimalized).
+    the cap.  A homogeneous ideal comes back as a minimal subset of its
+    reduced Groebner basis.
     """
     ring = ideal.ring
     if ring.setting == LOCAL:
-        gr = graded_twin(ring)
-        return IdealPresentation(gr, minimal_initial_forms(gr, standard_basis(ideal, cap))[0])
-    forms = groebner_basis(ideal)
-    return IdealPresentation(ring, [forms[k] for k in minimal_generator_indices(ring, forms)])
+        gr, basis = graded_twin(ring), standard_basis(ideal, cap)
+    else:
+        gr, basis = ring, groebner_basis(ideal)
+        if not all(p.is_homogeneous() for p in basis):
+            raise GroebnerError("initial_ideal over a graded ring needs a homogeneous ideal")
+    return IdealPresentation(gr, minimal_initial_forms(gr, basis)[0])
+
+
+def initial_forms(gr, basis):
+    """The initial forms of the elements of `basis`, over the graded ring `gr`."""
+    return [Polynomial(gr, dict(p.initial_form().terms)) for p in basis]
 
 
 def minimal_initial_forms(gr, basis):
-    """(minimal generators of in(I) over the graded twin `gr`, the elements
-    they come from) of a local standard basis of I: gr(R/I) = gr/in(I)."""
-    forms = [Polynomial(gr, dict(p.initial_form().terms)) for p in basis]
+    """(minimal generators of the ideal of initial forms over the graded
+    ring `gr`, the elements of `basis` they come from), for a local
+    standard basis of I, so that gr(R/I) = gr/in(I), or for a Groebner
+    basis of a homogeneous ideal.  Any quotient of `gr` is not read."""
+    forms = initial_forms(gr, basis)
     chosen = minimal_generator_indices(gr, forms)
     return [forms[k] for k in chosen], [basis[k] for k in chosen]
 
 
 def minimal_generator_indices(ring, forms):
-    """Indices of a minimal generating subset of nonzero homogeneous forms.
-
-    Forms are taken by degree, in list order within a degree, and each
-    is kept unless the ones kept before it generate it.
-    """
+    """Indices of a minimal generating subset of nonzero homogeneous forms,
+    by graded Nakayama and Groebner membership: forms are taken by degree,
+    in list order within a degree, and each is kept unless the ones kept
+    before it generate it.  No strand basis is enumerated, so a form of
+    high degree costs one normal form, where `resolution.minimal_generators`
+    would eliminate over every monomial of that degree."""
     chosen = []
     for k in sorted(range(len(forms)), key=lambda k: forms[k].degree()):
         if chosen:

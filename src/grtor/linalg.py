@@ -5,19 +5,6 @@ small and desk-scale; clarity over asymptotics.
 """
 
 
-def mat_zero(field, nrows, ncols):
-    z = field.zero
-    return [[z] * ncols for _ in range(nrows)]
-
-
-def mat_identity(field, n):
-    m = mat_zero(field, n, n)
-    one = field.one
-    for i in range(n):
-        m[i][i] = one
-    return m
-
-
 def rref(field, rows):
     """Reduced row echelon form; returns (new rows, pivot column list)."""
     m = [list(r) for r in rows]
@@ -65,7 +52,8 @@ def solve(field, rows, rhs):
 def invert(field, rows):
     """Inverse of a square matrix (raises on singular input)."""
     n = len(rows)
-    aug = [list(r) + row for r, row in zip(rows, mat_identity(field, n))]
+    aug = [list(r) + [field.one if c == k else field.zero for c in range(n)]
+           for k, r in enumerate(rows)]
     red, pivots = rref(field, aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
@@ -132,6 +120,3 @@ class ColumnEchelon:
                 self.columns[piv] = field.scale(field.inv(col[self.row_order[piv]]), col)
                 return piv
             col = field.axpy(col, col[self.row_order[piv]], self.columns[piv])
-
-    def pivot_positions(self):
-        return sorted(self.columns)

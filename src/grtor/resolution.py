@@ -110,17 +110,18 @@ def strand_solve(strands, rows, src_shifts, dst_shifts, target, degree):
 
 
 class GradedModulePieces:
-    """Degreewise k-bases of a presented graded module, and its table of
+    """The standard terms of a presented graded module, and its table of
     normal forms.
 
     Over the polynomial cover F = ⊕ k[x](-shift), the module is F modulo
     the relations and the quotient multiples q·e_a.  One Groebner basis of
     that submodule, truncated at degree j_max (exact in every degree <=
-    j_max, since the input is homogeneous), gives the basis of each piece
-    (Macaulay): the standard terms (col, mono) of internal degree d, those
-    that no lead term of the same row divides.  One table of monomial
-    normal forms against that basis multiplies; `tor_series` hands it to
-    the tensor builder.
+    j_max, since the input is homogeneous), gives a k-basis of each piece
+    (Macaulay): the standard terms (col, mono), those that no lead term of
+    the same row divides.  `basis` lists them up to degree j_max, by
+    degree, then column, then layer order; it ends where the module does,
+    whatever j_max.  `nf` is the table of monomial normal forms against
+    that Groebner basis; `tor_series` hands both to the tensor builder.
     """
 
     def __init__(self, module, j_max):
@@ -130,56 +131,49 @@ class GradedModulePieces:
         cols += [[q if b == a else ring.zero() for b in range(len(shifts))]
                  for q in ring.quotient for a in range(len(shifts))]
         gb = module_groebner_basis(ring, cols, shifts, cap=j_max)
-        self._nf = NormalFormTable(ring, gb, shifts)
+        self.nf = NormalFormTable(ring, gb, shifts)
         leads = [VecPoly.from_polys(b, shifts).lead() for b in gb]
-        self._basis = {d: [] for d in range(j_max + 1)}
+        terms = []
         for col, s in enumerate(shifts):
             lm = [e for row, e in leads if row == col]
             for d, layer in enumerate(standard_monomial_layers(lm, ring.nvars, j_max - s), s):
-                self._basis[d] += [(col, mono) for mono in layer]
-
-    def dim(self, d):
-        return len(self._basis.get(d, ()))
-
-
-# --- submodule spans and minimal generators ------------------------------------
+                terms += [(d, col, mono) for mono in layer]
+        terms.sort(key=operator.itemgetter(0))
+        self.basis = [(col, mono) for _d, col, mono in terms]
 
 
-def _submodule_echelon(strands, chosen, shifts, degree, free_index):
-    """Echelon of the degree-`degree` span of the submodule generated by
-    `chosen` (list of (vector, internal degree)) on a free strand basis."""
-    ech = ColumnEchelon(strands.ring.field, range(len(free_index)))
-    for vec, vdeg in chosen:
-        for mono in strands.piece(degree - vdeg):
-            ech.add(strands.coords(vec, free_index, mono))
-    return ech
+# --- minimal generators -------------------------------------------------------
 
 
 def minimal_generators(strands, columns, row_shifts):
-    """Minimal generating subset of homogeneous module generators, as
-    [(vector, internal degree)] (graded Nakayama, processed in ascending
-    internal degree), on the strand bases of `strands`."""
+    """A minimal generating subset of homogeneous module generators, by
+    graded Nakayama (Eisenbud, Commutative Algebra, 19.1), as [(index in
+    `columns`, internal degree)].  The nonzero columns are taken in
+    ascending internal degree, in list order within a degree, and each is
+    kept unless the span of the kept ones reaches it, on the strand bases
+    of `strands`."""
     items = []
-    for vec in columns:
+    for k, vec in enumerate(columns):
         degs = {p.degree() + row_shifts[a] for a, p in enumerate(vec) if not p.is_zero()}
         if not degs:
             continue
         if len(degs) > 1:
             raise ResolutionError("generator is not homogeneous for the row shifts")
-        items.append((vec, degs.pop()))
-    items.sort(key=lambda it: it[1])
+        items.append((k, degs.pop()))
+    items.sort(key=operator.itemgetter(1))
     chosen = []
-    d = None
-    ech = None
-    free_index = None
-    for vec, vdeg in items:
+    d = ech = free_index = None
+    for k, vdeg in items:
         if vdeg != d:
+            # the degree-d span of the submodule the kept columns generate
             d = vdeg
             free_index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
-            ech = _submodule_echelon(strands, chosen, row_shifts, d, free_index)
-        coords = strands.coords(vec, free_index)
-        if ech.add(coords) is not None:
-            chosen.append((vec, vdeg))
+            ech = ColumnEchelon(strands.ring.field, range(len(free_index)))
+            for c, e in chosen:
+                for mono in strands.piece(d - e):
+                    ech.add(strands.coords(columns[c], free_index, mono))
+        if ech.add(strands.coords(columns[k], free_index)) is not None:
+            chosen.append((k, vdeg))
     return chosen
 
 
@@ -188,14 +182,17 @@ def minimal_generators(strands, columns, row_shifts):
 
 class GradedFreeResolution:
     """Complex of free graded modules with degree shifts and homogeneous
-    differentials; diffs[i] maps term i to term i-1 (i >= 1)."""
+    differentials; diffs[i] maps term i to term i-1 (i >= 1).
+    `kept_relations`, when known, lists the relations of the resolved
+    presentation that are the columns of d_1, in order."""
 
-    def __init__(self, ring, shifts_per_term, diffs, i_max, minimal=True):
+    def __init__(self, ring, shifts_per_term, diffs, i_max, minimal=True, kept_relations=None):
         self.ring = ring
         self.shifts = [tuple(s) for s in shifts_per_term]
         self.diffs = diffs  # diffs[0] is None
         self.i_max = i_max
         self.minimal = minimal
+        self.kept_relations = kept_relations
         self._validate()
 
     @property
@@ -308,6 +305,9 @@ def minimal_resolution(module, i_max):
 
     Syzygies over G are computed over the polynomial cover with the
     quotient relations adjoined as extra columns, then reduced mod J.
+    Unit entries are stripped from the presentation first; the result's
+    `kept_relations` indexes the relations left after that, which are the
+    module's own when it has no unit entry and no zero relation.
     """
     ring = module.ring
     if ring.setting != GRADED:
@@ -319,19 +319,17 @@ def minimal_resolution(module, i_max):
     shifts_per_term = [tuple(module.column_degrees)]
     diffs = [None]
 
-    current = []
-    for rel in module.relations:
-        vec = [reduce(p) if reduce and p.terms else p for p in rel]
-        if any(not p.is_zero() for p in vec):
-            current.append(vec)
-    chosen = minimal_generators(strands, current, shifts_per_term[0])
+    candidates = [[reduce(p) if reduce and p.terms else p for p in rel]
+                  for rel in module.relations]
+    chosen = minimal_generators(strands, candidates, shifts_per_term[0])
+    kept_relations = [k for k, _deg in chosen]
 
     for i in range(1, i_max + 1):
         if not chosen:
             break
         row_shifts = shifts_per_term[i - 1]
-        current = [vec for vec, _deg in chosen]
-        col_degs = tuple(deg for _vec, deg in chosen)
+        current = [candidates[k] for k, _deg in chosen]
+        col_degs = tuple(deg for _k, deg in chosen)
         d = [[current[b][a] for b in range(len(current))] for a in range(len(row_shifts))]
         shifts_per_term.append(col_degs)
         diffs.append(d)
@@ -345,16 +343,12 @@ def minimal_resolution(module, i_max):
                 vec[a] = q
                 aug_cols.append(vec)
         raw = syzygies(ring, aug_cols, row_shifts)
-        nxt = []
-        for u in raw:
-            vec = [u[b] for b in range(len(current))]
-            if reduce:
-                vec = [reduce(p) if p.terms else p for p in vec]
-            if any(not p.is_zero() for p in vec):
-                nxt.append(vec)
-        chosen = minimal_generators(strands, nxt, col_degs)
+        candidates = [[reduce(u[b]) if reduce and u[b].terms else u[b]
+                       for b in range(len(current))] for u in raw]
+        chosen = minimal_generators(strands, candidates, col_degs)
 
-    return GradedFreeResolution(ring, shifts_per_term, diffs, i_max)
+    return GradedFreeResolution(ring, shifts_per_term, diffs, i_max,
+                                kept_relations=kept_relations)
 
 
 def betti_series(res, i_max=None, j_max=None):
@@ -400,9 +394,9 @@ def tor_from_resolution(res, mN, i_max, j_max):
     = internal degree, which every differential preserves."""
     from .filtered import FilteredComplex, gr_complex, tensor_complex
     pieces = GradedModulePieces(mN, j_max)
-    basis_n = [key for d in range(j_max + 1) for key in pieces._basis[d]]
     top = min(res.length, i_max + 1) + 1
-    levels, diffs = tensor_complex(res.shifts[:top], res.diffs[:top], pieces._nf, basis_n, j_max)
+    levels, diffs = tensor_complex(res.shifts[:top], res.diffs[:top], pieces.nf, pieces.basis,
+                                   j_max)
     homology = gr_complex(FilteredComplex(mN.ring.field, levels, diffs, j_max)).homology_series()
     return BigradedSeries(i_max, j_max, {c: h for c, h in homology.coefficients.items()
                                          if c[0] <= i_max})

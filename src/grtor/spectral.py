@@ -166,14 +166,13 @@ def cancellations_at_page(L, r):
 
 class RunResult:
     def __init__(self, page1, page_infinity, certificate, r_stab, window_j,
-                 boundary, excluded_cells, verified):
+                 boundary, verified):
         self.page1 = page1
         self.page_infinity = page_infinity
         self.certificate = certificate
         self.r_stab = r_stab
         self.window_j = window_j
         self.boundary = boundary  # {page r: {(i, j): units}}
-        self.excluded_cells = excluded_cells
         self.verified = verified
 
 
@@ -225,8 +224,7 @@ def run_to_stability(L):
     cells = [c for c in p1.dims.coefficients.keys() | pinf.dims.coefficients.keys()
              if c not in flagged]
     verified = verify_certificate(p1.dims, cert, pinf.dims, cells=cells)
-    return RunResult(p1, pinf, cert, r_stab, window_j, boundary,
-                     excluded_cells, verified)
+    return RunResult(p1, pinf, cert, r_stab, window_j, boundary, verified)
 
 
 # --- reproducible random filtered complexes ---------------------------------------

@@ -23,20 +23,22 @@ def _column(strands, vec, index, mono=None):
 
 
 def sparse_minimal_generators(strands, columns, row_shifts):
-    """[(vector, internal degree)] as `minimal_generators` returns them."""
+    """[(index in `columns`, internal degree)] as `minimal_generators`
+    returns them."""
     items = []
-    for vec in columns:
+    for k, vec in enumerate(columns):
         degs = {p.degree() + row_shifts[a] for a, p in enumerate(vec) if not p.is_zero()}
         if degs:
-            items.append((vec, degs.pop()))
+            items.append((k, degs.pop()))
     items.sort(key=operator.itemgetter(1))
     chosen = []
     for d, group in itertools.groupby(items, key=operator.itemgetter(1)):
         group = list(group)
         index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
-        span = (_column(strands, vec, index, mono)
-                for vec, vdeg in chosen for mono in strands.piece(d - vdeg))
-        fresh = (_column(strands, vec, index) for vec, _ in group)
+        span = (_column(strands, columns[k], index, mono)
+                for k, e in chosen for mono in strands.piece(d - e))
+        fresh = (_column(strands, columns[k], index) for k, _ in group)
         pivots = list(sparse_pivots(strands.ring.field, itertools.chain(span, fresh)))
         chosen += [item for item, p in zip(group, pivots[-len(group):]) if p is not None]
     return chosen
+

@@ -59,7 +59,7 @@ class EchelonPieces:
                             vec[n] = self.field.add(vec[n], c)
                     ech.add(vec)
             self._echelon[d] = ech
-            pivots = {ech.row_order[p] for p in ech.pivot_positions()}
+            pivots = {ech.row_order[p] for p in sorted(ech.columns)}
             quot = [n for n in range(len(basis)) if n not in pivots]
             self._quotient_index[d] = quot
 

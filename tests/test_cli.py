@@ -14,7 +14,7 @@ import pytest
 import grtor
 import grtor.groebner
 import grtor.resolution
-from grtor.cli import main, make_parser
+from grtor.cli import InputError, main, make_parser
 from grtor.series import BigradedSeries, CancellationCertificate, verify_certificate
 
 PAIR_JOB = """\
@@ -301,6 +301,16 @@ def assert_one_line_error(code, err):
     assert code == 1
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [["--bogus"], ["--jmax", "x"], ["--format", "xml"],
+                                   ["--field", "QQ"], ["--seed", "3"]])
+def test_argument_error_is_one_usage_line(graded_job, capsys, extra):
+    # argparse's errors are usage errors: exit 1 and one `error:` line, not a
+    # usage dump; only check-theorem reads a seed, and --char sets the field
+    code, out, err = run_cli(capsys, ["tor-gr", graded_job] + extra)
+    assert out == ""
+    assert_one_line_error(code, err)
 
 
 def test_zero_module_is_usage_error(tmp_path, capsys):
@@ -644,6 +654,21 @@ def test_check_theorem_huge_imax_compares_only_the_support(tmp_path):
     assert payload["tor_graded"] == {"imax": 100000000, "jmax": 12, "terms": [[0, 0, 1]]}
 
 
+def test_tor_gr_huge_jmax_is_sized_by_the_module(tmp_path):
+    # N = k has finite length: the pieces, the tensor complex and the strand
+    # homology end where N does, not at a grid of 10^8 degrees
+    job = tmp_path / "g4.job"
+    job.write_text("[ring]\nvariables = a b c d\nsetting = graded\n\n"
+                   "[module M]\nideal = a^2 + b*c, b^2 - c*d, c^2 + a*d, a*b + c*d\n\n"
+                   "[module N]\nideal = a, b, c, d\n")
+    code, out, err, seconds = run_bounded(["tor-gr", str(job), "--jmax", "100000000",
+                                           "--format", "json"])
+    assert (code, err) == (0, "") and seconds < 2
+    # the terms that --jmax 14 gives
+    assert json.loads(out)["series"] == {"imax": 6, "jmax": 100000000, "terms": [
+        [0, 0, 1], [1, 2, 4], [2, 4, 7], [3, 5, 2], [3, 6, 4], [4, 7, 2]]}
+
+
 def test_too_many_flagged_cells_is_one_error_line(tmp_path):
     # truncated, the pair closes on page 10^9, so every cell above j = 0
     # would be flagged: 2 * 10^9 cells are counted, not listed
@@ -658,19 +683,19 @@ def test_too_many_flagged_cells_is_one_error_line(tmp_path):
 
 # argv -> (exit code, SHA-256 of stdout + "\0" + stderr) at 80 columns,
 # recorded with Python 3.11's argparse from the parser that gave every
-# subcommand the common options
+# subcommand the common options; a usage error is one `error:` line, exit 1
 PARSER_TEXTS = {
     ("--help",): (0, "5e60d23d0f0a736c948ec567aa58cef90186dd9fc9f3687a2139bc23647bbb04"),
-    ("gr", "--help"): (0, "13323d17dcc849925750ce2d69ef2f348dc6c00e85e8e6f892c870d44988bc78"),
-    ("tor-gr", "--help"): (0, "aba5b208471e0b1fd1aeae01511afc4e777ac870cc74fbd811083a151e423fe7"),
+    ("gr", "--help"): (0, "8177d9de6c03a2fa2093c1f138f7b089b414e46156120ec3c3486fb6ce0a8112"),
+    ("tor-gr", "--help"): (0, "870dda32e970b6c2170108bf2574389379b07a000eed7d72c57f61f3a342270b"),
     ("check-theorem", "--help"): (
-        0, "c7953f38ceedd25501fe1422ebc6a4eaa59288602db33396ab46ec563969e6cc"),
-    ("cancel", "--help"): (0, "1aa182a4799d146d3b49e2019f77831f3fe03fe030add2db5de4c8eff3781916"),
-    (): (2, "4c71cab0464df552c0e2997c6786b9b1262358a18d7df957dca5d6f9ed90354e"),
-    ("nope",): (2, "8c1581ddcccae35676fde571b88df163cc298c5e2068e1c38e30388bc5a48f94"),
+        0, "f7910962979433393504e07b73c28a6646647000f89c31f7887c47d11e0266e9"),
+    ("cancel", "--help"): (0, "ff597396469356d080e8d5c50272d2678d3d1720a01a82869f1bc4437bbcd151"),
+    (): (1, "dd9d12e69f049b4a9d48fe09798144d18ee21ee9fd53664fc5da95022d02c726"),
+    ("nope",): (1, "f4fe09bc7936bbbe824305e4ace787d260cb27e5b3cbe7862d752d5aded156f9"),
     ("--help", "gr"): (0, "5e60d23d0f0a736c948ec567aa58cef90186dd9fc9f3687a2139bc23647bbb04"),
-    ("nope", "--help"): (2, "8c1581ddcccae35676fde571b88df163cc298c5e2068e1c38e30388bc5a48f94"),
-    ("tor-gr",): (2, "f47abd73e02bc46e03693fb6a840827c9d0aa485316646865b8a02d17dd82c71"),
+    ("nope", "--help"): (1, "f4fe09bc7936bbbe824305e4ace787d260cb27e5b3cbe7862d752d5aded156f9"),
+    ("tor-gr",): (1, "f630dd40a0a5fe20115c69b6e17e67e9e9c26a63c41e7a49119a44ffef84747f"),
 }
 
 
@@ -679,6 +704,9 @@ def _exit_code(parse, argv):
         return parse(list(argv))
     except SystemExit as exc:
         return exc.code
+    except InputError as exc:  # a usage error, as `main` reports it
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 @pytest.mark.parametrize("argv", sorted(PARSER_TEXTS))

@@ -321,6 +321,16 @@ def test_minimal_initial_forms_keep_the_elements_they_come_from():
     assert minimal_initial_forms(graded_twin(L), []) == ([], [])
 
 
+def test_lift_starts_from_the_relations_the_resolution_keeps():
+    # every initial form of the standard basis goes to the graded
+    # resolution once; d_1 keeps the first two, so X^3 is not lifted
+    L = cusp_ring()
+    fres = resolve_local_cyclic(IdealPresentation(L, ["X^2 - Y^2", "X*Y"]))
+    assert fres.graded.kept_relations == [0, 1]
+    assert [str(p) for p in fres.diffs[1][0]] == ["Y^2 - X^2", "X*Y"]
+    assert fres.shifts == [(0,), (2, 2), (4,)]
+
+
 def test_filtered_complex_validates():
     F = Field(0)
     # differential dropping the level (target 0 < source 1) is not filtered

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from grtor.fields import Field
-from grtor.groebner import (CapExceededError, IdealPresentation, colength,
+from grtor.groebner import (CapExceededError, GroebnerError, IdealPresentation, colength,
                             groebner_basis, ideal_intersection, ideal_product,
                             initial_ideal, leading_monomial_ideal, module_groebner_basis,
                             normal_form, standard_basis, syzygies)
@@ -134,6 +134,16 @@ def test_initial_ideal_homogeneous_identity():
     I = IdealPresentation(L, ["X^2 + Y^2"])
     ini = initial_ideal(I)
     assert [str(g) for g in ini.generators] == ["X^2 + Y^2"]
+
+
+def test_initial_ideal_of_a_graded_ideal():
+    # a homogeneous ideal comes back as a minimal subset of its reduced
+    # Groebner basis, which here adds x^2*z = y*(x*y) - x*(y^2 + x*z)
+    R = Ring(["x", "y", "z"])
+    ini = initial_ideal(IdealPresentation(R, ["x*y", "y^2 + x*z"]))
+    assert ini.ring is R and sorted(map(str, ini.generators)) == ["x*y", "y^2 + x*z"]
+    with pytest.raises(GroebnerError, match="homogeneous"):
+        initial_ideal(IdealPresentation(R, ["x*y - z"]))
 
 
 def test_initial_ideal_needs_standard_basis_completion():

@@ -7,7 +7,8 @@ import pytest
 from grtor.fields import Field
 from grtor.filtered import FilteredResolution, LiftError, resolve_local_cyclic
 from grtor.groebner import (GroebnerError, IdealPresentation, ModulePresentation,
-                            NormalFormTable, quotient_groebner)
+                            NormalFormTable, groebner_basis, minimal_generator_indices,
+                            quotient_groebner)
 from grtor.poly import LOCAL, Polynomial, Ring
 from grtor.resolution import (GradedFreeResolution, ResolutionError, Strands,
                               betti_series, closed_form_tor_series,
@@ -245,12 +246,55 @@ def test_minimal_generators_match_sparse_pivots(char, quotient):
         items.append(([ring.zero()] * len(shifts), None))
         rng.shuffle(items)
         cols = [vec for vec, _ in items]
-        where = {id(vec): k for k, vec in enumerate(cols)}
         got = minimal_generators(Strands(ring), cols, shifts)
-        want = sparse_minimal_generators(Strands(ring), cols, shifts)
-        assert [(where[id(v)], d) for v, d in got] == [(where[id(v)], d) for v, d in want]
+        assert got == sparse_minimal_generators(Strands(ring), cols, shifts)
         kept += len(got)
         dropped += len(cols) - len(got)
+    assert kept > 20 and dropped > 20
+
+
+def _form_lists(rng, field):
+    """Seeded (ring, forms) cases in 2-4 variables: fresh forms, same-degree
+    combinations and monomial multiples of earlier forms, in list order,
+    and now and then a unit."""
+    for t in range(30):
+        ring = Ring(["x", "y", "z", "w"][:rng.randint(2, 4)], field)
+        forms = []
+        while len(forms) < 7:
+            kind = rng.random()
+            if not forms or kind < 0.4:
+                p = _random_form(rng, ring, rng.randint(1, 3))
+            elif kind < 0.7:
+                f = rng.choice(forms)
+                g = rng.choice([g for g in forms if g.degree() == f.degree()])
+                p = ring.const(rng.randint(1, 5)) * f + g
+            else:
+                p = rng.choice(ring.gens()) * rng.choice(forms)
+            if not p.is_zero():
+                forms.append(p)
+        if t % 10 == 0:
+            forms.insert(rng.randrange(len(forms) + 1), ring.one())
+        yield ring, forms
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_groebner_membership_matches_the_strand_echelon(char):
+    # ideals choose minimal generators by Groebner membership, modules by
+    # the strand echelon; both keep the same forms: by degree, in list
+    # order within a degree
+    rng = random.Random(11 + char)
+    R = Ring(["x", "y", "z"], Field(char))
+    # a minimal Groebner basis is not a minimal generating set: under
+    # degrevlex, (xy, y^2 + xz) adds x^2 z = y * xy - x * (y^2 + xz)
+    gb = groebner_basis(IdealPresentation(R, ["x*y", "y^2 + x*z"]))
+    assert sorted(map(str, gb)) == ["x*y", "x^2*z", "y^2 + x*z"]
+    kept = dropped = 0
+    for ring, forms in [(R, gb)] + list(_form_lists(rng, Field(char))):
+        got = minimal_generator_indices(ring, forms)
+        want = minimal_generators(Strands(ring), [[f] for f in forms], (0,))
+        assert got == [k for k, _deg in want]
+        kept += len(got)
+        dropped += len(forms) - len(got)
     assert kept > 20 and dropped > 20
 
 

@@ -195,7 +195,7 @@ def test_truncated_complex_window_and_boundary():
     assert run.window_j == 10
     assert run.r_stab == 2
     assert run.boundary == {1: {(1, 12): 2}}
-    assert run.excluded_cells == {(1, 12)}
+    assert {cell for bd in run.boundary.values() for cell in bd} == {(1, 12)}
     assert bool(run.verified)
     # the certificate reaches every pair with partner degree <= truncation
     assert run.certificate.multiset()[Cancellation(0, 11, 12)] == 2
