@@ -18,7 +18,7 @@ from .resolution import (GradedFreeResolution, betti_series,
                          closed_form_tor_series, ek_betti_stable,
                          minimal_resolution, tor_series, tor_symmetry_check)
 from .filtered import (FilteredComplex, FilteredResolution, StableFiltration,
-                       filtered_tensor, gr_complex, lift_resolution,
+                       filtered_tensor, lift_resolution,
                        resolve_local_cyclic, tor_local_low)
 from .spectral import (SpectralPage, PageCancellation, cancellations_at_page,
                        infinity_page, page, random_filtered_complex,
@@ -38,7 +38,7 @@ __all__ = [
     "ek_betti_stable", "minimal_resolution", "tor_series",
     "tor_symmetry_check",
     "FilteredComplex", "FilteredResolution", "StableFiltration",
-    "filtered_tensor", "gr_complex", "lift_resolution",
+    "filtered_tensor", "lift_resolution",
     "resolve_local_cyclic", "tor_local_low",
     "SpectralPage", "PageCancellation", "cancellations_at_page",
     "infinity_page", "page", "random_filtered_complex", "run_to_stability",

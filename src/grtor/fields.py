@@ -257,10 +257,10 @@ QQ = Field(0)
 def field_from_name(name):
     """Field named 'QQ' or 'Fp <prime>' / 'F<prime>'."""
     parts = name.split()
-    if parts[0] in ("QQ", "Q"):
+    token = parts[0] if parts else ""
+    if token in ("QQ", "Q"):
         return QQ
-    token = parts[0]
-    if token in ("Fp", "F") and len(parts) == 2:
+    if token in ("Fp", "F") and len(parts) == 2 and parts[1].isdigit():
         return Field(int(parts[1]))
     if token.startswith("F") and token[1:].isdigit():
         return Field(int(token[1:]))

@@ -9,15 +9,12 @@ use.  All local data carries a degree cap; the associated graded
 statements below hold in degrees <= cap.
 """
 
-from collections import Counter
-
 from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
                        NormalFormTable, colength_from_leads, graded_twin,
                        ideal_intersection, ideal_product, ideal_sum, initial_forms,
                        leading_monomial_ideal, standard_basis,
                        standard_monomial_layers)
 from .fields import GrtorError
-from .linalg import sparse_pivots
 from .poly import LOCAL, Polynomial
 from .resolution import Strands, check_composes_to_zero, minimal_resolution, strand_solve
 from .series import BigradedSeries
@@ -217,14 +214,12 @@ class FilteredComplex:
     (page data then carries a reliability window); None means exact.
     """
 
-    def __init__(self, field, levels, diffs, j_max, truncated_at=None,
-                 stability_bound=None):
+    def __init__(self, field, levels, diffs, j_max, truncated_at=None):
         self.field = field
         self.levels = [tuple(lv) for lv in levels]
         self.diffs = diffs
         self.j_max = j_max
         self.truncated_at = truncated_at
-        self.stability_bound = stability_bound
         self._validate()
 
     @property
@@ -404,49 +399,7 @@ def tensor_over_basis(fres, basis, j_max):
     truncated_at = j_max
     if len(layers) <= j_max and bound + len(layers) - 1 <= j_max:
         truncated_at = None
-    return FilteredComplex(ring.field, levels, diffs, j_max, truncated_at=truncated_at,
-                           stability_bound=bound)
-
-
-class GrComplex:
-    """Associated graded complex of a FilteredComplex: one strand of
-    vector spaces per level, with the level-preserving blocks of d."""
-
-    def __init__(self, complex_):
-        self.complex = complex_
-        self.field = complex_.field
-
-    def homology_series(self):
-        """Homology dimensions of every strand: page 1 of the spectral
-        sequence (apart from the pairing, which reduces all of d in level
-        order), and graded Tor when the complex is a graded tensor
-        complex (`tor_series`).  The rank of each level-j block of d_i
-        comes from eliminating its sparse columns; a row lies in one
-        level only, so every block shares one table of pivot rows."""
-        L = self.complex
-        dims = Counter((i, level) for i, lv in enumerate(L.levels) for level in lv)
-        ranks = Counter()
-        for i in range(1, L.i_max + 1):
-            src, tgt = L.levels[i], L.levels[i - 1]
-            blocks = ({r: x for r, x in col.items() if tgt[r] == src[c]}
-                      for c, col in enumerate(L.diffs[i]))
-            for c, pivot in enumerate(sparse_pivots(self.field, blocks)):
-                if pivot is not None:
-                    ranks[(i, src[c])] += 1
-        # a rank at (i + 1, j) pivots on a row of L_i at level j, so only the
-        # cells that hold basis vectors can hold homology
-        out = BigradedSeries(L.i_max, L.j_max)
-        for (i, j), n in dims.items():
-            h = n - ranks[(i, j)] - ranks[(i + 1, j)]
-            if h < 0:
-                raise LiftError("negative strand homology; complex is broken")
-            if h:
-                out._set(i, j, h)
-        return out
-
-
-def gr_complex(L):
-    return GrComplex(L)
+    return FilteredComplex(ring.field, levels, diffs, j_max, truncated_at=truncated_at)
 
 
 # --- exact low-degree local Tor --------------------------------------------------

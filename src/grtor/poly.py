@@ -332,6 +332,8 @@ def parse_polynomial(ring, text):
                 i += 1
                 power = 1
                 if i < n and toks[i] == "^":
+                    if i + 1 >= n or not toks[i + 1].isdigit():
+                        raise ParseError("expected integer exponent after ^")
                     power = int(toks[i + 1])
                     i += 2
                 coeff *= base ** power

@@ -186,12 +186,11 @@ class GradedFreeResolution:
     `kept_relations`, when known, lists the relations of the resolved
     presentation that are the columns of d_1, in order."""
 
-    def __init__(self, ring, shifts_per_term, diffs, i_max, minimal=True, kept_relations=None):
+    def __init__(self, ring, shifts_per_term, diffs, i_max, kept_relations=None):
         self.ring = ring
         self.shifts = [tuple(s) for s in shifts_per_term]
         self.diffs = diffs  # diffs[0] is None
         self.i_max = i_max
-        self.minimal = minimal
         self.kept_relations = kept_relations
         self._validate()
 
@@ -217,7 +216,7 @@ class GradedFreeResolution:
                         raise ResolutionError(
                             "differential entry (%d,%d) at level %d is not homogeneous "
                             "of degree %d" % (a, b, i, src[b] - dst[a]))
-                    if self.minimal and p.degree() == 0:
+                    if p.degree() == 0:
                         raise ResolutionError("minimal resolution has a unit entry")
         nf = NormalFormTable(self.ring, [[g] for g in quotient_groebner(self.ring)])
         check_composes_to_zero(nf, self.diffs, lambda i: ResolutionError(
@@ -354,8 +353,6 @@ def minimal_resolution(module, i_max):
 def betti_series(res, i_max=None, j_max=None):
     """Betti table: beta_{i,j} = number of shift-j columns in homological
     degree i of a minimal resolution."""
-    if not res.minimal:
-        raise ResolutionError("betti_series needs a minimal resolution")
     if i_max is None:
         i_max = max(res.i_max, res.length)
     all_shifts = [s for term in res.shifts for s in term] or [0]
@@ -391,13 +388,15 @@ def tor_from_resolution(res, mN, i_max, j_max):
     """Tor^G(M, N) for i <= i_max off a minimal graded free resolution F of
     M to homological degree i_max + 1 or further (later terms are not
     read): the strand homology of F (x) N from `tensor_complex`, with level
-    = internal degree, which every differential preserves."""
-    from .filtered import FilteredComplex, gr_complex, tensor_complex
+    = internal degree, which every differential preserves, so it is page 1
+    of the spectral sequence of that complex."""
+    from .filtered import FilteredComplex, tensor_complex
+    from .spectral import page
     pieces = GradedModulePieces(mN, j_max)
     top = min(res.length, i_max + 1) + 1
     levels, diffs = tensor_complex(res.shifts[:top], res.diffs[:top], pieces.nf, pieces.basis,
                                    j_max)
-    homology = gr_complex(FilteredComplex(mN.ring.field, levels, diffs, j_max)).homology_series()
+    homology = page(FilteredComplex(mN.ring.field, levels, diffs, j_max), 1).dims
     return BigradedSeries(i_max, j_max, {c: h for c, h in homology.coefficients.items()
                                          if c[0] <= i_max})
 

@@ -10,7 +10,8 @@ page 1).  The basis vectors left unpaired make up the limit page
 (Zomorodian-Carlsson, Computing Persistent Homology, 2005; Basu-Parida,
 Spectral sequences, exact couples and persistent homology of
 filtrations, 2017).  Pages, per-page cancellations and the limit page
-are all arithmetic on that pair list.
+are all arithmetic on that pair list, read in one pass.  When every d
+preserves level, page 1 is graded Tor (`resolution.tor_from_resolution`).
 
 For a complex marked as a degree truncation, entries and cancellations
 outside the reliability window are flagged, never reported as numbers.
@@ -117,21 +118,27 @@ def _cells_above(L, j0):
     return {(i, j) for i in range(L.i_max + 1) for j in range(lo, L.j_max + 1)}
 
 
-def _cancellations(L, bars, r):
-    """Cancellations dying between pages r and r+1, and the units alive on
-    page r whose partner degree j + r is the first one past the truncation."""
+def _boundary(L, bars):
+    """{r: {(i, j): units}}: for a truncated L, the units at (i, j), i >= 1,
+    alive on page r = T + 1 - j, whose partner degree j + r is the first
+    one past the truncation: the free units, the source ends of pairs
+    with b - a >= T + 1 - a (so b > T), and the target ends of pairs with
+    b - a >= T + 1 - b."""
     T = L.truncated_at
-    out = sorted(PageCancellation(r, i, a)
-                 for (i, a, b), n in bars[0].items()
-                 if b - a == r and (T is None or b <= T)
-                 for _ in range(n))
-    boundary = {}
-    if T is not None and 0 <= T + 1 - r <= L.j_max:
-        j = T + 1 - r
-        alive = _alive(bars, r)
-        boundary = {(i, j): alive[(i, j)] for i in range(1, L.i_max + 1)
-                    if alive.get((i, j), 0) > 0}
-    return out, boundary
+    out = {}
+    if T is None:
+        return out
+    pairs, free = bars
+    units = dict(free)
+    for (i, a, b), n in pairs.items():
+        if b > T:
+            units[(i, a)] = units.get((i, a), 0) + n
+        if b - a >= T + 1 - b:
+            units[(i - 1, b)] = units.get((i - 1, b), 0) + n
+    for (i, j), n in sorted(units.items(), key=lambda cell: (-cell[0][1], cell[0][0])):
+        if i >= 1 and j <= T and n:
+            out.setdefault(T + 1 - j, {})[(i, j)] = n
+    return out
 
 
 def page(L, r):
@@ -161,7 +168,13 @@ def cancellations_at_page(L, r):
     truncation cannot see, so their fate is reported, not decided."""
     if r < 1:
         raise SpectralError("pages are indexed from r = 1")
-    return _cancellations(L, _pairing(L), r)
+    bars = _pairing(L)
+    T = L.truncated_at
+    out = sorted(PageCancellation(r, i, a)
+                 for (i, a, b), n in bars[0].items()
+                 if b - a == r and (T is None or b <= T)
+                 for _ in range(n))
+    return out, _boundary(L, bars).get(r, {})
 
 
 class RunResult:
@@ -177,8 +190,8 @@ class RunResult:
 
 
 def run_to_stability(L):
-    """Collect the per-page cancellations up to stabilization and assemble
-    the certificate from page 1 to the limit.
+    """Read the certificate from page 1 to the limit off one pass over the
+    pairing: r_stab is one past the last page that closes a pair.
 
     Exact complexes stabilize by page span+1 and the bookkeeping identity
     page1 - sum(certificate) = page_infinity holds on the whole grid.  For
@@ -189,35 +202,19 @@ def run_to_stability(L):
     """
     bars = _pairing(L)
     T = L.truncated_at
-    span = max((max(lv) for lv in L.levels if lv), default=0)
-    r_hi = span + 1 if T is None else T + 1
-
-    # only the pages that close a pair, or that have units at the boundary
-    # degree T + 1 - r, add anything; the others in 1..r_hi are skipped
-    pages = {b - a for (_i, a, b) in bars[0]}
-    if T is not None:
-        pages.update(T + 1 - j for lv in L.levels[1:] for j in lv)
-    steps = []
-    boundary = {}
-    excluded_cells = set()
-    last_active = 0
-    for r in sorted(r for r in pages if 1 <= r <= r_hi):
-        cancels, bd = _cancellations(L, bars, r)
-        if cancels:
-            last_active = r
-            steps.extend(pc.to_cancellation() for pc in cancels)
-        if bd:
-            boundary[r] = bd
-            excluded_cells.update(bd)
-    cert = CancellationCertificate(steps).sorted()
-    r_stab = last_active + 1
+    # a pair that dies on page b - a >= 1, its partner degree b within the
+    # truncation, is one certificate step
+    cert = CancellationCertificate([Cancellation(i - 1, a, b) for (i, a, b), n in bars[0].items()
+                                    if b > a and (T is None or b <= T) for _ in range(n)]).sorted()
+    r_stab = 1 + max((step.page for step in cert), default=0)
     window_j = L.j_max if T is None else T - r_stab
+    boundary = _boundary(L, bars)
 
     # page 1 is always full-grid exact (j + 1 <= T + 1 for every cell)
     p1 = _page(L, bars, 1)
     flagged = frozenset()
     if T is not None:
-        flagged = _cells_above(L, window_j) | excluded_cells
+        flagged = _cells_above(L, window_j).union(*boundary.values())
     kept = {k: n for k, n in bars[1].items() if k not in flagged}
     pinf = SpectralPage(None, BigradedSeries(L.i_max, L.j_max, kept), flagged)
     # the certificate only lowers page 1, so cells in neither support agree

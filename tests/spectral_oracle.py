@@ -5,11 +5,16 @@ everything off one persistence pairing): pages from rank tables of
 level-sorted dense echelons, and the limit page directly as gr of
 homology with the induced filtration.  Slow; tests only.  Its dense
 `kernel_basis` also serves the syzygy tests, and its dense `rank` every
-test that counts a rank independently.
+test that counts a rank independently.  `run_by_pages` and
+`cancellations_by_page` read a run off the same pairing as
+`grtor.spectral`, but page by page: the reference for the one-pass
+bookkeeping of `run_to_stability`.
 """
 
 from grtor.linalg import ColumnEchelon, rref
-from grtor.series import BigradedSeries
+from grtor.series import BigradedSeries, CancellationCertificate, verify_certificate
+from grtor.spectral import (PageCancellation, RunResult, SpectralPage, _alive,
+                            _cells_above, _page, _pairing)
 
 
 def rank(field, rows):
@@ -214,3 +219,60 @@ def infinity_dims_direct(L):
                 dims._set(i, j, h)
             prev = nxt
     return dims
+
+
+# --- the page-by-page bookkeeping of a run ---------------------------------------
+
+
+def cancellations_by_page(L, bars, r):
+    """Cancellations dying between pages r and r+1, and the units alive on
+    page r whose partner degree j + r is the first one past the truncation."""
+    T = L.truncated_at
+    out = sorted(PageCancellation(r, i, a)
+                 for (i, a, b), n in bars[0].items()
+                 if b - a == r and (T is None or b <= T)
+                 for _ in range(n))
+    boundary = {}
+    if T is not None and 0 <= T + 1 - r <= L.j_max:
+        j = T + 1 - r
+        alive = _alive(bars, r)
+        boundary = {(i, j): alive[(i, j)] for i in range(1, L.i_max + 1)
+                    if alive.get((i, j), 0) > 0}
+    return out, boundary
+
+
+def run_by_pages(L):
+    """`run_to_stability` as a loop over the pages 1..r_hi that close a
+    pair or hold units at the boundary degree T + 1 - r."""
+    bars = _pairing(L)
+    T = L.truncated_at
+    span = max((max(lv) for lv in L.levels if lv), default=0)
+    r_hi = span + 1 if T is None else T + 1
+    pages = {b - a for (_i, a, b) in bars[0]}
+    if T is not None:
+        pages.update(T + 1 - j for lv in L.levels[1:] for j in lv)
+    steps = []
+    boundary = {}
+    excluded_cells = set()
+    last_active = 0
+    for r in sorted(r for r in pages if 1 <= r <= r_hi):
+        cancels, bd = cancellations_by_page(L, bars, r)
+        if cancels:
+            last_active = r
+            steps.extend(pc.to_cancellation() for pc in cancels)
+        if bd:
+            boundary[r] = bd
+            excluded_cells.update(bd)
+    cert = CancellationCertificate(steps).sorted()
+    r_stab = last_active + 1
+    window_j = L.j_max if T is None else T - r_stab
+    p1 = _page(L, bars, 1)
+    flagged = frozenset()
+    if T is not None:
+        flagged = _cells_above(L, window_j) | excluded_cells
+    kept = {k: n for k, n in bars[1].items() if k not in flagged}
+    pinf = SpectralPage(None, BigradedSeries(L.i_max, L.j_max, kept), flagged)
+    cells = [c for c in p1.dims.coefficients.keys() | pinf.dims.coefficients.keys()
+             if c not in flagged]
+    verified = verify_certificate(p1.dims, cert, pinf.dims, cells=cells)
+    return RunResult(p1, pinf, cert, r_stab, window_j, boundary, verified)

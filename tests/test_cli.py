@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -551,14 +552,21 @@ _TIMED_MAIN = ("import sys, time\n"
                "sys.exit(code)\n")
 
 
-def run_bounded(argv, memory=1 << 30, timeout=20):
-    """(exit code, stdout, stderr without the timing line, seconds inside
-    main or None if the child did not get that far)."""
+def bounded_child(script, argv=(), stdin=None, memory=1 << 30, timeout=20):
+    """Run a Python script in a child process with `memory` bytes of
+    address space and `timeout` seconds of wall time."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(grtor.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _TIMED_MAIN] + argv, capture_output=True,
-                          text=True, timeout=timeout, env=env, preexec_fn=limit)
+    return subprocess.run([sys.executable, "-c", script] + list(argv), input=stdin,
+                          capture_output=True, text=True, timeout=timeout, env=env,
+                          preexec_fn=limit)
+
+
+def run_bounded(argv, memory=1 << 30, timeout=20):
+    """(exit code, stdout, stderr without the timing line, seconds inside
+    main or None if the child did not get that far)."""
+    proc = bounded_child(_TIMED_MAIN, argv, memory=memory, timeout=timeout)
     err, _, last = proc.stderr.rstrip("\n").rpartition("\n")
     if not last.startswith("seconds "):
         return proc.returncode, proc.stdout, proc.stderr, None
@@ -667,6 +675,128 @@ def test_tor_gr_huge_jmax_is_sized_by_the_module(tmp_path):
     # the terms that --jmax 14 gives
     assert json.loads(out)["series"] == {"imax": 6, "jmax": 100000000, "terms": [
         [0, 0, 1], [1, 2, 4], [2, 4, 7], [3, 5, 2], [3, 6, 4], [4, 7, 2]]}
+
+
+def test_check_theorem_is_linear_in_jmax(tmp_path):
+    # N = (Y) has infinite length, so the tensor has jmax + 1 basis vectors
+    # per term; the run reads its certificate and boundary in one pass over
+    # the pairing, not once per page
+    job = tmp_path / "xy.job"
+    job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n"
+                   "[module M]\nideal = X\n\n[module N]\nideal = Y\n")
+    code, out, err, seconds = run_bounded(["check-theorem", str(job), "--jmax", "20000",
+                                           "--char", "32003", "--format", "json"], timeout=60)
+    assert (code, err) == (0, "") and seconds < 5
+    payload = json.loads(out)
+    assert payload["verdict"] == "PASS" and payload["page1_matches_tor"] is True
+    assert payload["tor_graded"]["terms"] == [[0, 0, 1]]
+
+
+# job and series texts for the fuzz test: the cusps pair, g4 over F_32003,
+# a graded job over a quotient ring, and two series
+FUZZ_JOBS = [
+    PAIR_JOB,
+    "[ring]\nfield = Fp 32003\nvariables = a b c d\nsetting = graded\n\n"
+    "[module M]\nideal = a^2 + b*c, b^2 - c*d, c^2 + a*d, a*b + c*d\n\n"
+    "[module N]\nideal = a, b, c, d\n",
+    "[ring]\nvariables = x1 x2\nsetting = graded\nquotient = x1^3\n\n"
+    "[module M]\nideal = x1^2, x1*x2\n\n[module N]\nideal = x1, x2\n",
+]
+FUZZ_SERIES = ["1 3\n1 1 1\n0 2 1\n", "2 4\n2 0 1\n1 1 2\n0 2 1\n1 3 1\n"]
+FUZZ_TOKEN = re.compile(r"[A-Za-z_]\w*|\d+|\s+|.")
+FUZZ_ODD = ["", "=", "[", "]", "#", "\n", ",", "^", "*", "-", "/", "(", "0", "1", "-1",
+            "32003", "QQ", "x"]
+
+# runs every argv of a JSON list on standard input through main, each under
+# a wall-clock alarm, and prints [exit code or "hang" / "traceback", stderr]
+_FUZZ_MAIN = """\
+import contextlib, io, json, signal, sys, traceback
+from grtor.cli import main
+
+class Hang(BaseException):
+    pass
+
+def alarm(signum, frame):
+    raise Hang()
+
+signal.signal(signal.SIGALRM, alarm)
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    signal.alarm(5)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Hang:
+        code = "hang"
+    except BaseException:
+        code = "traceback"
+        err.write(traceback.format_exc())
+    finally:
+        signal.alarm(0)
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def fuzz_mutant(text, rng):
+    """One to three token edits of text: delete, insert or replace a token,
+    drawn from the text itself and from a few stray ones."""
+    tokens = FUZZ_TOKEN.findall(text)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(tokens))
+        op = rng.randrange(3)
+        if op == 0:
+            del tokens[k]
+        elif op == 1:
+            tokens.insert(k, rng.choice(tokens + FUZZ_ODD))
+        else:
+            tokens[k] = rng.choice(tokens + FUZZ_ODD)
+    return "".join(tokens)
+
+
+def test_fuzzed_job_and_series_text_never_ends_in_a_traceback(tmp_path):
+    # g4 mutants skip check-theorem: a non-homogeneous M there spends seconds
+    # in the lift's dense solve, which is slow, not a fault of the input path
+    rng = random.Random(0)
+    runs = []
+
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    def job(name, text, commands):
+        path = write(name, text)
+        runs.extend((text, [command, path] + flags) for command, flags in commands)
+
+    gr = ("gr", ["--jmax", "8"])
+    tor = ("tor-gr", ["--imax", "2", "--jmax", "8"])
+    check = ("check-theorem", ["--imax", "2", "--jmax", "8"])
+    job("blank-field.job", PAIR_JOB.replace("field = QQ", "field ="), [gr, tor, check])
+    for k in range(1000):
+        which = rng.randrange(len(FUZZ_JOBS) + len(FUZZ_SERIES))
+        if which < len(FUZZ_JOBS):
+            job("m%d.job" % k, fuzz_mutant(FUZZ_JOBS[which], rng),
+                [gr, tor] if which == 1 else [gr, tor, check])
+        else:
+            base = FUZZ_SERIES[which - len(FUZZ_JOBS)]
+            text = fuzz_mutant(base, rng)
+            m, b = write("m%d.series" % k, text), write("b%d.series" % k, base)
+            runs.extend([(text, ["cancel", m, b]), (text, ["cancel", b, m])])
+
+    proc = bounded_child(_FUZZ_MAIN, stdin=json.dumps([argv for _text, argv in runs]),
+                         timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(runs)
+    codes = Counter()
+    for (text, argv), (code, err) in zip(runs, results):
+        one_line = err.count("\n") == 1 and err.endswith("\n")
+        assert code in (0, 2) or (code in (1, 3) and one_line), (argv[0], text, code, err)
+        codes[code] += 1
+    assert results[0][1] == "error: unknown field ''\n"
+    # the mutants reach past the parser, not only into its errors
+    assert codes[0] > 100 and codes[1] > 100
 
 
 def test_too_many_flagged_cells_is_one_error_line(tmp_path):

@@ -1,20 +1,20 @@
 """GradedModulePieces (standard terms of one truncated Groebner basis)
 against the dense-echelon oracle: piece dimensions, and the ranks of
-multiplication maps read off the tensor builder that Tor uses.  The
-sparse strand ranks of `GrComplex.homology_series` against dense ranks
-of the same strands."""
+multiplication maps read off the tensor builder that Tor uses.  Page 1
+of the pairing (`grtor.spectral.page`), which is graded Tor on a graded
+tensor complex, against dense ranks of the same strands."""
 
 import random
 
 import pytest
 
 from grtor.fields import Field
-from grtor.filtered import FilteredComplex, GrComplex, tensor_complex
+from grtor.filtered import FilteredComplex, tensor_complex
 from grtor.groebner import ModulePresentation
 from grtor.poly import Ring
 from grtor.resolution import GradedModulePieces, minimal_resolution
 from grtor.series import BigradedSeries
-from grtor.spectral import random_filtered_complex
+from grtor.spectral import page, random_filtered_complex
 
 from layers_oracle import monomials_of_degree
 from pieces_oracle import EchelonPieces
@@ -71,8 +71,8 @@ def strand(L, j):
 
 
 def dense_homology(L):
-    """Strand homology dimensions from dense ranks: the series that
-    `GrComplex.homology_series` reads off sparse eliminations."""
+    """Strand homology dimensions from dense ranks: page 1, which
+    `grtor.spectral.page` reads off the persistence pairing."""
     out = BigradedSeries(L.i_max, L.j_max)
     for j in range(L.j_max + 1):
         idx, mats = strand(L, j)
@@ -130,12 +130,12 @@ def test_sparse_strand_ranks_on_tensor_complexes(case):
     pieces = GradedModulePieces(module, top)
     for p in ring.gens() + [random_homogeneous(ring, 2, rng)]:
         L = multiplication_complex(pieces, p, top)
-        assert GrComplex(L).homology_series() == dense_homology(L), str(p)
+        assert page(L, 1).dims == dense_homology(L), str(p)
     # F (x) N for F the minimal resolution of k, as `tor_series` builds it
     res = minimal_resolution(ModulePresentation.cyclic(ring, ring.gens()), 3)
     levels, diffs = tensor_complex(res.shifts, res.diffs, pieces.nf, pieces.basis, top)
     L = FilteredComplex(ring.field, levels, diffs, top)
-    assert GrComplex(L).homology_series() == dense_homology(L)
+    assert page(L, 1).dims == dense_homology(L)
 
 
 @pytest.mark.parametrize("p", [32003, 0])
@@ -145,7 +145,7 @@ def test_sparse_strand_ranks_on_random_filtered_complexes(p):
     ranked = 0
     for seed in range(40):
         L = random_filtered_complex(seed, field=Field(p), i_max=4, max_dim=14, max_level=6)
-        got = GrComplex(L).homology_series()
+        got = page(L, 1).dims
         assert got == dense_homology(L), seed
         # some strand block has positive rank
         ranked += sum(got.coefficients.values()) < sum(map(len, L.levels))

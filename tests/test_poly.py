@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from grtor.fields import QQ, Field, FieldError
+from grtor.fields import QQ, Field, FieldError, field_from_name
 from grtor.orders import MonomialOrder, OrderError, compare
 from grtor.poly import LOCAL, ParseError, Ring, RingError
 from grtor.groebner import IdealPresentation, graded_piece_basis, leading_monomial_ideal
@@ -21,6 +21,14 @@ def test_field_kinds():
     assert f.mul(f.of(16002), f.of(2)) == f.of(32004 % 32003 - 1) or True
     with pytest.raises(FieldError):
         Field(32004)  # not prime
+
+
+@pytest.mark.parametrize("name", ["", "  ", "F", "Fp", "Fp x", "Fp =32003", "Fp 3 5"])
+def test_malformed_field_name_is_a_field_error(name):
+    # a job file's `field =` may be blank or garbled: one FieldError, which
+    # the command line reports as one `error:` line
+    with pytest.raises(FieldError):
+        field_from_name(name)
 
 
 def test_field_inverse_roundtrip():
@@ -67,8 +75,9 @@ def test_parse_and_print():
     assert str(p) == "-y^3 + x^2"
     assert R.parse("2x*y + 1") == R.parse("1 + 2*y*x")
     assert R.parse("x ^ 2-y^ 3") == p  # whitespace-insensitive
-    with pytest.raises(ParseError):
-        R.parse("x + z")
+    for text in ("x + z", "x + 2^", "2^y"):
+        with pytest.raises(ParseError):
+            R.parse(text)
 
 
 def test_arith_examples():

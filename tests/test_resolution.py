@@ -55,14 +55,6 @@ def test_resolution_differentials_compose_to_zero():
         assert all(p.is_zero() for row in prod for p in row)
 
 
-def test_betti_requires_minimal():
-    R = Ring(["x", "y"])
-    res = minimal_resolution(ModulePresentation.cyclic(R, ["x^2"]), 2)
-    res.minimal = False
-    with pytest.raises(ResolutionError):
-        betti_series(res)
-
-
 def test_betti_zero_module():
     R = Ring(["x", "y"])
     # presentation of the zero module: generator killed by a unit

@@ -8,10 +8,11 @@ from grtor.filtered import FilteredComplex, filtered_tensor, resolve_local_cycli
 from grtor.groebner import IdealPresentation
 from grtor.poly import LOCAL, Ring
 from grtor.series import Cancellation
-from grtor.spectral import (PageCancellation, SpectralError,
+from grtor.spectral import (PageCancellation, SpectralError, _pairing,
                             cancellations_at_page, infinity_page, page,
                             random_filtered_complex, run_to_stability)
-from spectral_oracle import Engine, delta_counts, infinity_dims_direct
+from spectral_oracle import (Engine, cancellations_by_page, delta_counts,
+                             infinity_dims_direct, run_by_pages)
 
 
 def minimal_cancellation_complex():
@@ -182,6 +183,44 @@ def test_bookkeeping_exactness():
         for step in run.certificate:
             current = current.subtract_cancellation(step)
         assert current == run.page_infinity.dims
+
+
+def truncations(L, T):
+    """L marked as a degree-T truncation, as a `.fc` file may mark it, and
+    L / L^{T+1}, the degree-<= T slice that `filtered_tensor` builds: the
+    basis vectors of level <= T, and the rows of each differential at
+    those levels."""
+    keep = [[k for k, level in enumerate(lv) if level <= T] for lv in L.levels]
+    index = [{k: n for n, k in enumerate(ks)} for ks in keep]
+    diffs = [None] + [[{index[i - 1][r]: x for r, x in L.diffs[i][c].items()
+                        if r in index[i - 1]} for c in keep[i]]
+                      for i in range(1, L.i_max + 1)]
+    levels = [[L.levels[i][k] for k in ks] for i, ks in enumerate(keep)]
+    return [FilteredComplex(L.field, L.levels, L.diffs, L.j_max, truncated_at=T),
+            FilteredComplex(L.field, levels, diffs, T, truncated_at=T)]
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_one_pass_run_matches_the_page_loop(p):
+    # run_to_stability reads the certificate, r_stab and the boundary off one
+    # pass over the pairing; the reference visits the pages one at a time
+    bounded = 0
+    for seed in range(30):
+        L = random_filtered_complex(seed, field=Field(p), i_max=3, max_dim=8, max_level=6)
+        for Lt in [L] + [c for T in range(L.j_max + 2) for c in truncations(L, T)]:
+            run, ref = run_to_stability(Lt), run_by_pages(Lt)
+            assert run.certificate == ref.certificate, seed
+            assert (run.r_stab, run.window_j) == (ref.r_stab, ref.window_j), seed
+            assert run.boundary == ref.boundary, seed
+            assert run.page_infinity.dims == ref.page_infinity.dims, seed
+            assert run.page_infinity.indeterminate == ref.page_infinity.indeterminate, seed
+            assert (run.verified.ok, run.verified.reason) == (ref.verified.ok,
+                                                              ref.verified.reason)
+            bars = _pairing(Lt)
+            for r in range(1, L.j_max + 3):
+                assert cancellations_at_page(Lt, r) == cancellations_by_page(Lt, bars, r)
+            bounded += bool(run.boundary)
+    assert bounded > 100
 
 
 def test_truncated_complex_window_and_boundary():
