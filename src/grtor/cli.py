@@ -365,7 +365,10 @@ def make_parser(command=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    out = sys.stdout
+    out, err = sys.stdout, sys.stderr
+    # out of memory, the interpreter reports on sys.stderr each generator
+    # that it then fails to close; the one line below is all a run writes
+    sys.stderr = None
     try:
         # the first word that is not an option names the command
         args = make_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
@@ -379,11 +382,17 @@ def main(argv=None):
             return cmd_cancel(args, out)
         raise InputError("unknown command %r" % args.command)
     except (LiftWindowExceededError, CapExceededError) as exc:
-        print("window exhausted: %s" % exc, file=sys.stderr)
+        print("window exhausted: %s" % exc, file=err)
         return EXIT_WINDOW
     except (GrtorError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: %s" % exc, file=err)
         return EXIT_USAGE
+    except MemoryError:
+        pass  # reported below, once the frames that ran out are released
+    finally:
+        sys.stderr = err
+    print("error: out of memory", file=err)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
                        NormalFormTable, colength_from_leads, graded_twin,
                        ideal_intersection, ideal_product, ideal_sum, initial_forms,
                        leading_monomial_ideal, standard_basis,
-                       standard_monomial_layers)
+                       standard_monomial_layers, VecPoly, _submul)
 from .fields import GrtorError
-from .poly import LOCAL, Polynomial
+from .poly import LOCAL
 from .resolution import Strands, check_composes_to_zero, minimal_resolution, strand_solve
 from .series import BigradedSeries
 
@@ -48,14 +48,6 @@ class StableFiltration:
         if self.kind == M_ADIC:
             return 0
         return max(self.shifts) if self.shifts else 0
-
-
-def _to_local(local_ring, graded_poly, cap):
-    return Polynomial(local_ring, dict(graded_poly.terms)).truncate(cap)
-
-
-def _to_graded(graded_ring, local_poly):
-    return Polynomial(graded_ring, dict(local_poly.terms))
 
 
 class FilteredResolution:
@@ -130,50 +122,47 @@ def lift_resolution(gres, generators, cap):
     shifts = [tuple(s) for s in gres.shifts]
     diffs = [None, [[g.truncate(cap) for g in generators]]]
     strands = Strands(gring)
-
-    def times(row, col):
-        """sum_t row[t] * col[t], truncated at the cap."""
-        return sum((p * q for p, q in zip(row, col) if p.terms and q.terms),
-                   local_ring.zero()).truncate(cap)
+    fld = local_ring.field
+    one = (0,) * local_ring.nvars
+    pcap = min(cap, local_ring.cap)  # where a product of local entries is truncated
+    # the columns of d_{i-1}, each one term dict {(row, exponents): c}
+    prev = [VecPoly.from_polys([g]).terms for g in diffs[1][0]]
 
     for i in range(2, len(shifts)):
-        d = [[_to_local(local_ring, gres.diffs[i][a][b], cap)
-              for b in range(len(shifts[i]))]
-             for a in range(len(shifts[i - 1]))]
-        prev = diffs[i - 1]
+        cols = []
         for c in range(len(shifts[i])):
+            col = VecPoly.from_polys([row[c] for row in gres.diffs[i]]).truncate(cap).terms
+            # prev * col; a correction u updates it by -prev * u, since
+            # truncation is linear and prev never lowers a degree
+            residual = {}
+            for (t, e), x in col.items():
+                _submul(fld, residual, prev[t], e, fld.neg(x), pcap)
             guard = 0
             last_order = -1
-            # prev * d[:, c]; a correction u updates it by -prev * u, since
-            # truncation is linear and prev never lowers a degree
-            residual = [times(row, [r[c] for r in d]) for row in prev]
-            while True:
-                degrees = [p.order_degree() + shifts[i - 2][a]
-                           for a, p in enumerate(residual) if not p.is_zero()]
-                if not degrees:
-                    break
-                target_deg = min(degrees)
+            while residual:
+                target_deg = min(sum(e) + shifts[i - 2][a] for a, e in residual)
                 if target_deg <= last_order:
                     raise LiftWindowExceededError(
                         "correction order did not increase at column %d of d_%d" % (c, i))
                 last_order = target_deg
-                low = [_to_graded(gring, p.homogeneous_component(target_deg - shifts[i - 2][a]))
-                       for a, p in enumerate(residual)]
+                low = {(a, e): x for (a, e), x in residual.items()
+                       if sum(e) + shifts[i - 2][a] == target_deg}
                 u = strand_solve(strands, gres.diffs[i - 1], shifts[i - 1],
                                  shifts[i - 2], low, target_deg)
                 if u is None:
                     raise LiftWindowExceededError(
                         "no graded correction in degree %d at column %d of d_%d"
                         % (target_deg, c, i))
-                u = [_to_local(local_ring, p, cap) for p in u]
-                for t, p in enumerate(u):
-                    if p.terms:
-                        d[t][c] = (d[t][c] - p).truncate(cap)
-                residual = [r - times(row, u) for r, row in zip(residual, prev)]
+                _submul(fld, col, u, one, fld.one, cap)  # col -= u, below the cap
+                for (t, e), x in u.items():
+                    _submul(fld, residual, prev[t], e, x, pcap)
                 guard += 1
                 if guard > cap + 2:
                     raise LiftWindowExceededError("correction failed to converge below the cap")
-        diffs.append(d)
+            cols.append(col)
+        polys = [VecPoly(local_ring, len(shifts[i - 1]), col).to_polys() for col in cols]
+        diffs.append([list(row) for row in zip(*polys)])
+        prev = cols
 
     out = FilteredResolution(local_ring, shifts, diffs, cap, graded=gres)
     out.check_postconditions()

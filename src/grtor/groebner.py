@@ -684,15 +684,8 @@ def graded_piece_basis(ring, j):
         raise GroebnerError("graded_piece_basis needs a graded ring")
     if j < 0:
         return []
-    layers = standard_monomial_layers(_quotient_lm(ring), ring.nvars, j)
+    layers = standard_monomial_layers(basis_leads(quotient_groebner(ring)), ring.nvars, j)
     return sorted(next(itertools.islice(layers, j, None), []), key=ring.order.key, reverse=True)
-
-
-def _quotient_lm(ring):
-    if ring._quotient_lm_cache is None:
-        ring._quotient_lm_cache = (leading_monomial_ideal(IdealPresentation(ring, ring.quotient))
-                                   if ring.quotient else [])
-    return ring._quotient_lm_cache
 
 
 def quotient_groebner(ring):

@@ -1,7 +1,6 @@
-"""Dense exact linear algebra over a coefficient field.
-
-Matrices are lists of rows (lists of field elements).  Everything is
-small and desk-scale; clarity over asymptotics.
+"""Exact linear algebra over a coefficient field.  Columns come in sparse,
+{row: nonzero x}; `solve` and `ColumnEchelon` build dense rows (lists of
+field elements) inside, as `rref` and `invert` take them.
 """
 
 
@@ -32,11 +31,15 @@ def rref(field, rows):
     return m, pivots
 
 
-def solve(field, rows, rhs):
-    """One solution of rows*x = rhs, or None if inconsistent."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+def solve(field, columns, rhs, nrows):
+    """One solution x of sum_c x[c] * columns[c] = rhs, or None if there is
+    none; the columns and rhs are sparse {row: x} over `nrows` rows, and x
+    is a dense list, one entry per column."""
+    ncols = len(columns)
+    aug = [[field.zero] * (ncols + 1) for _ in range(nrows)]
+    for c, col in enumerate((*columns, rhs)):
+        for r, x in col.items():
+            aug[r][c] = x
     red, pivots = rref(field, aug)
     for r in range(len(pivots), nrows):
         if red[r][ncols]:
@@ -85,38 +88,36 @@ def sparse_pivots(field, columns, key=None):
 
 
 class ColumnEchelon:
-    """Incremental column echelon form with a fixed row priority order.
+    """Incremental column echelon form over `nrows` rows.
 
-    Columns are added one at a time and reduced against the stored
-    echelon; each stored column has a unique pivot row (the first
-    nonzero row in the given priority order).  Supports rank queries of
-    the span's projection onto row prefixes, which is what the spectral
-    engine's filtration bookkeeping needs.
+    Sparse columns {row: x} are added one at a time, made dense and
+    reduced against the stored echelon; each stored column has a unique
+    pivot row, its first nonzero row.
     """
 
-    def __init__(self, field, row_order):
+    def __init__(self, field, nrows):
         self.field = field
-        self.row_order = list(row_order)  # row indices, highest priority first
-        self.row_pos = {r: k for k, r in enumerate(self.row_order)}
-        self.columns = {}  # pivot position (in priority order) -> column vector
+        self.nrows = nrows
+        self.columns = {}  # pivot row -> column vector
 
-    def add(self, col):
-        """Reduce col against the echelon and insert if independent.
+    def add(self, column):
+        """Reduce column against the echelon and insert if independent.
 
-        Returns the pivot position (priority index) or None if col lies
-        in the current span.
+        Returns the pivot row, or None if column lies in the current span.
         """
         field = self.field
-        col = list(col)
+        col = [field.zero] * self.nrows
+        for r, x in column.items():
+            col[r] = x
         while True:
             piv = None
-            for k, r in enumerate(self.row_order):
+            for r in range(self.nrows):
                 if col[r]:
-                    piv = k
+                    piv = r
                     break
             if piv is None:
                 return None
             if piv not in self.columns:
-                self.columns[piv] = field.scale(field.inv(col[self.row_order[piv]]), col)
+                self.columns[piv] = field.scale(field.inv(col[piv]), col)
                 return piv
-            col = field.axpy(col, col[self.row_order[piv]], self.columns[piv])
+            col = field.axpy(col, col[piv], self.columns[piv])

@@ -54,10 +54,7 @@ class Ring:
             for q in self.quotient:
                 if setting == GRADED and not q.is_homogeneous():
                     raise RingError("graded quotient generator %s is not homogeneous" % q)
-        # the quotient's Groebner basis and lead monomials, computed on first
-        # use by groebner.quotient_groebner and groebner.graded_piece_basis
-        self._quotient_gb_cache = None
-        self._quotient_lm_cache = None
+        self._quotient_gb_cache = None  # set by groebner.quotient_groebner
 
     @property
     def nvars(self):
@@ -280,7 +277,7 @@ class Polynomial:
 
 # --- text grammar -----------------------------------------------------------
 #
-# terms joined by + / -, integer coefficients, '*' optional between factors,
+# terms joined by + / -, integer coefficients, '*' optional between two factors,
 # '^' for powers, variable names alphanumeric; whitespace-insensitive.
 
 _TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
@@ -323,6 +320,8 @@ def parse_polynomial(ring, text):
         while i < n:
             t = toks[i]
             if t == "*":
+                if not saw_factor or i + 1 >= n or toks[i + 1] in "+-*":
+                    raise ParseError("'*' must stand between two factors in %r" % text)
                 i += 1
                 continue
             if t in "+-":

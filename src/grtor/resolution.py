@@ -12,7 +12,7 @@ import operator
 from math import comb
 
 from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, VecPoly,
-                       _quotient_lm, module_groebner_basis,
+                       basis_leads, module_groebner_basis,
                        quotient_groebner, standard_monomial_layers, syzygies)
 from .fields import GrtorError
 from .linalg import ColumnEchelon, solve
@@ -37,7 +37,7 @@ class Strands:
         self.ring = ring
         self._nf = NormalFormTable(ring, [[g] for g in quotient_groebner(ring)])
         self._one = (0,) * ring.nvars
-        self._layers = standard_monomial_layers(_quotient_lm(ring), ring.nvars)
+        self._layers = standard_monomial_layers(basis_leads(quotient_groebner(ring)), ring.nvars)
         self._pieces = []
 
     def piece(self, j):
@@ -60,50 +60,25 @@ class Strands:
         return [(col, (0, mono)) for col, s in enumerate(shifts)
                 for mono in self.piece(degree - s)]
 
-    def coords(self, vec, index, mono=None):
-        """Coordinates on a strand basis of x^mono * vec (vec a homogeneous
-        vector of polynomials), reduced modulo the quotient.  A term outside
-        `index` raises."""
-        coords = [self.ring.field.zero] * len(index)
-        key = (0, self._one if mono is None else mono)
-        for n, c in self._nf.column(vec, key, index).items():
-            coords[n] = c
-        return coords
-
-    def matrix(self, rows, src_shifts, dst_shifts, degree):
-        """Matrix of a homogeneous map between free modules in one internal degree.
-
-        `rows` is the dst x src matrix of polynomials; returns (matrix over
-        k, src basis, dst index) with columns indexed by the source strand
-        basis.
-        """
-        src = self.free_basis(src_shifts, degree)
-        dst_index = {key: n for n, key in enumerate(self.free_basis(dst_shifts, degree))}
-        cols = [self.coords([row[scol] for row in rows], dst_index, mono) for scol, (_, mono) in src]
-        matrix = [[col[i] for col in cols] for i in range(len(dst_index))]
-        return matrix, src, dst_index
+    def column(self, vec, index, mono=None):
+        """The sparse column {index[key]: c} of x^mono * vec, a homogeneous vector
+        of polynomials, modulo the quotient.  A term outside `index` raises."""
+        return self._nf.column(vec, (0, self._one if mono is None else mono), index)
 
 
 def strand_solve(strands, rows, src_shifts, dst_shifts, target, degree):
-    """Solve (matrix of polynomials) * u = target in one internal degree.
-
-    target: homogeneous vector of polynomials of internal degree `degree`
-    over dst shifts.  Returns a vector of homogeneous polynomials over the
-    source shifts, or None if no solution exists in this strand.
-    """
-    ring = strands.ring
-    matrix, src, dst_index = strands.matrix(rows, src_shifts, dst_shifts, degree)
-    rhs = strands.coords(target, dst_index)
-    if not src:
-        return None if any(rhs) else [ring.zero() for _ in src_shifts]
-    sol = solve(ring.field, matrix, rhs) if matrix else (None if any(rhs) else [])
+    """Solve rows * u = target in one internal degree, or return None: rows
+    is the dst x src matrix of polynomials, target a term dict {(dst row,
+    exponents): c} of that degree in normal form, and u one {(src column,
+    exponents): c}."""
+    src = strands.free_basis(src_shifts, degree)
+    dst_index = {key: n for n, key in enumerate(strands.free_basis(dst_shifts, degree))}
+    cols = [strands.column([row[col] for row in rows], dst_index, mono) for col, (_, mono) in src]
+    rhs = {dst_index[(a, (0, e))]: c for (a, e), c in target.items()}
+    sol = solve(strands.ring.field, cols, rhs, len(dst_index))
     if sol is None:
         return None
-    out = [ring.zero() for _ in src_shifts]
-    for coeff, (col, (_, mono)) in zip(sol, src):
-        if coeff:
-            out[col] = out[col] + ring.monomial(mono, coeff)
-    return out
+    return {(col, mono): c for c, (col, (_, mono)) in zip(sol, src) if c}
 
 
 # --- presented modules, degreewise ---------------------------------------------
@@ -168,11 +143,11 @@ def minimal_generators(strands, columns, row_shifts):
             # the degree-d span of the submodule the kept columns generate
             d = vdeg
             free_index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
-            ech = ColumnEchelon(strands.ring.field, range(len(free_index)))
+            ech = ColumnEchelon(strands.ring.field, len(free_index))
             for c, e in chosen:
                 for mono in strands.piece(d - e):
-                    ech.add(strands.coords(columns[c], free_index, mono))
-        if ech.add(strands.coords(columns[k], free_index)) is not None:
+                    ech.add(strands.column(columns[c], free_index, mono))
+        if ech.add(strands.column(columns[k], free_index)) is not None:
             chosen.append((k, vdeg))
     return chosen
 

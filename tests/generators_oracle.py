@@ -17,11 +17,6 @@ import operator
 from grtor.linalg import sparse_pivots
 
 
-def _column(strands, vec, index, mono=None):
-    """The strand coordinates of x^mono * vec as a sparse column."""
-    return {n: c for n, c in enumerate(strands.coords(vec, index, mono)) if c}
-
-
 def sparse_minimal_generators(strands, columns, row_shifts):
     """[(index in `columns`, internal degree)] as `minimal_generators`
     returns them."""
@@ -35,9 +30,9 @@ def sparse_minimal_generators(strands, columns, row_shifts):
     for d, group in itertools.groupby(items, key=operator.itemgetter(1)):
         group = list(group)
         index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
-        span = (_column(strands, columns[k], index, mono)
+        span = (strands.column(columns[k], index, mono)
                 for k, e in chosen for mono in strands.piece(d - e))
-        fresh = (_column(strands, columns[k], index) for k, _ in group)
+        fresh = (strands.column(columns[k], index) for k, _ in group)
         pivots = list(sparse_pivots(strands.ring.field, itertools.chain(span, fresh)))
         chosen += [item for item, p in zip(group, pivots[-len(group):]) if p is not None]
     return chosen

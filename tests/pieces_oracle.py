@@ -7,7 +7,8 @@ echelon on the free cover's strand basis.  Slow; tests only.
 """
 
 from grtor.groebner import graded_piece_basis, normal_form, quotient_groebner
-from grtor.linalg import ColumnEchelon
+
+from spectral_oracle import ColumnEchelon
 
 
 def relation_degrees(module):

@@ -5,13 +5,16 @@ everything off one persistence pairing): pages from rank tables of
 level-sorted dense echelons, and the limit page directly as gr of
 homology with the induced filtration.  Slow; tests only.  Its dense
 `kernel_basis` also serves the syzygy tests, and its dense `rank` every
-test that counts a rank independently.  `run_by_pages` and
+test that counts a rank independently.  `ColumnEchelon` (dense
+columns, any row priority order) and the dense `solve` are reference
+kernels: the echelon serves `Engine` and `pieces_oracle`, and both are
+the oracles of the sparse-input kernels of `grtor.linalg`.  `run_by_pages` and
 `cancellations_by_page` read a run off the same pairing as
 `grtor.spectral`, but page by page: the reference for the one-pass
 bookkeeping of `run_to_stability`.
 """
 
-from grtor.linalg import ColumnEchelon, rref
+from grtor.linalg import rref
 from grtor.series import BigradedSeries, CancellationCertificate, verify_certificate
 from grtor.spectral import (PageCancellation, RunResult, SpectralPage, _alive,
                             _cells_above, _page, _pairing)
@@ -22,6 +25,61 @@ def rank(field, rows):
     if not rows:
         return 0
     return len(rref(field, rows)[1])
+
+
+def solve(field, rows, rhs):
+    """One solution of rows*x = rhs, or None if inconsistent."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots = rref(field, aug)
+    for r in range(len(pivots), nrows):
+        if red[r][ncols]:
+            return None
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+class ColumnEchelon:
+    """Incremental column echelon form with a fixed row priority order.
+
+    Columns are added one at a time and reduced against the stored
+    echelon; each stored column has a unique pivot row (the first
+    nonzero row in the given priority order).  Supports rank queries of
+    the span's projection onto row prefixes, which is what the spectral
+    engine's filtration bookkeeping needs.
+    """
+
+    def __init__(self, field, row_order):
+        self.field = field
+        self.row_order = list(row_order)  # row indices, highest priority first
+        self.row_pos = {r: k for k, r in enumerate(self.row_order)}
+        self.columns = {}  # pivot position (in priority order) -> column vector
+
+    def add(self, col):
+        """Reduce col against the echelon and insert if independent.
+
+        Returns the pivot position (priority index) or None if col lies
+        in the current span.
+        """
+        field = self.field
+        col = list(col)
+        while True:
+            piv = None
+            for k, r in enumerate(self.row_order):
+                if col[r]:
+                    piv = k
+                    break
+            if piv is None:
+                return None
+            if piv not in self.columns:
+                self.columns[piv] = field.scale(field.inv(col[self.row_order[piv]]), col)
+                return piv
+            col = field.axpy(col, col[self.row_order[piv]], self.columns[piv])
 
 
 def dense(L, i):

@@ -692,6 +692,30 @@ def test_check_theorem_is_linear_in_jmax(tmp_path):
     assert payload["tor_graded"]["terms"] == [[0, 0, 1]]
 
 
+def test_out_of_memory_is_one_error_line(tmp_path):
+    # N = (Y) has infinite length and nothing sizes the tensor before it is
+    # built, so jmax 10^6 runs out of 150 MB: one line, exit 1, and no line
+    # from a generator the interpreter then fails to close
+    job = tmp_path / "xy.job"
+    job.write_text("[ring]\nvariables = X Y\nsetting = local\n\n"
+                   "[module M]\nideal = X\n\n[module N]\nideal = Y\n")
+    code, out, err, _ = run_bounded(["check-theorem", str(job), "--jmax", "1000000",
+                                     "--char", "32003"], memory=150 << 20, timeout=60)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("ideal", ["b^2 - c*", "a** + c*d", "*a + b", "a*-b", "2*"])
+def test_stray_star_is_one_error_line(tmp_path, capsys, ideal):
+    # a '*' that does not stand between two factors of one term is refused,
+    # not skipped
+    job = tmp_path / "star.job"
+    job.write_text(PAIR_JOB.replace("variables = X Y", "variables = a b c d")
+                   .replace("X^2 - Y^3", ideal).replace("X^2 - Y^5", "a, b"))
+    code, out, err = run_cli(capsys, ["check-theorem", str(job)])
+    assert_one_line_error(code, err)
+    assert out == "" and "'*' must stand between two factors" in err
+
+
 # job and series texts for the fuzz test: the cusps pair, g4 over F_32003,
 # a graded job over a quotient ring, and two series
 FUZZ_JOBS = [

@@ -1,8 +1,11 @@
 """Golden digests: the SHA-256 of the `--format json` output of `tor-gr`,
 `check-theorem` and `gr` on the ROADMAP baseline jobs, and of a few
-`check-theorem` runs with further options (`--imax`, `--format table`).  A change that claims
-byte-identical outputs must keep every digest; a change that means to
-alter an output records the new digest here and says why."""
+`check-theorem` runs with further options (`--imax`, `--format table`).
+The series and certificates do not see which solution a lift picks, so
+the lifted differentials of `resolve_local_cyclic` have digests of their
+own.  A change that claims byte-identical outputs must keep every
+digest; a change that means to alter an output records the new digest
+here and says why."""
 
 import contextlib
 import hashlib
@@ -11,6 +14,10 @@ import io
 import pytest
 
 from grtor.cli import main
+from grtor.fields import Field
+from grtor.filtered import resolve_local_cyclic
+from grtor.groebner import IdealPresentation
+from grtor.poly import LOCAL, Ring
 
 P = "32003"
 CUSPS = ("X Y", "X^2 - Y^3", "X^2 - Y^5")
@@ -114,3 +121,50 @@ def digest(tmp_path, command, setting, ideal, field, jmax, options=()):
 def test_golden_digest(tmp_path, name):
     *job, want = GOLDEN[name]
     assert digest(tmp_path, *job) == want
+
+
+FIVE = ("a b c d e", "a^2 + b^3, b^2 - c^3, c^2 - d^3 + e^4, d*e - a^3")
+# name -> (variables, generators, field, ring cap, lift cap, SHA-256 of the
+# lifted differentials, printed one "i a b entry" line per entry)
+LIFTS = {
+    "cusps-M-QQ": (CUSPS[0], CUSPS[1], "QQ", 12, 12,
+                   "71950b0a28190863f1c6dc3e4a1441bc4dce23afbdb9022c8fe1b44a0757c472"),
+    "cusps-M-Fp": (CUSPS[0], CUSPS[1], P, 12, 12,
+                   "368647968806c627456c22f1864b54e2f530238d0a9e99ea66e1ad34c77f7598"),
+    "cusps-N-QQ": (CUSPS[0], CUSPS[2], "QQ", 12, 12,
+                   "a6d5155d7065aa81c64e0b512711d7042d8005e73ae67050c8905d68282d216c"),
+    "cusps-N-Fp": (CUSPS[0], CUSPS[2], P, 12, 12,
+                   "b5d8ed9be629151a342d411292233610bb42819bdaf161005a2065f16489547e"),
+    # in(I) = (X^2, X*Y, Y^4): the lift of d_2 takes a unit correction
+    "cusp-unit-QQ": ("X Y", "X^2 + Y^3, X*Y", "QQ", 20, 20,
+                     "29c0ba9a509035251104e42968951f34772822cbdf94a5a89e283ceef3297c84"),
+    "cusp-unit-Fp": ("X Y", "X^2 + Y^3, X*Y", P, 20, 20,
+                     "d4f12023e7b9e179c0e3e4269e8f90a4bb7f26a8ef95c1bad1167181a2e3ab6c"),
+    "three-M-QQ": (THREE[0], THREE[1], "QQ", 10, 10,
+                   "535779aeeb92feb34280bb5ab0edacce77d0ddcfcbe927b4283b759c300822c1"),
+    "three-M-Fp": (THREE[0], THREE[1], P, 10, 10,
+                   "aa66b2d6bd4e7d4f7e86c93973cf47d9be3c86694f326cb6d66b42a56b4db9b2"),
+    "l4-M-QQ": (L4[0], L4[1], "QQ", 10, 10,
+                "14efb9f681decb2dd1ee5036345e89f6c36bcfeb802e459578491d55ac775b19"),
+    "l4-M-Fp": (L4[0], L4[1], P, 10, 10,
+                "cfce35816920b78cedab458eb1b20ef64480f7237364f2ab1e15f6576b225a05"),
+    "l4-N-QQ": (L4[0], L4[2], "QQ", 10, 10,
+                "6fa2e9d1cf3e2f7175b495cd342fc8d4ee037748a5fd76def9c5d1387e44c848"),
+    "l4-N-Fp": (L4[0], L4[2], P, 10, 10,
+                "ce5b8a0a702ff538c5aceb86fccca6b657d45b9d1d2fe56a201b1c6d6688f806"),
+    "five-M-Fp": (FIVE[0], FIVE[1], P, 10, 10,
+                  "3527f2a41bfb9adf0000402e93bfeafa96ce841818a749b6134b2b7294ec09c6"),
+    # a lift cap below the ring's truncates the corrections
+    "five-M-Fp-cap6": (FIVE[0], FIVE[1], P, 10, 6,
+                       "e64261469782296bf15fb194dffdbe82de1198a4dcf02791ee985672d1ef1771"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFTS))
+def test_lift_digest(name):
+    variables, gens, field, ring_cap, cap, want = LIFTS[name]
+    ring = Ring(variables.split(), Field(0 if field == "QQ" else int(field)), LOCAL, cap=ring_cap)
+    fres = resolve_local_cyclic(IdealPresentation(ring, gens.split(",")), cap)
+    text = "".join("%d %d %d %s\n" % (i, a, b, p) for i in range(1, len(fres.diffs))
+                   for a, row in enumerate(fres.diffs[i]) for b, p in enumerate(row))
+    assert hashlib.sha256(text.encode()).hexdigest() == want

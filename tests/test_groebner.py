@@ -179,10 +179,15 @@ def test_syzygies_three_quadrics():
     # degreewise completeness against the strand-kernel oracle
     gen_degs = [2, 2, 2]
     strands = Strands(R)
+    zero = R.field.zero
     for degree in range(2, 7):
-        mat, src, _ = strands.matrix([[c[0] for c in cols]], gen_degs, (0,), degree)
+        src = strands.free_basis(gen_degs, degree)
+        dst_index = {key: n for n, key in enumerate(strands.free_basis((0,), degree))}
+        mat_cols = [strands.column(cols[b], dst_index, mono) for b, (_, mono) in src]
+        mat = [[col.get(r, zero) for col in mat_cols] for r in range(len(dst_index))]
         expected = len(kernel_basis(R.field, mat, len(src))) if src else 0
         # span of the computed syzygies' strand vectors
+        index = {key: n for n, key in enumerate(src)}
         span_cols = []
         for u in syz:
             udeg = {p.degree() + gd for p, gd in zip(u, gen_degs) if not p.is_zero()}
@@ -191,11 +196,9 @@ def test_syzygies_three_quadrics():
             ud = udeg.pop()
             for mono in monomials_of_degree(2, degree - ud):
                 vec = [p.monomial_multiple(mono) for p in u]
-                basis = strands.free_basis(gen_degs, degree)
-                index = {key: n for n, key in enumerate(basis)}
-                span_cols.append(strands.coords(vec, index))
-        got = rank(R.field, [[col[r] for col in span_cols]
-                             for r in range(len(span_cols[0]))]) if span_cols else 0
+                span_cols.append(strands.column(vec, index))
+        got = rank(R.field, [[col.get(r, zero) for col in span_cols]
+                             for r in range(len(index))]) if span_cols else 0
         assert got == expected
 
 

@@ -1,22 +1,29 @@
 """The exact-arithmetic kernels: bound field operations and row primitives,
 pickling, the heap-ordered normal form against the scan-based oracle in
-tests/reduce_oracle.py, and the table of monomial normal forms against
-direct reduction."""
+tests/reduce_oracle.py, the table of monomial normal forms against
+direct reduction, the quotient memo, and the sparse-input `linalg.solve`
+and `ColumnEchelon` against the dense kernels of tests/spectral_oracle.py."""
 
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from grtor import groebner
 from grtor.fields import MAX_CHARACTERISTIC, QQ, Field, FieldError, _is_prime
 from grtor.groebner import (GroebnerError, IdealPresentation, NormalFormTable, VecPoly,
                             _buchberger, _divides, _leads, _reduce, _Tracked, graded_piece_basis,
                             groebner_basis, module_groebner_basis, module_normal_form,
                             normal_form, quotient_groebner, standard_basis)
+from grtor.linalg import ColumnEchelon, solve
 from grtor.poly import GRADED, LOCAL, Ring
+from grtor.resolution import Strands
 
 from reduce_oracle import oracle_leads, reduce_oracle
+from spectral_oracle import ColumnEchelon as ColumnEchelonOracle
+from spectral_oracle import solve as solve_oracle
 
 P = 32003
 BIG_PRIME = 1000000000000000003
@@ -314,3 +321,93 @@ def test_normal_form_against_an_empty_basis_is_the_truncation(p, setting, ring_c
             want = _reduce(_Tracked(VecPoly.from_polys([f]), None), {}, cap).vec.to_polys()[0]
             got = normal_form(f, [], cap)
             assert got == want and got.ring is ring
+
+
+def test_one_groebner_basis_per_quotient_ring(monkeypatch):
+    # the quotient's Groebner basis is the ring's one memo: its lead
+    # monomials, the graded pieces and the strands are read off it
+    calls = []
+    real = groebner.groebner_basis
+
+    def counting(ideal):
+        calls.append(ideal.ring)
+        return real(ideal)
+    monkeypatch.setattr(groebner, "groebner_basis", counting)
+    ring = Ring(["x1", "x2", "x3"], Field(P), GRADED, quotient=("x1^4",))
+    gb = quotient_groebner(ring)
+    assert graded_piece_basis(ring, 5) == Strands(ring).piece(5)
+    assert quotient_groebner(ring) is gb and graded_piece_basis(ring, 6)
+    assert calls == [ring]
+
+
+# --- the sparse-input elimination kernels against the dense oracles --------------
+
+
+def _combine(field, cols, coeffs):
+    """sum_c coeffs[c] * cols[c], as a sparse column."""
+    out = {}
+    for f, col in zip(coeffs, cols):
+        for r, x in col.items():
+            v = field.add(out.get(r, field.zero), field.mul(f, x))
+            if v:
+                out[r] = v
+            else:
+                out.pop(r, None)
+    return out
+
+
+def _sparse_columns(rng, field, nrows, ncols):
+    """Random sparse columns {row: nonzero x}, some of them combinations
+    of earlier ones, so that the rank often falls short."""
+    cols = []
+    for _ in range(ncols):
+        if cols and rng.random() < 0.3:
+            cols.append(_combine(field, cols, [field.of(rng.randint(-3, 3)) for _ in cols]))
+        else:
+            cols.append({r: field.of(rng.choice([-2, -1, 1, 2, 3])) for r in range(nrows)
+                         if rng.random() < 0.35})
+    return cols
+
+
+@pytest.mark.parametrize("p", [0, P])
+def test_sparse_solve_matches_the_dense_oracle(p):
+    field = Field(p)
+    rng = random.Random(p)
+    found = Counter()
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        cols = _sparse_columns(rng, field, nrows, ncols)
+        if rng.random() < 0.5:  # consistent: rhs = A x0
+            rhs = _combine(field, cols, [field.of(rng.randint(-2, 2)) for _ in cols])
+        else:  # often inconsistent
+            rhs = {r: field.of(rng.randint(1, 4)) for r in range(nrows) if rng.random() < 0.5}
+        got = solve(field, cols, rhs, nrows)
+        if nrows:
+            rows = [[col.get(r, field.zero) for col in cols] for r in range(nrows)]
+            want = solve_oracle(field, rows, [rhs.get(r, field.zero) for r in range(nrows)])
+        else:  # no rows: the dense oracle sees no columns either
+            want = [field.zero] * ncols
+        assert got == want
+        if got is not None:
+            assert all(type(x) is type(field.zero) for x in got)
+            assert _combine(field, cols, got) == rhs
+        found["inconsistent" if got is None else "no columns" if not ncols
+              else "no rows" if not nrows else "solved"] += 1
+    assert len(found) == 4 and min(found.values()) > 10
+
+
+@pytest.mark.parametrize("p", [0, P])
+def test_column_echelon_matches_the_row_order_oracle(p):
+    field = Field(p)
+    rng = random.Random(p + 1)
+    kept = dropped = 0
+    for _ in range(100):
+        nrows = rng.randint(0, 8)
+        ech, oracle = ColumnEchelon(field, nrows), ColumnEchelonOracle(field, range(nrows))
+        for col in _sparse_columns(rng, field, nrows, rng.randint(1, 10)):
+            piv = ech.add(col)
+            assert piv == oracle.add([col.get(r, field.zero) for r in range(nrows)])
+            kept += piv is not None
+            dropped += piv is None
+        assert ech.columns == oracle.columns
+    assert kept > 100 and dropped > 100

@@ -80,6 +80,16 @@ def test_parse_and_print():
             R.parse(text)
 
 
+def test_star_stands_between_two_factors():
+    R = Ring(["a", "b", "c", "d"])
+    for text in ("b^2 - c*", "a** + c*d", "*a + b", "a*-b", "2*", "a*+b", "-*a", "a * * b"):
+        with pytest.raises(ParseError, match="between two factors"):
+            R.parse(text)
+    assert R.parse("2a*b+1") == R.parse("2 * a * b + 1") == R.parse("1 + 2b a")
+    assert R.parse("a * b") == R.parse("a b") and R.parse("2*a") == R.parse("2a")
+    assert R.parse("2^3*a^2*b") == R.parse("8 a^2 b")
+
+
 def test_arith_examples():
     R = Ring(["x", "y"])
     x, y = R.gens()

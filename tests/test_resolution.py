@@ -190,16 +190,15 @@ def test_strand_coords_reject_a_term_outside_the_strand():
     strands = Strands(R)
     index = {key: n for n, key in enumerate(strands.free_basis((0, 1), 2))}
     vec = [R.parse("x*y"), R.parse("x")]
-    coords = strands.coords(vec, index)
-    assert coords[index[(0, (0, (1, 1)))]] == coords[index[(1, (0, (1, 0)))]] == 1
-    assert sum(map(bool, coords)) == 2
+    column = strands.column(vec, index)
+    assert column == {index[(0, (0, (1, 1)))]: 1, index[(1, (0, (1, 0)))]: 1}
     # x * (x + y, 1) = (xy, x) mod x^2
-    assert strands.coords([R.parse("x + y"), R.one()], index, (1, 0)) == coords
+    assert strands.column([R.parse("x + y"), R.one()], index, (1, 0)) == column
     # a term above the strand, from the vector or from `mono`, is an error
     with pytest.raises(GroebnerError, match="outside the basis"):
-        strands.coords([R.parse("y^3"), R.zero()], index)
+        strands.column([R.parse("y^3"), R.zero()], index)
     with pytest.raises(GroebnerError, match="outside the basis"):
-        strands.coords(vec, index, (0, 1))
+        strands.column(vec, index, (0, 1))
 
 
 def _random_form(rng, ring, degree):
