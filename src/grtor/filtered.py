@@ -13,10 +13,11 @@ from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
                        NormalFormTable, colength_from_leads, graded_twin,
                        ideal_intersection, ideal_product, ideal_sum, initial_forms,
                        leading_monomial_ideal, standard_basis,
-                       standard_monomial_layers, VecPoly, _submul)
+                       standard_monomial_layers, _submul)
 from .fields import GrtorError
-from .poly import LOCAL
-from .resolution import Strands, check_composes_to_zero, minimal_resolution, strand_solve
+from .poly import LOCAL, Polynomial
+from .resolution import (Strands, check_composes_to_zero, compose, minimal_resolution,
+                         strand_solve)
 from .series import BigradedSeries
 
 
@@ -42,25 +43,20 @@ class StableFiltration:
         self.kind = kind
         self.shifts = tuple(shifts)
 
-    @property
-    def stability_bound(self):
-        """m * M^j = M^{j+1} holds for every j >= this bound."""
-        if self.kind == M_ADIC:
-            return 0
-        return max(self.shifts) if self.shifts else 0
-
 
 class FilteredResolution:
     """Free resolution over the local ring with shifted-m-adic filtrations
-    whose associated graded complex is a given graded resolution, up to
-    the degree cap."""
+    whose associated graded complex is the graded resolution `graded`, up
+    to the degree cap.  diffs[i] maps F_i to F_{i-1} as one column
+    {(row, exponents): c} per basis vector of F_i, as the graded
+    resolution holds its own (diffs[0] is None)."""
 
-    def __init__(self, ring, shifts_per_term, diffs, cap, graded=None):
+    def __init__(self, ring, shifts_per_term, diffs, cap, graded):
         self.ring = ring
         self.shifts = [tuple(s) for s in shifts_per_term]
-        self.diffs = diffs  # diffs[0] is None; diffs[i]: F_i -> F_{i-1}
+        self.diffs = diffs
         self.cap = cap
-        self.graded = graded  # the graded resolution this lifts
+        self.graded = graded
 
     @property
     def length(self):
@@ -71,25 +67,20 @@ class FilteredResolution:
         graded differentials.  Raises on violation."""
         check_composes_to_zero(NormalFormTable(self.ring, [], cap=self.cap), self.diffs,
                                lambda i: LiftError("lifted differentials do not compose to zero"))
-        if self.graded is None:
-            return
         for i in range(1, len(self.shifts)):
             src, dst = self.shifts[i], self.shifts[i - 1]
-            for a in range(len(dst)):
-                for b in range(len(src)):
-                    expected = src[b] - dst[a]
-                    p = self.diffs[i][a][b]
-                    g = self.graded.diffs[i][a][b]
-                    if p.is_zero():
-                        if not g.is_zero():
-                            raise LiftError("lift lost a graded entry at (%d,%d,%d)" % (i, a, b))
-                        continue
-                    if p.order_degree() < expected:
-                        raise LiftError("lift entry (%d,%d,%d) breaks the filtration" % (i, a, b))
-                    low = p.homogeneous_component(expected)
-                    if dict(low.terms) != dict(g.terms):
-                        raise LiftError("gr of the lift differs from the graded "
-                                        "resolution at (%d,%d,%d)" % (i, a, b))
+            for b, (col, g) in enumerate(zip(self.diffs[i], self.graded.diffs[i])):
+                lost = {a for a, _ in g} - {a for a, _ in col}
+                if lost:
+                    raise LiftError("lift lost a graded entry at (%d,%d,%d)" % (i, min(lost), b))
+                low = [a for a, e in col if sum(e) + dst[a] < src[b]]
+                if low:
+                    raise LiftError("lift entry (%d,%d,%d) breaks the filtration" % (i, min(low), b))
+                gr = {(a, e): c for (a, e), c in col.items() if sum(e) + dst[a] == src[b]}
+                if gr != g:
+                    a = min(a for a, e in gr.keys() | g.keys() if gr.get((a, e)) != g.get((a, e)))
+                    raise LiftError("gr of the lift differs from the graded "
+                                    "resolution at (%d,%d,%d)" % (i, a, b))
 
 
 def lift_resolution(gres, generators, cap):
@@ -98,10 +89,11 @@ def lift_resolution(gres, generators, cap):
 
     `generators` are local polynomials, one per column of the first
     graded differential, with matching initial forms (a standard basis
-    subset).  The lift starts from the graded matrices and kills the
+    subset).  The lift starts from the graded columns and kills the
     components of d o d order by order using exactness of the graded
     resolution; every correction strictly raises filtration order, so
-    the loop stops at the cap.
+    the loop stops at the cap, or at the local ring's cap if that is
+    lower: the result's `cap`, where every product is truncated.
     """
     if not generators:
         raise LiftError("need the local generators lifting the first differential")
@@ -114,29 +106,27 @@ def lift_resolution(gres, generators, cap):
     if len(generators) != gres.rank(1):
         raise LiftError("need one local generator per first-differential column")
     for b, g in enumerate(generators):
-        expected = gres.diffs[1][0][b]
-        if dict(g.initial_form().terms) != dict(expected.terms):
+        expected = gres.diffs[1][b]
+        if {(0, e): c for e, c in g.initial_form().terms.items()} != expected:
             raise LiftError("generator %d has initial form %s, expected %s"
-                            % (b, g.initial_form(), expected))
+                            % (b, g.initial_form(),
+                               Polynomial(gring, {e: c for (_, e), c in expected.items()})))
 
+    cap = min(cap, local_ring.cap)
     shifts = [tuple(s) for s in gres.shifts]
-    diffs = [None, [[g.truncate(cap) for g in generators]]]
+    diffs = [None, [{(0, e): c for e, c in g.truncate(cap).terms.items()} for g in generators]]
     strands = Strands(gring)
     fld = local_ring.field
     one = (0,) * local_ring.nvars
-    pcap = min(cap, local_ring.cap)  # where a product of local entries is truncated
-    # the columns of d_{i-1}, each one term dict {(row, exponents): c}
-    prev = [VecPoly.from_polys([g]).terms for g in diffs[1][0]]
 
     for i in range(2, len(shifts)):
+        prev = diffs[i - 1]
         cols = []
-        for c in range(len(shifts[i])):
-            col = VecPoly.from_polys([row[c] for row in gres.diffs[i]]).truncate(cap).terms
+        for c, gcol in enumerate(gres.diffs[i]):
+            col = {k: x for k, x in gcol.items() if sum(k[1]) <= cap}
             # prev * col; a correction u updates it by -prev * u, since
             # truncation is linear and prev never lowers a degree
-            residual = {}
-            for (t, e), x in col.items():
-                _submul(fld, residual, prev[t], e, fld.neg(x), pcap)
+            residual = compose(fld, prev, col, cap)
             guard = 0
             last_order = -1
             while residual:
@@ -155,16 +145,14 @@ def lift_resolution(gres, generators, cap):
                         % (target_deg, c, i))
                 _submul(fld, col, u, one, fld.one, cap)  # col -= u, below the cap
                 for (t, e), x in u.items():
-                    _submul(fld, residual, prev[t], e, x, pcap)
+                    _submul(fld, residual, prev[t], e, x, cap)
                 guard += 1
                 if guard > cap + 2:
                     raise LiftWindowExceededError("correction failed to converge below the cap")
             cols.append(col)
-        polys = [VecPoly(local_ring, len(shifts[i - 1]), col).to_polys() for col in cols]
-        diffs.append([list(row) for row in zip(*polys)])
-        prev = cols
+        diffs.append(cols)
 
-    out = FilteredResolution(local_ring, shifts, diffs, cap, graded=gres)
+    out = FilteredResolution(local_ring, shifts, diffs, cap, gres)
     out.check_postconditions()
     return out
 
@@ -174,7 +162,7 @@ def resolve_local_cyclic(ideal, cap=None):
     complete minimal graded resolution of k[x]/in(I) (the result's
     `graded`), then the order-by-order lift."""
     ring = ideal.ring
-    cap = cap if cap is not None else ring.cap
+    cap = ring.cap if cap is None else min(cap, ring.cap)
     if not ideal.generators:
         raise LiftError("R/I is R: the ideal has no generators")
     gring = graded_twin(ring)
@@ -333,7 +321,8 @@ def tensor_complex(shifts, diffs, nf, basis_n, j_max):
     """Levels and sparse columns of F (x) N cut at level j_max.
 
     F is a complex of free modules: shifts[i] are the shifts of F_i and
-    diffs[i] the matrix of F_i -> F_{i-1} (diffs[0] unused).  N is given
+    diffs[i] the columns {(row, exponents): c} of F_i -> F_{i-1}, one per
+    basis vector of F_i (diffs[0] unused).  N is given
     by its table of normal forms `nf` and a list `basis_n` of the keys
     (row, e) of its standard terms.  The basis of each L_i is (b, key) at
     level shift_b + deg key, kept within 0..j_max; the differential reads
@@ -348,8 +337,7 @@ def tensor_complex(shifts, diffs, nf, basis_n, j_max):
     for i in range(1, len(shifts)):
         index = {key: n for n, key in enumerate(bases[i - 1])}
         d = diffs[i]
-        cols.append([nf.column([row[b] for row in d], key, index, shifts[i - 1], j_max)
-                     for b, key in bases[i]])
+        cols.append([nf.column(d[b], key, index, shifts[i - 1], j_max) for b, key in bases[i]])
     return levels, cols
 
 
@@ -366,7 +354,7 @@ def tensor_over_basis(fres, basis, j_max):
 
     Basis of each L_i: (free generator b, standard monomial u of N) with
     level = shift_b + deg u <= j_max.  The differential applies the lifted
-    matrix entries, then the full normal form in N/m^{j_max+1}N against
+    columns, then the full normal form in N/m^{j_max+1}N against
     the standard basis (k-linear, since that basis is valid to the cap
     >= j_max; read off one table of monomial normal forms), and drops the
     terms whose level passes j_max (`tensor_complex`).

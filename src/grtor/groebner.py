@@ -364,22 +364,24 @@ class NormalFormTable:
     Below the cap the full normal form is k-linear (see `normal_form`), so
     NF(sum c x^e e_row) = sum c NF(x^e e_row): the table keeps the nonzero
     terms of NF(x^e e_row) under the key (row, e) and computes each on
-    first use.  Calling the table on a polynomial p and a key (row, e)
-    gives NF(p * x^e e_row) by linearity; `column` scatters such normal
-    forms into a tensor basis index.  This is the multiplication
-    table of a finite-dimensional quotient (Faugere-Gianni-Lazard-Mora,
-    1993).  Make one per call, or per object that reduces many vectors,
-    and let it go with them: nothing else holds a table.
+    first use.  Calling the table on a column {(a, e'): c} and a key
+    (row, e) gives, component by component, NF of the column times
+    x^e e_row by linearity; `column` scatters that into a tensor basis
+    index.  This is the multiplication table of a finite-dimensional
+    quotient (Faugere-Gianni-Lazard-Mora, 1993).  `leads` holds the lead
+    terms of the basis by row, as `_leads` gives them.  Make one per
+    call, or per object that reduces many vectors, and let it go with
+    them: nothing else holds a table.
     """
 
-    __slots__ = ("ring", "shifts", "cap", "_leads", "_nf")
+    __slots__ = ("ring", "shifts", "cap", "leads", "_nf")
 
     def __init__(self, ring, basis, shifts=(0,), cap=None):
         self.ring = ring
         self.shifts = tuple(shifts)
         self.cap = cap if cap is not None else ring.cap
-        self._leads = _leads([_Tracked(VecPoly.from_polys(list(b), self.shifts))
-                              for b in basis])
+        self.leads = _leads([_Tracked(VecPoly.from_polys(list(b), self.shifts))
+                             for b in basis])
         self._nf = {}
 
     def monomial(self, row, e):
@@ -388,49 +390,47 @@ class NormalFormTable:
         nf = self._nf.get(key)
         if nf is None:
             unit = VecPoly(self.ring, len(self.shifts), {key: self.ring.field.one}, self.shifts)
-            nf = list(_reduce(_Tracked(unit), self._leads, self.cap).vec.terms.items())
+            nf = list(_reduce(_Tracked(unit), self.leads, self.cap).vec.terms.items())
             self._nf[key] = nf
         return nf
 
-    def __call__(self, p, key):
-        """NF(p * x^e e_row) as {(row', e'): nonzero c}, for key = (row, e)."""
+    def __call__(self, col, key):
+        """NF of a column {(a, e'): c} times x^e e_row, for key = (row, e),
+        as {(a, k): nonzero c}: the term k of NF(x^(e' + e) e_row), summed
+        in component a."""
         fld = self.ring.field
         neg, submul, zero = fld.neg, fld.submul, fld.zero
         monomial = self.monomial
         row, mono = key
         out = {}
-        for e, c in p.terms.items():
+        for (a, e), c in col.items():
             e = tuple(map(operator.add, e, mono))
             c = neg(c)
             for k, x in monomial(row, e):
-                v = submul(out.get(k, zero), c, x)
+                ak = (a, k)
+                v = submul(out.get(ak, zero), c, x)
                 if v:
-                    out[k] = v
+                    out[ak] = v
                 else:
-                    del out[k]
+                    del out[ak]
         return out
 
-    def column(self, polys, key, index, shifts=None, top=None):
-        """The sparse column {index[(a, k)]: c} of sum_a polys[a] (x) x^e e_row
-        for key = (row, e): the term k of NF(polys[a] * x^e e_row) sits in
-        component a, at level shifts[a] + deg k.  Given `top`, a term whose
-        level passes it is dropped (past a truncation); every other term
-        must be in `index`."""
+    def column(self, col, key, index, shifts=None, top=None):
+        """The sparse column {index[(a, k)]: c} of the table's normal form
+        of col times x^e e_row, for key = (row, e): the term k in
+        component a sits at level shifts[a] + deg k.  Given `top`, a term
+        whose level passes it is dropped (past a truncation); every other
+        term must be in `index`."""
         row_shifts = self.shifts
-        col = {}
-        for a, p in enumerate(polys):
-            if not p.terms:
+        out = {}
+        for (a, k), c in self(col, key).items():
+            if top is not None and shifts[a] + row_shifts[k[0]] + sum(k[1]) > top:
                 continue
-            room = None if top is None else top - shifts[a]
-            for k, c in self(p, key).items():
-                if room is not None and row_shifts[k[0]] + sum(k[1]) > room:
-                    continue
-                n = index.get((a, k))
-                if n is None:
-                    raise GroebnerError("term %r of component %d lies outside the basis"
-                                        % (k, a))
-                col[n] = c
-        return col
+            n = index.get((a, k))
+            if n is None:
+                raise GroebnerError("term %r of component %d lies outside the basis" % (k, a))
+            out[n] = c
+        return out
 
 
 def _minimal_leads(items, lead):

@@ -226,21 +226,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {e: fld.mul(v, c) for e, v in self.terms.items()})
 
-    def monomial_multiple(self, exps, coeff=None):
-        """self * coeff*x^exps, re-truncating in the local setting."""
-        fld = self.ring.field
-        coeff = fld.one if coeff is None else fld.of(coeff)
-        cap = self.ring.cap
-        terms = {}
-        for e, c in self.terms.items():
-            ee = tuple(a + b for a, b in zip(e, exps))
-            if cap is not None and sum(ee) > cap:
-                continue
-            v = fld.mul(c, coeff)
-            if v:
-                terms[ee] = v
-        return Polynomial(self.ring, terms)
-
     def __pow__(self, n):
         if n < 0:
             raise RingError("negative power")

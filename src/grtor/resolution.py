@@ -6,12 +6,17 @@ A graded module is presented as a cokernel (ModulePresentation); all
 homology is computed strand by strand: a fixed internal degree of
 everything in sight is a finite-dimensional vector space over k with a
 monomial basis, and kernels/images are rank computations there.
+
+A differential of a free complex is held as columns, one term dict
+{(row, exponents): c} per basis vector of its source: the entry of row
+`row` is the polynomial of the terms keyed by that row.  Resolutions,
+the lift and `filtered.tensor_complex` all read this one format.
 """
 
 import operator
 from math import comb
 
-from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, VecPoly,
+from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, _submul,
                        basis_leads, module_groebner_basis,
                        quotient_groebner, standard_monomial_layers, syzygies)
 from .fields import GrtorError
@@ -30,13 +35,14 @@ class ResolutionError(GrtorError):
 class Strands:
     """Strand bases and coordinates over G = k[x]/J for one computation:
     the monomial basis of each G_j, read off the layers of J's standard
-    monomials as far as a caller asks, and one table of monomial normal
-    forms mod J.  Make one per call; nothing keeps it past the call."""
+    monomials as far as a caller asks, and `nf`, the table of monomial
+    normal forms mod J.  Make one per call; nothing keeps it past the
+    call."""
 
     def __init__(self, ring):
         self.ring = ring
-        self._nf = NormalFormTable(ring, [[g] for g in quotient_groebner(ring)])
-        self._one = (0,) * ring.nvars
+        self.nf = NormalFormTable(ring, [[g] for g in quotient_groebner(ring)])
+        self.one = (0, (0,) * ring.nvars)  # the table's key of 1 * e_0
         self._layers = standard_monomial_layers(basis_leads(quotient_groebner(ring)), ring.nvars)
         self._pieces = []
 
@@ -50,30 +56,26 @@ class Strands:
             self._pieces.append(sorted(layer, key=self.ring.order.key, reverse=True))
         return self._pieces[j] if j >= 0 else []
 
-    def reduce(self, p):
-        """The normal form of p modulo J, read off the table."""
-        return Polynomial(self.ring, {e: c for (_, e), c in self._nf(p, (0, self._one)).items()})
-
     def free_basis(self, shifts, degree):
         """Basis [(col, (0, monomial))] of the degree-`degree` piece of
         ⊕ G(-shifts): the keys of the tensor complex of ⊕ G(-shifts) with G."""
         return [(col, (0, mono)) for col, s in enumerate(shifts)
                 for mono in self.piece(degree - s)]
 
-    def column(self, vec, index, mono=None):
-        """The sparse column {index[key]: c} of x^mono * vec, a homogeneous vector
-        of polynomials, modulo the quotient.  A term outside `index` raises."""
-        return self._nf.column(vec, (0, self._one if mono is None else mono), index)
+    def column(self, col, index, mono=None):
+        """The sparse column {index[key]: c} of x^mono * col, a homogeneous
+        column {(row, exponents): c}, modulo the quotient.  A term outside
+        `index` raises."""
+        return self.nf.column(col, self.one if mono is None else (0, mono), index)
 
 
-def strand_solve(strands, rows, src_shifts, dst_shifts, target, degree):
-    """Solve rows * u = target in one internal degree, or return None: rows
-    is the dst x src matrix of polynomials, target a term dict {(dst row,
-    exponents): c} of that degree in normal form, and u one {(src column,
-    exponents): c}."""
+def strand_solve(strands, d, src_shifts, dst_shifts, target, degree):
+    """Solve d * u = target in one internal degree, or return None: d is a
+    differential as columns, target a term dict {(dst row, exponents): c}
+    of that degree in normal form, and u one {(src column, exponents): c}."""
     src = strands.free_basis(src_shifts, degree)
     dst_index = {key: n for n, key in enumerate(strands.free_basis(dst_shifts, degree))}
-    cols = [strands.column([row[col] for row in rows], dst_index, mono) for col, (_, mono) in src]
+    cols = [strands.column(d[col], dst_index, mono) for col, (_, mono) in src]
     rhs = {dst_index[(a, (0, e))]: c for (a, e), c in target.items()}
     sol = solve(strands.ring.field, cols, rhs, len(dst_index))
     if sol is None:
@@ -107,10 +109,9 @@ class GradedModulePieces:
                  for q in ring.quotient for a in range(len(shifts))]
         gb = module_groebner_basis(ring, cols, shifts, cap=j_max)
         self.nf = NormalFormTable(ring, gb, shifts)
-        leads = [VecPoly.from_polys(b, shifts).lead() for b in gb]
         terms = []
         for col, s in enumerate(shifts):
-            lm = [e for row, e in leads if row == col]
+            lm = [e for e, _g in self.nf.leads.get(col, ())]
             for d, layer in enumerate(standard_monomial_layers(lm, ring.nvars, j_max - s), s):
                 terms += [(d, col, mono) for mono in layer]
         terms.sort(key=operator.itemgetter(0))
@@ -121,15 +122,15 @@ class GradedModulePieces:
 
 
 def minimal_generators(strands, columns, row_shifts):
-    """A minimal generating subset of homogeneous module generators, by
-    graded Nakayama (Eisenbud, Commutative Algebra, 19.1), as [(index in
-    `columns`, internal degree)].  The nonzero columns are taken in
-    ascending internal degree, in list order within a degree, and each is
-    kept unless the span of the kept ones reaches it, on the strand bases
-    of `strands`."""
+    """A minimal generating subset of homogeneous module generators, given
+    as columns {(row, exponents): c}, by graded Nakayama (Eisenbud,
+    Commutative Algebra, 19.1), as [(index in `columns`, internal
+    degree)].  The nonzero columns are taken in ascending internal
+    degree, in list order within a degree, and each is kept unless the
+    span of the kept ones reaches it, on the strand bases of `strands`."""
     items = []
-    for k, vec in enumerate(columns):
-        degs = {p.degree() + row_shifts[a] for a, p in enumerate(vec) if not p.is_zero()}
+    for k, col in enumerate(columns):
+        degs = {sum(e) + row_shifts[a] for a, e in col}
         if not degs:
             continue
         if len(degs) > 1:
@@ -157,14 +158,15 @@ def minimal_generators(strands, columns, row_shifts):
 
 class GradedFreeResolution:
     """Complex of free graded modules with degree shifts and homogeneous
-    differentials; diffs[i] maps term i to term i-1 (i >= 1).
-    `kept_relations`, when known, lists the relations of the resolved
-    presentation that are the columns of d_1, in order."""
+    differentials; diffs[i] maps term i to term i-1 (i >= 1), as one
+    column {(row, exponents): c} per basis vector of term i (diffs[0] is
+    None).  `kept_relations`, when known, lists the relations of the
+    resolved presentation that are the columns of d_1, in order."""
 
     def __init__(self, ring, shifts_per_term, diffs, i_max, kept_relations=None):
         self.ring = ring
         self.shifts = [tuple(s) for s in shifts_per_term]
-        self.diffs = diffs  # diffs[0] is None
+        self.diffs = diffs
         self.i_max = i_max
         self.kept_relations = kept_relations
         self._validate()
@@ -180,56 +182,36 @@ class GradedFreeResolution:
 
     def _validate(self):
         for i in range(1, len(self.shifts)):
-            d = self.diffs[i]
             src, dst = self.shifts[i], self.shifts[i - 1]
-            for a in range(len(dst)):
-                for b in range(len(src)):
-                    p = d[a][b]
-                    if p.is_zero():
-                        continue
-                    if not p.is_homogeneous() or p.degree() != src[b] - dst[a]:
+            for b, col in enumerate(self.diffs[i]):
+                for a, e in col:
+                    if sum(e) != src[b] - dst[a]:
                         raise ResolutionError(
                             "differential entry (%d,%d) at level %d is not homogeneous "
                             "of degree %d" % (a, b, i, src[b] - dst[a]))
-                    if p.degree() == 0:
+                    if src[b] == dst[a]:
                         raise ResolutionError("minimal resolution has a unit entry")
         nf = NormalFormTable(self.ring, [[g] for g in quotient_groebner(self.ring)])
         check_composes_to_zero(nf, self.diffs, lambda i: ResolutionError(
             "d o d is nonzero at homological degree %d" % i))
 
 
-def product_normal_forms(nf, left, right):
-    """The entries of the product left * right of polynomial matrices in
-    normal form, one column of `right` at a time, each as {(0, e): nonzero
-    c}.  Entry (a, b) sums the term products of left[a][t] and right[t][b]
-    below the table's cap, then reads the normal form of what is left off
-    the rank-1 table `nf`, which is k-linear."""
-    ring, cap = nf.ring, nf.cap
-    neg, submul, zero = ring.field.neg, ring.field.submul, ring.field.zero
-    e0 = (0, (0,) * ring.nvars)  # the key of 1 * e_0
-    for col in zip(*right):
-        for row in left:
-            s = {}
-            for p, q in zip(row, col):
-                for e, c in p.terms.items():
-                    c = neg(c)
-                    for f, d in q.terms.items():
-                        k = tuple(map(operator.add, e, f))
-                        if cap is not None and sum(k) > cap:
-                            continue
-                        v = submul(s.get(k, zero), c, d)
-                        if v:
-                            s[k] = v
-                        else:
-                            del s[k]
-            yield nf(Polynomial(ring, s), e0) if s else s
+def compose(field, d, col, cap=None):
+    """The column d * col of a differential d (as columns) times a column
+    over its source, with the product terms past the cap dropped."""
+    out = {}
+    for (t, e), x in col.items():
+        _submul(field, out, d[t], e, field.neg(x), cap)
+    return out
 
 
 def check_composes_to_zero(nf, diffs, error):
     """Raise error(i) for the first i >= 2 with d_{i-1} d_i nonzero modulo
-    the basis of the table `nf`, at the first nonzero entry."""
+    the basis of the rank-1 table `nf`, below its cap, at the first
+    nonzero column."""
+    key = (0, (0,) * nf.ring.nvars)  # the key of 1 * e_0
     for i in range(2, len(diffs)):
-        if any(product_normal_forms(nf, diffs[i - 1], diffs[i])):
+        if any(nf(compose(nf.ring.field, diffs[i - 1], col, nf.cap), key) for col in diffs[i]):
             raise error(i)
 
 
@@ -288,13 +270,18 @@ def minimal_resolution(module, i_max):
         raise ResolutionError("minimal_resolution needs a graded ring")
     module = _minimize_presentation(module)
     strands = Strands(ring)
-    reduce = strands.reduce if ring.quotient else None
+
+    def column(vec):
+        """A vector of polynomials as a column, in normal form mod J."""
+        col = {(a, e): c for a, p in enumerate(vec) for e, c in p.terms.items()}
+        if not ring.quotient:
+            return col
+        return {(a, e): c for (a, (_, e)), c in strands.nf(col, strands.one).items()}
 
     shifts_per_term = [tuple(module.column_degrees)]
     diffs = [None]
 
-    candidates = [[reduce(p) if reduce and p.terms else p for p in rel]
-                  for rel in module.relations]
+    candidates = [column(rel) for rel in module.relations]
     chosen = minimal_generators(strands, candidates, shifts_per_term[0])
     kept_relations = [k for k, _deg in chosen]
 
@@ -304,21 +291,23 @@ def minimal_resolution(module, i_max):
         row_shifts = shifts_per_term[i - 1]
         current = [candidates[k] for k, _deg in chosen]
         col_degs = tuple(deg for _k, deg in chosen)
-        d = [[current[b][a] for b in range(len(current))] for a in range(len(row_shifts))]
         shifts_per_term.append(col_degs)
-        diffs.append(d)
+        diffs.append(current)
         if i == i_max:
             break
-        # syzygies over G: adjoin quotient multiples of the free basis vectors
-        aug_cols = list(current)
-        for q in ring.quotient:
-            for a in range(len(row_shifts)):
-                vec = [ring.zero()] * len(row_shifts)
-                vec[a] = q
-                aug_cols.append(vec)
+        # syzygies over G, computed over the polynomial cover: `syzygies`
+        # takes vectors of polynomials, and the quotient multiples of the
+        # free basis vectors are adjoined
+        aug_cols = []
+        for col in current:
+            vec = [{} for _ in row_shifts]
+            for (a, e), c in col.items():
+                vec[a][e] = c
+            aug_cols.append([Polynomial(ring, t) for t in vec])
+        aug_cols += [[q if b == a else ring.zero() for b in range(len(row_shifts))]
+                     for q in ring.quotient for a in range(len(row_shifts))]
         raw = syzygies(ring, aug_cols, row_shifts)
-        candidates = [[reduce(u[b]) if reduce and u[b].terms else u[b]
-                       for b in range(len(current))] for u in raw]
+        candidates = [column(u[:len(current)]) for u in raw]
         chosen = minimal_generators(strands, candidates, col_degs)
 
     return GradedFreeResolution(ring, shifts_per_term, diffs, i_max,

@@ -105,16 +105,6 @@ class BigradedSeries:
             out._set(i, j, d)
         return out
 
-    def layer_sums(self):
-        """Evaluate at t=1 per homological layer: [sum_j c_{i,j} for i]."""
-        sums = [0] * (self.i_max + 1)
-        for (i, _j), c in self.coefficients.items():
-            sums[i] += c
-        return sums
-
-    def alternating_sum(self):
-        return sum(((-1) ** i) * s for i, s in enumerate(self.layer_sums()))
-
     def total_units(self):
         return sum(self.coefficients.values())
 
@@ -186,16 +176,6 @@ def _int_fields(line, n, what):
     except ValueError:
         pass
     raise SeriesError("%s: %r" % (what, line))
-
-
-def series_from_layers(i_max, j_max, layers):
-    """Build from {i: {j: c}} nested dicts (zeros allowed, dropped)."""
-    s = BigradedSeries(i_max, j_max)
-    for i, row in layers.items():
-        for j, c in row.items():
-            if c:
-                s._set(i, j, s.get(i, j) + c)
-    return s
 
 
 class CancellationCertificate:

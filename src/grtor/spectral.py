@@ -38,9 +38,6 @@ MAX_FLAGGED_CELLS = 10 ** 6
 class PageCancellation(namedtuple("PageCancellation", "r i j")):
     """One unit removed at (i, j) on page r, paired with one at (i-1, j+r)."""
 
-    def to_cancellation(self):
-        return Cancellation(self.i - 1, self.j, self.j + self.r)
-
 
 class SpectralPage:
     def __init__(self, r, dims, indeterminate=frozenset()):

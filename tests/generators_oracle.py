@@ -19,10 +19,10 @@ from grtor.linalg import sparse_pivots
 
 def sparse_minimal_generators(strands, columns, row_shifts):
     """[(index in `columns`, internal degree)] as `minimal_generators`
-    returns them."""
+    returns them, for columns {(row, exponents): c}."""
     items = []
-    for k, vec in enumerate(columns):
-        degs = {p.degree() + row_shifts[a] for a, p in enumerate(vec) if not p.is_zero()}
+    for k, col in enumerate(columns):
+        degs = {sum(e) + row_shifts[a] for a, e in col}
         if degs:
             items.append((k, degs.pop()))
     items.sort(key=operator.itemgetter(1))

@@ -8,6 +8,7 @@ echelon on the free cover's strand basis.  Slow; tests only.
 
 from grtor.groebner import graded_piece_basis, normal_form, quotient_groebner
 
+from poly_oracle import monomial_multiple
 from spectral_oracle import ColumnEchelon
 
 
@@ -52,7 +53,7 @@ class EchelonPieces:
                     for col, p in enumerate(rel):
                         if p.is_zero():
                             continue
-                        prod = p.monomial_multiple(mono)
+                        prod = monomial_multiple(p, mono)
                         if self.gb:
                             prod = normal_form(prod, self.gb)
                         for e, c in prod.terms.items():
@@ -92,7 +93,7 @@ class EchelonPieces:
         cols = []
         for n in self._quotient_index[d_src]:
             col, mono = self._free[d_src][n]
-            prod = p.monomial_multiple(mono)
+            prod = monomial_multiple(p, mono)
             if self.gb:
                 prod = normal_form(prod, self.gb)
             vec = [self.field.zero] * len(self._free[d_dst])

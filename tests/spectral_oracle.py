@@ -11,11 +11,13 @@ kernels: the echelon serves `Engine` and `pieces_oracle`, and both are
 the oracles of the sparse-input kernels of `grtor.linalg`.  `run_by_pages` and
 `cancellations_by_page` read a run off the same pairing as
 `grtor.spectral`, but page by page: the reference for the one-pass
-bookkeeping of `run_to_stability`.
+bookkeeping of `run_to_stability`; `to_cancellation` turns each page
+cancellation into its certificate step.
 """
 
 from grtor.linalg import rref
-from grtor.series import BigradedSeries, CancellationCertificate, verify_certificate
+from grtor.series import (BigradedSeries, Cancellation, CancellationCertificate,
+                          verify_certificate)
 from grtor.spectral import (PageCancellation, RunResult, SpectralPage, _alive,
                             _cells_above, _page, _pairing)
 
@@ -282,6 +284,12 @@ def infinity_dims_direct(L):
 # --- the page-by-page bookkeeping of a run ---------------------------------------
 
 
+def to_cancellation(pc):
+    """The `Cancellation` of a `PageCancellation`: the unit at (i, j) on
+    page r dies with the one at (i - 1, j + r)."""
+    return Cancellation(pc.i - 1, pc.j, pc.j + pc.r)
+
+
 def cancellations_by_page(L, bars, r):
     """Cancellations dying between pages r and r+1, and the units alive on
     page r whose partner degree j + r is the first one past the truncation."""
@@ -317,7 +325,7 @@ def run_by_pages(L):
         cancels, bd = cancellations_by_page(L, bars, r)
         if cancels:
             last_active = r
-            steps.extend(pc.to_cancellation() for pc in cancels)
+            steps.extend(map(to_cancellation, cancels))
         if bd:
             boundary[r] = bd
             excluded_cells.update(bd)

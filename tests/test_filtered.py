@@ -19,6 +19,7 @@ from grtor.resolution import tor_series
 from grtor.spectral import page, random_filtered_complex, run_to_stability
 
 from layers_oracle import standard_monomials
+from poly_oracle import entries, monomial_multiple
 from spectral_oracle import Engine, rank
 
 
@@ -30,7 +31,7 @@ def test_lift_principal_no_corrections():
     L = cusp_ring()
     fres = resolve_local_cyclic(IdealPresentation(L, ["X^2 - Y^3"]))
     assert fres.shifts == [(0,), (2,)]
-    assert str(fres.diffs[1][0][0]) == "X^2 - Y^3"
+    assert [str(p) for p in entries(L, fres.diffs[1][0], 1)] == ["X^2 - Y^3"]
     fres.check_postconditions()
 
 
@@ -43,10 +44,7 @@ def test_lift_with_unit_correction():
     assert fres.shifts[1] == (2, 2, 4)
     assert fres.shifts[2] == (3, 5)
     fres.check_postconditions()
-    units = [fres.diffs[2][a][b]
-             for a in range(3) for b in range(2)
-             if not fres.diffs[2][a][b].is_zero()
-             and fres.diffs[2][a][b].order_degree() == 0]
+    units = [(a, b) for b, col in enumerate(fres.diffs[2]) for a, e in col if sum(e) == 0]
     assert units, "expected a constant entry in the corrected differential"
 
 
@@ -57,14 +55,35 @@ def test_lift_rejects_wrong_initial_forms():
     from grtor.groebner import ModulePresentation
     from grtor.resolution import minimal_resolution
     gres = minimal_resolution(ModulePresentation.cyclic(forms[0].ring, forms), 3)
-    with pytest.raises(LiftError):
+    with pytest.raises(LiftError, match=r"generator 0 has initial form -X\^2, expected X\^2"):
         lift_resolution(gres, [L.parse("Y^3 - X^2")], 20)
+
+
+def test_lift_cap_is_at_most_the_ring_cap():
+    # products are truncated at the ring's cap, so the lift and its checks
+    # stop there too, and a tensor truncation past it is refused
+    L = Ring(list("abcde"), Field(32003), LOCAL, cap=6)
+    I = IdealPresentation(L, ["a^2 + b^3", "b^2 - c^3", "c^2 - d^3 + e^4", "d*e - a^3"])
+    fres = resolve_local_cyclic(I, 10)
+    assert fres.cap == 6 and fres.length == 4
+    fres.check_postconditions()
+    with pytest.raises(CapExceededError, match="tensor truncation 8 exceeds the resolution cap 6"):
+        filtered_tensor(fres, IdealPresentation(L, ["a - e^2", "b + c^2"]), 8)
+
+
+def stability_bound(f):
+    """m * M^j = M^{j+1} holds for every j >= this bound."""
+    if f.kind == "m-adic":
+        return 0
+    return max(f.shifts) if f.shifts else 0
 
 
 def test_filtration_descriptor():
     f = StableFiltration("shifted-m-adic", (0, 2, 4))
-    assert f.stability_bound == 4
-    assert StableFiltration().stability_bound == 0
+    assert stability_bound(f) == 4
+    assert stability_bound(StableFiltration()) == 0
+    with pytest.raises(LiftError, match="unknown filtration kind"):
+        StableFiltration("adic")
 
 
 def test_tensor_unit_module_is_resolution_itself():
@@ -118,7 +137,7 @@ def test_tensor_m_stability_by_rank():
                     if fres.shifts[i][b] + sum(u) < j:
                         continue
                     col = [field.zero] * n
-                    prod = normal_form(L.monomial(u).monomial_multiple(v), nb, j_max)
+                    prod = normal_form(monomial_multiple(L.monomial(u), v), nb, j_max)
                     for e, c in prod.terms.items():
                         if (b, e) in index:
                             col[index[(b, e)]] = c
@@ -324,7 +343,7 @@ def test_lift_starts_from_the_relations_the_resolution_keeps():
     L = cusp_ring()
     fres = resolve_local_cyclic(IdealPresentation(L, ["X^2 - Y^2", "X*Y"]))
     assert fres.graded.kept_relations == [0, 1]
-    assert [str(p) for p in fres.diffs[1][0]] == ["Y^2 - X^2", "X*Y"]
+    assert [str(entries(L, col, 1)[0]) for col in fres.diffs[1]] == ["Y^2 - X^2", "X*Y"]
     assert fres.shifts == [(0,), (2, 2), (4,)]
 
 

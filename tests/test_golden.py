@@ -19,6 +19,8 @@ from grtor.filtered import resolve_local_cyclic
 from grtor.groebner import IdealPresentation
 from grtor.poly import LOCAL, Ring
 
+from poly_oracle import matrix
+
 P = "32003"
 CUSPS = ("X Y", "X^2 - Y^3", "X^2 - Y^5")
 THREE = ("X Y Z", "X^2 - Y^3, Y^2 - Z^3", "X + Y^2 + Z^2")
@@ -165,6 +167,8 @@ def test_lift_digest(name):
     variables, gens, field, ring_cap, cap, want = LIFTS[name]
     ring = Ring(variables.split(), Field(0 if field == "QQ" else int(field)), LOCAL, cap=ring_cap)
     fres = resolve_local_cyclic(IdealPresentation(ring, gens.split(",")), cap)
+    # the entries row by row, as the polynomial matrices printed them
     text = "".join("%d %d %d %s\n" % (i, a, b, p) for i in range(1, len(fres.diffs))
-                   for a, row in enumerate(fres.diffs[i]) for b, p in enumerate(row))
+                   for a, row in enumerate(matrix(ring, fres.diffs[i], len(fres.shifts[i - 1])))
+                   for b, p in enumerate(row))
     assert hashlib.sha256(text.encode()).hexdigest() == want

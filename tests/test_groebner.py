@@ -14,6 +14,7 @@ from grtor.poly import LOCAL, Ring
 from grtor.resolution import Strands
 
 from layers_oracle import hilbert_function, monomials_of_degree
+from poly_oracle import column, monomial_multiple
 from spectral_oracle import kernel_basis, rank
 
 
@@ -183,7 +184,7 @@ def test_syzygies_three_quadrics():
     for degree in range(2, 7):
         src = strands.free_basis(gen_degs, degree)
         dst_index = {key: n for n, key in enumerate(strands.free_basis((0,), degree))}
-        mat_cols = [strands.column(cols[b], dst_index, mono) for b, (_, mono) in src]
+        mat_cols = [strands.column(column(cols[b]), dst_index, mono) for b, (_, mono) in src]
         mat = [[col.get(r, zero) for col in mat_cols] for r in range(len(dst_index))]
         expected = len(kernel_basis(R.field, mat, len(src))) if src else 0
         # span of the computed syzygies' strand vectors
@@ -195,8 +196,8 @@ def test_syzygies_three_quadrics():
                 continue
             ud = udeg.pop()
             for mono in monomials_of_degree(2, degree - ud):
-                vec = [p.monomial_multiple(mono) for p in u]
-                span_cols.append(strands.column(vec, index))
+                vec = [monomial_multiple(p, mono) for p in u]
+                span_cols.append(strands.column(column(vec), index))
         got = rank(R.field, [[col.get(r, zero) for col in span_cols]
                              for r in range(len(index))]) if span_cols else 0
         assert got == expected

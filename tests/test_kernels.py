@@ -21,6 +21,7 @@ from grtor.linalg import ColumnEchelon, solve
 from grtor.poly import GRADED, LOCAL, Ring
 from grtor.resolution import Strands
 
+from poly_oracle import column, monomial_multiple
 from reduce_oracle import oracle_leads, reduce_oracle
 from spectral_oracle import ColumnEchelon as ColumnEchelonOracle
 from spectral_oracle import solve as solve_oracle
@@ -226,7 +227,7 @@ def _table_nf(table, vec, mono):
     mono = mono or (0,) * table.ring.nvars
     out = {}
     for row, p in enumerate(vec):
-        for k, c in table(p, (row, mono)).items():
+        for (_, k), c in table(column([p]), (row, mono)).items():
             out[k] = fld.add(out.get(k, zero), c)
     return {k: c for k, c in out.items() if c}
 
@@ -278,7 +279,7 @@ def test_normal_form_table_matches_direct_reduction(p, case):
         for vec in vecs:
             got = _table_nf(table, vec, mono)
             assert all(got.values())
-            moved = [q if mono is None else q.monomial_multiple(mono) for q in vec]
+            moved = [q if mono is None else monomial_multiple(q, mono) for q in vec]
             want = _direct(moved, basis, shifts, cap)
             assert got == want
             cancelled += not want
@@ -301,13 +302,13 @@ def test_normal_form_column_drops_terms_past_top_and_rejects_terms_outside_the_i
     keys = [(a, (0, e)) for a in range(2) for d in range(4 - shifts[a])
             for e in graded_piece_basis(ring, d)]
     index = {key: n for n, key in enumerate(keys)}
-    polys = [ring.parse("x + 2*y"), ring.parse("y^2")]
+    col = column([ring.parse("x + 2*y"), ring.parse("y^2")])
     # (x + 2y) x = 2xy mod x^2 at level 2; y^2 x in component 1 sits at level 4
-    assert table.column(polys, (0, (1, 0)), index, shifts, 3) == {index[(0, (0, (1, 1)))]: 2}
+    assert table.column(col, (0, (1, 0)), index, shifts, 3) == {index[(0, (0, (1, 1)))]: 2}
     with pytest.raises(GroebnerError, match="outside the basis"):
-        table.column(polys, (0, (1, 0)), index, shifts, 4)
+        table.column(col, (0, (1, 0)), index, shifts, 4)
     with pytest.raises(GroebnerError, match="outside the basis"):  # no top: nothing dropped
-        table.column(polys, (0, (1, 0)), index)
+        table.column(col, (0, (1, 0)), index)
 
 
 @pytest.mark.parametrize("p", [0, P])

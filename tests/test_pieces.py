@@ -18,6 +18,7 @@ from grtor.spectral import page, random_filtered_complex
 
 from layers_oracle import monomials_of_degree
 from pieces_oracle import EchelonPieces
+from poly_oracle import column
 from spectral_oracle import dense, rank
 
 FP = Field(32003)
@@ -93,7 +94,7 @@ def dim(pieces, d):
 def multiplication_complex(pieces, p, j_max):
     """F (x) N for F = G(-deg p) --p--> G: the level-(d + deg p) strand is the
     matrix of p: N_d -> N_{d + deg p}."""
-    levels, diffs = tensor_complex([(0,), (p.degree(),)], [None, [[p]]], pieces.nf,
+    levels, diffs = tensor_complex([(0,), (p.degree(),)], [None, [column([p])]], pieces.nf,
                                    pieces.basis, j_max)
     return FilteredComplex(p.ring.field, levels, diffs, j_max)
 

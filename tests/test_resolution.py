@@ -9,16 +9,17 @@ from grtor.filtered import FilteredResolution, LiftError, resolve_local_cyclic
 from grtor.groebner import (GroebnerError, IdealPresentation, ModulePresentation,
                             NormalFormTable, groebner_basis, minimal_generator_indices,
                             quotient_groebner)
-from grtor.poly import LOCAL, Polynomial, Ring
+from grtor.poly import LOCAL, Ring
 from grtor.resolution import (GradedFreeResolution, ResolutionError, Strands,
                               betti_series, closed_form_tor_series,
-                              ek_betti_stable, minimal_generators, minimal_resolution,
-                              product_normal_forms, tor_series, tor_symmetry_check)
-from grtor.series import series_from_layers
+                              compose, ek_betti_stable, minimal_generators,
+                              minimal_resolution, tor_series, tor_symmetry_check)
 
 from generators_oracle import sparse_minimal_generators
 from layers_oracle import monomials_of_degree
 from matmul_oracle import matmul_poly
+from poly_oracle import column, matrix
+from series_oracle import series_from_layers
 
 
 def test_resolution_principal_quadric():
@@ -51,7 +52,8 @@ def test_resolution_differentials_compose_to_zero():
     R = Ring(["x", "y"], quotient=["x^3"])
     res = minimal_resolution(ModulePresentation.cyclic(R, ["x^2", "x*y^2"]), 4)
     for i in range(2, res.length + 1):
-        prod = matmul_poly(R, res.diffs[i - 1], res.diffs[i])
+        prod = matmul_poly(R, matrix(R, res.diffs[i - 1], res.rank(i - 2)),
+                           matrix(R, res.diffs[i], res.rank(i - 1)))
         assert all(p.is_zero() for row in prod for p in row)
 
 
@@ -189,14 +191,14 @@ def test_strand_coords_reject_a_term_outside_the_strand():
     R = Ring(["x", "y"], quotient=("x^2",))
     strands = Strands(R)
     index = {key: n for n, key in enumerate(strands.free_basis((0, 1), 2))}
-    vec = [R.parse("x*y"), R.parse("x")]
-    column = strands.column(vec, index)
-    assert column == {index[(0, (0, (1, 1)))]: 1, index[(1, (0, (1, 0)))]: 1}
+    vec = column([R.parse("x*y"), R.parse("x")])
+    got = strands.column(vec, index)
+    assert got == {index[(0, (0, (1, 1)))]: 1, index[(1, (0, (1, 0)))]: 1}
     # x * (x + y, 1) = (xy, x) mod x^2
-    assert strands.column([R.parse("x + y"), R.one()], index, (1, 0)) == column
+    assert strands.column(column([R.parse("x + y"), R.one()]), index, (1, 0)) == got
     # a term above the strand, from the vector or from `mono`, is an error
     with pytest.raises(GroebnerError, match="outside the basis"):
-        strands.column([R.parse("y^3"), R.zero()], index)
+        strands.column(column([R.parse("y^3"), R.zero()]), index)
     with pytest.raises(GroebnerError, match="outside the basis"):
         strands.column(vec, index, (0, 1))
 
@@ -236,7 +238,7 @@ def test_minimal_generators_match_sparse_pivots(char, quotient):
                 items.append(([xi * p for p in u], d + 1))
         items.append(([ring.zero()] * len(shifts), None))
         rng.shuffle(items)
-        cols = [vec for vec, _ in items]
+        cols = [column(vec) for vec, _ in items]
         got = minimal_generators(Strands(ring), cols, shifts)
         assert got == sparse_minimal_generators(Strands(ring), cols, shifts)
         kept += len(got)
@@ -282,7 +284,7 @@ def test_groebner_membership_matches_the_strand_echelon(char):
     kept = dropped = 0
     for ring, forms in [(R, gb)] + list(_form_lists(rng, Field(char))):
         got = minimal_generator_indices(ring, forms)
-        want = minimal_generators(Strands(ring), [[f] for f in forms], (0,))
+        want = minimal_generators(Strands(ring), [column([f]) for f in forms], (0,))
         assert got == [k for k, _deg in want]
         kept += len(got)
         dropped += len(forms) - len(got)
@@ -295,7 +297,7 @@ def test_resolution_validates_dd_zero():
     with pytest.raises(ResolutionError):
         GradedFreeResolution(
             R, [(0,), (1,), (2,)],
-            [None, [[R.parse("x")]], [[R.parse("y")]]], 2)
+            [None, [column([R.parse("x")])], [column([R.parse("y")])]], 2)
 
 
 G4_QUADRICS = ["a^2 + b*c", "b^2 - c*d", "c^2 + a*d", "a*b + c*d"]
@@ -339,6 +341,7 @@ def test_tor_series_refuses_a_negative_column_degree(m_degree, n_degree):
 
 # --- d o d through the normal-form table, against the polynomial product ----------
 
+P = Field(32003)
 L4_GENS = ["a^2 + b^3", "b^2 - c^3 + d^4", "c*d - a^3"]
 
 
@@ -349,54 +352,106 @@ def _l4_lift(cap=10):
 
 def _changed(diffs, i, factor=2):
     """A copy of diffs whose d_i has one coefficient multiplied by factor:
-    the lowest term of its first nonzero entry."""
-    out = [None] + [[list(row) for row in d] for d in diffs[1:]]
-    a, b = next((a, b) for a, row in enumerate(out[i]) for b, p in enumerate(row) if p.terms)
-    p = out[i][a][b]
-    e = min(p.terms, key=sum)
-    terms = dict(p.terms)
-    terms[e] = p.ring.field.mul(terms[e], p.ring.field.of(factor))
-    out[i][a][b] = Polynomial(p.ring, terms)
+    the lowest term of its first nonzero entry, rows first."""
+    out = [None] + [[dict(col) for col in d] for d in diffs[1:]]
+    a, b = min((a, b) for b, col in enumerate(out[i]) for a, _ in col)
+    col = out[i][b]
+    key = min(((r, e) for r, e in col if r == a), key=lambda k: (sum(k[1]), k))
+    col[key] = P.mul(col[key], P.of(factor))
     return out
 
 
 def _scaled(d):
     """d with entry (t, c) scaled by t + 2c + 1, so that products no longer cancel."""
-    return [[p.scale(t + 2 * c + 1) for c, p in enumerate(row)] for t, row in enumerate(d)]
+    return [{(t, e): P.mul(x, P.of(t + 2 * c + 1)) for (t, e), x in col.items()}
+            for c, col in enumerate(d)]
 
 
 def test_changing_one_coefficient_of_d2_breaks_d_squared():
-    res = minimal_resolution(_g4_pair(Field(32003), False)[0], 4)
+    res = minimal_resolution(_g4_pair(P, False)[0], 4)
     assert len(res.shifts) > 3
     with pytest.raises(ResolutionError, match="d o d is nonzero at homological degree 2"):
         GradedFreeResolution(res.ring, res.shifts, _changed(res.diffs, 2), res.i_max)
     fres = _l4_lift()
     fres.check_postconditions()
     broken = FilteredResolution(fres.ring, fres.shifts, _changed(fres.diffs, 2), fres.cap,
-                                graded=fres.graded)
+                                fres.graded)
     with pytest.raises(LiftError, match="do not compose to zero"):
+        broken.check_postconditions()
+
+
+def test_graded_resolution_rejects_an_inhomogeneous_column_and_a_unit_entry():
+    res = minimal_resolution(_g4_pair(P, False)[0], 3)
+    diffs = [None] + [list(d) for d in res.diffs[1:]]
+    diffs[1][0] = dict(diffs[1][0])
+    diffs[1][0][(0, (1, 0, 0, 0))] = P.one  # + a in a column of degree 2
+    with pytest.raises(ResolutionError,
+                       match=r"entry \(0,0\) at level 1 is not homogeneous of degree 2"):
+        GradedFreeResolution(res.ring, res.shifts, diffs, res.i_max)
+    # (x, 1) from G(-1) to G + G(-1): the second entry is a unit
+    R = Ring(["x", "y"], P)
+    with pytest.raises(ResolutionError, match="minimal resolution has a unit entry"):
+        GradedFreeResolution(R, [(0, 1), (1,)], [None, [column([R.parse("x"), R.one()])]], 1)
+
+
+def _unit_cusp_lift():
+    # d_2 has columns of shifts 3 and 5 into F_1 of shifts (2, 2, 4)
+    L = Ring(["X", "Y"], P, LOCAL, cap=20)
+    fres = resolve_local_cyclic(IdealPresentation(L, ["X^2 + Y^3", "X*Y"]))
+    assert fres.shifts[1:] == [(2, 2, 4), (3, 5)] and fres.length == 2
+    return fres
+
+
+def _plus(a, b):
+    out = dict(a)
+    for k, x in b.items():
+        v = P.add(out.get(k, P.zero), x)
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: [d[0], {}], r"lift lost a graded entry at \(2,\d,1\)"),
+    (lambda d: [d[0], _plus(d[1], d[0])], r"lift entry \(2,\d,1\) breaks the filtration"),
+    (lambda d: [_plus(d[0], d[0]), d[1]],
+     r"gr of the lift differs from the graded resolution at \(2,\d,0\)")],
+    ids=["lost", "filtration", "gr"])
+def test_lift_postconditions_reject_each_changed_column(change, message):
+    # every change keeps d o d = 0, since d_2 is the top differential and
+    # its new columns are combinations of the old ones
+    fres = _unit_cusp_lift()
+    fres.check_postconditions()
+    broken = FilteredResolution(fres.ring, fres.shifts, [None, fres.diffs[1], change(fres.diffs[2])],
+                                fres.cap, fres.graded)
+    with pytest.raises(LiftError, match=message):
         broken.check_postconditions()
 
 
 @pytest.mark.parametrize("case", ["g4", "g4-swap", "stable-3324", "l4"])
 def test_product_normal_forms_match_the_polynomial_product(case):
+    # the d o d checks' column products d_{i-1} * col, read off one table,
+    # against `Polynomial` matrix products reduced entry by entry
     if case == "l4":
         res = _l4_lift()
         ring, gb, cap = res.ring, [], res.cap
     else:
-        F = Field(32003)
-        M = _stable_pair(3, 3, 2, 4, F)[0] if case == "stable-3324" else \
-            _g4_pair(F, case == "g4-swap")[0]
+        M = _stable_pair(3, 3, 2, 4, P)[0] if case == "stable-3324" else \
+            _g4_pair(P, case == "g4-swap")[0]
         res = minimal_resolution(M, 4)
         ring, gb, cap = res.ring, quotient_groebner(res.ring), None
     nf = NormalFormTable(ring, [[g] for g in gb], cap=cap)
+    key = (0, (0,) * ring.nvars)
     nonzero = 0
     for i in range(2, len(res.diffs)):
+        left, rows = res.diffs[i - 1], len(res.shifts[i - 2])
         for right in (res.diffs[i], _scaled(res.diffs[i])):
-            want = matmul_poly(ring, res.diffs[i - 1], right, gb, cap)
-            got = list(product_normal_forms(nf, res.diffs[i - 1], right))
-            # one column of the right factor at a time
-            assert got == [{(0, e): c for e, c in want[a][b].terms.items()}
-                           for b in range(len(right[0])) for a in range(len(want))]
+            want = matmul_poly(ring, matrix(ring, left, rows),
+                               matrix(ring, right, len(res.shifts[i - 1])), gb, cap)
+            got = [nf(compose(ring.field, left, col, cap), key) for col in right]
+            assert got == [{(a, (0, e)): c for a in range(rows) for e, c in want[a][b].terms.items()}
+                           for b in range(len(right))]
             nonzero += sum(map(bool, got))
     assert nonzero > 0

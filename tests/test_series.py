@@ -7,8 +7,9 @@ import pytest
 
 from grtor.series import (BigradedSeries, Cancellation, CancellationCertificate,
                           CancellationError, SeriesError, decide_cancellation,
-                          decide_cancellation_bruteforce, series_from_layers,
-                          verify_certificate)
+                          decide_cancellation_bruteforce, verify_certificate)
+
+from series_oracle import alternating_sum, layer_sums, series_from_layers
 
 
 def quadric_pair_series(j_max):
@@ -65,8 +66,8 @@ def test_series_ops():
     assert s.add(s).subtract(s) == s
     # target of the worked example has alternating sum = colength 6
     target = series_from_layers(1, 5, {0: {0: 1, 1: 2, 2: 2, 3: 1}})
-    assert target.alternating_sum() == 6
-    assert target.layer_sums() == [6, 0]
+    assert alternating_sum(target) == 6
+    assert layer_sums(target) == [6, 0]
     with pytest.raises(SeriesError):
         series_from_layers(1, 5, {0: {0: 1}}).subtract(target)
 
@@ -75,7 +76,7 @@ def test_each_step_preserves_alternating_sum_and_drops_two_units():
     s = quadric_pair_series(8)
     out = s.subtract_cancellation(Cancellation(0, 2, 3))
     assert out.total_units() == s.total_units() - 2
-    assert out.alternating_sum() == s.alternating_sum()
+    assert alternating_sum(out) == alternating_sum(s)
 
 
 def test_verify_certificate_quadric_pair():
