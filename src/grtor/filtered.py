@@ -10,12 +10,12 @@ statements below hold in degrees <= cap.
 """
 
 from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
-                       NormalFormTable, colength_from_leads, graded_twin,
-                       ideal_intersection, ideal_product, ideal_sum, initial_forms,
+                       NormalFormTable, as_column, as_vector, colength_from_leads,
+                       graded_twin, ideal_intersection, ideal_product, ideal_sum, initial_forms,
                        leading_monomial_ideal, standard_basis,
                        standard_monomial_layers, _submul)
 from .fields import GrtorError
-from .poly import LOCAL, Polynomial
+from .poly import LOCAL
 from .resolution import (Strands, check_composes_to_zero, compose, minimal_resolution,
                          strand_solve)
 from .series import BigradedSeries
@@ -107,14 +107,14 @@ def lift_resolution(gres, generators, cap):
         raise LiftError("need one local generator per first-differential column")
     for b, g in enumerate(generators):
         expected = gres.diffs[1][b]
-        if {(0, e): c for e, c in g.initial_form().terms.items()} != expected:
+        if as_column([g.initial_form()]) != expected:
             raise LiftError("generator %d has initial form %s, expected %s"
                             % (b, g.initial_form(),
-                               Polynomial(gring, {e: c for (_, e), c in expected.items()})))
+                               as_vector(gring, expected, 1)[0]))
 
     cap = min(cap, local_ring.cap)
     shifts = [tuple(s) for s in gres.shifts]
-    diffs = [None, [{(0, e): c for e, c in g.truncate(cap).terms.items()} for g in generators]]
+    diffs = [None, [as_column([g.truncate(cap)]) for g in generators]]
     strands = Strands(gring)
     fld = local_ring.field
     one = (0,) * local_ring.nvars
@@ -295,6 +295,8 @@ class FilteredComplex:
                         raise ValueError(line)  # the field line comes first
                     i = int(parts[1])
                     pending = int(parts[3])
+                    if pending < 0:
+                        raise ValueError(line)
                     nrows = len(levels[i - 1])
                     cols = [{} for _ in levels[i]]
                     diffs[i] = cols
@@ -306,7 +308,12 @@ class FilteredComplex:
             raise LiftError("filtered-complex text ends inside a diff block")
         if field is None or i_max is None or j_max is None:
             raise LiftError("incomplete filtered-complex header")
-        # the terms, not the header, size the complex
+        # the terms, not the header, size the complex; a diff i line needs
+        # the terms i - 1 and i, so with every term in range it is too
+        bad = next((i for i in sorted(levels) if not 0 <= i <= i_max), None)
+        if bad is not None:
+            raise LiftError("filtered-complex text has a 'term %d' line outside 0..%d"
+                            % (bad, i_max))
         missing = next((i for i in range(i_max + 1) if i not in levels), None)
         if missing is not None:
             raise LiftError("filtered-complex text has no 'term %d' line" % missing)
@@ -363,7 +370,7 @@ def tensor_over_basis(fres, basis, j_max):
     if j_max > fres.cap:
         raise CapExceededError("tensor truncation %d exceeds the resolution cap %d"
                                % (j_max, fres.cap))
-    nf = NormalFormTable(ring, [[g] for g in basis], cap=j_max)
+    nf = NormalFormTable(ring, [as_column([g]) for g in basis], cap=j_max)
     lm = [p.leading_monomial() for p in basis]
     layers = list(standard_monomial_layers(lm, ring.nvars, j_max))
     basis_n = [(0, u) for layer in layers for u in layer]

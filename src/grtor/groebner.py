@@ -10,7 +10,11 @@ Commutative Algebra, 1.7 and 6.4); Mora's ecart-driven weak normal form
 is needed only without a cap.  Results are certified in total degrees
 <= cap and the cap is part of every output's validity window.
 Module elements live in a free module with per-row degree shifts; the
-internal degree of a term x^e in row r is |e| + shift[r].
+internal degree of a term x^e in row r is |e| + shift[r].  Inside this
+module an element is a column {(row, exponents): c}, the format of the
+resolutions, the lift and the tensor complex; `as_column` and
+`as_vector` convert at the public functions that take or return vectors
+of polynomials.
 """
 
 import heapq
@@ -43,44 +47,29 @@ def _lcm(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
-class VecPoly:
-    """Element of a free module ring^rank: term map {(row, exps): coeff}."""
+def _lead(ring, col):
+    """Lead key (row, exponents) of a nonzero column under
+    term-over-position (ties: lower row wins)."""
+    key = ring.order.key
+    return max(col, key=lambda k: (key(k[1]), -k[0]))
 
-    __slots__ = ("ring", "rank", "shifts", "terms")
 
-    def __init__(self, ring, rank, terms, shifts=None):
-        self.ring = ring
-        self.rank = rank
-        self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
-        self.terms = terms
+def _truncate(col, shifts, cap):
+    """The terms of a column of internal degree <= cap."""
+    return {k: c for k, c in col.items() if sum(k[1]) + shifts[k[0]] <= cap}
 
-    @classmethod
-    def from_polys(cls, polys, shifts=None):
-        ring = polys[0].ring
-        terms = {}
-        for row, p in enumerate(polys):
-            for e, c in p.terms.items():
-                terms[(row, e)] = c
-        return cls(ring, len(polys), terms, shifts)
 
-    def to_polys(self):
-        polys = [dict() for _ in range(self.rank)]
-        for (row, e), c in self.terms.items():
-            polys[row][e] = c
-        return [Polynomial(self.ring, t) for t in polys]
+def as_column(vec):
+    """The column {(row, exponents): c} of a vector of polynomials."""
+    return {(row, e): c for row, p in enumerate(vec) for e, c in p.terms.items()}
 
-    def is_zero(self):
-        return not self.terms
 
-    def lead(self):
-        """Leading term key under term-over-position (ties: lower row wins)."""
-        order = self.ring.order
-        return max(self.terms, key=lambda k: (order.key(k[1]), -k[0]))
-
-    def truncate(self, cap):
-        shifts = self.shifts
-        terms = {k: c for k, c in self.terms.items() if sum(k[1]) + shifts[k[0]] <= cap}
-        return VecPoly(self.ring, self.rank, terms, self.shifts)
+def as_vector(ring, col, rank):
+    """The vector of `rank` polynomials of a column."""
+    rows = [{} for _ in range(rank)]
+    for (row, e), c in col.items():
+        rows[row][e] = c
+    return [Polynomial(ring, t) for t in rows]
 
 
 def _submul(fld, terms, other, exps, coeff, cap, shifts=None):
@@ -101,59 +90,47 @@ def _submul(fld, terms, other, exps, coeff, cap, shifts=None):
 
 
 class _Tracked:
-    """Module element together with its expression over the input columns."""
+    """A column together with its expression over the input columns."""
 
-    __slots__ = ("vec", "expr")
+    __slots__ = ("col", "expr")
 
-    def __init__(self, vec, expr=None):
-        self.vec = vec
+    def __init__(self, col, expr=None):
+        self.col = col
         self.expr = expr  # {(input column, exponents): coefficient}; None: untracked
 
-    def combine(self, other, exps, coeff, cap):
-        """self - coeff * x^exps * other, in place on both the vector and the
-        expression; terms past the cap are dropped, as in `_reduce`."""
-        vec = self.vec
-        ring = vec.ring
-        cap = cap if cap is not None else ring.cap
-        _submul(ring.field, vec.terms, other.vec.terms, exps, coeff, cap, vec.shifts)
-        if self.expr is not None:
-            ecap = cap if ring.cap is None else min(cap, ring.cap)
-            _submul(ring.field, self.expr, other.expr, exps, coeff, ecap)
 
-
-def _leads(reducers):
+def _leads(ring, reducers):
     """{row: [(lead exponents, element)]} of the nonzero tracked elements,
     each row's list in the given order, for `_reduce`."""
     rows = {}
     for g in reducers:
-        if not g.vec.is_zero():
-            row, e = g.vec.lead()
+        if g.col:
+            row, e = _lead(ring, g.col)
             rows.setdefault(row, []).append((e, g))
     return rows
 
 
-def _reduce(f, leads, cap=None):
-    """Full normal form of a tracked element: the lead and every tail term
-    are reduced until no term is divisible by a reducer's lead term.  Terms
-    of internal degree > cap (default: the ring's cap) are dropped, those
-    of the input included; so are cofactor terms of degree > cap (or the
-    ring's cap, if lower), whose input expression must already be below it.
-    An untracked element (expression None) gets no cofactors.
+def _reduce(ring, shifts, f, leads, cap):
+    """Full normal form of a tracked element in a free module with row
+    shifts `shifts`: the lead and every tail term are reduced until no
+    term is divisible by a reducer's lead term.  Terms of internal degree
+    > cap (None: the ring's cap) are dropped, those of the input
+    included; so are cofactor terms of degree > cap (or the ring's cap,
+    if lower), whose input expression must already be below it.  An
+    untracked element (expression None) gets no cofactors.
 
     Returns the tracked remainder.  Each term goes to the first reducer of
     its row, in `leads` order, whose lead divides it (`leads` comes from
     `_leads`).  Terms are taken in descending order from a heap, since a
     step removes the largest remaining term and adds only smaller ones;
-    copies of the vector and its expression are updated in place.  This
+    copies of the column and its expression are updated in place.  This
     terminates for global orders, and for the local order below a cap:
     only finitely many monomials have degree <= cap.
     """
-    vec = f.vec
-    ring, shifts = vec.ring, vec.shifts
     cap = cap if cap is not None else ring.cap
-    terms = vec.truncate(cap).terms if cap is not None else dict(vec.terms)
+    terms = _truncate(f.col, shifts, cap) if cap is not None else dict(f.col)
     if not leads:
-        return _Tracked(VecPoly(ring, vec.rank, terms, shifts), f.expr)
+        return _Tracked(terms, f.expr)
     ecap = cap if ring.cap is None else min(cap, ring.cap)
     fld = ring.field
     submul, zero = fld.submul, fld.zero
@@ -173,9 +150,9 @@ def _reduce(f, leads, cap=None):
             rem[lead] = terms.pop(lead)
             continue
         ge, g = hit
-        coeff = fld.div(c, g.vec.terms[(row, ge)])
+        coeff = fld.div(c, g.col[(row, ge)])
         exps = _sub(e, ge)
-        for (grow, gexp), gc in g.vec.terms.items():
+        for (grow, gexp), gc in g.col.items():
             ee = tuple(map(operator.add, gexp, exps))
             if cap is not None and sum(ee) + shifts[grow] > cap:
                 continue
@@ -190,12 +167,13 @@ def _reduce(f, leads, cap=None):
                 del terms[key]
         if expr is not None:
             _submul(fld, expr, g.expr, exps, coeff, ecap)
-    return _Tracked(VecPoly(ring, vec.rank, rem, shifts), expr)
+    return _Tracked(rem, expr)
 
 
 def _buchberger(ring, columns, shifts, cap, collect_syzygies):
-    """Buchberger's loop over tracked module elements, with full
-    reduction below the cap (local rings: the cap defaults to the ring's).
+    """Buchberger's loop over columns in a free module with row shifts
+    `shifts`, with full reduction below the cap (local rings: the cap
+    defaults to the ring's).
 
     Returns (basis, syzygies): basis as tracked elements, syzygies as
     expression term dicts over the input columns (zero reductions of
@@ -209,19 +187,20 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
     with coprime lead terms need not reduce to 0.
     """
     cap = cap if cap is not None else ring.cap
+    ecap = cap if ring.cap is None else min(cap, ring.cap)
     fld = ring.field
     one = (0,) * ring.nvars
     syzygies = []
     basis = []
     for b, col in enumerate(columns):
         expr = {(b, one): fld.one} if collect_syzygies else None
-        vec = col.truncate(cap) if cap is not None else col
-        if not vec.is_zero():
-            basis.append(_Tracked(vec, expr))
+        col = _truncate(col, shifts, cap) if cap is not None else col
+        if col:
+            basis.append(_Tracked(col, expr))
         elif collect_syzygies:
             syzygies.append(expr)
-    leads = [g.vec.lead() for g in basis]
-    reducers = _leads(basis)
+    leads = [_lead(ring, g.col) for g in basis]
+    reducers = _leads(ring, basis)
 
     # S-pairs (lcm degree, i, k, lcm) with i < k, taken lowest first
     pairs = []
@@ -241,26 +220,28 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
     for t in range(len(basis)):
         add_pairs(t)
 
-    rank = len(shifts)
     while pairs:
         degree, i, k, lcm = heapq.heappop(pairs)
         if cap is not None and degree > cap:
             break  # every pair left lies past the cap too
         gi, gk = basis[i], basis[k]
-        irow, ie = leads[i]
+        row, ie = leads[i]
         _, ke = leads[k]
-        ci = fld.inv(gi.vec.terms[(irow, ie)])
-        ck = fld.inv(gk.vec.terms[(irow, ke)])
-        # ci x^(lcm - ie) g_i - ck x^(lcm - ke) g_k
-        spair = _Tracked(VecPoly(ring, rank, {}, shifts), {} if collect_syzygies else None)
-        spair.combine(gi, _sub(lcm, ie), fld.neg(ci), cap)
-        spair.combine(gk, _sub(lcm, ke), ck, cap)
-        red = _reduce(spair, reducers, cap)
-        if red.vec.is_zero():
+        # x^(lcm - ie) g_i / lc(g_i) - x^(lcm - ke) g_k / lc(g_k), terms
+        # past the cap dropped
+        spair = _Tracked({}, {} if collect_syzygies else None)
+        for g, e, c in ((gi, ie, fld.neg(fld.inv(gi.col[(row, ie)]))),
+                        (gk, ke, fld.inv(gk.col[(row, ke)]))):
+            exps = _sub(lcm, e)
+            _submul(fld, spair.col, g.col, exps, c, cap, shifts)
+            if collect_syzygies:
+                _submul(fld, spair.expr, g.expr, exps, c, ecap)
+        red = _reduce(ring, shifts, spair, reducers, cap)
+        if not red.col:
             if red.expr:
                 syzygies.append(red.expr)
         else:
-            row, e = red.vec.lead()
+            row, e = _lead(ring, red.col)
             basis.append(red)
             leads.append((row, e))
             reducers.setdefault(row, []).append((e, red))
@@ -332,9 +313,8 @@ def groebner_basis(ideal):
     ring = ideal.ring
     if ring.setting != GRADED:
         raise GroebnerError("groebner_basis needs a graded ring; use standard_basis for local")
-    cols = [VecPoly.from_polys([g]) for g in ideal.generators]
-    basis, _ = _buchberger(ring, cols, (0,), None, False)
-    return _interreduce(ring, [t.vec.to_polys()[0] for t in basis])
+    return _interreduce(ring, [v[0] for v in module_groebner_basis(
+        ring, [[g] for g in ideal.generators])])
 
 
 def module_groebner_basis(ring, columns, shifts=None, cap=None):
@@ -344,22 +324,24 @@ def module_groebner_basis(ring, columns, shifts=None, cap=None):
         return []
     rank = len(columns[0])
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    vecs = [VecPoly.from_polys(list(c), shifts) for c in columns]
-    basis, _ = _buchberger(ring, vecs, shifts, cap, False)
-    return [t.vec.to_polys() for t in basis]
+    basis, _ = _buchberger(ring, [as_column(c) for c in columns], shifts, cap, False)
+    return [as_vector(ring, g.col, rank) for g in basis]
 
 
 def module_normal_form(vec, basis, shifts=None, cap=None):
     """Fully reduced normal form of a vector of polynomials against module
     basis vectors, below the cap as in `normal_form`."""
+    ring = vec[0].ring
     shifts = tuple(shifts) if shifts is not None else (0,) * len(vec)
-    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts)) for b in basis])
-    return _reduce(_Tracked(VecPoly.from_polys(list(vec), shifts)), leads, cap).vec.to_polys()
+    leads = _leads(ring, [_Tracked(as_column(b)) for b in basis])
+    return as_vector(ring, _reduce(ring, shifts, _Tracked(as_column(vec)), leads, cap).col,
+                     len(vec))
 
 
 class NormalFormTable:
-    """The normal-form map against fixed module basis vectors, read off a
-    table of monomial normal forms.
+    """The normal-form map against fixed module basis columns
+    {(row, exponents): c} with row shifts `shifts`, read off a table of
+    monomial normal forms.
 
     Below the cap the full normal form is k-linear (see `normal_form`), so
     NF(sum c x^e e_row) = sum c NF(x^e e_row): the table keeps the nonzero
@@ -380,8 +362,7 @@ class NormalFormTable:
         self.ring = ring
         self.shifts = tuple(shifts)
         self.cap = cap if cap is not None else ring.cap
-        self.leads = _leads([_Tracked(VecPoly.from_polys(list(b), self.shifts))
-                             for b in basis])
+        self.leads = _leads(ring, [_Tracked(col) for col in basis])
         self._nf = {}
 
     def monomial(self, row, e):
@@ -389,8 +370,8 @@ class NormalFormTable:
         key = (row, e)
         nf = self._nf.get(key)
         if nf is None:
-            unit = VecPoly(self.ring, len(self.shifts), {key: self.ring.field.one}, self.shifts)
-            nf = list(_reduce(_Tracked(unit), self.leads, self.cap).vec.terms.items())
+            unit = _Tracked({key: self.ring.field.one})
+            nf = list(_reduce(self.ring, self.shifts, unit, self.leads, self.cap).col.items())
             self._nf[key] = nf
         return nf
 
@@ -470,12 +451,7 @@ def normal_form(p, basis, cap=None):
     in k[x]/(I + m^{cap+1}), and the map is k-linear.  Against an empty
     basis it is the truncation at the cap.
     """
-    if not basis:
-        cap = cap if cap is not None else p.ring.cap
-        return p if cap is None else p.truncate(cap)
-    f = _Tracked(VecPoly.from_polys([p]))
-    leads = _leads([_Tracked(VecPoly.from_polys([g])) for g in basis])
-    return _reduce(f, leads, cap).vec.to_polys()[0]
+    return module_normal_form([p], [[g] for g in basis], (0,), cap)[0]
 
 
 def standard_basis(ideal, cap=None):
@@ -493,9 +469,8 @@ def standard_basis(ideal, cap=None):
         if g.truncate(cap).is_zero() or g.order_degree() > cap:
             raise CapExceededError(
                 "generator %s has order beyond the cap %d" % (g, cap))
-    cols = [VecPoly.from_polys([g.truncate(cap)]) for g in ideal.generators]
-    basis, _ = _buchberger(ring, cols, (0,), cap, False)
-    polys = [t.vec.to_polys()[0] for t in basis]
+    polys = [v[0] for v in module_groebner_basis(ring, [[g] for g in ideal.generators],
+                                                 (0,), cap)]
     # head-interreduce: drop members whose leading monomial another divides
     order = ring.order
     polys.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
@@ -568,9 +543,8 @@ def syzygies(ring, columns, shifts=None, cap=None):
         return []
     rank = len(columns[0])
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    vecs = [VecPoly.from_polys(list(col), shifts) for col in columns]
-    _, syz = _buchberger(ring, vecs, shifts, cap, True)
-    return [VecPoly(ring, len(vecs), expr).to_polys() for expr in syz]
+    _, syz = _buchberger(ring, [as_column(c) for c in columns], shifts, cap, True)
+    return [as_vector(ring, expr, len(columns)) for expr in syz]
 
 
 def ideal_sum(I, J):

@@ -16,12 +16,12 @@ the lift and `filtered.tensor_complex` all read this one format.
 import operator
 from math import comb
 
-from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, _submul,
-                       basis_leads, module_groebner_basis,
-                       quotient_groebner, standard_monomial_layers, syzygies)
+from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, _buchberger,
+                       _submul, as_column, as_vector, basis_leads, quotient_groebner,
+                       standard_monomial_layers, syzygies)
 from .fields import GrtorError
 from .linalg import ColumnEchelon, solve
-from .poly import GRADED, Polynomial
+from .poly import GRADED
 from .series import BigradedSeries
 
 
@@ -41,7 +41,7 @@ class Strands:
 
     def __init__(self, ring):
         self.ring = ring
-        self.nf = NormalFormTable(ring, [[g] for g in quotient_groebner(ring)])
+        self.nf = NormalFormTable(ring, [as_column([g]) for g in quotient_groebner(ring)])
         self.one = (0, (0,) * ring.nvars)  # the table's key of 1 * e_0
         self._layers = standard_monomial_layers(basis_leads(quotient_groebner(ring)), ring.nvars)
         self._pieces = []
@@ -104,11 +104,11 @@ class GradedModulePieces:
     def __init__(self, module, j_max):
         ring = module.ring
         shifts = module.column_degrees
-        cols = [list(rel) for rel in module.relations]
-        cols += [[q if b == a else ring.zero() for b in range(len(shifts))]
+        cols = [as_column(rel) for rel in module.relations]
+        cols += [{(a, e): c for e, c in q.terms.items()}
                  for q in ring.quotient for a in range(len(shifts))]
-        gb = module_groebner_basis(ring, cols, shifts, cap=j_max)
-        self.nf = NormalFormTable(ring, gb, shifts)
+        gb, _ = _buchberger(ring, cols, shifts, j_max, False)
+        self.nf = NormalFormTable(ring, [g.col for g in gb], shifts)
         terms = []
         for col, s in enumerate(shifts):
             lm = [e for e, _g in self.nf.leads.get(col, ())]
@@ -191,8 +191,7 @@ class GradedFreeResolution:
                             "of degree %d" % (a, b, i, src[b] - dst[a]))
                     if src[b] == dst[a]:
                         raise ResolutionError("minimal resolution has a unit entry")
-        nf = NormalFormTable(self.ring, [[g] for g in quotient_groebner(self.ring)])
-        check_composes_to_zero(nf, self.diffs, lambda i: ResolutionError(
+        check_composes_to_zero(Strands(self.ring).nf, self.diffs, lambda i: ResolutionError(
             "d o d is nonzero at homological degree %d" % i))
 
 
@@ -273,7 +272,7 @@ def minimal_resolution(module, i_max):
 
     def column(vec):
         """A vector of polynomials as a column, in normal form mod J."""
-        col = {(a, e): c for a, p in enumerate(vec) for e, c in p.terms.items()}
+        col = as_column(vec)
         if not ring.quotient:
             return col
         return {(a, e): c for (a, (_, e)), c in strands.nf(col, strands.one).items()}
@@ -298,12 +297,7 @@ def minimal_resolution(module, i_max):
         # syzygies over G, computed over the polynomial cover: `syzygies`
         # takes vectors of polynomials, and the quotient multiples of the
         # free basis vectors are adjoined
-        aug_cols = []
-        for col in current:
-            vec = [{} for _ in row_shifts]
-            for (a, e), c in col.items():
-                vec[a][e] = c
-            aug_cols.append([Polynomial(ring, t) for t in vec])
+        aug_cols = [as_vector(ring, col, len(row_shifts)) for col in current]
         aug_cols += [[q if b == a else ring.zero() for b in range(len(row_shifts))]
                      for q in ring.quotient for a in range(len(row_shifts))]
         raw = syzygies(ring, aug_cols, row_shifts)

@@ -1,18 +1,25 @@
 """The normal-form loop that `grtor.groebner._reduce` replaced, kept as a
 test oracle: each step recomputes the lead by a scan of every term and
-rebuilds the vector and its cofactor expression as new term dicts, and
+rebuilds the column and its cofactor expression as new term dicts, and
 reducers are scanned in list order.
 
 `leads` is a list of (lead key, tracked element), the lead key being
-(row, exponents), in reducer order.  Expressions are term dicts
-{(input column, exponents): coefficient}, or None when untracked.
+(row, exponents), in reducer order.  Columns and expressions are term
+dicts, {(row, exponents): coefficient} and {(input column, exponents):
+coefficient}; an expression is None when untracked.
 """
 
-from grtor.groebner import VecPoly, _divides, _sub, _Tracked
+from grtor.groebner import _divides, _sub, _Tracked
 
 
-def oracle_leads(reducers):
-    return [(g.vec.lead(), g) for g in reducers if not g.vec.is_zero()]
+def _scan_lead(ring, terms):
+    """The lead key under term-over-position (ties: lower row wins)."""
+    order = ring.order
+    return max(terms, key=lambda k: (order.key(k[1]), -k[0]))
+
+
+def oracle_leads(ring, reducers):
+    return [(_scan_lead(ring, g.col), g) for g in reducers if g.col]
 
 
 def _minus_multiple(fld, terms, other, exps, coeff, degree, cap):
@@ -31,35 +38,36 @@ def _minus_multiple(fld, terms, other, exps, coeff, degree, cap):
     return out
 
 
-def _combine(f, g, exps, coeff, cap):
-    """f - coeff * x^exps * g, on the vector and the expression."""
-    vec = f.vec
-    ring, fld = vec.ring, vec.ring.field
-    terms = _minus_multiple(fld, vec.terms, g.vec.terms, exps, coeff,
-                            lambda k: sum(k[1]) + vec.shifts[k[0]], cap)
+def _combine(ring, shifts, f, g, exps, coeff, cap):
+    """f - coeff * x^exps * g, on the column and the expression."""
+    fld = ring.field
+    col = _minus_multiple(fld, f.col, g.col, exps, coeff,
+                          lambda k: sum(k[1]) + shifts[k[0]], cap)
     expr = f.expr
     if expr is not None:
         ecap = cap if ring.cap is None else min(cap, ring.cap)
         expr = _minus_multiple(fld, expr, g.expr, exps, coeff, lambda k: sum(k[1]), ecap)
-    return _Tracked(VecPoly(ring, vec.rank, terms, vec.shifts), expr)
+    return _Tracked(col, expr)
 
 
-def reduce_oracle(f, leads, cap=None):
-    cap = cap if cap is not None else f.vec.ring.cap
-    vec = f.vec.truncate(cap) if cap is not None else f.vec
+def reduce_oracle(ring, shifts, f, leads, cap=None):
+    cap = cap if cap is not None else ring.cap
+    col = f.col
+    if cap is not None:
+        col = {k: c for k, c in col.items() if sum(k[1]) + shifts[k[0]] <= cap}
     if not leads:
-        return _Tracked(vec, f.expr)
-    fld = vec.ring.field
-    work = _Tracked(VecPoly(vec.ring, vec.rank, dict(vec.terms), vec.shifts), f.expr)
+        return _Tracked(col, f.expr)
+    fld = ring.field
+    work = _Tracked(dict(col), f.expr)
     rem = {}
-    while work.vec.terms:
-        lead = work.vec.lead()
+    while work.col:
+        lead = _scan_lead(ring, work.col)
         row, e = lead
         hit = next(((gl, g) for gl, g in leads if gl[0] == row and _divides(gl[1], e)), None)
         if hit is None:
-            rem[lead] = work.vec.terms.pop(lead)
+            rem[lead] = work.col.pop(lead)
             continue
         glead, g = hit
-        coeff = fld.div(work.vec.terms[lead], g.vec.terms[glead])
-        work = _combine(work, g, _sub(e, glead[1]), coeff, cap)
-    return _Tracked(VecPoly(vec.ring, vec.rank, rem, vec.shifts), work.expr)
+        coeff = fld.div(work.col[lead], g.col[glead])
+        work = _combine(ring, shifts, work, g, _sub(e, glead[1]), coeff, cap)
+    return _Tracked(rem, work.expr)

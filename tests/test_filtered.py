@@ -247,6 +247,9 @@ def test_from_text_rejects_garbage():
                  terms + "diff 1 nnz 1\n0 5 1\n",    # column past L_1
                  terms + "diff 1 nnz 1\n5 0 1\n",    # row past L_0
                  terms + "diff 1 nnz 1\n0 0 1/0\n",  # no such scalar
+                 terms + "diff 1 nnz -1\n",          # negative count
+                 terms + "term 2 dim 1 levels 0\n",  # a term past imax
+                 terms + "term -1 dim 1 levels 0\ndiff 0 nnz 0\n",  # term and diff below range
                  terms.replace("dim 1", "dim one")]:
         with pytest.raises(LiftError):
             FilteredComplex.from_text(head + body)

@@ -13,15 +13,15 @@ import pytest
 
 from grtor import groebner
 from grtor.fields import MAX_CHARACTERISTIC, QQ, Field, FieldError, _is_prime
-from grtor.groebner import (GroebnerError, IdealPresentation, NormalFormTable, VecPoly,
-                            _buchberger, _divides, _leads, _reduce, _Tracked, graded_piece_basis,
+from grtor.groebner import (GroebnerError, IdealPresentation, NormalFormTable, _buchberger,
+                            _divides, _leads, _reduce, _Tracked, graded_piece_basis,
                             groebner_basis, module_groebner_basis, module_normal_form,
                             normal_form, quotient_groebner, standard_basis)
 from grtor.linalg import ColumnEchelon, solve
 from grtor.poly import GRADED, LOCAL, Ring
 from grtor.resolution import Strands
 
-from poly_oracle import column, monomial_multiple
+from poly_oracle import column, entries, monomial_multiple
 from reduce_oracle import oracle_leads, reduce_oracle
 from spectral_oracle import ColumnEchelon as ColumnEchelonOracle
 from spectral_oracle import solve as solve_oracle
@@ -151,12 +151,13 @@ def _coeff(rng, F):
 
 
 def _vec(rng, ring, shifts, nterms, top):
+    """A random column of internal degree <= top."""
     terms = {}
     for _ in range(nterms):
         row = rng.randrange(len(shifts))
         if top - shifts[row] >= 0:
             terms[(row, _exps(rng, ring.nvars, top - shifts[row]))] = _coeff(rng, ring.field)
-    return VecPoly(ring, len(shifts), terms, shifts)
+    return terms
 
 
 def _expr(rng, ring, ncols, top):
@@ -174,7 +175,7 @@ CASES = [(GRADED, None, None, (0,)), (GRADED, None, None, (0, 1)),
 
 
 def _assert_same(got, want):
-    assert got.vec.terms == want.vec.terms
+    assert got.col == want.col
     assert got.expr == want.expr and all(got.expr.values())
 
 
@@ -201,13 +202,13 @@ def test_reduce_matches_oracle(p, case):
                 f = _Tracked(_vec(rng, ring, shifts, rng.randint(1, 8), top),
                              _expr(rng, ring, ncols if reds is not basis else len(cols), top))
                 before = dict(f.expr)
-                got = _reduce(f, _leads(reds), cap)
-                want = reduce_oracle(f, oracle_leads(reds), cap)
+                got = _reduce(ring, shifts, f, _leads(ring, reds), cap)
+                want = reduce_oracle(ring, shifts, f, oracle_leads(ring, reds), cap)
                 _assert_same(got, want)
                 steps += got.expr != f.expr
                 assert f.expr == before  # the input is left alone
-                heads = oracle_leads(reds)
-                for row, e in got.vec.terms:
+                heads = oracle_leads(ring, reds)
+                for row, e in got.col:
                     assert not any(r == row and _divides(g, e) for (r, g), _ in heads)
     assert steps > 100  # most reductions changed the expression
 
@@ -215,10 +216,10 @@ def test_reduce_matches_oracle(p, case):
 # --- the table of monomial normal forms ------------------------------------------
 
 
-def _direct(vec, basis, shifts, cap):
+def _direct(ring, vec, basis, shifts, cap):
     """The normal form of the whole vector in one reduction."""
-    leads = _leads([_Tracked(VecPoly.from_polys(list(b), shifts), None) for b in basis])
-    return _reduce(_Tracked(VecPoly.from_polys(list(vec), shifts), None), leads, cap).vec.terms
+    leads = _leads(ring, [_Tracked(column(b)) for b in basis])
+    return _reduce(ring, shifts, _Tracked(column(vec)), leads, cap).col
 
 
 def _table_nf(table, vec, mono):
@@ -266,21 +267,21 @@ def test_normal_form_table_matches_direct_reduction(p, case):
     quotient = ("x*z - y^2", "x^3") if setting == GRADED else ()
     ring = Ring(["x", "y", "z"], Field(p), setting, cap=ring_cap, quotient=quotient)
     basis = _table_basis(ring, shifts, kind)
-    table = NormalFormTable(ring, basis, shifts, cap)  # one table for every vector
+    table = NormalFormTable(ring, [column(b) for b in basis], shifts, cap)  # one for every vector
     top = min(c for c in (ring_cap, cap, 6) if c is not None)
     rank = len(shifts)
     cancelled = 0
     for seed in range(40):
         rng = random.Random(seed)
         mono = _exps(rng, 3, 2) if seed % 2 else None
-        vecs = [_vec(rng, ring, shifts, rng.randint(1, 8), top).to_polys()]
+        vecs = [entries(ring, _vec(rng, ring, shifts, rng.randint(1, 8), top), rank)]
         if basis:  # module members: every sum cancels
             vecs.append(list(basis[seed % len(basis)]))
         for vec in vecs:
             got = _table_nf(table, vec, mono)
             assert all(got.values())
             moved = [q if mono is None else monomial_multiple(q, mono) for q in vec]
-            want = _direct(moved, basis, shifts, cap)
+            want = _direct(ring, moved, basis, shifts, cap)
             assert got == want
             cancelled += not want
             if rank == 1:
@@ -288,8 +289,7 @@ def test_normal_form_table_matches_direct_reduction(p, case):
                                for e, c in normal_form(moved[0], [b[0] for b in basis],
                                                        cap).terms.items()}
             else:
-                assert module_normal_form(moved, basis, shifts, cap) == \
-                    VecPoly(ring, rank, want, shifts).to_polys()
+                assert module_normal_form(moved, basis, shifts, cap) == entries(ring, want, rank)
     if basis:
         assert cancelled >= 20
     assert len(table._nf) > 20  # the table was reused, not rebuilt
@@ -297,7 +297,7 @@ def test_normal_form_table_matches_direct_reduction(p, case):
 
 def test_normal_form_column_drops_terms_past_top_and_rejects_terms_outside_the_index():
     ring = Ring(["x", "y"], Field(P), GRADED, quotient=("x^2",))
-    table = NormalFormTable(ring, [[g] for g in quotient_groebner(ring)])
+    table = NormalFormTable(ring, [column([g]) for g in quotient_groebner(ring)])
     shifts = (0, 1)
     keys = [(a, (0, e)) for a in range(2) for d in range(4 - shifts[a])
             for e in graded_piece_basis(ring, d)]
@@ -317,9 +317,10 @@ def test_normal_form_against_an_empty_basis_is_the_truncation(p, setting, ring_c
     ring = Ring(["x", "y", "z"], Field(p), setting, cap=ring_cap)
     for seed in range(30):
         rng = random.Random(seed)
-        f = _vec(rng, ring, (0,), rng.randint(0, 8), 6).to_polys()[0]
+        f = entries(ring, _vec(rng, ring, (0,), rng.randint(0, 8), 6), 1)[0]
         for cap in (None, 3, 6, 9):
-            want = _reduce(_Tracked(VecPoly.from_polys([f]), None), {}, cap).vec.to_polys()[0]
+            top = cap if cap is not None else ring.cap
+            want = f if top is None else f.truncate(top)
             got = normal_form(f, [], cap)
             assert got == want and got.ring is ring
 

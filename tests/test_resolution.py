@@ -442,7 +442,7 @@ def test_product_normal_forms_match_the_polynomial_product(case):
             _g4_pair(P, case == "g4-swap")[0]
         res = minimal_resolution(M, 4)
         ring, gb, cap = res.ring, quotient_groebner(res.ring), None
-    nf = NormalFormTable(ring, [[g] for g in gb], cap=cap)
+    nf = NormalFormTable(ring, [column([g]) for g in gb], cap=cap)
     key = (0, (0,) * ring.nvars)
     nonzero = 0
     for i in range(2, len(res.diffs)):

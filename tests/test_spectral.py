@@ -1,6 +1,8 @@
 """Spectral engine: pages, cancellations, stabilization, the random
 complex generator, and the proof-mechanics invariants."""
 
+import random
+
 import pytest
 
 from grtor.fields import Field
@@ -256,3 +258,65 @@ def test_serialized_synthetic_complex_runs():
     back = FilteredComplex.from_text(L.to_text())
     assert run_to_stability(back).certificate.multiset() == \
         run_to_stability(L).certificate.multiset()
+
+
+def _submul_entry(field, col, k, f, y):
+    """col[k] -= f * y, keeping only nonzero entries."""
+    v = field.submul(col.get(k, field.zero), f, y)
+    if v:
+        col[k] = v
+    else:
+        col.pop(k, None)
+
+
+def conjugated(L, rng, steps=3):
+    """L under a random filtered change of basis of every term: a product
+    of transvections v_c -> v_c + x v_r with r after c in the order
+    (level, index), so unitriangular with respect to level.  On term i
+    each one adds x * row c to row r of d_{i+1} and subtracts x * column
+    r from column c of d_i, on the sparse columns."""
+    fld = L.field
+    diffs = [None] + [[dict(col) for col in d] for d in L.diffs[1:]]
+    for i, lv in enumerate(L.levels):
+        for _ in range(steps * len(lv) if len(lv) > 1 else 0):
+            c, r = sorted(rng.sample(range(len(lv)), 2), key=lambda k: (lv[k], k))
+            x = fld.of(rng.choice([-3, -1, 1, 2, 5]))
+            if i < L.i_max:
+                for col in diffs[i + 1]:
+                    if c in col:
+                        _submul_entry(fld, col, r, fld.neg(x), col[c])
+            if i > 0:
+                d = diffs[i]
+                for row, y in d[r].items():
+                    _submul_entry(fld, d[c], row, x, y)
+    return FilteredComplex(fld, L.levels, diffs, L.j_max, truncated_at=L.truncated_at)
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_filtered_change_of_basis_keeps_pages_and_certificate(p):
+    # the pages, r_stab and the certificate are invariants of the filtered
+    # complex up to filtered isomorphism: metamorphic relation on the
+    # cusps tensor complex and ten seeded complexes, each exact (marked
+    # untruncated) and as both truncations at two below its top level
+    field = Field(p)
+    ring = Ring(["X", "Y"], field, LOCAL, cap=20)
+    fres = resolve_local_cyclic(IdealPresentation(ring, ["X^2 - Y^3"]))
+    bases = [filtered_tensor(fres, IdealPresentation(ring, ["X^2 - Y^5"]), 12)]
+    bases += [random_filtered_complex(seed, field=field, i_max=3, max_dim=8, max_level=6)
+              for seed in range(10)]
+    rng = random.Random(p)
+    changed = cancelled = 0
+    for L in bases:
+        exact = FilteredComplex(L.field, L.levels, L.diffs, L.j_max)
+        for C in [exact] + truncations(L, L.j_max - 2):
+            run = run_to_stability(C)
+            for _ in range(2):
+                D = conjugated(C, rng)
+                changed += D.diffs != C.diffs
+                other = run_to_stability(D)
+                assert other.page1.dims == run.page1.dims
+                assert other.page_infinity.dims == run.page_infinity.dims
+                assert other.r_stab == run.r_stab
+                assert other.certificate.multiset() == run.certificate.multiset()
+            cancelled += bool(run.certificate.multiset())
+    assert changed >= 40 and cancelled >= 20  # of 66 conjugations and 33 cases
