@@ -139,7 +139,7 @@ def cmd_gr(args, out):
         raise InputError("gr needs a nonzero ideal in [module M]")
     # one standard basis gives the initial ideal, its leads and the colength
     basis = standard_basis(ideal, cap)
-    ini = minimal_initial_forms(graded_twin(ring), basis)[0]
+    ini = minimal_initial_forms(graded_twin(ring), basis)
     lm = basis_leads(basis)
     series = BigradedSeries(0, args.jmax)
     for j, layer in enumerate(standard_monomial_layers(lm, ring.nvars, args.jmax)):

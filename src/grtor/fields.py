@@ -193,7 +193,6 @@ class Field:
 
     def __init__(self, characteristic=0):
         if characteristic == 0:
-            self.kind = "rational"
             self.zero, self.one = Fraction(0), Fraction(1)
             self.add, self.sub = _rational_add, _rational_sub
             self.mul, self.neg = _rational_mul, _rational_neg
@@ -203,7 +202,6 @@ class Field:
             raise FieldError("characteristic %d is too large: primality is decided "
                              "exactly only below %d" % (characteristic, MAX_CHARACTERISTIC))
         elif _is_prime(characteristic):
-            self.kind = "prime-field"
             self.zero, self.one = 0, 1
             (self.add, self.sub, self.mul, self.neg, self.inv, self.div,
              self.submul, self.axpy, self.scale) = _prime_ops(characteristic)

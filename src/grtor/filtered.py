@@ -12,12 +12,11 @@ statements below hold in degrees <= cap.
 from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
                        NormalFormTable, as_column, as_vector, colength_from_leads,
                        graded_twin, ideal_intersection, ideal_product, ideal_sum, initial_forms,
-                       leading_monomial_ideal, standard_basis,
+                       leading_monomial_ideal, quotient_table, standard_basis,
                        standard_monomial_layers, _submul)
 from .fields import GrtorError
 from .poly import LOCAL
-from .resolution import (Strands, check_composes_to_zero, compose, minimal_resolution,
-                         strand_solve)
+from .resolution import check_composes_to_zero, compose, minimal_resolution, strand_solve
 from .series import BigradedSeries
 
 
@@ -115,7 +114,7 @@ def lift_resolution(gres, generators, cap):
     cap = min(cap, local_ring.cap)
     shifts = [tuple(s) for s in gres.shifts]
     diffs = [None, [as_column([g.truncate(cap)]) for g in generators]]
-    strands = Strands(gring)
+    nf = quotient_table(gring)
     fld = local_ring.field
     one = (0,) * local_ring.nvars
 
@@ -137,8 +136,8 @@ def lift_resolution(gres, generators, cap):
                 last_order = target_deg
                 low = {(a, e): x for (a, e), x in residual.items()
                        if sum(e) + shifts[i - 2][a] == target_deg}
-                u = strand_solve(strands, gres.diffs[i - 1], shifts[i - 1],
-                                 shifts[i - 2], low, target_deg)
+                u = strand_solve(nf, gres.diffs[i - 1], shifts[i - 1], shifts[i - 2], low,
+                                 target_deg)
                 if u is None:
                     raise LiftWindowExceededError(
                         "no graded correction in degree %d at column %d of d_%d"
@@ -279,18 +278,18 @@ class FilteredComplex:
                     pending -= 1
                 elif parts[0] == "field":
                     field = field_from_name(" ".join(parts[1:]))
-                elif parts[0] == "imax":
+                elif parts[0] == "imax" and len(parts) == 2:
                     i_max = int(parts[1])
-                elif parts[0] == "jmax":
+                elif parts[0] == "jmax" and len(parts) == 2:
                     j_max = int(parts[1])
-                elif parts[0] == "truncated":
-                    truncated = int(parts[1])
-                elif parts[0] == "term":
+                elif parts[0] == "truncated" and parts[1:] in (["0"], ["1"]):
+                    truncated = parts[1] == "1"
+                elif parts[0] == "term" and parts[2:3] == ["dim"] and parts[4:5] == ["levels"]:
                     lv = [int(x) for x in parts[5:]]
                     if len(lv) != int(parts[3]):
                         raise ValueError(line)
                     levels[int(parts[1])] = lv
-                elif parts[0] == "diff":
+                elif parts[0] == "diff" and len(parts) == 4 and parts[2] == "nnz":
                     if field is None:
                         raise ValueError(line)  # the field line comes first
                     i = int(parts[1])
@@ -324,17 +323,18 @@ class FilteredComplex:
                    truncated_at=(j_max if truncated else None))
 
 
-def tensor_complex(shifts, diffs, nf, basis_n, j_max):
+def tensor_complex(shifts, diffs, nf, j_max):
     """Levels and sparse columns of F (x) N cut at level j_max.
 
     F is a complex of free modules: shifts[i] are the shifts of F_i and
     diffs[i] the columns {(row, exponents): c} of F_i -> F_{i-1}, one per
-    basis vector of F_i (diffs[0] unused).  N is given
-    by its table of normal forms `nf` and a list `basis_n` of the keys
-    (row, e) of its standard terms.  The basis of each L_i is (b, key) at
-    level shift_b + deg key, kept within 0..j_max; the differential reads
-    each column off `nf.column`, which drops the terms past j_max.
+    basis vector of F_i (diffs[0] unused).  N is given by its table of
+    normal forms `nf`, whose standard terms (row, e) are N's basis.  The
+    basis of each L_i is (b, key) at level shift_b + deg key, kept within
+    0..j_max; the differential reads each column off `nf.column`, which
+    drops the terms past j_max.
     """
+    basis_n = nf.basis(j_max)
     degree = {key: nf.shifts[key[0]] + sum(key[1]) for key in basis_n}
     bases = [[(b, key) for b, s in enumerate(term) for key in basis_n
               if 0 <= s + degree[key] <= j_max] for term in shifts]
@@ -371,17 +371,14 @@ def tensor_over_basis(fres, basis, j_max):
         raise CapExceededError("tensor truncation %d exceeds the resolution cap %d"
                                % (j_max, fres.cap))
     nf = NormalFormTable(ring, [as_column([g]) for g in basis], cap=j_max)
-    lm = [p.leading_monomial() for p in basis]
-    layers = list(standard_monomial_layers(lm, ring.nvars, j_max))
-    basis_n = [(0, u) for layer in layers for u in layer]
-
-    levels, diffs = tensor_complex(fres.shifts, fres.diffs, nf, basis_n, j_max)
+    levels, diffs = tensor_complex(fres.shifts, fres.diffs, nf, j_max)
     bound = max((max(s, default=0) for s in fres.shifts), default=0)
-    # when N is finite dimensional (its layers stop at or below j_max) and
+    # when N is finite dimensional (its top degree is below j_max) and
     # everything fits under j_max, nothing was cut: the complex is exact,
     # not a truncation
+    top_n = max((sum(e) for _row, e in nf.basis(j_max)), default=-1)
     truncated_at = j_max
-    if len(layers) <= j_max and bound + len(layers) - 1 <= j_max:
+    if top_n < j_max and bound + top_n <= j_max:
         truncated_at = None
     return FilteredComplex(ring.field, levels, diffs, j_max, truncated_at=truncated_at)
 

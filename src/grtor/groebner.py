@@ -18,7 +18,6 @@ of polynomials.
 """
 
 import heapq
-import itertools
 import math
 import operator
 
@@ -351,12 +350,14 @@ class NormalFormTable:
     x^e e_row by linearity; `column` scatters that into a tensor basis
     index.  This is the multiplication table of a finite-dimensional
     quotient (Faugere-Gianni-Lazard-Mora, 1993).  `leads` holds the lead
-    terms of the basis by row, as `_leads` gives them.  Make one per
-    call, or per object that reduces many vectors, and let it go with
-    them: nothing else holds a table.
+    terms of the basis by row, as `_leads` gives them.  The standard
+    terms (row, e), those no lead of their row divides, are the k-basis
+    the table reduces onto (Macaulay); `terms` and `basis` list them.
+    Make one per call, or per object that reduces many vectors, and let
+    it go with them: nothing else holds a table.
     """
 
-    __slots__ = ("ring", "shifts", "cap", "leads", "_nf")
+    __slots__ = ("ring", "shifts", "cap", "leads", "_nf", "_layers")
 
     def __init__(self, ring, basis, shifts=(0,), cap=None):
         self.ring = ring
@@ -364,6 +365,39 @@ class NormalFormTable:
         self.cap = cap if cap is not None else ring.cap
         self.leads = _leads(ring, [_Tracked(col) for col in basis])
         self._nf = {}
+        self._layers = {}
+
+    def _built(self, row, m):
+        """The layers 0..m of the standard monomials of row `row`, fewer
+        if the row ends before m, each in descending ring order; a layer
+        is built once, on first use."""
+        if row not in self._layers:
+            lm = [e for e, _g in self.leads.get(row, ())]
+            self._layers[row] = (standard_monomial_layers(lm, self.ring.nvars), [])
+        walk, built = self._layers[row]
+        while len(built) <= m:
+            layer = next(walk, None)
+            if layer is None:
+                break
+            built.append(sorted(layer, key=self.ring.order.key, reverse=True))
+        return built
+
+    def terms(self, row, degree):
+        """The standard monomials e of row `row` whose term x^e e_row has
+        internal degree `degree`, in descending ring order."""
+        m = degree - self.shifts[row]
+        built = self._built(row, m)
+        return built[m] if 0 <= m < len(built) else []
+
+    def basis(self, top):
+        """The standard terms (row, e) of internal degree <= top: by degree,
+        then row, then `terms` order.  Each row stops at its last layer,
+        so a finite quotient costs nothing past its end, whatever `top`."""
+        rows = range(len(self.shifts))
+        end = max((s + len(self._built(row, top - s)) - 1
+                   for row, s in zip(rows, self.shifts)), default=-1)
+        return [(row, e) for d in range(min(self.shifts, default=0), min(top, end) + 1)
+                for row in rows for e in self.terms(row, d)]
 
     def monomial(self, row, e):
         """The nonzero terms [((row', e'), c)] of NF(x^e e_row)."""
@@ -496,7 +530,7 @@ def initial_ideal(ideal, cap=None):
         gr, basis = ring, groebner_basis(ideal)
         if not all(p.is_homogeneous() for p in basis):
             raise GroebnerError("initial_ideal over a graded ring needs a homogeneous ideal")
-    return IdealPresentation(gr, minimal_initial_forms(gr, basis)[0])
+    return IdealPresentation(gr, minimal_initial_forms(gr, basis))
 
 
 def initial_forms(gr, basis):
@@ -505,13 +539,12 @@ def initial_forms(gr, basis):
 
 
 def minimal_initial_forms(gr, basis):
-    """(minimal generators of the ideal of initial forms over the graded
-    ring `gr`, the elements of `basis` they come from), for a local
-    standard basis of I, so that gr(R/I) = gr/in(I), or for a Groebner
-    basis of a homogeneous ideal.  Any quotient of `gr` is not read."""
+    """Minimal generators of the ideal of initial forms over the graded
+    ring `gr`, for a local standard basis of I, so that gr(R/I) =
+    gr/in(I), or for a Groebner basis of a homogeneous ideal.  Any
+    quotient of `gr` is not read."""
     forms = initial_forms(gr, basis)
-    chosen = minimal_generator_indices(gr, forms)
-    return [forms[k] for k in chosen], [basis[k] for k in chosen]
+    return [forms[k] for k in minimal_generator_indices(gr, forms)]
 
 
 def minimal_generator_indices(ring, forms):
@@ -656,10 +689,13 @@ def graded_piece_basis(ring, j):
     quotient; sorted descending in the ring order."""
     if ring.setting != GRADED:
         raise GroebnerError("graded_piece_basis needs a graded ring")
-    if j < 0:
-        return []
-    layers = standard_monomial_layers(basis_leads(quotient_groebner(ring)), ring.nvars, j)
-    return sorted(next(itertools.islice(layers, j, None), []), key=ring.order.key, reverse=True)
+    return quotient_table(ring).terms(0, j)
+
+
+def quotient_table(ring):
+    """The normal-form table of G = k[x]/quotient against the quotient's
+    Groebner basis: its `terms(0, j)` is the monomial basis of G_j."""
+    return NormalFormTable(ring, [as_column([g]) for g in quotient_groebner(ring)])
 
 
 def quotient_groebner(ring):

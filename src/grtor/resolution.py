@@ -16,9 +16,8 @@ the lift and `filtered.tensor_complex` all read this one format.
 import operator
 from math import comb
 
-from .groebner import (GroebnerError, ModulePresentation, NormalFormTable, _buchberger,
-                       _submul, as_column, as_vector, basis_leads, quotient_groebner,
-                       standard_monomial_layers, syzygies)
+from .groebner import (GroebnerError, NormalFormTable, _buchberger, _submul, as_column,
+                       as_vector, quotient_table, syzygies)
 from .fields import GrtorError
 from .linalg import ColumnEchelon, solve
 from .poly import GRADED
@@ -30,54 +29,30 @@ class ResolutionError(GrtorError):
 
 
 # --- strand bases -------------------------------------------------------------
+#
+# A strand of ⊕ G(-shifts) is its piece of one internal degree: the keys
+# (col, (0, e)) for e a standard monomial of G = k[x]/J of degree
+# degree - shift, in descending ring order, read off `nf`, the normal-form
+# table of J (`quotient_table`).  `nf.column` scatters a column times a
+# monomial, mod J, into a strand index.  The lift's solution depends on
+# the order of the source strand, so it stays the ring order.
 
 
-class Strands:
-    """Strand bases and coordinates over G = k[x]/J for one computation:
-    the monomial basis of each G_j, read off the layers of J's standard
-    monomials as far as a caller asks, and `nf`, the table of monomial
-    normal forms mod J.  Make one per call; nothing keeps it past the
-    call."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.nf = NormalFormTable(ring, [as_column([g]) for g in quotient_groebner(ring)])
-        self.one = (0, (0,) * ring.nvars)  # the table's key of 1 * e_0
-        self._layers = standard_monomial_layers(basis_leads(quotient_groebner(ring)), ring.nvars)
-        self._pieces = []
-
-    def piece(self, j):
-        """The monomial basis of G_j, descending in the ring order, as
-        `graded_piece_basis` gives it; each layer is built once."""
-        while len(self._pieces) <= j:
-            layer = next(self._layers, None)
-            if layer is None:
-                return []
-            self._pieces.append(sorted(layer, key=self.ring.order.key, reverse=True))
-        return self._pieces[j] if j >= 0 else []
-
-    def free_basis(self, shifts, degree):
-        """Basis [(col, (0, monomial))] of the degree-`degree` piece of
-        ⊕ G(-shifts): the keys of the tensor complex of ⊕ G(-shifts) with G."""
-        return [(col, (0, mono)) for col, s in enumerate(shifts)
-                for mono in self.piece(degree - s)]
-
-    def column(self, col, index, mono=None):
-        """The sparse column {index[key]: c} of x^mono * col, a homogeneous
-        column {(row, exponents): c}, modulo the quotient.  A term outside
-        `index` raises."""
-        return self.nf.column(col, self.one if mono is None else (0, mono), index)
+def free_basis(nf, shifts, degree):
+    """Basis [(col, (0, monomial))] of the degree-`degree` piece of
+    ⊕ G(-shifts): the keys of the tensor complex of ⊕ G(-shifts) with G."""
+    return [(col, (0, mono)) for col, s in enumerate(shifts) for mono in nf.terms(0, degree - s)]
 
 
-def strand_solve(strands, d, src_shifts, dst_shifts, target, degree):
+def strand_solve(nf, d, src_shifts, dst_shifts, target, degree):
     """Solve d * u = target in one internal degree, or return None: d is a
     differential as columns, target a term dict {(dst row, exponents): c}
     of that degree in normal form, and u one {(src column, exponents): c}."""
-    src = strands.free_basis(src_shifts, degree)
-    dst_index = {key: n for n, key in enumerate(strands.free_basis(dst_shifts, degree))}
-    cols = [strands.column(d[col], dst_index, mono) for col, (_, mono) in src]
+    src = free_basis(nf, src_shifts, degree)
+    dst_index = {key: n for n, key in enumerate(free_basis(nf, dst_shifts, degree))}
+    cols = [nf.column(d[col], key, dst_index) for col, key in src]
     rhs = {dst_index[(a, (0, e))]: c for (a, e), c in target.items()}
-    sol = solve(strands.ring.field, cols, rhs, len(dst_index))
+    sol = solve(nf.ring.field, cols, rhs, len(dst_index))
     if sol is None:
         return None
     return {(col, mono): c for c, (col, (_, mono)) in zip(sol, src) if c}
@@ -87,18 +62,16 @@ def strand_solve(strands, d, src_shifts, dst_shifts, target, degree):
 
 
 class GradedModulePieces:
-    """The standard terms of a presented graded module, and its table of
-    normal forms.
+    """The table of normal forms of a presented graded module.
 
     Over the polynomial cover F = ⊕ k[x](-shift), the module is F modulo
     the relations and the quotient multiples q·e_a.  One Groebner basis of
     that submodule, truncated at degree j_max (exact in every degree <=
     j_max, since the input is homogeneous), gives a k-basis of each piece
     (Macaulay): the standard terms (col, mono), those that no lead term of
-    the same row divides.  `basis` lists them up to degree j_max, by
-    degree, then column, then layer order; it ends where the module does,
-    whatever j_max.  `nf` is the table of monomial normal forms against
-    that Groebner basis; `tor_series` hands both to the tensor builder.
+    the same row divides, which `nf.basis(j_max)` lists.  `nf` is the
+    table of monomial normal forms against that Groebner basis;
+    `tor_series` hands it to the tensor builder.
     """
 
     def __init__(self, module, j_max):
@@ -109,25 +82,19 @@ class GradedModulePieces:
                  for q in ring.quotient for a in range(len(shifts))]
         gb, _ = _buchberger(ring, cols, shifts, j_max, False)
         self.nf = NormalFormTable(ring, [g.col for g in gb], shifts)
-        terms = []
-        for col, s in enumerate(shifts):
-            lm = [e for e, _g in self.nf.leads.get(col, ())]
-            for d, layer in enumerate(standard_monomial_layers(lm, ring.nvars, j_max - s), s):
-                terms += [(d, col, mono) for mono in layer]
-        terms.sort(key=operator.itemgetter(0))
-        self.basis = [(col, mono) for _d, col, mono in terms]
 
 
 # --- minimal generators -------------------------------------------------------
 
 
-def minimal_generators(strands, columns, row_shifts):
+def minimal_generators(nf, columns, row_shifts):
     """A minimal generating subset of homogeneous module generators, given
     as columns {(row, exponents): c}, by graded Nakayama (Eisenbud,
     Commutative Algebra, 19.1), as [(index in `columns`, internal
     degree)].  The nonzero columns are taken in ascending internal
     degree, in list order within a degree, and each is kept unless the
-    span of the kept ones reaches it, on the strand bases of `strands`."""
+    span of the kept ones reaches it, on the strand bases of the
+    quotient table `nf`."""
     items = []
     for k, col in enumerate(columns):
         degs = {sum(e) + row_shifts[a] for a, e in col}
@@ -137,18 +104,19 @@ def minimal_generators(strands, columns, row_shifts):
             raise ResolutionError("generator is not homogeneous for the row shifts")
         items.append((k, degs.pop()))
     items.sort(key=operator.itemgetter(1))
+    one = (0, (0,) * nf.ring.nvars)  # the table's key of 1 * e_0
     chosen = []
     d = ech = free_index = None
     for k, vdeg in items:
         if vdeg != d:
             # the degree-d span of the submodule the kept columns generate
             d = vdeg
-            free_index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
-            ech = ColumnEchelon(strands.ring.field, len(free_index))
+            free_index = {key: n for n, key in enumerate(free_basis(nf, row_shifts, d))}
+            ech = ColumnEchelon(nf.ring.field, len(free_index))
             for c, e in chosen:
-                for mono in strands.piece(d - e):
-                    ech.add(strands.column(columns[c], free_index, mono))
-        if ech.add(strands.column(columns[k], free_index)) is not None:
+                for mono in nf.terms(0, d - e):
+                    ech.add(nf.column(columns[c], (0, mono), free_index))
+        if ech.add(nf.column(columns[k], one, free_index)) is not None:
             chosen.append((k, vdeg))
     return chosen
 
@@ -191,7 +159,7 @@ class GradedFreeResolution:
                             "of degree %d" % (a, b, i, src[b] - dst[a]))
                     if src[b] == dst[a]:
                         raise ResolutionError("minimal resolution has a unit entry")
-        check_composes_to_zero(Strands(self.ring).nf, self.diffs, lambda i: ResolutionError(
+        check_composes_to_zero(quotient_table(self.ring), self.diffs, lambda i: ResolutionError(
             "d o d is nonzero at homological degree %d" % i))
 
 
@@ -214,43 +182,31 @@ def check_composes_to_zero(nf, diffs, error):
             raise error(i)
 
 
-def _minimize_presentation(module):
-    """Strip unit entries from a presentation (Gaussian reduction), so that
-    the free cover is minimal."""
-    ring = module.ring
-    field = ring.field
-    degs = list(module.column_degrees)
-    rels = [list(r) for r in module.relations]
-    changed = True
-    while changed:
-        changed = False
-        for ri, rel in enumerate(rels):
-            unit_col = None
-            for a, p in enumerate(rel):
-                if not p.is_zero() and p.degree() == 0:
-                    unit_col = a
-                    break
-            if unit_col is None:
-                continue
-            pivot = rel[unit_col]
-            inv = field.inv(pivot.coefficient((0,) * ring.nvars))
-            new_rels = []
-            for rj, other in enumerate(rels):
-                if rj == ri:
-                    continue
-                q = other[unit_col]
-                if q.is_zero():
-                    new_rels.append([p for a, p in enumerate(other) if a != unit_col])
-                    continue
-                factor = q.scale(inv)
-                adjusted = [other[a] - factor * rel[a] for a in range(len(rel))]
-                new_rels.append([p for a, p in enumerate(adjusted) if a != unit_col])
-            rels = new_rels
-            degs = [dg for a, dg in enumerate(degs) if a != unit_col]
-            changed = True
-            break
-    rels = [r for r in rels if any(not p.is_zero() for p in r)]
-    return ModulePresentation(ring, len(degs), degs, rels)
+def _strip_units(ring, shifts, cols):
+    """Strip the unit entries of a presentation by Gaussian elimination, so
+    that its free cover is minimal.  `cols` are the relation columns:
+    while one has a unit entry, the first such in list order and its first
+    such row a, its multiples clear row a of the others, and the relation
+    and row a go.  Returns (shifts, columns) with the zero columns dropped."""
+    fld = ring.field
+    one = (0,) * ring.nvars
+    shifts = list(shifts)
+    while True:
+        hit = next(((k, a) for k, col in enumerate(cols)
+                    for a in range(len(shifts)) if (a, one) in col), None)
+        if hit is None:
+            return shifts, [col for col in cols if col]
+        k, a = hit
+        pivot = cols.pop(k)
+        inv = fld.inv(pivot[(a, one)])
+        stripped = []
+        for col in cols:
+            col = dict(col)
+            for e, c in [(e, c) for (b, e), c in col.items() if b == a]:
+                _submul(fld, col, pivot, e, fld.mul(c, inv), None)
+            stripped.append({(b - (b > a), e): c for (b, e), c in col.items()})
+        cols = stripped
+        del shifts[a]
 
 
 def minimal_resolution(module, i_max):
@@ -260,28 +216,29 @@ def minimal_resolution(module, i_max):
 
     Syzygies over G are computed over the polynomial cover with the
     quotient relations adjoined as extra columns, then reduced mod J.
-    Unit entries are stripped from the presentation first; the result's
-    `kept_relations` indexes the relations left after that, which are the
-    module's own when it has no unit entry and no zero relation.
+    Unit entries are stripped from the presentation first
+    (`_strip_units`); the result's `kept_relations` indexes the relations
+    left after that, which are the module's own when it has no unit entry
+    and no zero relation.
     """
     ring = module.ring
     if ring.setting != GRADED:
         raise ResolutionError("minimal_resolution needs a graded ring")
-    module = _minimize_presentation(module)
-    strands = Strands(ring)
+    nf = quotient_table(ring)
 
-    def column(vec):
-        """A vector of polynomials as a column, in normal form mod J."""
-        col = as_column(vec)
+    def reduced(col):
+        """A column in normal form mod J."""
         if not ring.quotient:
             return col
-        return {(a, e): c for (a, (_, e)), c in strands.nf(col, strands.one).items()}
+        return {(a, e): c for (a, (_, e)), c in nf(col, (0, (0,) * ring.nvars)).items()}
 
-    shifts_per_term = [tuple(module.column_degrees)]
+    shifts, cols = _strip_units(ring, module.column_degrees,
+                                [as_column(rel) for rel in module.relations])
+    candidates = [reduced(col) for col in cols]
+    shifts_per_term = [tuple(shifts)]
     diffs = [None]
 
-    candidates = [column(rel) for rel in module.relations]
-    chosen = minimal_generators(strands, candidates, shifts_per_term[0])
+    chosen = minimal_generators(nf, candidates, shifts_per_term[0])
     kept_relations = [k for k, _deg in chosen]
 
     for i in range(1, i_max + 1):
@@ -301,8 +258,8 @@ def minimal_resolution(module, i_max):
         aug_cols += [[q if b == a else ring.zero() for b in range(len(row_shifts))]
                      for q in ring.quotient for a in range(len(row_shifts))]
         raw = syzygies(ring, aug_cols, row_shifts)
-        candidates = [column(u[:len(current)]) for u in raw]
-        chosen = minimal_generators(strands, candidates, col_degs)
+        candidates = [reduced(as_column(u[:len(current)])) for u in raw]
+        chosen = minimal_generators(nf, candidates, col_degs)
 
     return GradedFreeResolution(ring, shifts_per_term, diffs, i_max,
                                 kept_relations=kept_relations)
@@ -350,10 +307,9 @@ def tor_from_resolution(res, mN, i_max, j_max):
     of the spectral sequence of that complex."""
     from .filtered import FilteredComplex, tensor_complex
     from .spectral import page
-    pieces = GradedModulePieces(mN, j_max)
+    nf = GradedModulePieces(mN, j_max).nf
     top = min(res.length, i_max + 1) + 1
-    levels, diffs = tensor_complex(res.shifts[:top], res.diffs[:top], pieces.nf, pieces.basis,
-                                   j_max)
+    levels, diffs = tensor_complex(res.shifts[:top], res.diffs[:top], nf, j_max)
     homology = page(FilteredComplex(mN.ring.field, levels, diffs, j_max), 1).dims
     return BigradedSeries(i_max, j_max, {c: h for c, h in homology.coefficients.items()
                                          if c[0] <= i_max})

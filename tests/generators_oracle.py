@@ -15,9 +15,10 @@ import itertools
 import operator
 
 from grtor.linalg import sparse_pivots
+from grtor.resolution import free_basis
 
 
-def sparse_minimal_generators(strands, columns, row_shifts):
+def sparse_minimal_generators(nf, columns, row_shifts):
     """[(index in `columns`, internal degree)] as `minimal_generators`
     returns them, for columns {(row, exponents): c}."""
     items = []
@@ -29,11 +30,11 @@ def sparse_minimal_generators(strands, columns, row_shifts):
     chosen = []
     for d, group in itertools.groupby(items, key=operator.itemgetter(1)):
         group = list(group)
-        index = {key: n for n, key in enumerate(strands.free_basis(row_shifts, d))}
-        span = (strands.column(columns[k], index, mono)
-                for k, e in chosen for mono in strands.piece(d - e))
-        fresh = (strands.column(columns[k], index) for k, _ in group)
-        pivots = list(sparse_pivots(strands.ring.field, itertools.chain(span, fresh)))
+        index = {key: n for n, key in enumerate(free_basis(nf, row_shifts, d))}
+        span = (nf.column(columns[k], (0, mono), index)
+                for k, e in chosen for mono in nf.terms(0, d - e))
+        fresh = (nf.column(columns[k], (0, (0,) * nf.ring.nvars), index) for k, _ in group)
+        pivots = list(sparse_pivots(nf.ring.field, itertools.chain(span, fresh)))
         chosen += [item for item, p in zip(group, pivots[-len(group):]) if p is not None]
     return chosen
 

@@ -348,8 +348,18 @@ def test_tor_gr_unit_ideal_prints_zero_series(tmp_path, capsys, module):
     assert json.loads(out)["series"]["terms"] == []
 
 
-@pytest.mark.parametrize("damage", ["cut inside a diff block", "diff before its terms",
-                                    "non-integer field"])
+# a damaged line: (the line as written, the line as damaged)
+LINE_DAMAGES = {
+    "non-integer field": ("imax 3", "imax three"),
+    "term keywords": ("term 0 dim 4 levels 5 4 0 4", "term 0 size 4 lv 5 4 0 4"),
+    "diff keyword": ("diff 1 nnz 0", "diff 1 count 0"),
+    "imax with two values": ("imax 3", "imax 3 9"),
+    "truncated neither 0 nor 1": ("truncated 0", "truncated 7"),
+}
+
+
+@pytest.mark.parametrize("damage", ["cut inside a diff block", "diff before its terms"]
+                         + list(LINE_DAMAGES))
 def test_malformed_synthetic_complex_is_usage_error(tmp_path, capsys, damage):
     from grtor.spectral import random_filtered_complex
     lines = random_filtered_complex(3).to_text().splitlines()
@@ -359,7 +369,9 @@ def test_malformed_synthetic_complex_is_usage_error(tmp_path, capsys, damage):
     elif damage == "diff before its terms":
         lines = [ln for ln in lines if not ln.startswith("term")]
     else:
-        lines = [ln.replace("imax 3", "imax three") for ln in lines]
+        old, new = LINE_DAMAGES[damage]
+        assert old in lines
+        lines = [new if ln == old else ln for ln in lines]
     fc = tmp_path / "bad.fc"
     fc.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(capsys, ["check-theorem", "--synthetic", str(fc)])

@@ -9,9 +9,9 @@ from grtor.fields import Field
 from grtor.groebner import (CapExceededError, GroebnerError, IdealPresentation, colength,
                             groebner_basis, ideal_intersection, ideal_product,
                             initial_ideal, leading_monomial_ideal, module_groebner_basis,
-                            normal_form, standard_basis, syzygies)
+                            normal_form, quotient_table, standard_basis, syzygies)
 from grtor.poly import LOCAL, Ring
-from grtor.resolution import Strands
+from grtor.resolution import free_basis
 
 from layers_oracle import hilbert_function, monomials_of_degree
 from poly_oracle import column, monomial_multiple
@@ -179,12 +179,12 @@ def test_syzygies_three_quadrics():
         assert total.is_zero()
     # degreewise completeness against the strand-kernel oracle
     gen_degs = [2, 2, 2]
-    strands = Strands(R)
+    nf = quotient_table(R)
     zero = R.field.zero
     for degree in range(2, 7):
-        src = strands.free_basis(gen_degs, degree)
-        dst_index = {key: n for n, key in enumerate(strands.free_basis((0,), degree))}
-        mat_cols = [strands.column(column(cols[b]), dst_index, mono) for b, (_, mono) in src]
+        src = free_basis(nf, gen_degs, degree)
+        dst_index = {key: n for n, key in enumerate(free_basis(nf, (0,), degree))}
+        mat_cols = [nf.column(column(cols[b]), key, dst_index) for b, key in src]
         mat = [[col.get(r, zero) for col in mat_cols] for r in range(len(dst_index))]
         expected = len(kernel_basis(R.field, mat, len(src))) if src else 0
         # span of the computed syzygies' strand vectors
@@ -197,7 +197,7 @@ def test_syzygies_three_quadrics():
             ud = udeg.pop()
             for mono in monomials_of_degree(2, degree - ud):
                 vec = [monomial_multiple(p, mono) for p in u]
-                span_cols.append(strands.column(column(vec), index))
+                span_cols.append(nf.column(column(vec), (0, (0, 0)), index))
         got = rank(R.field, [[col.get(r, zero) for col in span_cols]
                              for r in range(len(index))]) if span_cols else 0
         assert got == expected

@@ -16,10 +16,9 @@ from grtor.fields import MAX_CHARACTERISTIC, QQ, Field, FieldError, _is_prime
 from grtor.groebner import (GroebnerError, IdealPresentation, NormalFormTable, _buchberger,
                             _divides, _leads, _reduce, _Tracked, graded_piece_basis,
                             groebner_basis, module_groebner_basis, module_normal_form,
-                            normal_form, quotient_groebner, standard_basis)
+                            normal_form, quotient_groebner, quotient_table, standard_basis)
 from grtor.linalg import ColumnEchelon, solve
 from grtor.poly import GRADED, LOCAL, Ring
-from grtor.resolution import Strands
 
 from poly_oracle import column, entries, monomial_multiple
 from reduce_oracle import oracle_leads, reduce_oracle
@@ -327,7 +326,7 @@ def test_normal_form_against_an_empty_basis_is_the_truncation(p, setting, ring_c
 
 def test_one_groebner_basis_per_quotient_ring(monkeypatch):
     # the quotient's Groebner basis is the ring's one memo: its lead
-    # monomials, the graded pieces and the strands are read off it
+    # monomials, the graded pieces and the quotient table are read off it
     calls = []
     real = groebner.groebner_basis
 
@@ -337,7 +336,8 @@ def test_one_groebner_basis_per_quotient_ring(monkeypatch):
     monkeypatch.setattr(groebner, "groebner_basis", counting)
     ring = Ring(["x1", "x2", "x3"], Field(P), GRADED, quotient=("x1^4",))
     gb = quotient_groebner(ring)
-    assert graded_piece_basis(ring, 5) == Strands(ring).piece(5)
+    table = quotient_table(ring)
+    assert graded_piece_basis(ring, 5) == table.terms(0, 5) and table.basis(6)
     assert quotient_groebner(ring) is gb and graded_piece_basis(ring, 6)
     assert calls == [ring]
 

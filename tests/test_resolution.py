@@ -8,9 +8,9 @@ from grtor.fields import Field
 from grtor.filtered import FilteredResolution, LiftError, resolve_local_cyclic
 from grtor.groebner import (GroebnerError, IdealPresentation, ModulePresentation,
                             NormalFormTable, groebner_basis, minimal_generator_indices,
-                            quotient_groebner)
+                            quotient_groebner, quotient_table)
 from grtor.poly import LOCAL, Ring
-from grtor.resolution import (GradedFreeResolution, ResolutionError, Strands,
+from grtor.resolution import (GradedFreeResolution, ResolutionError, free_basis,
                               betti_series, closed_form_tor_series,
                               compose, ek_betti_stable, minimal_generators,
                               minimal_resolution, tor_series, tor_symmetry_check)
@@ -19,6 +19,7 @@ from generators_oracle import sparse_minimal_generators
 from layers_oracle import monomials_of_degree
 from matmul_oracle import matmul_poly
 from poly_oracle import column, matrix
+from presentation_oracle import minimize_presentation
 from series_oracle import series_from_layers
 
 
@@ -189,18 +190,18 @@ def test_tor_series_of_a_rank_two_module_is_balanced_and_its_betti_table():
 
 def test_strand_coords_reject_a_term_outside_the_strand():
     R = Ring(["x", "y"], quotient=("x^2",))
-    strands = Strands(R)
-    index = {key: n for n, key in enumerate(strands.free_basis((0, 1), 2))}
+    nf = quotient_table(R)
+    index = {key: n for n, key in enumerate(free_basis(nf, (0, 1), 2))}
     vec = column([R.parse("x*y"), R.parse("x")])
-    got = strands.column(vec, index)
+    got = nf.column(vec, (0, (0, 0)), index)
     assert got == {index[(0, (0, (1, 1)))]: 1, index[(1, (0, (1, 0)))]: 1}
     # x * (x + y, 1) = (xy, x) mod x^2
-    assert strands.column(column([R.parse("x + y"), R.one()]), index, (1, 0)) == got
-    # a term above the strand, from the vector or from `mono`, is an error
+    assert nf.column(column([R.parse("x + y"), R.one()]), (0, (1, 0)), index) == got
+    # a term above the strand, from the vector or from the monomial, is an error
     with pytest.raises(GroebnerError, match="outside the basis"):
-        strands.column(column([R.parse("y^3"), R.zero()]), index)
+        nf.column(column([R.parse("y^3"), R.zero()]), (0, (0, 0)), index)
     with pytest.raises(GroebnerError, match="outside the basis"):
-        strands.column(vec, index, (0, 1))
+        nf.column(vec, (0, (0, 1)), index)
 
 
 def _random_form(rng, ring, degree):
@@ -239,11 +240,49 @@ def test_minimal_generators_match_sparse_pivots(char, quotient):
         items.append(([ring.zero()] * len(shifts), None))
         rng.shuffle(items)
         cols = [column(vec) for vec, _ in items]
-        got = minimal_generators(Strands(ring), cols, shifts)
-        assert got == sparse_minimal_generators(Strands(ring), cols, shifts)
+        got = minimal_generators(quotient_table(ring), cols, shifts)
+        assert got == sparse_minimal_generators(quotient_table(ring), cols, shifts)
         kept += len(got)
         dropped += len(cols) - len(got)
     assert kept > 20 and dropped > 20
+
+
+def _random_presentation(rng, ring):
+    """A seeded homogeneous presentation of rank 1-4 with column degrees
+    0-2, and whether a relation was given a unit entry on purpose; zero
+    entries, zero relations and constant entries also come by chance."""
+    rank = rng.randint(1, 4)
+    shifts = [rng.randint(0, 2) for _ in range(rank)]
+    rels = []
+    for _ in range(rng.randint(1, 5)):
+        d = rng.randint(min(shifts), max(shifts) + 2)
+        rels.append([_random_form(rng, ring, d - s) for s in shifts])
+    unit = rng.random() < 0.5
+    if unit:
+        a = rng.randrange(rank)
+        rel = [_random_form(rng, ring, shifts[a] - s) for s in shifts]
+        rel[a] = ring.const(rng.choice([-2, -1, 1, 3]))
+        rels.insert(rng.randrange(len(rels) + 1), rel)
+    return ModulePresentation(ring, rank, shifts, rels), unit
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+@pytest.mark.parametrize("quotient", [(), ("x^3",), ("x*y", "z^2")])
+def test_unit_stripping_matches_the_polynomial_oracle(char, quotient):
+    # the columns stripped in normal form mod J give the resolution of the
+    # presentation that the polynomial Gaussian elimination strips
+    rng = random.Random(101 * char + len(quotient))
+    ring = Ring(["x", "y", "z"], Field(char), quotient=quotient)
+    units = stripped_rank_two = 0
+    for _ in range(67):
+        module, unit = _random_presentation(rng, ring)
+        oracle = minimize_presentation(module)
+        got, want = minimal_resolution(module, 2), minimal_resolution(oracle, 2)
+        assert got.shifts == want.shifts and got.diffs == want.diffs
+        assert got.kept_relations == want.kept_relations
+        units += unit
+        stripped_rank_two += module.free_rank >= 2 and oracle.free_rank < module.free_rank
+    assert 20 < units < 47 and stripped_rank_two > 10
 
 
 def _form_lists(rng, field):
@@ -284,7 +323,7 @@ def test_groebner_membership_matches_the_strand_echelon(char):
     kept = dropped = 0
     for ring, forms in [(R, gb)] + list(_form_lists(rng, Field(char))):
         got = minimal_generator_indices(ring, forms)
-        want = minimal_generators(Strands(ring), [column([f]) for f in forms], (0,))
+        want = minimal_generators(quotient_table(ring), [column([f]) for f in forms], (0,))
         assert got == [k for k, _deg in want]
         kept += len(got)
         dropped += len(forms) - len(got)
