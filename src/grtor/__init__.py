@@ -17,9 +17,8 @@ from .groebner import (IdealPresentation, ModulePresentation, colength,
 from .resolution import (GradedFreeResolution, betti_series,
                          closed_form_tor_series, ek_betti_stable,
                          minimal_resolution, tor_series, tor_symmetry_check)
-from .filtered import (FilteredComplex, FilteredResolution, StableFiltration,
-                       filtered_tensor, lift_resolution,
-                       resolve_local_cyclic, tor_local_low)
+from .filtered import (FilteredComplex, FilteredResolution, filtered_tensor,
+                       lift_resolution, resolve_local_cyclic, tor_local_low)
 from .spectral import (SpectralPage, PageCancellation, cancellations_at_page,
                        infinity_page, page, random_filtered_complex,
                        run_to_stability)
@@ -37,9 +36,8 @@ __all__ = [
     "GradedFreeResolution", "betti_series", "closed_form_tor_series",
     "ek_betti_stable", "minimal_resolution", "tor_series",
     "tor_symmetry_check",
-    "FilteredComplex", "FilteredResolution", "StableFiltration",
-    "filtered_tensor", "lift_resolution",
-    "resolve_local_cyclic", "tor_local_low",
+    "FilteredComplex", "FilteredResolution", "filtered_tensor",
+    "lift_resolution", "resolve_local_cyclic", "tor_local_low",
     "SpectralPage", "PageCancellation", "cancellations_at_page",
     "infinity_page", "page", "random_filtered_complex", "run_to_stability",
 ]

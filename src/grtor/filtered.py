@@ -6,17 +6,18 @@ over the residue field.
 Filtrations are m-adic on modules and shifted-m-adic on free modules
 (F^j = ⊕ m^{j - a_k}); these are the two families the worked examples
 use.  All local data carries a degree cap; the associated graded
-statements below hold in degrees <= cap.
+statements below hold in degrees <= cap.  On a free module the cap
+bounds filtration degree: x^e in row k has degree |e| + a_k.
 """
 
 from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
                        NormalFormTable, as_column, as_vector, colength_from_leads,
                        graded_twin, ideal_intersection, ideal_product, ideal_sum, initial_forms,
                        leading_monomial_ideal, quotient_table, standard_basis,
-                       standard_monomial_layers, _submul)
+                       standard_monomial_layers, _submul, _truncate)
 from .fields import GrtorError
 from .poly import LOCAL
-from .resolution import check_composes_to_zero, compose, minimal_resolution, strand_solve
+from .resolution import compose, minimal_resolution, strand_solve
 from .series import BigradedSeries
 
 
@@ -28,25 +29,12 @@ class LiftWindowExceededError(LiftError):
     pass
 
 
-M_ADIC = "m-adic"
-SHIFTED_M_ADIC = "shifted-m-adic"
-
-
-class StableFiltration:
-    """m-stable filtration descriptor: m-adic on a module, or
-    shifted-m-adic on a free module (componentwise m^{j - a_k})."""
-
-    def __init__(self, kind=M_ADIC, shifts=()):
-        if kind not in (M_ADIC, SHIFTED_M_ADIC):
-            raise LiftError("unknown filtration kind %r" % (kind,))
-        self.kind = kind
-        self.shifts = tuple(shifts)
-
-
 class FilteredResolution:
     """Free resolution over the local ring with shifted-m-adic filtrations
-    whose associated graded complex is the graded resolution `graded`, up
-    to the degree cap.  diffs[i] maps F_i to F_{i-1} as one column
+    whose associated graded complex is the graded resolution `graded`,
+    inside the window of filtration degree <= cap: a term x^e of row a of
+    F_i has filtration degree |e| + shifts[i][a], and the terms past the
+    window are dropped.  diffs[i] maps F_i to F_{i-1} as one column
     {(row, exponents): c} per basis vector of F_i, as the graded
     resolution holds its own (diffs[0] is None)."""
 
@@ -62,13 +50,17 @@ class FilteredResolution:
         return len(self.shifts) - 1
 
     def check_postconditions(self):
-        """d o d = 0 up to cap, entries filtered, gr(d) equals the input
-        graded differentials.  Raises on violation."""
-        check_composes_to_zero(NormalFormTable(self.ring, [], cap=self.cap), self.diffs,
-                               lambda i: LiftError("lifted differentials do not compose to zero"))
+        """Inside the window: d o d = 0, entries filtered, and gr(d) equals
+        the input graded differentials (a graded column past the window
+        has no lift).  Raises on violation."""
+        fld, cap = self.ring.field, self.cap
         for i in range(1, len(self.shifts)):
             src, dst = self.shifts[i], self.shifts[i - 1]
+            prev = self.diffs[i - 1]
             for b, (col, g) in enumerate(zip(self.diffs[i], self.graded.diffs[i])):
+                if i >= 2 and compose(fld, prev, col, cap, self.shifts[i - 2]):
+                    raise LiftError("lifted differentials do not compose to zero")
+                g = g if src[b] <= cap else {}
                 lost = {a for a, _ in g} - {a for a, _ in col}
                 if lost:
                     raise LiftError("lift lost a graded entry at (%d,%d,%d)" % (i, min(lost), b))
@@ -90,9 +82,10 @@ def lift_resolution(gres, generators, cap):
     graded differential, with matching initial forms (a standard basis
     subset).  The lift starts from the graded columns and kills the
     components of d o d order by order using exactness of the graded
-    resolution; every correction strictly raises filtration order, so
-    the loop stops at the cap, or at the local ring's cap if that is
-    lower: the result's `cap`, where every product is truncated.
+    resolution.  The window is filtration degree <= cap, or <= the local
+    ring's cap if that is lower: the result's `cap`.  Every column,
+    product and correction is cut there, so each residual term lies in
+    the window, and every correction strictly raises its order.
     """
     if not generators:
         raise LiftError("need the local generators lifting the first differential")
@@ -113,41 +106,36 @@ def lift_resolution(gres, generators, cap):
 
     cap = min(cap, local_ring.cap)
     shifts = [tuple(s) for s in gres.shifts]
-    diffs = [None, [as_column([g.truncate(cap)]) for g in generators]]
+    diffs = [None, [_truncate(as_column([g]), shifts[0], cap) for g in generators]]
     nf = quotient_table(gring)
     fld = local_ring.field
     one = (0,) * local_ring.nvars
 
     for i in range(2, len(shifts)):
-        prev = diffs[i - 1]
+        prev, src, dst = diffs[i - 1], shifts[i - 1], shifts[i - 2]
         cols = []
         for c, gcol in enumerate(gres.diffs[i]):
-            col = {k: x for k, x in gcol.items() if sum(k[1]) <= cap}
+            col = _truncate(gcol, src, cap)
             # prev * col; a correction u updates it by -prev * u, since
             # truncation is linear and prev never lowers a degree
-            residual = compose(fld, prev, col, cap)
-            guard = 0
+            residual = compose(fld, prev, col, cap, dst)
             last_order = -1
             while residual:
-                target_deg = min(sum(e) + shifts[i - 2][a] for a, e in residual)
+                target_deg = min(sum(e) + dst[a] for a, e in residual)
                 if target_deg <= last_order:
                     raise LiftWindowExceededError(
                         "correction order did not increase at column %d of d_%d" % (c, i))
                 last_order = target_deg
                 low = {(a, e): x for (a, e), x in residual.items()
-                       if sum(e) + shifts[i - 2][a] == target_deg}
-                u = strand_solve(nf, gres.diffs[i - 1], shifts[i - 1], shifts[i - 2], low,
-                                 target_deg)
+                       if sum(e) + dst[a] == target_deg}
+                u = strand_solve(nf, gres.diffs[i - 1], src, dst, low, target_deg)
                 if u is None:
                     raise LiftWindowExceededError(
                         "no graded correction in degree %d at column %d of d_%d"
                         % (target_deg, c, i))
-                _submul(fld, col, u, one, fld.one, cap)  # col -= u, below the cap
+                _submul(fld, col, u, one, fld.one, cap, src)  # col -= u, in the window
                 for (t, e), x in u.items():
-                    _submul(fld, residual, prev[t], e, x, cap)
-                guard += 1
-                if guard > cap + 2:
-                    raise LiftWindowExceededError("correction failed to converge below the cap")
+                    _submul(fld, residual, prev[t], e, x, cap, dst)
             cols.append(col)
         diffs.append(cols)
 

@@ -159,27 +159,22 @@ class GradedFreeResolution:
                             "of degree %d" % (a, b, i, src[b] - dst[a]))
                     if src[b] == dst[a]:
                         raise ResolutionError("minimal resolution has a unit entry")
-        check_composes_to_zero(quotient_table(self.ring), self.diffs, lambda i: ResolutionError(
-            "d o d is nonzero at homological degree %d" % i))
+        nf = quotient_table(self.ring)
+        key = (0, (0,) * self.ring.nvars)  # the key of 1 * e_0
+        for i in range(2, len(self.diffs)):
+            if any(nf(compose(self.ring.field, self.diffs[i - 1], col, nf.cap), key)
+                   for col in self.diffs[i]):
+                raise ResolutionError("d o d is nonzero at homological degree %d" % i)
 
 
-def compose(field, d, col, cap=None):
+def compose(field, d, col, cap=None, shifts=None):
     """The column d * col of a differential d (as columns) times a column
-    over its source, with the product terms past the cap dropped."""
+    over its source, with the product terms whose degree (plus its row's
+    shift in the target, given `shifts`) passes the cap dropped."""
     out = {}
     for (t, e), x in col.items():
-        _submul(field, out, d[t], e, field.neg(x), cap)
+        _submul(field, out, d[t], e, field.neg(x), cap, shifts)
     return out
-
-
-def check_composes_to_zero(nf, diffs, error):
-    """Raise error(i) for the first i >= 2 with d_{i-1} d_i nonzero modulo
-    the basis of the rank-1 table `nf`, below its cap, at the first
-    nonzero column."""
-    key = (0, (0,) * nf.ring.nvars)  # the key of 1 * e_0
-    for i in range(2, len(diffs)):
-        if any(nf(compose(nf.ring.field, diffs[i - 1], col, nf.cap), key) for col in diffs[i]):
-            raise error(i)
 
 
 def _strip_units(ring, shifts, cols):

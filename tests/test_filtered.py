@@ -1,18 +1,19 @@
 """Lifted filtered resolutions, the filtered tensor complex, gr, and the
 exact low-degree local Tor oracle."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grtor.cli import main
 from grtor.fields import Field
 from grtor.groebner import (CapExceededError, IdealPresentation, ModulePresentation,
                             graded_twin, initial_ideal, minimal_initial_forms,
                             normal_form, standard_basis)
-from grtor.filtered import (FilteredComplex, LiftError, StableFiltration,
-                            filtered_tensor, lift_resolution,
+from grtor.filtered import (FilteredComplex, LiftError, filtered_tensor, lift_resolution,
                             resolve_local_cyclic, tor_local_low)
 from grtor.poly import GRADED, LOCAL, Ring
 from grtor.resolution import tor_series
@@ -71,19 +72,79 @@ def test_lift_cap_is_at_most_the_ring_cap():
         filtered_tensor(fres, IdealPresentation(L, ["a - e^2", "b + c^2"]), 8)
 
 
-def stability_bound(f):
-    """m * M^j = M^{j+1} holds for every j >= this bound."""
-    if f.kind == "m-adic":
-        return 0
-    return max(f.shifts) if f.shifts else 0
+# pairs of ideals of k[[X, Y, Z]] on which a lift that truncates in
+# polynomial degree but picks its targets in filtration degree asks for a
+# correction past the cap, whatever the cap
+WINDOW_PAIRS = [
+    ("2*Z + 2*Y*Z + 2*Y", "2*X^2 - 2*Y, -2*Y*Z^2 + 2*X^3, -2*Y^2 + X^3"),
+    ("2*Y*Z^2, 2*X + X*Y - Y^2, Y^4", "-2*Z^3"),
+    ("X^3 - X*Z, -Z^2 + 2*Y + 2*X, 2*Y^3 - Y^4", "-Y*Z, X^2, -2*X*Y + Z^4 + 2*Z^3"),
+    ("2*X*Y - X^2*Y", "-2*Y*Z, -Y^2 - Z^3 - 2*X^2*Y, 3*Y + 2*Z + 3*X*Y"),
+    ("Y*Z - Z^3, 3*Y*Z^2 - 2*Y*Z, 3*Z^2 - 2*Y^3 + X*Z", "2*X + Y - 2*Z^3"),
+    ("3*Z - 2*Z^4 + X^3, 2*X*Y + 3*Y^3, 2*X^2*Y + 2*Z^3", "2*Z"),
+    ("-2*Y*Z^2 - 2*X^2*Y, -2*Z^4 + 3*X*Z, X*Z + X^3 + Y^4",
+     "3*X^3 + 2*Y^2 - X^2*Y, -Z + 2*Z^2 + 3*Y^2, 2*X"),
+]
 
 
-def test_filtration_descriptor():
-    f = StableFiltration("shifted-m-adic", (0, 2, 4))
-    assert stability_bound(f) == 4
-    assert stability_bound(StableFiltration()) == 0
-    with pytest.raises(LiftError, match="unknown filtration kind"):
-        StableFiltration("adic")
+def _three_variable_ideal(rng):
+    """Generators of a seeded ideal of k[[X, Y, Z]]: one to three, each
+    of one to three terms of degree 1 to 4."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [0, 0, 0]
+            for _ in range(rng.randint(1, 4)):
+                e[rng.randrange(3)] += 1
+            terms["*".join("%s^%d" % (v, k) for v, k in zip("XYZ", e) if k)] = \
+                rng.choice([-2, -1, 1, 2, 3])
+        gens.append(" + ".join("%d*%s" % (c, m) for m, c in terms.items()))
+    return ", ".join(gens)
+
+
+WINDOW_SEEDS = range(16)
+WINDOW_CASES = WINDOW_PAIRS + [(_three_variable_ideal(rng), _three_variable_ideal(rng))
+                               for rng in map(random.Random, WINDOW_SEEDS)]
+
+
+@pytest.mark.parametrize("pair", WINDOW_CASES,
+                         ids=["pair%d" % k for k in range(len(WINDOW_PAIRS))]
+                         + ["seed%d" % k for k in WINDOW_SEEDS])
+def test_lift_window_is_filtration_degree(tmp_path, capsys, pair):
+    # truncation, corrections and postconditions all measure |e| + shift,
+    # so every residual term lies in the window and has a correction: the
+    # lift of each side finishes, and check-theorem agrees in both
+    # orientations (Tor is balanced) up to imax, the resolved side's length
+    ring = Ring(["X", "Y", "Z"], Field(32003), LOCAL, cap=16)
+    for gens in pair:
+        resolve_local_cyclic(IdealPresentation(ring, gens.split(",")), 16).check_postconditions()
+    runs = []
+    for m_gens, n_gens in (pair, pair[::-1]):
+        job = tmp_path / "window.job"
+        job.write_text("[ring]\nvariables = X Y Z\nsetting = local\n\n[module M]\nideal = %s\n\n"
+                       "[module N]\nideal = %s\n" % (m_gens, n_gens))
+        code = main(["check-theorem", str(job), "--jmax", "8", "--char", "32003",
+                     "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), (m_gens, n_gens)
+        runs.append(json.loads(out))
+    a, b = runs
+    for key in ("certificate", "verdict", "r_stab", "verified", "page1_matches_tor"):
+        assert a[key] == b[key], key
+    for key in ("page1", "tor_graded"):
+        assert (a[key]["jmax"], a[key]["terms"]) == (b[key]["jmax"], b[key]["terms"]), key
+    if a["validity_window"] == b["validity_window"]:
+        assert a["boundary_indeterminate"] == b["boundary_indeterminate"]
+        assert a["page_infinity"]["terms"] == b["page_infinity"]["terms"]
+    else:
+        # one tensor complex is exact (its window is jmax), the other a
+        # truncation: page infinity agrees on the cells the truncation settles
+        assert pair not in WINDOW_PAIRS and 8 in (a["validity_window"], b["validity_window"])
+        flagged = {tuple(c) for run in runs for c in run["page_infinity_indeterminate"]}
+        settled = [[t for t in run["page_infinity"]["terms"] if tuple(t[:2]) not in flagged]
+                   for run in runs]
+        assert settled[0] == settled[1]
 
 
 def test_tensor_unit_module_is_resolution_itself():
