@@ -141,8 +141,10 @@ def cmd_gr(args, out):
     basis = standard_basis(ideal, cap)
     ini = minimal_initial_forms(graded_twin(ring), basis)
     lm = basis_leads(basis)
-    series = BigradedSeries(0, args.jmax)
-    for j, layer in enumerate(standard_monomial_layers(lm, ring.nvars, args.jmax)):
+    # the leads are certified to the cap only: past it the series is cut
+    window = min(args.jmax, cap)
+    series = BigradedSeries(0, window)
+    for j, layer in enumerate(standard_monomial_layers(lm, ring.nvars, window)):
         series._set(0, j, len(layer))
     mass = colength_from_leads(ring, lm, cap)
     if args.format == "json":
@@ -151,12 +153,12 @@ def cmd_gr(args, out):
             "initial_ideal": [str(g) for g in ini],
             "series": series_json(series),
             "colength": (None if mass == float("inf") else mass),
-            "validity_window": min(args.jmax, cap),
+            "validity_window": window,
         }, sort_keys=True) + "\n")
     else:
         out.write("initial ideal: (%s)\n" % ", ".join(str(g) for g in ini))
         out.write("colength: %s\n" % ("infinite" if mass == float("inf") else mass))
-        out.write("hilbert series of the associated graded (j <= %d):\n" % args.jmax)
+        out.write("hilbert series of the associated graded (j <= %d):\n" % window)
         emit_series(series, args.format, out)
     return EXIT_OK
 

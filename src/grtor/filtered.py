@@ -394,6 +394,8 @@ def tor_local_low(I, J, j_max, cap=None):
     """
     ring = I.ring
     cap = cap if cap is not None else ring.cap
+    if j_max > cap:
+        raise CapExceededError("series truncation %d exceeds the cap %d" % (j_max, cap))
     total = ideal_sum(I, J)
     inter = ideal_intersection(I, J, cap)
     prod = ideal_product(I, J)

@@ -684,14 +684,6 @@ def colength_from_leads(ring, lm, cap=None):
     return math.inf
 
 
-def graded_piece_basis(ring, j):
-    """Monomial k-basis of (k[x]/quotient)_j, via a Groebner basis of the
-    quotient; sorted descending in the ring order."""
-    if ring.setting != GRADED:
-        raise GroebnerError("graded_piece_basis needs a graded ring")
-    return quotient_table(ring).terms(0, j)
-
-
 def quotient_table(ring):
     """The normal-form table of G = k[x]/quotient against the quotient's
     Groebner basis: its `terms(0, j)` is the monomial basis of G_j."""

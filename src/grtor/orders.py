@@ -58,17 +58,6 @@ class MonomialOrder:
         self.kind = kind
         self.key, self.descending_key = _KEYS[kind]
 
-    def compare(self, m1, m2):
-        """-1, 0 or 1 as m1 <, =, > m2.  Vectors must have equal length."""
-        if len(m1) != len(m2):
-            raise OrderError("exponent vectors of unequal length: %d vs %d" % (len(m1), len(m2)))
-        k1, k2 = self.key(m1), self.key(m2)
-        if k1 < k2:
-            return -1
-        if k1 > k2:
-            return 1
-        return 0
-
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.kind == other.kind
 
@@ -77,8 +66,3 @@ class MonomialOrder:
 
     def __repr__(self):
         return "MonomialOrder(%r)" % self.kind
-
-
-def compare(order, m1, m2):
-    """Module-level comparison helper; see MonomialOrder.compare."""
-    return order.compare(tuple(m1), tuple(m2))

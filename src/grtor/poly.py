@@ -139,19 +139,18 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def sorted_terms(self, order=None):
-        """Terms sorted descending in the given (default ring) order."""
-        order = order or self.ring.order
-        return sorted(self.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True)
+    def sorted_terms(self):
+        """Terms sorted descending in the ring order."""
+        key = self.ring.order.key
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
 
-    def leading_monomial(self, order=None):
+    def leading_monomial(self):
         if not self.terms:
             raise RingError("leading monomial of zero")
-        order = order or self.ring.order
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=self.ring.order.key)
 
-    def leading_coefficient(self, order=None):
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self):
+        return self.terms[self.leading_monomial()]
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.ring.field.zero)
@@ -238,11 +237,10 @@ class Polynomial:
             n >>= 1
         return result
 
-    def monic(self, order=None):
+    def monic(self):
         if not self.terms:
             return self
-        lc = self.leading_coefficient(order)
-        return self.scale(self.ring.field.inv(lc))
+        return self.scale(self.ring.field.inv(self.leading_coefficient()))
 
     # equality / printing ---------------------------------------------------
 

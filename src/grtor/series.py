@@ -85,14 +85,6 @@ class BigradedSeries:
 
     # arithmetic -------------------------------------------------------------
 
-    def add(self, other):
-        if not self.same_bounds(other):
-            raise SeriesError("truncation mismatch")
-        out = self.copy()
-        for (i, j), c in other.coefficients.items():
-            out._set(i, j, out.get(i, j) + c)
-        return out
-
     def subtract(self, other):
         """Componentwise difference; raises with a witness cell on negativity."""
         if not self.same_bounds(other):
@@ -197,12 +189,6 @@ class CancellationCertificate:
 
     def __eq__(self, other):
         return isinstance(other, CancellationCertificate) and self.steps == other.steps
-
-    def multiset(self):
-        out = {}
-        for s in self.steps:
-            out[s] = out.get(s, 0) + 1
-        return out
 
     def to_text(self):
         lines = ["steps %d" % len(self.steps)]

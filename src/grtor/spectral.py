@@ -149,11 +149,6 @@ def page(L, r):
     return _page(L, _pairing(L), r)
 
 
-def infinity_page(L):
-    """The limit page: the unpaired units, flagged as in run_to_stability."""
-    return run_to_stability(L).page_infinity
-
-
 def cancellations_at_page(L, r):
     """Multiset of cancellations dying between pages r and r+1, plus the
     boundary-indeterminate units (truncated complexes only).

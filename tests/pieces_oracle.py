@@ -6,7 +6,7 @@ every relation multiple in every degree is row-reduced in a dense
 echelon on the free cover's strand basis.  Slow; tests only.
 """
 
-from grtor.groebner import graded_piece_basis, normal_form, quotient_groebner
+from grtor.groebner import normal_form, quotient_groebner, quotient_table
 
 from poly_oracle import monomial_multiple
 from spectral_oracle import ColumnEchelon
@@ -37,18 +37,19 @@ class EchelonPieces:
         self.j_max = j_max
         self.field = self.ring.field
         self.gb = quotient_groebner(self.ring)
+        pieces = quotient_table(self.ring)
         self._free = {}
         self._free_index = {}
         self._echelon = {}
         self._quotient_index = {}
         for d in range(0, j_max + 1):
             basis = [(col, mono) for col, s in enumerate(module.column_degrees)
-                     for mono in graded_piece_basis(self.ring, d - s)]
+                     for mono in pieces.terms(0, d - s)]
             self._free[d] = basis
             self._free_index[d] = {key: n for n, key in enumerate(basis)}
             ech = ColumnEchelon(self.field, range(len(basis)))
             for rel, rdeg in zip(module.relations, relation_degrees(module)):
-                for mono in graded_piece_basis(self.ring, d - rdeg):
+                for mono in pieces.terms(0, d - rdeg):
                     vec = [self.field.zero] * len(basis)
                     for col, p in enumerate(rel):
                         if p.is_zero():

@@ -1,5 +1,8 @@
 """Series helpers that only tests read: a series from nested layer
-dicts, its layer sums and its Euler characteristic.  Tests only."""
+dicts, the sum of two series, layer sums and the Euler characteristic.
+Tests only."""
+
+from collections import Counter
 
 from grtor.series import BigradedSeries
 
@@ -12,6 +15,13 @@ def series_from_layers(i_max, j_max, layers):
             if c:
                 s._set(i, j, s.get(i, j) + c)
     return s
+
+
+def add(a, b):
+    """Coefficientwise sum of two series with the same bounds."""
+    assert a.same_bounds(b)
+    return BigradedSeries(a.i_max, a.j_max,
+                          Counter(a.coefficients) + Counter(b.coefficients))
 
 
 def layer_sums(series):

@@ -16,7 +16,7 @@ from grtor.poly import LOCAL, Ring
 from grtor.resolution import closed_form_tor_series, tor_series
 from grtor.series import (BigradedSeries, decide_cancellation,
                           decide_cancellation_bruteforce, verify_certificate)
-from grtor.spectral import (cancellations_at_page, infinity_page, page,
+from grtor.spectral import (cancellations_at_page, page,
                             random_filtered_complex, run_to_stability)
 from series_oracle import alternating_sum, layer_sums
 from spectral_oracle import Engine, delta_counts, infinity_dims_direct
@@ -169,7 +169,7 @@ def test_a5_proof_mechanics_property_suite():
             current = current.subtract_cancellation(step)
         assert current == run.page_infinity.dims, seed
         # two-path agreement
-        assert infinity_page(L).dims == infinity_dims_direct(L), seed
+        assert run_to_stability(L).page_infinity.dims == infinity_dims_direct(L), seed
         # every page against the oracle, monotonicity + conservation
         prev = None
         base = None

@@ -158,6 +158,27 @@ def test_gr_homogeneous_echo(tmp_path, capsys):
     assert "initial ideal: (X^2 + Y^2)" in out
 
 
+def test_gr_series_stops_at_the_validity_window(tmp_path, capsys):
+    # at cap 3 the leads past degree 3 are unknown (y^5 joins in(I) at
+    # cap 12), so the series ends at the window, in JSON and in the header
+    runs = {}
+    for cap in (3, 12):
+        job = tmp_path / ("cap%d.job" % cap)
+        job.write_text("[ring]\nvariables = x y\nsetting = local\n\n[module M]\n"
+                       "ideal = x*y, x^3 + y^4\n\n[bounds]\ncap = %d\n" % cap)
+        code, out, _ = run_cli(capsys, ["gr", str(job), "--jmax", "8", "--format", "json"])
+        assert code == 0
+        runs[cap] = json.loads(out)
+        code, out, _ = run_cli(capsys, ["gr", str(job), "--jmax", "8"])
+        assert code == 0 and "(j <= %d)" % min(8, cap) in out
+    low, high = runs[3], runs[12]
+    assert low["validity_window"] == low["series"]["jmax"] == 3
+    assert high["validity_window"] == high["series"]["jmax"] == 8
+    assert max(j for _i, j, _c in low["series"]["terms"]) == 3
+    assert low["series"]["terms"] == [t for t in high["series"]["terms"] if t[1] <= 3]
+    assert "y^5" in high["initial_ideal"]
+
+
 def test_tor_gr_series_format(graded_job, capsys):
     code, out, _ = run_cli(capsys, ["tor-gr", graded_job, "--imax", "2",
                                     "--jmax", "10", "--format", "series"])

@@ -231,8 +231,7 @@ def test_strictly_filtered_gr_equals_homology_of_gr():
     F = Field(0)
     one = F.one
     Lc = FilteredComplex(F, [[1, 0], [1, 0]], [None, [{0: one}, {1: one}]], 1)
-    from grtor.spectral import infinity_page
-    assert page(Lc, 1).dims == infinity_page(Lc).dims
+    assert page(Lc, 1).dims == run_to_stability(Lc).page_infinity.dims
 
 
 def test_tor_local_low_worked_example():
@@ -282,6 +281,23 @@ def test_tor_local_low_unit_sum():
     assert low.tor0_colength == 0
     assert low.series.coefficients.get((0, 0), 0) == 0
     assert all(low.series.get(1, j) == 0 for j in range(9))
+
+
+def test_tor_local_low_refuses_a_series_past_the_cap():
+    # past the cap the leads are unknown: at cap 3 Tor_1 would read 2 at
+    # every j = 4..8, where cap 12 gives 0 at 4, 1 at 5 and 0 past that
+    low = {}
+    for cap in (3, 12):
+        L = Ring(["x", "y"], setting=LOCAL, cap=cap)
+        I = IdealPresentation(L, ["x*y", "x^3 + y^4"])
+        J = IdealPresentation(L, ["x", "y^2"])
+        with pytest.raises(CapExceededError):
+            tor_local_low(I, J, cap + 1)
+        with pytest.raises(CapExceededError):  # a cap argument is checked too
+            tor_local_low(I, J, 8, cap=3)
+        low[cap] = tor_local_low(I, J, min(8, cap)).series
+    assert low[3].coefficients == {c: v for c, v in low[12].coefficients.items() if c[1] <= 3}
+    assert [low[12].get(1, j) for j in range(4, 9)] == [0, 1, 0, 0, 0]
 
 
 def test_serialization_roundtrip():

@@ -14,9 +14,9 @@ import pytest
 from grtor import groebner
 from grtor.fields import MAX_CHARACTERISTIC, QQ, Field, FieldError, _is_prime
 from grtor.groebner import (GroebnerError, IdealPresentation, NormalFormTable, _buchberger,
-                            _divides, _leads, _reduce, _Tracked, graded_piece_basis,
-                            groebner_basis, module_groebner_basis, module_normal_form,
-                            normal_form, quotient_groebner, quotient_table, standard_basis)
+                            _divides, _leads, _reduce, _Tracked, groebner_basis,
+                            module_groebner_basis, module_normal_form, normal_form,
+                            quotient_groebner, quotient_table, standard_basis)
 from grtor.linalg import ColumnEchelon, solve
 from grtor.poly import GRADED, LOCAL, Ring
 
@@ -299,7 +299,7 @@ def test_normal_form_column_drops_terms_past_top_and_rejects_terms_outside_the_i
     table = NormalFormTable(ring, [column([g]) for g in quotient_groebner(ring)])
     shifts = (0, 1)
     keys = [(a, (0, e)) for a in range(2) for d in range(4 - shifts[a])
-            for e in graded_piece_basis(ring, d)]
+            for e in table.terms(0, d)]
     index = {key: n for n, key in enumerate(keys)}
     col = column([ring.parse("x + 2*y"), ring.parse("y^2")])
     # (x + 2y) x = 2xy mod x^2 at level 2; y^2 x in component 1 sits at level 4
@@ -337,8 +337,8 @@ def test_one_groebner_basis_per_quotient_ring(monkeypatch):
     ring = Ring(["x1", "x2", "x3"], Field(P), GRADED, quotient=("x1^4",))
     gb = quotient_groebner(ring)
     table = quotient_table(ring)
-    assert graded_piece_basis(ring, 5) == table.terms(0, 5) and table.basis(6)
-    assert quotient_groebner(ring) is gb and graded_piece_basis(ring, 6)
+    assert table.terms(0, 5) and table.basis(6)
+    assert quotient_groebner(ring) is gb and quotient_table(ring).terms(0, 6)
     assert calls == [ring]
 
 

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from grtor.fields import QQ, Field, FieldError, field_from_name
-from grtor.orders import MonomialOrder, OrderError, compare
+from grtor.orders import MonomialOrder
 from grtor.poly import LOCAL, ParseError, Ring, RingError
-from grtor.groebner import IdealPresentation, graded_piece_basis, leading_monomial_ideal
+from grtor.groebner import IdealPresentation, leading_monomial_ideal, quotient_table
 
 from layers_oracle import standard_monomials
 
@@ -39,23 +39,17 @@ def test_field_inverse_roundtrip():
 
 
 def test_compare_degrevlex():
-    drl = MonomialOrder("degrevlex")
-    assert compare(drl, (2, 0), (1, 1)) == 1      # x^2 > xy
-    assert compare(drl, (1, 1), (0, 2)) == 1      # xy > y^2
-    assert compare(drl, (1, 0), (1, 0)) == 0
+    key = MonomialOrder("degrevlex").key
+    assert key((2, 0)) > key((1, 1))      # x^2 > xy
+    assert key((1, 1)) > key((0, 2))      # xy > y^2
+    assert key((1, 0)) == key((1, 0))
 
 
 def test_compare_local_degree():
-    loc = MonomialOrder("local-degree")
-    assert compare(loc, (1, 0), (2, 0)) == 1      # x > x^2 (lower degree wins)
-    assert compare(loc, (0, 0), (1, 0)) == 1      # 1 is maximal
-    assert compare(loc, (2, 1), (2, 1)) == 0
-
-
-def test_compare_length_mismatch_is_usage_error():
-    drl = MonomialOrder("degrevlex")
-    with pytest.raises(OrderError):
-        compare(drl, (1, 0), (1, 0, 0))
+    key = MonomialOrder("local-degree").key
+    assert key((1, 0)) > key((2, 0))      # x > x^2 (lower degree wins)
+    assert key((0, 0)) > key((1, 0))      # 1 is maximal
+    assert key((2, 1)) == key((2, 1))
 
 
 def test_order_is_total_on_small_grid():
@@ -64,9 +58,10 @@ def test_order_is_total_on_small_grid():
         mons = [(a, b) for a in range(4) for b in range(4)]
         for m1 in mons:
             for m2 in mons:
-                c = compare(order, m1, m2)
-                assert c == -compare(order, m2, m1)
-                assert (c == 0) == (m1 == m2)
+                k1, k2 = order.key(m1), order.key(m2)
+                assert (k1 == k2) == (m1 == m2)
+                # the descending key sorts the other way round
+                assert (k1 < k2) == (order.descending_key(m1) > order.descending_key(m2))
 
 
 def test_parse_and_print():
@@ -134,10 +129,10 @@ def test_local_ring_recaps_products():
 
 def test_graded_piece_basis():
     Rq = Ring(["x", "y"], quotient=["x^2"])
-    assert graded_piece_basis(Rq, 2) == [(1, 1), (0, 2)]
-    assert graded_piece_basis(Rq, 0) == [(0, 0)]
+    assert quotient_table(Rq).terms(0, 2) == [(1, 1), (0, 2)]
+    assert quotient_table(Rq).terms(0, 0) == [(0, 0)]
     Rq2 = Ring(["x", "y"], quotient=["x^2", "y^3"])
-    assert graded_piece_basis(Rq2, 4) == []
+    assert quotient_table(Rq2).terms(0, 4) == []
 
 
 def test_canonical_form_random():
@@ -180,7 +175,8 @@ def test_hilbert_series_matches_enumeration_oracle():
     # standard monomial counts from the Groebner basis vs direct enumeration
     Rq = Ring(["x", "y", "z"], quotient=["x^2 - y*z", "y^3"])
     lm = leading_monomial_ideal(IdealPresentation(Rq, Rq.quotient))
+    table = quotient_table(Rq)
     for j in range(8):
-        via_basis = len(graded_piece_basis(Rq, j))
+        via_basis = len(table.terms(0, j))
         via_enum = len(standard_monomials(lm, 3, j))
         assert via_basis == via_enum

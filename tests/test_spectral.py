@@ -2,6 +2,7 @@
 complex generator, and the proof-mechanics invariants."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,7 @@ from grtor.groebner import IdealPresentation
 from grtor.poly import LOCAL, Ring
 from grtor.series import Cancellation
 from grtor.spectral import (PageCancellation, SpectralError, _pairing,
-                            cancellations_at_page, infinity_page, page,
+                            cancellations_at_page, page,
                             random_filtered_complex, run_to_stability)
 from series_oracle import alternating_sum
 from spectral_oracle import (Engine, cancellations_by_page, delta_counts,
@@ -76,7 +77,7 @@ def test_model_oracle_agreement():
         run = run_to_stability(L)
         assert run.page1.dims == model.expected_page1(), seed
         assert run.page_infinity.dims == model.expected_infinity(), seed
-        assert run.certificate.multiset() == model.expected_certificate().multiset(), seed
+        assert Counter(run.certificate) == Counter(model.expected_certificate()), seed
 
 
 def test_cancellation_page_equals_span():
@@ -131,7 +132,7 @@ def test_two_path_infinity_agreement():
     for seed in range(20):
         L = random_filtered_complex(seed)
         direct = infinity_dims_direct(L)
-        assert infinity_page(L).dims == direct
+        assert run_to_stability(L).page_infinity.dims == direct
         assert page(L, L.j_max + 1).dims == direct
 
 
@@ -154,7 +155,7 @@ def assert_oracle_agreement(L):
         reliable = {(i, j): c for (i, j), c in coker.items() if T is None or j + r <= T}
         assert cancellation_counts(L, r) == reliable, r
         assert all(ker.get((i - 1, j + r)) == c for (i, j), c in reliable.items()), r
-    pinf = infinity_page(L)
+    pinf = run_to_stability(L).page_infinity
     direct = infinity_dims_direct(L)
     assert all(pinf.dims.get(*c) == direct.get(*c) for c in grid
                if c not in pinf.indeterminate)
@@ -240,7 +241,7 @@ def test_truncated_complex_window_and_boundary():
     assert {cell for bd in run.boundary.values() for cell in bd} == {(1, 12)}
     assert bool(run.verified)
     # the certificate reaches every pair with partner degree <= truncation
-    assert run.certificate.multiset()[Cancellation(0, 11, 12)] == 2
+    assert Counter(run.certificate)[Cancellation(0, 11, 12)] == 2
     p1 = page(L, 1)
     assert (0, 12) not in p1.indeterminate  # j + r = 13 = T + 1: still exact
     assert p1.dims.get(0, 12) == 2
@@ -248,7 +249,7 @@ def test_truncated_complex_window_and_boundary():
     p3 = page(L, 3)
     assert (0, 11) in p3.indeterminate      # j + r = 14 > T + 1
     assert (0, 10) not in p3.indeterminate
-    pinf = infinity_page(L)
+    pinf = run.page_infinity
     assert all(j <= run.window_j or (i, j) in pinf.indeterminate
                for i in range(2) for j in range(13))
 
@@ -256,8 +257,8 @@ def test_truncated_complex_window_and_boundary():
 def test_serialized_synthetic_complex_runs():
     L = random_filtered_complex(3)
     back = FilteredComplex.from_text(L.to_text())
-    assert run_to_stability(back).certificate.multiset() == \
-        run_to_stability(L).certificate.multiset()
+    assert Counter(run_to_stability(back).certificate) == \
+        Counter(run_to_stability(L).certificate)
 
 
 def _submul_entry(field, col, k, f, y):
@@ -317,6 +318,6 @@ def test_filtered_change_of_basis_keeps_pages_and_certificate(p):
                 assert other.page1.dims == run.page1.dims
                 assert other.page_infinity.dims == run.page_infinity.dims
                 assert other.r_stab == run.r_stab
-                assert other.certificate.multiset() == run.certificate.multiset()
-            cancelled += bool(run.certificate.multiset())
+                assert Counter(other.certificate) == Counter(run.certificate)
+            cancelled += bool(run.certificate)
     assert changed >= 40 and cancelled >= 20  # of 66 conjugations and 33 cases
