@@ -4,7 +4,7 @@ cancellation certificates."""
 
 __version__ = "0.1.0"
 
-from .fields import QQ, Field, GrtorError, field_from_name
+from .fields import QQ, CapExceededError, Field, GrtorError, field_from_name
 from .orders import MonomialOrder
 from .poly import GRADED, LOCAL, Polynomial, Ring, parse_ideal
 from .series import (BigradedSeries, Cancellation, CancellationCertificate,
@@ -23,7 +23,7 @@ from .spectral import (SpectralPage, PageCancellation, cancellations_at_page,
                        page, random_filtered_complex, run_to_stability)
 
 __all__ = [
-    "QQ", "Field", "GrtorError", "field_from_name", "MonomialOrder",
+    "QQ", "CapExceededError", "Field", "GrtorError", "field_from_name", "MonomialOrder",
     "GRADED", "LOCAL", "Polynomial", "Ring", "parse_ideal",
     "BigradedSeries", "Cancellation", "CancellationCertificate",
     "decide_cancellation", "verify_certificate",

@@ -1,21 +1,20 @@
 """Batch command line: parse ring/module input files, dispatch the
 pipelines, and emit series, diagrams, certificates and verdicts.
 
-Exit codes: 0 success/verified, 1 usage, parse or internal error (any
+Exit codes: 0 success/verified, 1 usage, parse or internal error (a
 GrtorError, or a file that cannot be read), 2 infeasible or unverified,
-3 validity window exhausted.
+3 validity window exhausted (a CapExceededError).
 """
 
 import argparse
 import json
 import sys
 
-from .fields import Field, GrtorError, field_from_name
-from .groebner import (CapExceededError, IdealPresentation, ModulePresentation,
+from .fields import CapExceededError, Field, GrtorError, field_from_name
+from .groebner import (IdealPresentation, ModulePresentation,
                        basis_leads, colength_from_leads, graded_twin, initial_forms,
                        minimal_initial_forms, standard_basis, standard_monomial_layers)
-from .filtered import (FilteredComplex, LiftWindowExceededError,
-                       resolve_local_cyclic, tensor_over_basis)
+from .filtered import FilteredComplex, resolve_local_cyclic, tensor_over_basis
 from .poly import GRADED, LOCAL, Ring, parse_ideal
 from .resolution import tor_from_resolution, tor_series
 from .series import BigradedSeries, decide_cancellation
@@ -27,17 +26,13 @@ EXIT_UNVERIFIED = 2
 EXIT_WINDOW = 3
 
 
-class InputError(GrtorError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise InputError, so that
+    """An argument parser whose usage errors raise GrtorError, so that
     `main` reports them as one `error:` line with exit code 1.
     Subparsers are built from the same class."""
 
     def error(self, message):
-        raise InputError(message)
+        raise GrtorError(message)
 
 
 def parse_job_file(path):
@@ -55,9 +50,9 @@ def parse_job_file(path):
                 sections.setdefault(current, {})
                 continue
             if "=" not in line:
-                raise InputError("%s:%d: expected 'key = value', got %r" % (path, lineno, raw.strip()))
+                raise GrtorError("%s:%d: expected 'key = value', got %r" % (path, lineno, raw.strip()))
             if current is None:
-                raise InputError("%s:%d: key/value outside any [section]" % (path, lineno))
+                raise GrtorError("%s:%d: key/value outside any [section]" % (path, lineno))
             key, val = line.split("=", 1)
             sections[current][key.strip().lower()] = val.strip()
     return sections
@@ -66,18 +61,18 @@ def parse_job_file(path):
 def build_ring(sections, args):
     ring_sec = sections.get("ring")
     if ring_sec is None:
-        raise InputError("input file needs a [ring] section")
+        raise GrtorError("input file needs a [ring] section")
     field = Field(args.char) if args.char else field_from_name(ring_sec.get("field", "QQ"))
     variables = ring_sec.get("variables", "").split()
     if not variables:
-        raise InputError("[ring] needs 'variables = ...'")
+        raise GrtorError("[ring] needs 'variables = ...'")
     setting = ring_sec.get("setting", "graded").lower()
     cap = args.cap
     if cap is None and "cap" in sections.get("bounds", {}):
         try:
             cap = int(sections["bounds"]["cap"])
         except ValueError:
-            raise InputError("%s: [bounds] cap = %r is not an integer"
+            raise GrtorError("%s: [bounds] cap = %r is not an integer"
                              % (args.input, sections["bounds"]["cap"])) from None
     if cap is None:
         cap = args.jmax + args.imax + 2
@@ -85,7 +80,7 @@ def build_ring(sections, args):
     if setting == LOCAL:
         ring = Ring(variables, field, LOCAL, cap=cap)
         if quotient:
-            raise InputError("local rings with quotients are out of scope; present modules by ideals")
+            raise GrtorError("local rings with quotients are out of scope; present modules by ideals")
     else:
         base = Ring(variables, field, GRADED)
         gens = parse_ideal(base, quotient) if quotient else ()
@@ -96,11 +91,11 @@ def build_ring(sections, args):
 def module_ideal(sections, name, ring):
     sec = sections.get("module %s" % name.lower(), sections.get(name.lower()))
     if sec is None:
-        raise InputError("input file needs a [module %s] section" % name)
+        raise GrtorError("input file needs a [module %s] section" % name)
     text = sec.get("ideal", "").strip()
     filtration = sec.get("filtration", "m-adic").lower()
     if filtration != "m-adic":
-        raise InputError("only the m-adic filtration is supported in job files")
+        raise GrtorError("only the m-adic filtration is supported in job files")
     gens = parse_ideal(ring, text)
     if ring.setting == LOCAL and any(g.is_zero() for g in gens):
         # a generator that is zero here but not in the graded parse died at the cap
@@ -133,10 +128,10 @@ def cmd_gr(args, out):
     sections = parse_job_file(args.input)
     ring, cap = build_ring(sections, args)
     if ring.setting != LOCAL:
-        raise InputError("gr needs a local ring (setting = local)")
+        raise GrtorError("gr needs a local ring (setting = local)")
     ideal = module_ideal(sections, "M", ring)
     if ideal is None:
-        raise InputError("gr needs a nonzero ideal in [module M]")
+        raise GrtorError("gr needs a nonzero ideal in [module M]")
     # one standard basis gives the initial ideal, its leads and the colength
     basis = standard_basis(ideal, cap)
     ini = minimal_initial_forms(graded_twin(ring), basis)
@@ -167,7 +162,7 @@ def cmd_tor_gr(args, out):
     sections = parse_job_file(args.input)
     ring, _cap = build_ring(sections, args)
     if ring.setting != GRADED:
-        raise InputError("tor-gr needs a graded ring (setting = graded)")
+        raise GrtorError("tor-gr needs a graded ring (setting = graded)")
     iM = module_ideal(sections, "M", ring)
     iN = module_ideal(sections, "N", ring)
     mM = ModulePresentation.cyclic(ring, iM.generators if iM else [])
@@ -257,23 +252,23 @@ def cmd_check_theorem(args, out):
     if args.synthetic:
         return _check_synthetic(args, out)
     if not args.input:
-        raise InputError("check-theorem needs an input file or --synthetic")
+        raise GrtorError("check-theorem needs an input file or --synthetic")
     sections = parse_job_file(args.input)
     ring, cap = build_ring(sections, args)
     if ring.setting == GRADED:
         if ring.quotient:
-            raise InputError("check-theorem covers the regular case; no ring quotients")
+            raise GrtorError("check-theorem covers the regular case; no ring quotients")
         local = Ring(ring.variables, ring.field, LOCAL, cap=cap)
     else:
         local = ring
     iM = module_ideal(sections, "M", local)
     iN = module_ideal(sections, "N", local)
     if iM is None:
-        raise InputError("check-theorem needs a nonzero ideal in [module M]")
+        raise GrtorError("check-theorem needs a nonzero ideal in [module M]")
     for name, ideal in (("M", iM), ("N", iN)):
         # the ideal holds a unit of the local ring iff a generator does
         if ideal is not None and any(g.order_degree() == 0 for g in ideal.generators):
-            raise InputError("%s = R/I is zero: the [module %s] ideal contains a unit "
+            raise GrtorError("%s = R/I is zero: the [module %s] ideal contains a unit "
                              "of the local ring" % (name, name))
 
     # one resolution of gr M and one standard basis per ideal serve both sides;
@@ -345,9 +340,11 @@ def make_parser(command=None):
 
     p_gr = sub.add_parser("gr", help="initial ideal and Hilbert series of the associated graded")
     p_gr.add_argument("input")
+    p_gr.set_defaults(run=cmd_gr)
 
     p_tor = sub.add_parser("tor-gr", help="bigraded Tor series over a graded ring")
     p_tor.add_argument("input")
+    p_tor.set_defaults(run=cmd_tor_gr)
 
     p_check = sub.add_parser("check-theorem",
                              help="run the spectral sequence and verify the cancellation certificate")
@@ -355,10 +352,12 @@ def make_parser(command=None):
     p_check.add_argument("--synthetic", default=None,
                          help="run on a serialized filtered complex instead of ring data")
     p_check.add_argument("--seed", type=int, default=0, help="seed of --synthetic random")
+    p_check.set_defaults(run=cmd_check_theorem)
 
     p_cancel = sub.add_parser("cancel", help="decide cancellation between two series files")
     p_cancel.add_argument("source")
     p_cancel.add_argument("target")
+    p_cancel.set_defaults(run=cmd_cancel)
     for name, p in sub.choices.items():
         if command in (None, name):
             common(p)
@@ -374,16 +373,8 @@ def main(argv=None):
     try:
         # the first word that is not an option names the command
         args = make_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
-        if args.command == "gr":
-            return cmd_gr(args, out)
-        if args.command == "tor-gr":
-            return cmd_tor_gr(args, out)
-        if args.command == "check-theorem":
-            return cmd_check_theorem(args, out)
-        if args.command == "cancel":
-            return cmd_cancel(args, out)
-        raise InputError("unknown command %r" % args.command)
-    except (LiftWindowExceededError, CapExceededError) as exc:
+        return args.run(args, out)
+    except CapExceededError as exc:
         print("window exhausted: %s" % exc, file=err)
         return EXIT_WINDOW
     except (GrtorError, OSError) as exc:

@@ -34,13 +34,16 @@ from math import gcd
 
 
 class GrtorError(ValueError):
-    """Base of every error grtor raises on bad input, an exhausted validity
-    window or a failed internal check; the command line turns each into a
-    one-line message."""
+    """Every error grtor raises is one of two outcomes.  A `GrtorError`
+    itself means bad input or a failed check: the command line prints
+    one `error:` line and exits with code 1.  Its one subclass,
+    `CapExceededError`, means the cap, which is the validity window, is
+    too small for the question: one `window exhausted:` line, exit
+    code 3."""
 
 
-class FieldError(GrtorError):
-    pass
+class CapExceededError(GrtorError):
+    """The cap is too small for the question; raise it."""
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -199,14 +202,14 @@ class Field:
             self.inv, self.div, self.submul = _rational_inv, _rational_div, _rational_submul
             self.axpy, self.scale = _rational_axpy, _rational_scale
         elif characteristic >= MAX_CHARACTERISTIC:
-            raise FieldError("characteristic %d is too large: primality is decided "
+            raise GrtorError("characteristic %d is too large: primality is decided "
                              "exactly only below %d" % (characteristic, MAX_CHARACTERISTIC))
         elif _is_prime(characteristic):
             self.zero, self.one = 0, 1
             (self.add, self.sub, self.mul, self.neg, self.inv, self.div,
              self.submul, self.axpy, self.scale) = _prime_ops(characteristic)
         else:
-            raise FieldError("characteristic must be 0 or prime, got %r" % (characteristic,))
+            raise GrtorError("characteristic must be 0 or prime, got %r" % (characteristic,))
         self.char = characteristic
 
     def __reduce__(self):
@@ -262,4 +265,4 @@ def field_from_name(name):
         return Field(int(parts[1]))
     if token.startswith("F") and token[1:].isdigit():
         return Field(int(token[1:]))
-    raise FieldError("unknown field %r" % (name,))
+    raise GrtorError("unknown field %r" % (name,))

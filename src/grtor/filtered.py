@@ -10,23 +10,14 @@ statements below hold in degrees <= cap.  On a free module the cap
 bounds filtration degree: x^e in row k has degree |e| + a_k.
 """
 
-from .groebner import (CapExceededError, GroebnerError, ModulePresentation,
-                       NormalFormTable, as_column, as_vector, colength_from_leads,
-                       graded_twin, ideal_intersection, ideal_product, ideal_sum, initial_forms,
-                       leading_monomial_ideal, quotient_table, standard_basis,
-                       standard_monomial_layers, _submul, _truncate)
-from .fields import GrtorError
+from .groebner import (ModulePresentation, NormalFormTable, as_column, as_vector,
+                       colength_from_leads, graded_twin, ideal_intersection, ideal_product,
+                       ideal_sum, initial_forms, leading_monomial_ideal, quotient_table,
+                       standard_basis, standard_monomial_layers, _submul, _truncate)
+from .fields import CapExceededError, GrtorError
 from .poly import LOCAL
 from .resolution import compose, minimal_resolution, strand_solve
 from .series import BigradedSeries
-
-
-class LiftError(GrtorError):
-    pass
-
-
-class LiftWindowExceededError(LiftError):
-    pass
 
 
 class FilteredResolution:
@@ -59,19 +50,19 @@ class FilteredResolution:
             prev = self.diffs[i - 1]
             for b, (col, g) in enumerate(zip(self.diffs[i], self.graded.diffs[i])):
                 if i >= 2 and compose(fld, prev, col, cap, self.shifts[i - 2]):
-                    raise LiftError("lifted differentials do not compose to zero")
+                    raise GrtorError("lifted differentials do not compose to zero")
                 g = g if src[b] <= cap else {}
                 lost = {a for a, _ in g} - {a for a, _ in col}
                 if lost:
-                    raise LiftError("lift lost a graded entry at (%d,%d,%d)" % (i, min(lost), b))
+                    raise GrtorError("lift lost a graded entry at (%d,%d,%d)" % (i, min(lost), b))
                 low = [a for a, e in col if sum(e) + dst[a] < src[b]]
                 if low:
-                    raise LiftError("lift entry (%d,%d,%d) breaks the filtration" % (i, min(low), b))
+                    raise GrtorError("lift entry (%d,%d,%d) breaks the filtration" % (i, min(low), b))
                 gr = {(a, e): c for (a, e), c in col.items() if sum(e) + dst[a] == src[b]}
                 if gr != g:
                     a = min(a for a, e in gr.keys() | g.keys() if gr.get((a, e)) != g.get((a, e)))
-                    raise LiftError("gr of the lift differs from the graded "
-                                    "resolution at (%d,%d,%d)" % (i, a, b))
+                    raise GrtorError("gr of the lift differs from the graded "
+                                     "resolution at (%d,%d,%d)" % (i, a, b))
 
 
 def lift_resolution(gres, generators, cap):
@@ -88,21 +79,21 @@ def lift_resolution(gres, generators, cap):
     the window, and every correction strictly raises its order.
     """
     if not generators:
-        raise LiftError("need the local generators lifting the first differential")
+        raise GrtorError("need the local generators lifting the first differential")
     local_ring = generators[0].ring
     if local_ring.setting != LOCAL:
-        raise LiftError("generators must live in a local ring")
+        raise GrtorError("generators must live in a local ring")
     gring = gres.ring
     if gring.quotient:
-        raise LiftError("lifting is implemented over the regular case only")
+        raise GrtorError("lifting is implemented over the regular case only")
     if len(generators) != gres.rank(1):
-        raise LiftError("need one local generator per first-differential column")
+        raise GrtorError("need one local generator per first-differential column")
     for b, g in enumerate(generators):
         expected = gres.diffs[1][b]
         if as_column([g.initial_form()]) != expected:
-            raise LiftError("generator %d has initial form %s, expected %s"
-                            % (b, g.initial_form(),
-                               as_vector(gring, expected, 1)[0]))
+            raise GrtorError("generator %d has initial form %s, expected %s"
+                             % (b, g.initial_form(),
+                                as_vector(gring, expected, 1)[0]))
 
     cap = min(cap, local_ring.cap)
     shifts = [tuple(s) for s in gres.shifts]
@@ -123,14 +114,14 @@ def lift_resolution(gres, generators, cap):
             while residual:
                 target_deg = min(sum(e) + dst[a] for a, e in residual)
                 if target_deg <= last_order:
-                    raise LiftWindowExceededError(
+                    raise CapExceededError(
                         "correction order did not increase at column %d of d_%d" % (c, i))
                 last_order = target_deg
                 low = {(a, e): x for (a, e), x in residual.items()
                        if sum(e) + dst[a] == target_deg}
                 u = strand_solve(nf, gres.diffs[i - 1], src, dst, low, target_deg)
                 if u is None:
-                    raise LiftWindowExceededError(
+                    raise CapExceededError(
                         "no graded correction in degree %d at column %d of d_%d"
                         % (target_deg, c, i))
                 _submul(fld, col, u, one, fld.one, cap, src)  # col -= u, in the window
@@ -151,12 +142,12 @@ def resolve_local_cyclic(ideal, cap=None):
     ring = ideal.ring
     cap = ring.cap if cap is None else min(cap, ring.cap)
     if not ideal.generators:
-        raise LiftError("R/I is R: the ideal has no generators")
+        raise GrtorError("R/I is R: the ideal has no generators")
     gring = graded_twin(ring)
     basis = standard_basis(ideal, cap)
     forms = initial_forms(gring, basis)
     if any(f.degree() == 0 for f in forms):
-        raise LiftError("R/I is zero: the ideal contains a unit of the local ring")
+        raise GrtorError("R/I is zero: the ideal contains a unit of the local ring")
     # d_1 keeps a minimal subset of the initial forms; the lift starts from
     # the standard basis elements they come from
     gres = minimal_resolution(ModulePresentation.cyclic(gring, forms), ring.nvars + 1)
@@ -199,15 +190,15 @@ class FilteredComplex:
         for lv in self.levels:
             for l in lv:
                 if not 0 <= l <= self.j_max:
-                    raise LiftError("basis level %d outside 0..%d" % (l, self.j_max))
+                    raise GrtorError("basis level %d outside 0..%d" % (l, self.j_max))
         for i in range(1, len(self.levels)):
             d, src, tgt = self.diffs[i], self.levels[i], self.levels[i - 1]
             if len(d) != len(src) or any(not 0 <= r < len(tgt) or not x
                                          for col in d for r, x in col.items()):
-                raise LiftError("differential %d has the wrong shape" % i)
+                raise GrtorError("differential %d has the wrong shape" % i)
             bad = [(r, c) for c, col in enumerate(d) for r in col if tgt[r] < src[c]]
             if bad:
-                raise LiftError("differential %d is not filtered at (%d,%d)" % ((i,) + min(bad)))
+                raise GrtorError("differential %d is not filtered at (%d,%d)" % ((i,) + min(bad)))
         fld, zero = self.field, self.field.zero
         for i in range(2, len(self.levels)):
             a = self.diffs[i - 1]
@@ -218,7 +209,7 @@ class FilteredComplex:
                     for r, y in a[t].items():
                         s[r] = fld.submul(s.get(r, zero), x, y)
                 if any(s.values()):
-                    raise LiftError("d o d nonzero in the filtered complex at degree %d" % i)
+                    raise GrtorError("d o d nonzero in the filtered complex at degree %d" % i)
 
     # serialization: header, per-term level vectors, sparse triples ------------
 
@@ -243,7 +234,7 @@ class FilteredComplex:
         from .fields import field_from_name
         rows = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         if not rows or rows[0] != "filtered-complex":
-            raise LiftError("not a filtered-complex serialization")
+            raise GrtorError("not a filtered-complex serialization")
         field = None
         i_max = j_max = None
         truncated = 0
@@ -290,20 +281,20 @@ class FilteredComplex:
                 else:
                     raise ValueError(line)
             except (ValueError, IndexError, KeyError, ZeroDivisionError):
-                raise LiftError("bad line in filtered-complex text: %r" % line) from None
+                raise GrtorError("bad line in filtered-complex text: %r" % line) from None
         if pending > 0:
-            raise LiftError("filtered-complex text ends inside a diff block")
+            raise GrtorError("filtered-complex text ends inside a diff block")
         if field is None or i_max is None or j_max is None:
-            raise LiftError("incomplete filtered-complex header")
+            raise GrtorError("incomplete filtered-complex header")
         # the terms, not the header, size the complex; a diff i line needs
         # the terms i - 1 and i, so with every term in range it is too
         bad = next((i for i in sorted(levels) if not 0 <= i <= i_max), None)
         if bad is not None:
-            raise LiftError("filtered-complex text has a 'term %d' line outside 0..%d"
-                            % (bad, i_max))
+            raise GrtorError("filtered-complex text has a 'term %d' line outside 0..%d"
+                             % (bad, i_max))
         missing = next((i for i in range(i_max + 1) if i not in levels), None)
         if missing is not None:
-            raise LiftError("filtered-complex text has no 'term %d' line" % missing)
+            raise GrtorError("filtered-complex text has no 'term %d' line" % missing)
         level_list = [levels[i] for i in range(i_max + 1)]
         diff_list = [None] + [diffs.get(i, [{} for _ in level_list[i]])
                               for i in range(1, i_max + 1)]
@@ -390,7 +381,8 @@ def tor_local_low(I, J, j_max, cap=None):
     Tor_1's series is the degreewise difference of the standard-monomial
     counts of R/(I*J) and R/(I cap J) (the subquotient filtration,
     computed via initial ideals); an independent oracle for the spectral
-    pipeline in homological degrees <= 1.
+    pipeline in homological degrees <= 1.  A `cap` below the ring's reads
+    as a ring of that cap.
     """
     ring = I.ring
     cap = cap if cap is not None else ring.cap
@@ -398,7 +390,7 @@ def tor_local_low(I, J, j_max, cap=None):
         raise CapExceededError("series truncation %d exceeds the cap %d" % (j_max, cap))
     total = ideal_sum(I, J)
     inter = ideal_intersection(I, J, cap)
-    prod = ideal_product(I, J)
+    prod = ideal_product(I, J, cap)
 
     lm_sum = leading_monomial_ideal(total, cap)
     lm_inter = leading_monomial_ideal(inter, cap)
@@ -415,7 +407,7 @@ def tor_local_low(I, J, j_max, cap=None):
             series._set(0, j, h0)
         h1 = h_prod - h_inter
         if h1 < 0:
-            raise GroebnerError("intersection is smaller than the product; cap too small")
+            raise CapExceededError("intersection is smaller than the product; cap too small")
         if h1:
             series._set(1, j, h1)
     return LowTor(series, colength_from_leads(ring, lm_sum, cap))

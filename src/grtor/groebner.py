@@ -21,16 +21,8 @@ import heapq
 import math
 import operator
 
-from .fields import GrtorError
+from .fields import CapExceededError, GrtorError
 from .poly import GRADED, LOCAL, Polynomial, Ring
-
-
-class GroebnerError(GrtorError):
-    pass
-
-
-class CapExceededError(GroebnerError):
-    pass
 
 
 def _divides(e1, e2):
@@ -260,7 +252,7 @@ class IdealPresentation:
             if isinstance(g, str):
                 g = ring.parse(g)
             if g.is_zero():
-                raise GroebnerError("ideal generators must be nonzero")
+                raise GrtorError("ideal generators must be nonzero")
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
@@ -282,12 +274,12 @@ class ModulePresentation:
         self.free_rank = free_rank
         self.column_degrees = tuple(column_degrees) if column_degrees else (0,) * free_rank
         if len(self.column_degrees) != free_rank:
-            raise GroebnerError("column_degrees length must equal free_rank")
+            raise GrtorError("column_degrees length must equal free_rank")
         rels = []
         for rel in relations:
             vec = [ring.parse(p) if isinstance(p, str) else p for p in rel]
             if len(vec) != free_rank:
-                raise GroebnerError("relation vector length must equal free_rank")
+                raise GrtorError("relation vector length must equal free_rank")
             rels.append(tuple(vec))
         self.relations = tuple(rels)
         if ring.setting == GRADED:
@@ -296,10 +288,10 @@ class ModulePresentation:
                 for a, p in enumerate(rel):
                     if not p.is_zero():
                         if not p.is_homogeneous():
-                            raise GroebnerError("graded relation entries must be homogeneous")
+                            raise GrtorError("graded relation entries must be homogeneous")
                         degs.add(p.degree() + self.column_degrees[a])
                 if len(degs) > 1:
-                    raise GroebnerError("relation is not homogeneous for the column degrees")
+                    raise GrtorError("relation is not homogeneous for the column degrees")
 
     @classmethod
     def cyclic(cls, ring, ideal_gens):
@@ -311,7 +303,7 @@ def groebner_basis(ideal):
     """Reduced Groebner basis of an ideal over a graded ring."""
     ring = ideal.ring
     if ring.setting != GRADED:
-        raise GroebnerError("groebner_basis needs a graded ring; use standard_basis for local")
+        raise GrtorError("groebner_basis needs a graded ring; use standard_basis for local")
     return _interreduce(ring, [v[0] for v in module_groebner_basis(
         ring, [[g] for g in ideal.generators])])
 
@@ -443,7 +435,7 @@ class NormalFormTable:
                 continue
             n = index.get((a, k))
             if n is None:
-                raise GroebnerError("term %r of component %d lies outside the basis" % (k, a))
+                raise GrtorError("term %r of component %d lies outside the basis" % (k, a))
             out[n] = c
         return out
 
@@ -497,7 +489,7 @@ def standard_basis(ideal, cap=None):
     """
     ring = ideal.ring
     if ring.setting != LOCAL:
-        raise GroebnerError("standard_basis needs a local ring")
+        raise GrtorError("standard_basis needs a local ring")
     cap = cap if cap is not None else ring.cap
     for g in ideal.generators:
         if g.truncate(cap).is_zero() or g.order_degree() > cap:
@@ -529,7 +521,7 @@ def initial_ideal(ideal, cap=None):
     else:
         gr, basis = ring, groebner_basis(ideal)
         if not all(p.is_homogeneous() for p in basis):
-            raise GroebnerError("initial_ideal over a graded ring needs a homogeneous ideal")
+            raise GrtorError("initial_ideal over a graded ring needs a homogeneous ideal")
     return IdealPresentation(gr, minimal_initial_forms(gr, basis))
 
 
@@ -584,21 +576,24 @@ def ideal_sum(I, J):
     return IdealPresentation(I.ring, list(I.generators) + list(J.generators))
 
 
-def ideal_product(I, J):
+def ideal_product(I, J, cap=None):
+    """I*J; with a cap, each generator is cut at that degree, since a term
+    of higher order is zero in R/m^{cap+1}."""
     gens = []
     for f in I.generators:
         for g in J.generators:
-            fg = f * g
+            fg = f * g if cap is None else (f * g).truncate(cap)
             if not fg.is_zero():
                 gens.append(fg)
     if not gens:
-        raise GroebnerError("ideal product truncated to zero; raise the cap")
+        raise CapExceededError("ideal product truncated to zero; raise the cap")
     return IdealPresentation(I.ring, gens)
 
 
 def ideal_intersection(I, J, cap=None):
     """I \\cap J by the syzygy method: syzygies of the row [f_1..f_s, -g_1..-g_t]
-    project to coefficient vectors whose I-halves generate the intersection."""
+    project to coefficient vectors whose I-halves generate the intersection.
+    With a cap, the syzygies are valid to it and each generator is cut there."""
     ring = I.ring
     fs, gs = list(I.generators), list(J.generators)
     cols = [[f] for f in fs] + [[-g] for g in gs]
@@ -608,6 +603,8 @@ def ideal_intersection(I, J, cap=None):
         h = ring.zero()
         for b, f in enumerate(fs):
             h = h + u[b] * f
+        if cap is not None:
+            h = h.truncate(cap)
         if not h.is_zero():
             gens.append(h)
     if not gens:

@@ -18,10 +18,6 @@ LOCAL_DEGREE = "local-degree"
 _KINDS = (DEGREVLEX, DEGLEX, LOCAL_DEGREE)
 
 
-class OrderError(GrtorError):
-    pass
-
-
 def _degrevlex_key(expvec):
     return (sum(expvec), tuple(map(operator.neg, reversed(expvec))))
 
@@ -54,7 +50,7 @@ class MonomialOrder:
 
     def __init__(self, kind):
         if kind not in _KINDS:
-            raise OrderError("unknown order kind %r" % (kind,))
+            raise GrtorError("unknown order kind %r" % (kind,))
         self.kind = kind
         self.key, self.descending_key = _KEYS[kind]
 

@@ -16,10 +16,6 @@ GRADED = "graded"
 LOCAL = "local"
 
 
-class RingError(GrtorError):
-    pass
-
-
 class Ring:
     """Polynomial ring data: k[x1..xn] (graded) or k[x]_(x) with cap (local).
 
@@ -32,13 +28,13 @@ class Ring:
                  order=None):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
-            raise RingError("variable names must be distinct: %r" % (variables,))
+            raise GrtorError("variable names must be distinct: %r" % (variables,))
         if setting not in (GRADED, LOCAL):
-            raise RingError("setting must be graded or local")
+            raise GrtorError("setting must be graded or local")
         if setting == LOCAL and cap is None:
-            raise RingError("local ring needs a truncation cap")
+            raise GrtorError("local ring needs a truncation cap")
         if not isinstance(field, Field):
-            raise RingError("field must be a Field instance")
+            raise GrtorError("field must be a Field instance")
         self.variables = variables
         self.field = field
         self.setting = setting
@@ -46,14 +42,14 @@ class Ring:
         if order is None:
             order = LOCAL_DEGREE if setting == LOCAL else DEGREVLEX
         if (order == LOCAL_DEGREE) != (setting == LOCAL):
-            raise RingError("order %r does not fit the %s setting" % (order, setting))
+            raise GrtorError("order %r does not fit the %s setting" % (order, setting))
         self.order = MonomialOrder(order)
         self.quotient = ()
         if quotient:
             self.quotient = tuple(self.parse(q) if isinstance(q, str) else q for q in quotient)
             for q in self.quotient:
                 if setting == GRADED and not q.is_homogeneous():
-                    raise RingError("graded quotient generator %s is not homogeneous" % q)
+                    raise GrtorError("graded quotient generator %s is not homogeneous" % q)
         self._quotient_gb_cache = None  # set by groebner.quotient_groebner
 
     @property
@@ -146,7 +142,7 @@ class Polynomial:
 
     def leading_monomial(self):
         if not self.terms:
-            raise RingError("leading monomial of zero")
+            raise GrtorError("leading monomial of zero")
         return max(self.terms, key=self.ring.order.key)
 
     def leading_coefficient(self):
@@ -162,13 +158,13 @@ class Polynomial:
     def initial_form(self):
         """Lowest-degree homogeneous component; errors on the zero polynomial."""
         if not self.terms:
-            raise RingError("the zero polynomial has no initial form")
+            raise GrtorError("the zero polynomial has no initial form")
         return self.homogeneous_component(self.order_degree())
 
     def truncate(self, j_max):
         """Drop all terms of total degree > j_max."""
         if j_max < 0:
-            raise RingError("truncation degree must be nonnegative")
+            raise GrtorError("truncation degree must be nonnegative")
         terms = {e: c for e, c in self.terms.items() if sum(e) <= j_max}
         if len(terms) == len(self.terms):
             return self
@@ -178,7 +174,7 @@ class Polynomial:
 
     def _check(self, other):
         if not self.ring.compatible(other.ring):
-            raise RingError("polynomials over incompatible rings: %r vs %r" % (self.ring, other.ring))
+            raise GrtorError("polynomials over incompatible rings: %r vs %r" % (self.ring, other.ring))
 
     def __add__(self, other):
         self._check(other)
@@ -227,7 +223,7 @@ class Polynomial:
 
     def __pow__(self, n):
         if n < 0:
-            raise RingError("negative power")
+            raise GrtorError("negative power")
         result = self.ring.one()
         base = self
         while n:
@@ -266,16 +262,12 @@ class Polynomial:
 _TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|\^|\*|\+|\-|\(|\))")
 
 
-class ParseError(GrtorError):
-    pass
-
-
 def _tokenize(text):
     pos, out = 0, []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ParseError("bad character at %r" % text[pos:pos + 10])
+            raise GrtorError("bad character at %r" % text[pos:pos + 10])
         out.append(m.group(1))
         pos = m.end()
     return out
@@ -285,7 +277,7 @@ def parse_polynomial(ring, text):
     """Parse the polynomial text grammar, e.g. 'x^2 - y^3' or '2x*y+1'."""
     toks = _tokenize(text)
     if not toks:
-        raise ParseError("empty polynomial text")
+        raise GrtorError("empty polynomial text")
     result = ring.zero()
     i = 0
     n = len(toks)
@@ -296,7 +288,7 @@ def parse_polynomial(ring, text):
                 sign = -sign
             i += 1
         if i >= n:
-            raise ParseError("dangling sign in %r" % text)
+            raise GrtorError("dangling sign in %r" % text)
         coeff = sign
         exps = [0] * ring.nvars
         saw_factor = False
@@ -304,7 +296,7 @@ def parse_polynomial(ring, text):
             t = toks[i]
             if t == "*":
                 if not saw_factor or i + 1 >= n or toks[i + 1] in "+-*":
-                    raise ParseError("'*' must stand between two factors in %r" % text)
+                    raise GrtorError("'*' must stand between two factors in %r" % text)
                 i += 1
                 continue
             if t in "+-":
@@ -315,26 +307,26 @@ def parse_polynomial(ring, text):
                 power = 1
                 if i < n and toks[i] == "^":
                     if i + 1 >= n or not toks[i + 1].isdigit():
-                        raise ParseError("expected integer exponent after ^")
+                        raise GrtorError("expected integer exponent after ^")
                     power = int(toks[i + 1])
                     i += 2
                 coeff *= base ** power
                 saw_factor = True
             else:
                 if t not in ring.variables:
-                    raise ParseError("unknown variable %r (ring has %s)" % (t, ", ".join(ring.variables)))
+                    raise GrtorError("unknown variable %r (ring has %s)" % (t, ", ".join(ring.variables)))
                 vi = ring.variables.index(t)
                 i += 1
                 power = 1
                 if i < n and toks[i] == "^":
                     if i + 1 >= n or not toks[i + 1].isdigit():
-                        raise ParseError("expected integer exponent after ^")
+                        raise GrtorError("expected integer exponent after ^")
                     power = int(toks[i + 1])
                     i += 2
                 exps[vi] += power
                 saw_factor = True
         if not saw_factor:
-            raise ParseError("empty term in %r" % text)
+            raise GrtorError("empty term in %r" % text)
         result = result + ring.monomial(exps, coeff)
     if ring.cap is not None:
         result = result.truncate(ring.cap)

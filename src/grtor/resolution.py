@@ -16,16 +16,12 @@ the lift and `filtered.tensor_complex` all read this one format.
 import operator
 from math import comb
 
-from .groebner import (GroebnerError, NormalFormTable, _buchberger, _submul, as_column,
+from .groebner import (NormalFormTable, _buchberger, _submul, as_column,
                        as_vector, quotient_table, syzygies)
 from .fields import GrtorError
 from .linalg import ColumnEchelon, solve
 from .poly import GRADED
 from .series import BigradedSeries
-
-
-class ResolutionError(GrtorError):
-    pass
 
 
 # --- strand bases -------------------------------------------------------------
@@ -101,7 +97,7 @@ def minimal_generators(nf, columns, row_shifts):
         if not degs:
             continue
         if len(degs) > 1:
-            raise ResolutionError("generator is not homogeneous for the row shifts")
+            raise GrtorError("generator is not homogeneous for the row shifts")
         items.append((k, degs.pop()))
     items.sort(key=operator.itemgetter(1))
     one = (0, (0,) * nf.ring.nvars)  # the table's key of 1 * e_0
@@ -154,17 +150,17 @@ class GradedFreeResolution:
             for b, col in enumerate(self.diffs[i]):
                 for a, e in col:
                     if sum(e) != src[b] - dst[a]:
-                        raise ResolutionError(
+                        raise GrtorError(
                             "differential entry (%d,%d) at level %d is not homogeneous "
                             "of degree %d" % (a, b, i, src[b] - dst[a]))
                     if src[b] == dst[a]:
-                        raise ResolutionError("minimal resolution has a unit entry")
+                        raise GrtorError("minimal resolution has a unit entry")
         nf = quotient_table(self.ring)
         key = (0, (0,) * self.ring.nvars)  # the key of 1 * e_0
         for i in range(2, len(self.diffs)):
             if any(nf(compose(self.ring.field, self.diffs[i - 1], col, nf.cap), key)
                    for col in self.diffs[i]):
-                raise ResolutionError("d o d is nonzero at homological degree %d" % i)
+                raise GrtorError("d o d is nonzero at homological degree %d" % i)
 
 
 def compose(field, d, col, cap=None, shifts=None):
@@ -218,7 +214,7 @@ def minimal_resolution(module, i_max):
     """
     ring = module.ring
     if ring.setting != GRADED:
-        raise ResolutionError("minimal_resolution needs a graded ring")
+        raise GrtorError("minimal_resolution needs a graded ring")
     nf = quotient_table(ring)
 
     def reduced(col):
@@ -286,11 +282,11 @@ def tor_series(mM, mN, i_max, j_max):
     homological degree i_max + 1, then `tor_from_resolution`."""
     if not mM.ring.compatible(mN.ring) or tuple(
             str(q) for q in mM.ring.quotient) != tuple(str(q) for q in mN.ring.quotient):
-        raise ResolutionError("modules must be presented over the same ring")
+        raise GrtorError("modules must be presented over the same ring")
     low = min(mM.column_degrees + mN.column_degrees, default=0)
     if low < 0:  # the pieces of N are read in degrees 0..j_max only
-        raise ResolutionError("column degree %d is negative; shift the modules to "
-                              "degrees >= 0" % low)
+        raise GrtorError("column degree %d is negative; shift the modules to "
+                         "degrees >= 0" % low)
     return tor_from_resolution(minimal_resolution(mM, i_max + 1), mN, i_max, j_max)
 
 
@@ -324,11 +320,11 @@ def closed_form_tor_series(n, m, d, e, i_max, j_max):
     periodicity.  For m <= 2 the left factor is 1 + m z t^d +
     (m-1) z^2 t^{d+1}."""
     if not (2 <= d < e):
-        raise GroebnerError("need 2 <= d < e")
+        raise GrtorError("need 2 <= d < e")
     if e < 3:
-        raise GroebnerError("need e >= 3")
+        raise GrtorError("need e >= 3")
     if not (1 <= m <= n):
-        raise GroebnerError("need 1 <= m <= n")
+        raise GrtorError("need 1 <= m <= n")
     out = BigradedSeries(i_max, j_max)
 
     def bump(i, j, c):

@@ -17,14 +17,6 @@ from heapq import heappop, heappush
 from .fields import GrtorError
 
 
-class SeriesError(GrtorError):
-    pass
-
-
-class CancellationError(GrtorError):
-    pass
-
-
 class Cancellation(namedtuple("Cancellation", "i a b")):
     """One step: subtract z^{i+1} t^a + z^i t^b, requiring a < b."""
 
@@ -34,9 +26,9 @@ class Cancellation(namedtuple("Cancellation", "i a b")):
 
     def validate(self):
         if self.a >= self.b:
-            raise CancellationError("invalid cancellation (i=%d, a=%d, b=%d): needs a < b" % self)
+            raise GrtorError("invalid cancellation (i=%d, a=%d, b=%d): needs a < b" % self)
         if self.i < 0 or self.a < 0:
-            raise CancellationError("negative index in cancellation %r" % (self,))
+            raise GrtorError("negative index in cancellation %r" % (self,))
 
 
 class BigradedSeries:
@@ -44,7 +36,7 @@ class BigradedSeries:
 
     def __init__(self, i_max, j_max, coefficients=None):
         if i_max < 0 or j_max < 0:
-            raise SeriesError("bounds must be nonnegative")
+            raise GrtorError("bounds must be nonnegative")
         self.i_max = i_max
         self.j_max = j_max
         self.coefficients = {}
@@ -54,9 +46,9 @@ class BigradedSeries:
 
     def _set(self, i, j, c):
         if not (0 <= i <= self.i_max and 0 <= j <= self.j_max):
-            raise SeriesError("(%d, %d) outside bounds (%d, %d)" % (i, j, self.i_max, self.j_max))
+            raise GrtorError("(%d, %d) outside bounds (%d, %d)" % (i, j, self.i_max, self.j_max))
         if c < 0:
-            raise SeriesError("negative coefficient %d at (%d, %d)" % (c, i, j))
+            raise GrtorError("negative coefficient %d at (%d, %d)" % (c, i, j))
         if c:
             self.coefficients[(i, j)] = c
         else:
@@ -88,12 +80,12 @@ class BigradedSeries:
     def subtract(self, other):
         """Componentwise difference; raises with a witness cell on negativity."""
         if not self.same_bounds(other):
-            raise SeriesError("truncation mismatch")
+            raise GrtorError("truncation mismatch")
         out = self.copy()
         for (i, j), c in other.coefficients.items():
             d = out.get(i, j) - c
             if d < 0:
-                raise SeriesError("negative coefficient %d at (i=%d, j=%d)" % (d, i, j))
+                raise GrtorError("negative coefficient %d at (i=%d, j=%d)" % (d, i, j))
             out._set(i, j, d)
         return out
 
@@ -108,9 +100,9 @@ class BigradedSeries:
         hi = (canc.i + 1, canc.a)
         lo = (canc.i, canc.b)
         if canc.i + 1 > self.i_max or canc.b > self.j_max:
-            raise CancellationError("cancellation %r outside series bounds" % (canc,))
+            raise GrtorError("cancellation %r outside series bounds" % (canc,))
         if self.get(*hi) < 1 or self.get(*lo) < 1:
-            raise CancellationError(
+            raise GrtorError(
                 "cancellation %r infeasible: coefficients %d at (i+1,a), %d at (i,b)"
                 % (canc, self.get(*hi), self.get(*lo)))
         out = self.copy()
@@ -131,7 +123,7 @@ class BigradedSeries:
         rows = [ln.split("#")[0].strip() for ln in text.splitlines()]
         rows = [ln for ln in rows if ln]
         if not rows:
-            raise SeriesError("empty series text")
+            raise GrtorError("empty series text")
         i_max, j_max = _int_fields(rows[0], 2, "series header must be 'imax jmax'")
         series = cls(i_max, j_max)
         for ln in rows[1:]:
@@ -160,14 +152,14 @@ class BigradedSeries:
 
 
 def _int_fields(line, n, what):
-    """The n integers of one line of a text format, or SeriesError naming it."""
+    """The n integers of one line of a text format, or GrtorError naming it."""
     parts = line.split()
     try:
         if len(parts) == n:
             return [int(x) for x in parts]
     except ValueError:
         pass
-    raise SeriesError("%s: %r" % (what, line))
+    raise GrtorError("%s: %r" % (what, line))
 
 
 class CancellationCertificate:
@@ -201,7 +193,7 @@ class CancellationCertificate:
         rows = [ln.split("#")[0].strip() for ln in text.splitlines()]
         rows = [ln for ln in rows if ln]
         if not rows or not rows[0].startswith("steps"):
-            raise SeriesError("certificate text must start with 'steps N'")
+            raise GrtorError("certificate text must start with 'steps N'")
         steps = []
         for ln in rows[1:]:
             steps.append(Cancellation(*_int_fields(ln, 3, "certificate line must be 'i a b'")))
@@ -234,7 +226,7 @@ def verify_certificate(source, certificate, target, cells=None):
     for step in certificate:
         try:
             current = current.subtract_cancellation(step)
-        except CancellationError as exc:
+        except GrtorError as exc:
             return VerifyResult(False, "step %r failed: %s" % (step, exc))
     if cells is None:
         if current == target:
@@ -317,10 +309,10 @@ def decide_cancellation(source, target):
     the fewest degree-0 units any pairing leaves unpaired.
     """
     if not source.same_bounds(target):
-        raise SeriesError("truncation mismatch between source and target")
+        raise GrtorError("truncation mismatch between source and target")
     try:
         diff = source.subtract(target)
-    except SeriesError:
+    except GrtorError:
         witness = None
         for (i, j) in sorted(set(source.coefficients) | set(target.coefficients)):
             if source.get(i, j) - target.get(i, j) < 0:
@@ -362,10 +354,10 @@ def decide_cancellation_bruteforce(source, target):
     Only sensible for small unit counts (<= 12 or so).
     """
     if not source.same_bounds(target):
-        raise SeriesError("truncation mismatch between source and target")
+        raise GrtorError("truncation mismatch between source and target")
     try:
         diff = source.subtract(target)
-    except SeriesError:
+    except GrtorError:
         return False
     units = []
     for (i, j) in sorted(diff.coefficients):

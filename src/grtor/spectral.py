@@ -27,10 +27,6 @@ from .series import (BigradedSeries, Cancellation, CancellationCertificate,
                      verify_certificate)
 
 
-class SpectralError(GrtorError):
-    pass
-
-
 # the most page cells a run lists as flagged past a truncation
 MAX_FLAGGED_CELLS = 10 ** 6
 
@@ -110,8 +106,8 @@ def _cells_above(L, j0):
     lo = max(j0 + 1, 0)
     count = (L.i_max + 1) * max(L.j_max + 1 - lo, 0)
     if count > MAX_FLAGGED_CELLS:
-        raise SpectralError("%d cells with j > %d lie past the truncation, more than the "
-                            "%d that can be flagged" % (count, j0, MAX_FLAGGED_CELLS))
+        raise GrtorError("%d cells with j > %d lie past the truncation, more than the "
+                         "%d that can be flagged" % (count, j0, MAX_FLAGGED_CELLS))
     return {(i, j) for i in range(L.i_max + 1) for j in range(lo, L.j_max + 1)}
 
 
@@ -145,7 +141,7 @@ def page(L, r):
     flagged indeterminate instead of reported.
     """
     if r < 1:
-        raise SpectralError("pages are indexed from r = 1")
+        raise GrtorError("pages are indexed from r = 1")
     return _page(L, _pairing(L), r)
 
 
@@ -159,7 +155,7 @@ def cancellations_at_page(L, r):
     alive at cells with j + r beyond it would pair with degrees the
     truncation cannot see, so their fate is reported, not decided."""
     if r < 1:
-        raise SpectralError("pages are indexed from r = 1")
+        raise GrtorError("pages are indexed from r = 1")
     bars = _pairing(L)
     T = L.truncated_at
     out = sorted(PageCancellation(r, i, a)

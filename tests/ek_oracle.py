@@ -4,14 +4,14 @@ closed formula: a second path to the Betti numbers that
 
 from math import comb
 
-from grtor.groebner import GroebnerError
+from grtor.fields import GrtorError
 from grtor.poly import format_monomial
 from grtor.series import BigradedSeries
 
 
 def _monomial_exponents(p):
     if len(p.terms) != 1:
-        raise GroebnerError("generator %s is not a monomial" % p)
+        raise GrtorError("generator %s is not a monomial" % p)
     return next(iter(p.terms))
 
 
@@ -46,7 +46,7 @@ def ek_betti_stable(I, i_max=None, j_max=None):
             swapped[mv - 1] -= 1
             swapped[i] += 1
             if not member(tuple(swapped)):
-                raise GroebnerError(
+                raise GrtorError(
                     "ideal is not stable: x_%d * %s / x_%d leaves the ideal"
                     % (i + 1, format_monomial(I.ring, e), mv))
 

@@ -14,8 +14,11 @@ import pytest
 
 import grtor
 import grtor.groebner
+import grtor.orders
 import grtor.resolution
-from grtor.cli import InputError, main, make_parser
+import grtor.series
+import grtor.spectral
+from grtor.cli import main, make_parser
 from grtor.series import BigradedSeries, CancellationCertificate, verify_certificate
 
 PAIR_JOB = """\
@@ -537,40 +540,51 @@ def test_tor_gr_invariant_under_variable_and_generator_order(tmp_path, capsys):
     assert json.loads(first)["series"]["terms"][:2] == [[0, 0, 1], [1, 2, 4]]
 
 def test_every_error_class_derives_from_grtor_error():
+    # two outcomes, two classes: no module of the package defines another
+    import importlib
     import inspect
-    import grtor
-    from grtor import cli, fields, filtered, groebner, linalg, orders, poly
-    from grtor import resolution, series, spectral
-    found = []
-    for module in (cli, fields, filtered, groebner, linalg, orders, poly, resolution,
-                   series, spectral):
-        for name, obj in vars(module).items():
-            if (inspect.isclass(obj) and issubclass(obj, Exception)
-                    and obj.__module__ == module.__name__):
-                found.append(name)
-                assert issubclass(obj, grtor.GrtorError), name
-    assert {"InputError", "LiftWindowExceededError", "SpectralError"} <= set(found)
+    import pkgutil
+    found = set()
+    for info in pkgutil.iter_modules(grtor.__path__):
+        module = importlib.import_module("grtor." + info.name)
+        found |= {obj for obj in vars(module).values()
+                  if inspect.isclass(obj) and issubclass(obj, BaseException)
+                  and obj.__module__.startswith("grtor")}
+    assert found == {grtor.GrtorError, grtor.CapExceededError}
+    assert grtor.CapExceededError.__bases__ == (grtor.GrtorError,)
+    assert grtor.GrtorError.__bases__ == (ValueError,)
 
 
-@pytest.mark.parametrize("error", ["SpectralError", "ResolutionError", "OrderError",
-                                   "CancellationError"])
-def test_internal_errors_end_in_one_line(tmp_path, capsys, monkeypatch, error):
-    # an internal invariant failing under the command line is exit 1 with
-    # one 'error:' line, whichever module raised it
-    from grtor import orders, resolution, series, spectral
-    cls = {"SpectralError": spectral.SpectralError,
-           "ResolutionError": resolution.ResolutionError,
-           "OrderError": orders.OrderError,
-           "CancellationError": series.CancellationError}[error]
+def _raise(cls):
+    def fail():
+        raise getattr(grtor, cls)("broken invariant")
+    return fail
 
-    def broken(*args):
-        raise cls("broken invariant")
-    monkeypatch.setattr("grtor.cli.decide_cancellation", broken)
+
+# each failure is one the package raises; the four named after modules are
+# real raise sites there, all of them the exit-1 outcome
+_INTERNAL_FAILURES = {
+    "GrtorError": (_raise("GrtorError"), 1, "error: broken invariant"),
+    "CapExceededError": (_raise("CapExceededError"), 3, "window exhausted: broken invariant"),
+    "SpectralError": (lambda: grtor.spectral.page(None, 0), 1,
+                      "error: pages are indexed from r = 1"),
+    "ResolutionError": (lambda: grtor.resolution.closed_form_tor_series(3, 1, 1, 3, 2, 4), 1,
+                        "error: need 2 <= d < e"),
+    "OrderError": (lambda: grtor.orders.MonomialOrder("bogus"), 1,
+                   "error: unknown order kind 'bogus'"),
+    "CancellationError": (lambda: grtor.series.Cancellation(0, 2, 1).validate(), 1,
+                          "error: invalid cancellation (i=0, a=2, b=1): needs a < b"),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_INTERNAL_FAILURES))
+def test_internal_errors_end_in_one_line(tmp_path, capsys, monkeypatch, failure):
+    # an error raised inside a command ends in one line naming its outcome
+    fail, code, line = _INTERNAL_FAILURES[failure]
+    monkeypatch.setattr("grtor.cli.decide_cancellation", lambda *args: fail())
     src = tmp_path / "s.series"
     src.write_text("1 2\n1 0 1\n0 1 1\n")
-    code, _, err = run_cli(capsys, ["cancel", str(src), str(src)])
-    assert_one_line_error(code, err)
-    assert "broken invariant" in err
+    assert run_cli(capsys, ["cancel", str(src), str(src)]) == (code, "", line + "\n")
 
 
 
@@ -891,7 +905,7 @@ def _exit_code(parse, argv):
         return parse(list(argv))
     except SystemExit as exc:
         return exc.code
-    except InputError as exc:  # a usage error, as `main` reports it
+    except grtor.GrtorError as exc:  # a usage error, as `main` reports it
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -3,17 +3,18 @@ exact low-degree local Tor oracle."""
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grtor.cli import main
-from grtor.fields import Field
-from grtor.groebner import (CapExceededError, IdealPresentation, ModulePresentation,
+from grtor.fields import CapExceededError, Field, GrtorError
+from grtor.groebner import (IdealPresentation, ModulePresentation,
                             graded_twin, initial_ideal, minimal_initial_forms,
                             normal_form, standard_basis)
-from grtor.filtered import (FilteredComplex, LiftError, filtered_tensor, lift_resolution,
+from grtor.filtered import (FilteredComplex, filtered_tensor, lift_resolution,
                             resolve_local_cyclic, tor_local_low)
 from grtor.poly import GRADED, LOCAL, Ring
 from grtor.resolution import tor_series
@@ -56,7 +57,7 @@ def test_lift_rejects_wrong_initial_forms():
     from grtor.groebner import ModulePresentation
     from grtor.resolution import minimal_resolution
     gres = minimal_resolution(ModulePresentation.cyclic(forms[0].ring, forms), 3)
-    with pytest.raises(LiftError, match=r"generator 0 has initial form -X\^2, expected X\^2"):
+    with pytest.raises(GrtorError, match=r"generator 0 has initial form -X\^2, expected X\^2"):
         lift_resolution(gres, [L.parse("Y^3 - X^2")], 20)
 
 
@@ -169,7 +170,7 @@ def test_tensor_worked_example_shape():
 def test_tensor_cap_insufficiency():
     L = cusp_ring(cap=10)
     fres = resolve_local_cyclic(IdealPresentation(L, ["X^2 - Y^3"]))
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="tensor truncation 11 exceeds the resolution cap 10"):
         filtered_tensor(fres, None, 11)
 
 
@@ -291,13 +292,38 @@ def test_tor_local_low_refuses_a_series_past_the_cap():
         L = Ring(["x", "y"], setting=LOCAL, cap=cap)
         I = IdealPresentation(L, ["x*y", "x^3 + y^4"])
         J = IdealPresentation(L, ["x", "y^2"])
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError,
+                           match="series truncation %d exceeds the cap %d" % (cap + 1, cap)):
             tor_local_low(I, J, cap + 1)
-        with pytest.raises(CapExceededError):  # a cap argument is checked too
+        with pytest.raises(CapExceededError,  # a cap argument is checked too
+                           match="series truncation 8 exceeds the cap 3"):
             tor_local_low(I, J, 8, cap=3)
         low[cap] = tor_local_low(I, J, min(8, cap)).series
     assert low[3].coefficients == {c: v for c, v in low[12].coefficients.items() if c[1] <= 3}
     assert [low[12].get(1, j) for j in range(4, 9)] == [0, 1, 0, 0, 0]
+
+
+def test_tor_local_low_cap_argument_reads_as_a_ring_of_that_cap():
+    # a term of order past the cap is zero in R/m^{cap+1}: a cap below the
+    # ring's gives what a ring of that cap gives, where the product and the
+    # intersection used to keep generators of higher order and be refused
+    L = Ring(["x", "y"], setting=LOCAL, cap=12)
+    low = tor_local_low(IdealPresentation(L, ["x*y", "x^3 + y^4"]),
+                        IdealPresentation(L, ["x", "y^2"]), 3, cap=3)
+    assert low.series.coefficients == {(0, 0): 1, (0, 1): 1, (1, 2): 1, (1, 3): 2}
+    pairs = [(["x*y", "z^2 - x^3"], ["x + y^2", "z"]),
+             (["x^2 - y^3", "y*z"], ["x", "y^2 + z^3"]),
+             (["x*y*z", "x^2 + y^2 + z^2"], ["x - z^2", "y"]),
+             (["x*y - z^3", "x^2 + z^2"], ["y", "z^2 - x^3"])]
+    for gens_i, gens_j in pairs:
+        for cap in (3, 4, 5):
+            lows = []
+            for ring_cap in (14, cap):
+                R = Ring(["x", "y", "z"], setting=LOCAL, cap=ring_cap)
+                lows.append(tor_local_low(IdealPresentation(R, gens_i),
+                                          IdealPresentation(R, gens_j), cap, cap=cap))
+            assert lows[0].series == lows[1].series, (gens_i, gens_j, cap)
+            assert lows[0].tor0_colength == lows[1].tor0_colength, (gens_i, gens_j, cap)
 
 
 def test_serialization_roundtrip():
@@ -312,23 +338,25 @@ def test_serialization_roundtrip():
 
 
 def test_from_text_rejects_garbage():
-    with pytest.raises(LiftError):
+    with pytest.raises(GrtorError, match="not a filtered-complex serialization"):
         FilteredComplex.from_text("nonsense\n")
     head = "filtered-complex\nfield QQ\nimax 1\njmax 1\ntruncated 0\n"
     terms = "term 0 dim 1 levels 1\nterm 1 dim 1 levels 0\n"
     assert FilteredComplex.from_text(head + terms + "diff 1 nnz 1\n0 0 1\n").dim(1) == 1
-    for body in [terms + "diff 1 nnz 2\n0 0 1\n",    # ends inside the block
-                 "diff 1 nnz 1\n0 0 1\n" + terms,    # diff before its terms
-                 terms + "diff 1 nnz 1\n-1 0 1\n",   # negative row
-                 terms + "diff 1 nnz 1\n0 -1 1\n",   # negative column
-                 terms + "diff 1 nnz 1\n0 5 1\n",    # column past L_1
-                 terms + "diff 1 nnz 1\n5 0 1\n",    # row past L_0
-                 terms + "diff 1 nnz 1\n0 0 1/0\n",  # no such scalar
-                 terms + "diff 1 nnz -1\n",          # negative count
-                 terms + "term 2 dim 1 levels 0\n",  # a term past imax
-                 terms + "term -1 dim 1 levels 0\ndiff 0 nnz 0\n",  # term and diff below range
-                 terms.replace("dim 1", "dim one")]:
-        with pytest.raises(LiftError):
+    bad = "bad line in filtered-complex text: "
+    for body, message in [
+            (terms + "diff 1 nnz 2\n0 0 1\n", "ends inside a diff block"),
+            ("diff 1 nnz 1\n0 0 1\n" + terms, bad + "'diff 1 nnz 1'"),  # diff before its terms
+            (terms + "diff 1 nnz 1\n-1 0 1\n", bad + "'-1 0 1'"),       # negative row
+            (terms + "diff 1 nnz 1\n0 -1 1\n", bad + "'0 -1 1'"),       # negative column
+            (terms + "diff 1 nnz 1\n0 5 1\n", bad + "'0 5 1'"),         # column past L_1
+            (terms + "diff 1 nnz 1\n5 0 1\n", bad + "'5 0 1'"),         # row past L_0
+            (terms + "diff 1 nnz 1\n0 0 1/0\n", bad + "'0 0 1/0'"),     # no such scalar
+            (terms + "diff 1 nnz -1\n", bad + "'diff 1 nnz -1'"),       # negative count
+            (terms + "term 2 dim 1 levels 0\n", "'term 2' line outside 0..1"),
+            (terms + "term -1 dim 1 levels 0\ndiff 0 nnz 0\n", "'term -1' line outside 0..1"),
+            (terms.replace("dim 1", "dim one"), bad + "'term 0 dim one levels 1'")]:
+        with pytest.raises(GrtorError, match=re.escape(message)):
             FilteredComplex.from_text(head + body)
 
 
@@ -381,26 +409,26 @@ def fc_texts():
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_from_text_fuzz_raises_only_lift_errors(fc_texts, data):
-    # malformed .fc text ends in LiftError and nothing else; text that
+    # malformed .fc text ends in GrtorError and nothing else; text that
     # parses describes a valid complex and round-trips
     lines = data.draw(st.sampled_from(fc_texts))
     for _ in range(data.draw(st.integers(1, 3))):
         lines = _fc_mutation(lines, data.draw)
     try:
         L = FilteredComplex.from_text("\n".join(lines) + "\n")
-    except LiftError:
+    except GrtorError:
         return
     assert FilteredComplex.from_text(L.to_text()).to_text() == L.to_text()
 
 
 def test_unit_ideal_has_no_resolution_to_lift():
-    with pytest.raises(LiftError, match="zero"):
+    with pytest.raises(GrtorError, match="R/I is zero: the ideal contains a unit"):
         resolve_local_cyclic(IdealPresentation(cusp_ring(), ["1 + X"]))
 
 
 def test_ideal_without_generators_has_no_resolution_to_lift():
     # R/(0) = R: there is no first differential to lift
-    with pytest.raises(LiftError, match="no generators"):
+    with pytest.raises(GrtorError, match="R/I is R: the ideal has no generators"):
         resolve_local_cyclic(IdealPresentation(cusp_ring(), []))
 
 
@@ -429,18 +457,18 @@ def test_lift_starts_from_the_relations_the_resolution_keeps():
 def test_filtered_complex_validates():
     F = Field(0)
     # differential dropping the level (target 0 < source 1) is not filtered
-    with pytest.raises(LiftError):
+    with pytest.raises(GrtorError, match=r"differential 1 is not filtered at \(0,0\)"):
         FilteredComplex(F, [[0], [1]], [None, [{0: F.one}]], 1)
     # d o d != 0 is rejected
-    with pytest.raises(LiftError):
+    with pytest.raises(GrtorError, match="d o d nonzero in the filtered complex at degree 2"):
         FilteredComplex(F, [[0], [0], [0]],
                         [None, [{0: F.one}], [{0: F.one}]], 1)
     # level outside 0..j_max is rejected
-    with pytest.raises(LiftError):
+    with pytest.raises(GrtorError, match=r"basis level 5 outside 0\.\.1"):
         FilteredComplex(F, [[5]], [None], 1)
     # a column per basis vector of L_1, rows inside L_0, no stored zeros
     for cols in ([], [{1: F.one}], [{0: F.zero}]):
-        with pytest.raises(LiftError, match="shape"):
+        with pytest.raises(GrtorError, match="differential 1 has the wrong shape"):
             FilteredComplex(F, [[1], [0]], [None, cols], 1)
 
 
@@ -453,7 +481,7 @@ def test_one_changed_entry_of_an_exact_complex_breaks_d_squared():
     c, r = next((c, r) for c, col in enumerate(d2) for r in col if d1[r])
     changed = [dict(col) for col in d2]
     changed[c][r] = Lc.field.add(changed[c][r], changed[c][r])  # doubled
-    with pytest.raises(LiftError, match="d o d nonzero"):
+    with pytest.raises(GrtorError, match="d o d nonzero in the filtered complex at degree 2"):
         FilteredComplex(Lc.field, Lc.levels, [None, d1, changed] + Lc.diffs[3:], Lc.j_max)
 
 

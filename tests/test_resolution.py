@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from grtor.fields import Field
-from grtor.filtered import FilteredResolution, LiftError, resolve_local_cyclic
-from grtor.groebner import (GroebnerError, IdealPresentation, ModulePresentation,
+from grtor.fields import Field, GrtorError
+from grtor.filtered import FilteredResolution, resolve_local_cyclic
+from grtor.groebner import (IdealPresentation, ModulePresentation,
                             NormalFormTable, groebner_basis, minimal_generator_indices,
                             quotient_groebner, quotient_table)
 from grtor.poly import LOCAL, Ring
-from grtor.resolution import (GradedFreeResolution, ResolutionError, free_basis,
+from grtor.resolution import (GradedFreeResolution, free_basis,
                               betti_series, closed_form_tor_series,
                               compose, minimal_generators, minimal_resolution,
                               tor_series)
@@ -154,9 +154,8 @@ def test_ek_cross_checked_against_resolution():
 
 def test_ek_rejects_unstable():
     R = Ring(["x1", "x2"])
-    with pytest.raises(GroebnerError) as err:
+    with pytest.raises(GrtorError, match=r"ideal is not stable: x_1 \* x2\^2 / x_2 leaves"):
         ek_betti_stable(IdealPresentation(R, ["x2^2"]))
-    assert "stable" in str(err.value)
 
 
 def test_closed_form_degenerate_m1():
@@ -168,10 +167,10 @@ def test_closed_form_degenerate_m1():
 
 
 def test_closed_form_validation():
-    with pytest.raises(GroebnerError):
-        closed_form_tor_series(2, 2, 3, 3, 4, 8)  # d < e fails
-    with pytest.raises(GroebnerError):
-        closed_form_tor_series(1, 2, 2, 3, 4, 8)  # m > n
+    with pytest.raises(GrtorError, match="need 2 <= d < e"):
+        closed_form_tor_series(2, 2, 3, 3, 4, 8)
+    with pytest.raises(GrtorError, match="need 1 <= m <= n"):
+        closed_form_tor_series(1, 2, 2, 3, 4, 8)
 
 
 def test_closed_form_matches_engine_small():
@@ -201,9 +200,9 @@ def test_strand_coords_reject_a_term_outside_the_strand():
     # x * (x + y, 1) = (xy, x) mod x^2
     assert nf.column(column([R.parse("x + y"), R.one()]), (0, (1, 0)), index) == got
     # a term above the strand, from the vector or from the monomial, is an error
-    with pytest.raises(GroebnerError, match="outside the basis"):
+    with pytest.raises(GrtorError, match="outside the basis"):
         nf.column(column([R.parse("y^3"), R.zero()]), (0, (0, 0)), index)
-    with pytest.raises(GroebnerError, match="outside the basis"):
+    with pytest.raises(GrtorError, match="outside the basis"):
         nf.column(vec, (0, (0, 1)), index)
 
 
@@ -336,7 +335,7 @@ def test_groebner_membership_matches_the_strand_echelon(char):
 def test_resolution_validates_dd_zero():
     R = Ring(["x", "y"])
     z, o = R.zero(), R.one()
-    with pytest.raises(ResolutionError):
+    with pytest.raises(GrtorError, match="d o d is nonzero at homological degree 2"):
         GradedFreeResolution(
             R, [(0,), (1,), (2,)],
             [None, [column([R.parse("x")])], [column([R.parse("y")])]], 2)
@@ -377,7 +376,7 @@ def test_tor_series_refuses_a_negative_column_degree(m_degree, n_degree):
     R = Ring(["x", "y"])
     mM = ModulePresentation(R, 1, (m_degree,), [["x"]])
     mN = ModulePresentation(R, 1, (n_degree,), [])
-    with pytest.raises(ResolutionError, match="column degree -1 is negative"):
+    with pytest.raises(GrtorError, match="column degree -1 is negative"):
         tor_series(mM, mN, 3, 4)
 
 
@@ -412,13 +411,13 @@ def _scaled(d):
 def test_changing_one_coefficient_of_d2_breaks_d_squared():
     res = minimal_resolution(_g4_pair(P, False)[0], 4)
     assert len(res.shifts) > 3
-    with pytest.raises(ResolutionError, match="d o d is nonzero at homological degree 2"):
+    with pytest.raises(GrtorError, match="d o d is nonzero at homological degree 2"):
         GradedFreeResolution(res.ring, res.shifts, _changed(res.diffs, 2), res.i_max)
     fres = _l4_lift()
     fres.check_postconditions()
     broken = FilteredResolution(fres.ring, fres.shifts, _changed(fres.diffs, 2), fres.cap,
                                 fres.graded)
-    with pytest.raises(LiftError, match="do not compose to zero"):
+    with pytest.raises(GrtorError, match="do not compose to zero"):
         broken.check_postconditions()
 
 
@@ -427,12 +426,12 @@ def test_graded_resolution_rejects_an_inhomogeneous_column_and_a_unit_entry():
     diffs = [None] + [list(d) for d in res.diffs[1:]]
     diffs[1][0] = dict(diffs[1][0])
     diffs[1][0][(0, (1, 0, 0, 0))] = P.one  # + a in a column of degree 2
-    with pytest.raises(ResolutionError,
+    with pytest.raises(GrtorError,
                        match=r"entry \(0,0\) at level 1 is not homogeneous of degree 2"):
         GradedFreeResolution(res.ring, res.shifts, diffs, res.i_max)
     # (x, 1) from G(-1) to G + G(-1): the second entry is a unit
     R = Ring(["x", "y"], P)
-    with pytest.raises(ResolutionError, match="minimal resolution has a unit entry"):
+    with pytest.raises(GrtorError, match="minimal resolution has a unit entry"):
         GradedFreeResolution(R, [(0, 1), (1,)], [None, [column([R.parse("x"), R.one()])]], 1)
 
 
@@ -468,7 +467,7 @@ def test_lift_postconditions_reject_each_changed_column(change, message):
     fres.check_postconditions()
     broken = FilteredResolution(fres.ring, fres.shifts, [None, fres.diffs[1], change(fres.diffs[2])],
                                 fres.cap, fres.graded)
-    with pytest.raises(LiftError, match=message):
+    with pytest.raises(GrtorError, match=message):
         broken.check_postconditions()
 
 

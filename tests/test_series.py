@@ -5,9 +5,10 @@ import random
 
 import pytest
 
+from grtor.fields import GrtorError
 from grtor.series import (BigradedSeries, Cancellation, CancellationCertificate,
-                          CancellationError, SeriesError, decide_cancellation,
-                          decide_cancellation_bruteforce, verify_certificate)
+                          decide_cancellation, decide_cancellation_bruteforce,
+                          verify_certificate)
 
 from series_oracle import add, alternating_sum, layer_sums, series_from_layers
 
@@ -36,13 +37,14 @@ def test_subtract_cancellation_basic():
 
 def test_subtract_cancellation_invalid_direction():
     s = series_from_layers(1, 3, {0: {2: 1}, 1: {3: 1}})
-    with pytest.raises(CancellationError):
+    with pytest.raises(GrtorError, match=r"invalid cancellation \(i=0, a=3, b=2\): needs a < b"):
         s.subtract_cancellation(Cancellation(0, 3, 2))
 
 
 def test_subtract_cancellation_insufficient():
     s = series_from_layers(1, 3, {0: {3: 1}})
-    with pytest.raises(CancellationError):
+    with pytest.raises(GrtorError, match=r"cancellation Cancellation\(i=0, a=2, b=3\) infeasible: "
+                                         r"coefficients 0 at \(i\+1,a\), 1 at \(i,b\)"):
         s.subtract_cancellation(Cancellation(0, 2, 3))
 
 
@@ -68,7 +70,7 @@ def test_series_ops():
     target = series_from_layers(1, 5, {0: {0: 1, 1: 2, 2: 2, 3: 1}})
     assert alternating_sum(target) == 6
     assert layer_sums(target) == [6, 0]
-    with pytest.raises(SeriesError):
+    with pytest.raises(GrtorError, match=r"negative coefficient -2 at \(i=0, j=1\)"):
         series_from_layers(1, 5, {0: {0: 1}}).subtract(target)
 
 
@@ -92,7 +94,7 @@ def test_verify_certificate_quadric_pair():
 def test_verify_certificate_trivial_and_invalid():
     s = quadric_pair_series(4)
     assert verify_certificate(s, CancellationCertificate(), s)
-    with pytest.raises(CancellationError):
+    with pytest.raises(GrtorError, match=r"invalid cancellation \(i=0, a=3, b=2\): needs a < b"):
         CancellationCertificate([Cancellation(0, 3, 2)])
     bad = verify_certificate(s, CancellationCertificate([Cancellation(0, 0, 1)]), s)
     assert not bad and bad.reason
@@ -124,7 +126,7 @@ def test_decide_negative_witness():
 
 
 def test_decide_bounds_mismatch():
-    with pytest.raises(SeriesError):
+    with pytest.raises(GrtorError, match="truncation mismatch between source and target"):
         decide_cancellation(BigradedSeries(1, 2), BigradedSeries(1, 3))
 
 
@@ -238,13 +240,13 @@ def test_certificate_text_roundtrip():
 
 
 def test_non_integer_lines_raise_series_error():
-    with pytest.raises(SeriesError, match="'1 x 2'"):
+    with pytest.raises(GrtorError, match="series line must be 'i j c': '1 x 2'"):
         BigradedSeries.from_text("2 4\n1 x 2\n")
-    with pytest.raises(SeriesError, match="'two 4'"):
+    with pytest.raises(GrtorError, match="series header must be 'imax jmax': 'two 4'"):
         BigradedSeries.from_text("two 4\n")
-    with pytest.raises(SeriesError, match="'0 2 3 4'"):
+    with pytest.raises(GrtorError, match="certificate line must be 'i a b': '0 2 3 4'"):
         CancellationCertificate.from_text("steps 1\n0 2 3 4\n")
-    with pytest.raises(SeriesError, match="'0 2 b'"):
+    with pytest.raises(GrtorError, match="certificate line must be 'i a b': '0 2 b'"):
         CancellationCertificate.from_text("steps 1\n0 2 b\n")
 
 

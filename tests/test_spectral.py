@@ -6,12 +6,12 @@ from collections import Counter
 
 import pytest
 
-from grtor.fields import Field
+from grtor.fields import Field, GrtorError
 from grtor.filtered import FilteredComplex, filtered_tensor, resolve_local_cyclic
 from grtor.groebner import IdealPresentation
 from grtor.poly import LOCAL, Ring
 from grtor.series import Cancellation
-from grtor.spectral import (PageCancellation, SpectralError, _pairing,
+from grtor.spectral import (PageCancellation, _pairing,
                             cancellations_at_page, page,
                             random_filtered_complex, run_to_stability)
 from series_oracle import alternating_sum
@@ -35,7 +35,7 @@ def test_minimal_complex_pages():
 
 
 def test_page_requires_positive_r():
-    with pytest.raises(SpectralError):
+    with pytest.raises(GrtorError, match="pages are indexed from r = 1"):
         page(minimal_cancellation_complex(), 0)
 
 
