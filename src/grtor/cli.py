@@ -141,18 +141,22 @@ def cmd_gr(args, out):
     series = BigradedSeries(0, window)
     for j, layer in enumerate(standard_monomial_layers(lm, ring.nvars, window)):
         series._set(0, j, len(layer))
+    # a standard monomial of degree cap leaves the colength unknown: leads
+    # past the cap may still join in(I)
     mass = colength_from_leads(ring, lm, cap)
+    known = mass != float("inf")
     if args.format == "json":
         out.write(json.dumps({
             "command": "gr",
             "initial_ideal": [str(g) for g in ini],
             "series": series_json(series),
-            "colength": (None if mass == float("inf") else mass),
+            "colength": mass if known else None,
             "validity_window": window,
         }, sort_keys=True) + "\n")
     else:
         out.write("initial ideal: (%s)\n" % ", ".join(str(g) for g in ini))
-        out.write("colength: %s\n" % ("infinite" if mass == float("inf") else mass))
+        unknown = "unknown (the standard monomials reach the cap %d)" % cap
+        out.write("colength: %s\n" % (mass if known else unknown))
         out.write("hilbert series of the associated graded (j <= %d):\n" % window)
         emit_series(series, args.format, out)
     return EXIT_OK

@@ -1,17 +1,23 @@
 """Exact linear algebra over a coefficient field.  Columns come in sparse,
 {row: nonzero x}; `solve` and `ColumnEchelon` build dense rows (lists of
-field elements) inside, as `rref` and `invert` take them.
+field elements) inside and reduce those.
 """
 
 
-def rref(field, rows):
-    """Reduced row echelon form; returns (new rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+def solve(field, columns, rhs, nrows):
+    """One solution x of sum_c x[c] * columns[c] = rhs, or None if there is
+    none; the columns and rhs are sparse {row: x} over `nrows` rows, and x
+    is a dense list, one entry per column.  The augmented matrix is brought
+    to reduced row echelon form; rhs is in the span exactly when its
+    column takes no pivot."""
+    ncols = len(columns)
+    m = [[field.zero] * (ncols + 1) for _ in range(nrows)]
+    for c, col in enumerate((*columns, rhs)):
+        for r, x in col.items():
+            m[r][c] = x
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols + 1):
         pr = None
         for i in range(r, nrows):
             if m[i][c]:
@@ -28,39 +34,12 @@ def rref(field, rows):
         r += 1
         if r == nrows:
             break
-    return m, pivots
-
-
-def solve(field, columns, rhs, nrows):
-    """One solution x of sum_c x[c] * columns[c] = rhs, or None if there is
-    none; the columns and rhs are sparse {row: x} over `nrows` rows, and x
-    is a dense list, one entry per column."""
-    ncols = len(columns)
-    aug = [[field.zero] * (ncols + 1) for _ in range(nrows)]
-    for c, col in enumerate((*columns, rhs)):
-        for r, x in col.items():
-            aug[r][c] = x
-    red, pivots = rref(field, aug)
-    for r in range(len(pivots), nrows):
-        if red[r][ncols]:
-            return None
     if ncols in pivots:
         return None
     x = [field.zero] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = m[r][ncols]
     return x
-
-
-def invert(field, rows):
-    """Inverse of a square matrix (raises on singular input)."""
-    n = len(rows)
-    aug = [list(r) + [field.one if c == k else field.zero for c in range(n)]
-           for k, r in enumerate(rows)]
-    red, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [r[n:] for r in red[:n]]
 
 
 def sparse_pivots(field, columns, key=None):

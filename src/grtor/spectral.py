@@ -22,7 +22,7 @@ from collections import namedtuple
 
 from .fields import Field, GrtorError
 from .filtered import FilteredComplex
-from .linalg import invert, sparse_pivots
+from .linalg import sparse_pivots
 from .series import (BigradedSeries, Cancellation, CancellationCertificate,
                      verify_certificate)
 
@@ -250,9 +250,8 @@ class RandomModel:
 def random_filtered_complex(seed, i_max=3, max_dim=8, max_level=6,
                             field=None, strictly_graded=False, with_model=False):
     """Reproducible random filtered complex with d^2 = 0 by construction:
-    a direct sum of matched pairs and free vectors, conjugated by random
-    filtered automorphisms (level-preserving block + strictly level-raising
-    nilpotent part)."""
+    a direct sum of matched pairs and free vectors, under a random
+    filtered change of basis of each term."""
     if field is None:
         field = Field(32003)
     rng = random.Random(seed)
@@ -288,58 +287,49 @@ def random_filtered_complex(seed, i_max=3, max_dim=8, max_level=6,
                     made += 1
                     break
 
-    diffs = [None]
-    for i in range(1, i_max + 1):
-        mat = [[field.zero] * dims[i] for _ in range(dims[i - 1])]
-        for (ii, s, t) in pairs_idx:
-            if ii == i:
-                mat[t][s] = field.one
-        diffs.append(mat)
+    # d[i] is d_i as sparse columns (d_0 = 0 on L_0, and no d_{i_max+1})
+    d = [[{} for _ in range(dims[i])] for i in range(i_max + 1)] + [[]]
+    for (i, s, t) in pairs_idx:
+        d[i][s][t] = field.one
 
-    def random_filtered_auto(i):
-        n = dims[i]
-        lv = levels[i]
-        while True:
-            m = [[field.zero] * n for _ in range(n)]
-            for r in range(n):
-                for c in range(n):
-                    if r == c:
-                        m[r][c] = field.of(rng.randrange(1, field.char or 97))
-                    elif lv[r] > lv[c]:
-                        if rng.random() < 0.5:
-                            m[r][c] = field.of(rng.randrange(1, field.char or 97))
-                    elif lv[r] == lv[c] and rng.random() < 0.4:
-                        m[r][c] = field.of(rng.randrange(0, field.char or 97))
-            try:
-                minv = invert(field, m)
-                return m, minv
-            except ValueError:
-                continue
+    def addmul(col, k, f, x):
+        v = field.submul(col.get(k, field.zero), f, x)
+        if v:
+            col[k] = v
+        else:
+            del col[k]
 
-    autos = [random_filtered_auto(i) for i in range(i_max + 1)]
-    conj = [None]
-    for i in range(1, i_max + 1):
-        q_dst, _ = autos[i - 1]
-        _, q_src_inv = autos[i]
-        a = diffs[i]
-        tmp = [[sum_mul(field, q_dst, a, r, c) for c in range(dims[i])] for r in range(dims[i - 1])]
-        mat = [[sum_mul(field, tmp, q_src_inv, r, c) for c in range(dims[i])] for r in range(dims[i - 1])]
-        conj.append([{r: mat[r][c] for r in range(dims[i - 1]) if mat[r][c]}
-                     for c in range(dims[i])])
+    # the change of basis of L_i is a product of elementary filtered maps E:
+    # e_s -> c*e_s, or e_s -> e_s + c*e_r with level r >= level s.  Each
+    # replaces d_i by d_i E^-1 (column s divided by c, or column s minus c
+    # times column r) and d_{i+1} by E d_{i+1} (row s times c, or row r plus
+    # c times row s), which keeps d o d = 0 and the filtration.
+    top = field.char or 97
+    for i in range(i_max + 1):
+        lv, cols, rows = levels[i], d[i], d[i + 1]
+        for r in range(dims[i]):
+            for s in range(dims[i]):
+                if r == s:
+                    c = field.of(rng.randrange(1, top))
+                    cols[s] = {t: field.div(x, c) for t, x in cols[s].items()}
+                    for col in rows:
+                        if s in col:
+                            col[s] = field.mul(col[s], c)
+                elif ((lv[r] > lv[s] and rng.random() < 0.5)
+                      or (lv[r] == lv[s] and rng.random() < 0.4)):
+                    c = field.of(rng.randrange(1, top))
+                    for t, x in cols[r].items():
+                        addmul(cols[s], t, c, x)
+                    c = field.neg(c)
+                    for col in rows:
+                        if s in col:
+                            addmul(col, r, c, col[s])
 
     j_max = max((max(lv) for lv in levels if lv), default=0)
-    L = FilteredComplex(field, levels, conj, j_max, truncated_at=None)
+    L = FilteredComplex(field, levels, [None] + d[1:-1], j_max, truncated_at=None)
     if not with_model:
         return L
     free = [(i, levels[i][v]) for i in range(i_max + 1) for v in range(dims[i])
             if v not in source_flags[i] and v not in target_flags[i]]
     pairs = [(i, levels[i][s], levels[i - 1][t]) for (i, s, t) in pairs_idx]
     return L, RandomModel(i_max, j_max, free, pairs)
-
-
-def sum_mul(field, a, b, r, c):
-    s = field.zero  # accumulates minus the entry, with submul's sign
-    for t in range(len(b)):
-        if a[r][t] and b[t][c]:
-            s = field.submul(s, a[r][t], b[t][c])
-    return field.neg(s)

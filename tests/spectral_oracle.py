@@ -8,18 +8,47 @@ homology with the induced filtration.  Slow; tests only.  Its dense
 test that counts a rank independently.  `ColumnEchelon` (dense
 columns, any row priority order) and the dense `solve` are reference
 kernels: the echelon serves `Engine` and `pieces_oracle`, and both are
-the oracles of the sparse-input kernels of `grtor.linalg`.  `run_by_pages` and
+the oracles of the sparse-input kernels of `grtor.linalg`.  `rank`,
+`solve` and `kernel_basis` reduce with this module's own dense `rref`
+(`grtor.linalg` keeps its copy inside `solve`), so no oracle shares its
+elimination with the code it checks.  `run_by_pages` and
 `cancellations_by_page` read a run off the same pairing as
 `grtor.spectral`, but page by page: the reference for the one-pass
 bookkeeping of `run_to_stability`; `to_cancellation` turns each page
 cancellation into its certificate step.
 """
 
-from grtor.linalg import rref
 from grtor.series import (BigradedSeries, Cancellation, CancellationCertificate,
                           verify_certificate)
 from grtor.spectral import (PageCancellation, RunResult, SpectralPage, _alive,
                             _cells_above, _page, _pairing)
+
+
+def rref(field, rows):
+    """Reduced row echelon form; returns (new rows, pivot column list)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = field.scale(field.inv(m[r][c]), m[r])
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                m[i] = field.axpy(m[i], m[i][c], m[r])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
 
 
 def rank(field, rows):

@@ -149,7 +149,8 @@ def test_gr_single_cusp(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["gr", str(job), "--jmax", "4"])
     assert code == 0
     assert "initial ideal: (X^2)" in out
-    assert "colength: infinite" in out
+    # in(I) is certified to the cap 12 only, and X*Y^12 is still standard
+    assert "colength: unknown (the standard monomials reach the cap 12)" in out
 
 
 def test_gr_homogeneous_echo(tmp_path, capsys):
@@ -163,8 +164,10 @@ def test_gr_homogeneous_echo(tmp_path, capsys):
 
 def test_gr_series_stops_at_the_validity_window(tmp_path, capsys):
     # at cap 3 the leads past degree 3 are unknown (y^5 joins in(I) at
-    # cap 12), so the series ends at the window, in JSON and in the header
+    # cap 12), so the series ends at the window, in JSON and in the header,
+    # and the colength is unknown, not infinite
     runs = {}
+    colength = {3: "unknown (the standard monomials reach the cap 3)", 12: "7"}
     for cap in (3, 12):
         job = tmp_path / ("cap%d.job" % cap)
         job.write_text("[ring]\nvariables = x y\nsetting = local\n\n[module M]\n"
@@ -174,7 +177,9 @@ def test_gr_series_stops_at_the_validity_window(tmp_path, capsys):
         runs[cap] = json.loads(out)
         code, out, _ = run_cli(capsys, ["gr", str(job), "--jmax", "8"])
         assert code == 0 and "(j <= %d)" % min(8, cap) in out
+        assert out.splitlines()[1] == "colength: " + colength[cap]
     low, high = runs[3], runs[12]
+    assert (low["colength"], high["colength"]) == (None, 7)
     assert low["validity_window"] == low["series"]["jmax"] == 3
     assert high["validity_window"] == high["series"]["jmax"] == 8
     assert max(j for _i, j, _c in low["series"]["terms"]) == 3

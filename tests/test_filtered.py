@@ -148,6 +148,21 @@ def test_lift_window_is_filtration_degree(tmp_path, capsys, pair):
         assert settled[0] == settled[1]
 
 
+@pytest.mark.parametrize("seed", WINDOW_SEEDS)
+def test_check_theorem_over_qq_matches_f32003(tmp_path, capsys, seed):
+    # the seeded pairs have small integer coefficients and no rank of their
+    # runs drops mod 32003, so each run prints the same bytes and exits
+    # the same over QQ and F_32003
+    job = tmp_path / "pair.job"
+    job.write_text("[ring]\nvariables = X Y Z\nsetting = local\n\n[module M]\nideal = %s\n\n"
+                   "[module N]\nideal = %s\n" % WINDOW_CASES[len(WINDOW_PAIRS) + seed])
+    runs = []
+    for field in ([], ["--char", "32003"]):
+        code = main(["check-theorem", str(job), "--jmax", "8", "--format", "json"] + field)
+        runs.append((code,) + capsys.readouterr())
+    assert runs[0] == runs[1]
+
+
 def test_tensor_unit_module_is_resolution_itself():
     L = cusp_ring()
     fres = resolve_local_cyclic(IdealPresentation(L, ["X^2 - Y^3"]))

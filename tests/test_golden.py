@@ -33,6 +33,8 @@ G4_SWAP = ("a b c d", "a, b, c, d", G4_QUADRICS)
 # stable ideals over k[x]/(x1^e) against k, (n, m, d, e) = (3, 3, 2, 4), (4, 3, 2, 3)
 STABLE_3324 = ("x1 x2 x3", "x1^2, x1*x2, x1*x3", "x1, x2, x3", "x1^4")
 STABLE_4323 = ("x1 x2 x3 x4", "x1^2, x1*x2, x1*x3", "x1, x2, x3, x4", "x1^3")
+FIVE = ("a b c d e", "a^2 + b^3, b^2 - c^3, c^2 - d^3 + e^4, d*e - a^3", "a - e^2, b + c^2")
+FIVE_SWAP = (FIVE[0], FIVE[2], FIVE[1])
 
 # name -> (command, setting, ideal, field, jmax[, further options], SHA-256
 # of the printed output)
@@ -60,6 +62,11 @@ GOLDEN = {
                     "759a4636e4b6be89f1fc0b12e51c680680eb4cd4553989a91e6b64de925ca6f0"),
     "exact-Fp-j16": ("check-theorem", "local", EXACT, P, 16,
                      "955ba58e265184de8290c98d8fb0b64ed572c7ad3585022484c8bc0469cfcbf8"),
+    # five variables, both orientations (QQ prints the same, in seconds)
+    "five-Fp-j8": ("check-theorem", "local", FIVE, P, 8,
+                   "bc2e0a0d85ced1a35cc4351e06ad9b9e1e70f967c20b92c1f8509a698dc8b0e2"),
+    "five-swap-Fp-j8": ("check-theorem", "local", FIVE_SWAP, P, 8,
+                        "ae71b8e84f995408baefa9fe3100bab3406f4034d2ccc4e4b22478cc68e1c269"),
     # a graded job file runs check-theorem on the same local ring
     "cusps-graded-QQ-j12": ("check-theorem", "graded", CUSPS, "QQ", 12,
                             "d7cba8244205500686ac5a8e4682014a44cf0fd0aa8e60c24b14d3a3a7f55e28"),
@@ -125,7 +132,6 @@ def test_golden_digest(tmp_path, name):
     assert digest(tmp_path, *job) == want
 
 
-FIVE = ("a b c d e", "a^2 + b^3, b^2 - c^3, c^2 - d^3 + e^4, d*e - a^3")
 # name -> (variables, generators, field, ring cap, lift cap, SHA-256 of the
 # lifted differentials, printed one "i a b entry" line per entry)
 LIFTS = {

@@ -71,6 +71,20 @@ def test_generator_constructive_guarantees():
         random_filtered_complex(seed, i_max=4, max_dim=6, max_level=5)
 
 
+@pytest.mark.parametrize("p", [32003, 0])
+def test_generator_change_of_basis_mixes(p):
+    # each matched pair is one unit entry before the change of basis, and
+    # d_i has rank = its pairs, so nnz >= pairs; the elementary maps spread
+    # the entries, so most complexes carry more nonzeros than pairs
+    mixed = 0
+    for seed in range(40):
+        L, model = random_filtered_complex(seed, field=Field(p), with_model=True)
+        nnz = sum(len(col) for d in L.diffs[1:] for col in d)
+        assert nnz >= len(model.pairs), seed
+        mixed += nnz > len(model.pairs)
+    assert mixed >= 30
+
+
 def test_model_oracle_agreement():
     for seed in range(40):
         L, model = random_filtered_complex(seed, with_model=True)
