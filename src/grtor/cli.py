@@ -133,7 +133,7 @@ def cmd_gr(args, out):
     if ideal is None:
         raise GrtorError("gr needs a nonzero ideal in [module M]")
     # one standard basis gives the initial ideal, its leads and the colength
-    basis = standard_basis(ideal, cap)
+    basis = standard_basis(ideal)
     ini = minimal_initial_forms(graded_twin(ring), basis)
     lm = basis_leads(basis)
     # the leads are certified to the cap only: past it the series is cut
@@ -141,9 +141,9 @@ def cmd_gr(args, out):
     series = BigradedSeries(0, window)
     for j, layer in enumerate(standard_monomial_layers(lm, ring.nvars, window)):
         series._set(0, j, len(layer))
-    # a standard monomial of degree cap leaves the colength unknown: leads
-    # past the cap may still join in(I)
-    mass = colength_from_leads(ring, lm, cap)
+    # a standard monomial of degree cap leaves the colength and in(I) open:
+    # leads past the cap may still join in(I)
+    mass = colength_from_leads(ring, lm)
     known = mass != float("inf")
     if args.format == "json":
         out.write(json.dumps({
@@ -154,9 +154,12 @@ def cmd_gr(args, out):
             "validity_window": window,
         }, sort_keys=True) + "\n")
     else:
-        out.write("initial ideal: (%s)\n" % ", ".join(str(g) for g in ini))
-        unknown = "unknown (the standard monomials reach the cap %d)" % cap
-        out.write("colength: %s\n" % (mass if known else unknown))
+        head = "initial ideal" if known else "initial ideal (generators of degree <= %d)" % cap
+        out.write("%s: (%s)\n" % (head, ", ".join(str(g) for g in ini)))
+        if not known:  # Krull: under n generators, height < n and R/I is infinite
+            mass = ("infinite" if len(ideal.generators) < ring.nvars
+                    else "unknown (the standard monomials reach the cap %d)" % cap)
+        out.write("colength: %s\n" % mass)
         out.write("hilbert series of the associated graded (j <= %d):\n" % window)
         emit_series(series, args.format, out)
     return EXIT_OK
@@ -278,8 +281,8 @@ def cmd_check_theorem(args, out):
     # one resolution of gr M and one standard basis per ideal serve both sides;
     # gr N needs no minimal presentation, since its pieces read a Groebner
     # basis of the initial forms
-    fres = resolve_local_cyclic(iM, cap)
-    basis_n = standard_basis(iN, cap) if iN is not None else []
+    fres = resolve_local_cyclic(iM)
+    basis_n = standard_basis(iN) if iN is not None else []
     gring = fres.graded.ring
     mN = ModulePresentation.cyclic(gring, initial_forms(gring, basis_n))
     tor_graded = tor_from_resolution(fres.graded, mN, args.imax, args.jmax)

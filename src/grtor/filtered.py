@@ -5,17 +5,18 @@ over the residue field.
 
 Filtrations are m-adic on modules and shifted-m-adic on free modules
 (F^j = ⊕ m^{j - a_k}); these are the two families the worked examples
-use.  All local data carries a degree cap; the associated graded
+use.  The local ring carries a degree cap; the associated graded
 statements below hold in degrees <= cap.  On a free module the cap
 bounds filtration degree: x^e in row k has degree |e| + a_k.
 """
 
-from .groebner import (ModulePresentation, NormalFormTable, as_column, as_vector,
-                       colength_from_leads, graded_twin, ideal_intersection, ideal_product,
-                       ideal_sum, initial_forms, leading_monomial_ideal, quotient_table,
-                       standard_basis, standard_monomial_layers, _submul, _truncate)
+from .groebner import (IdealPresentation, ModulePresentation, NormalFormTable, as_column,
+                       as_vector, colength_from_leads, graded_twin, ideal_intersection,
+                       ideal_product, ideal_sum, initial_forms, leading_monomial_ideal,
+                       quotient_table, standard_basis, standard_monomial_layers, _submul,
+                       _truncate)
 from .fields import CapExceededError, GrtorError
-from .poly import LOCAL
+from .poly import LOCAL, Ring
 from .resolution import compose, minimal_resolution, strand_solve
 from .series import BigradedSeries
 
@@ -23,17 +24,17 @@ from .series import BigradedSeries
 class FilteredResolution:
     """Free resolution over the local ring with shifted-m-adic filtrations
     whose associated graded complex is the graded resolution `graded`,
-    inside the window of filtration degree <= cap: a term x^e of row a of
-    F_i has filtration degree |e| + shifts[i][a], and the terms past the
-    window are dropped.  diffs[i] maps F_i to F_{i-1} as one column
-    {(row, exponents): c} per basis vector of F_i, as the graded
-    resolution holds its own (diffs[0] is None)."""
+    inside the window of filtration degree <= the ring's cap: a term x^e
+    of row a of F_i has filtration degree |e| + shifts[i][a], and the
+    terms past the window are dropped.  diffs[i] maps F_i to F_{i-1} as
+    one column {(row, exponents): c} per basis vector of F_i, as the
+    graded resolution holds its own (diffs[0] is None)."""
 
-    def __init__(self, ring, shifts_per_term, diffs, cap, graded):
+    def __init__(self, ring, shifts_per_term, diffs, graded):
         self.ring = ring
         self.shifts = [tuple(s) for s in shifts_per_term]
         self.diffs = diffs
-        self.cap = cap
+        self.cap = ring.cap
         self.graded = graded
 
     @property
@@ -65,7 +66,7 @@ class FilteredResolution:
                                      "resolution at (%d,%d,%d)" % (i, a, b))
 
 
-def lift_resolution(gres, generators, cap):
+def lift_resolution(gres, generators):
     """Lift a minimal graded free resolution of gr(M) = k[x]/in(I) over the
     polynomial ring to a filtered free resolution over the local ring.
 
@@ -73,10 +74,10 @@ def lift_resolution(gres, generators, cap):
     graded differential, with matching initial forms (a standard basis
     subset).  The lift starts from the graded columns and kills the
     components of d o d order by order using exactness of the graded
-    resolution.  The window is filtration degree <= cap, or <= the local
-    ring's cap if that is lower: the result's `cap`.  Every column,
-    product and correction is cut there, so each residual term lies in
-    the window, and every correction strictly raises its order.
+    resolution.  The window is filtration degree <= the local ring's cap.
+    Every column, product and correction is cut there, so each residual
+    term lies in the window, and every correction strictly raises its
+    order.
     """
     if not generators:
         raise GrtorError("need the local generators lifting the first differential")
@@ -95,7 +96,7 @@ def lift_resolution(gres, generators, cap):
                              % (b, g.initial_form(),
                                 as_vector(gring, expected, 1)[0]))
 
-    cap = min(cap, local_ring.cap)
+    cap = local_ring.cap
     shifts = [tuple(s) for s in gres.shifts]
     diffs = [None, [_truncate(as_column([g]), shifts[0], cap) for g in generators]]
     nf = quotient_table(gring)
@@ -130,28 +131,27 @@ def lift_resolution(gres, generators, cap):
             cols.append(col)
         diffs.append(cols)
 
-    out = FilteredResolution(local_ring, shifts, diffs, cap, gres)
+    out = FilteredResolution(local_ring, shifts, diffs, gres)
     out.check_postconditions()
     return out
 
 
-def resolve_local_cyclic(ideal, cap=None):
+def resolve_local_cyclic(ideal):
     """Lifted filtered resolution of R/I over the regular local ring: the
     complete minimal graded resolution of k[x]/in(I) (the result's
     `graded`), then the order-by-order lift."""
     ring = ideal.ring
-    cap = ring.cap if cap is None else min(cap, ring.cap)
     if not ideal.generators:
         raise GrtorError("R/I is R: the ideal has no generators")
     gring = graded_twin(ring)
-    basis = standard_basis(ideal, cap)
+    basis = standard_basis(ideal)
     forms = initial_forms(gring, basis)
     if any(f.degree() == 0 for f in forms):
         raise GrtorError("R/I is zero: the ideal contains a unit of the local ring")
     # d_1 keeps a minimal subset of the initial forms; the lift starts from
     # the standard basis elements they come from
     gres = minimal_resolution(ModulePresentation.cyclic(gring, forms), ring.nvars + 1)
-    return lift_resolution(gres, [basis[k] for k in gres.kept_relations], cap)
+    return lift_resolution(gres, [basis[k] for k in gres.kept_relations])
 
 
 # --- the truncated filtered complex ---------------------------------------------
@@ -330,7 +330,7 @@ def tensor_complex(shifts, diffs, nf, j_max):
 def filtered_tensor(fres, n_ideal, j_max):
     """L = F (x)_R R/n_ideal truncated at internal degree j_max (n_ideal
     None means N = R): its standard basis, then `tensor_over_basis`."""
-    basis = standard_basis(n_ideal, fres.cap) if n_ideal is not None else []
+    basis = standard_basis(n_ideal) if n_ideal is not None else []
     return tensor_over_basis(fres, basis, j_max)
 
 
@@ -381,20 +381,22 @@ def tor_local_low(I, J, j_max, cap=None):
     Tor_1's series is the degreewise difference of the standard-monomial
     counts of R/(I*J) and R/(I cap J) (the subquotient filtration,
     computed via initial ideals); an independent oracle for the spectral
-    pipeline in homological degrees <= 1.  A `cap` below the ring's reads
-    as a ring of that cap.
+    pipeline in homological degrees <= 1.  Given a `cap`, I and J are
+    first moved onto a ring of that cap.
     """
     ring = I.ring
-    cap = cap if cap is not None else ring.cap
-    if j_max > cap:
-        raise CapExceededError("series truncation %d exceeds the cap %d" % (j_max, cap))
+    if cap is not None and cap != ring.cap:
+        ring = Ring(ring.variables, ring.field, LOCAL, cap=cap)
+        I, J = IdealPresentation(ring, I.generators), IdealPresentation(ring, J.generators)
+    if j_max > ring.cap:
+        raise CapExceededError("series truncation %d exceeds the cap %d" % (j_max, ring.cap))
     total = ideal_sum(I, J)
-    inter = ideal_intersection(I, J, cap)
-    prod = ideal_product(I, J, cap)
+    inter = ideal_intersection(I, J)
+    prod = ideal_product(I, J)
 
-    lm_sum = leading_monomial_ideal(total, cap)
-    lm_inter = leading_monomial_ideal(inter, cap)
-    lm_prod = leading_monomial_ideal(prod, cap)
+    lm_sum = leading_monomial_ideal(total)
+    lm_inter = leading_monomial_ideal(inter)
+    lm_prod = leading_monomial_ideal(prod)
 
     def hilbert(lm):
         sizes = [len(layer) for layer in standard_monomial_layers(lm, ring.nvars, j_max)]
@@ -410,4 +412,4 @@ def tor_local_low(I, J, j_max, cap=None):
             raise CapExceededError("intersection is smaller than the product; cap too small")
         if h1:
             series._set(1, j, h1)
-    return LowTor(series, colength_from_leads(ring, lm_sum, cap))
+    return LowTor(series, colength_from_leads(ring, lm_sum))

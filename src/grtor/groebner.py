@@ -2,13 +2,13 @@
 syzygies, initial ideals and ideal arithmetic.
 
 One normal form serves both settings: full reduction of the lead and
-every tail term.  Local computations carry a degree cap and drop every
-term of degree > cap, so they run in the finite-dimensional algebra
-k[x]/m^{cap+1}, where full reduction terminates and is unique (the
-"highest corner" of Greuel-Pfister, A Singular Introduction to
+every tail term.  A local ring carries a degree cap, and computations
+drop every term of degree > cap, so they run in the finite-dimensional
+algebra k[x]/m^{cap+1}, where full reduction terminates and is unique
+(the "highest corner" of Greuel-Pfister, A Singular Introduction to
 Commutative Algebra, 1.7 and 6.4); Mora's ecart-driven weak normal form
 is needed only without a cap.  Results are certified in total degrees
-<= cap and the cap is part of every output's validity window.
+<= the ring's cap, part of every output's validity window.
 Module elements live in a free module with per-row degree shifts; the
 internal degree of a term x^e in row r is |e| + shift[r].  Inside this
 module an element is a column {(row, exponents): c}, the format of the
@@ -244,7 +244,8 @@ def _buchberger(ring, columns, shifts, cap, collect_syzygies):
 
 
 class IdealPresentation:
-    """An ideal given by a finite list of nonzero generators."""
+    """An ideal given by a finite list of nonzero generators; one of
+    another ring is moved onto a local ring, cut at its cap."""
 
     def __init__(self, ring, generators):
         gens = []
@@ -253,6 +254,11 @@ class IdealPresentation:
                 g = ring.parse(g)
             if g.is_zero():
                 raise GrtorError("ideal generators must be nonzero")
+            if g.ring is not ring and ring.cap is not None:
+                if g.order_degree() > ring.cap:
+                    raise CapExceededError(
+                        "generator %s has order beyond the cap %d" % (g, ring.cap))
+                g = Polynomial(ring, g.truncate(ring.cap).terms)
             gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
@@ -308,24 +314,24 @@ def groebner_basis(ideal):
         ring, [[g] for g in ideal.generators])])
 
 
-def module_groebner_basis(ring, columns, shifts=None, cap=None):
-    """Groebner basis (graded) or standard basis (local, valid to cap) of
-    the submodule generated by the given column vectors."""
+def module_groebner_basis(ring, columns, shifts=None):
+    """Groebner basis (graded) or standard basis (local, valid to the
+    ring's cap) of the submodule generated by the given column vectors."""
     if not columns:
         return []
     rank = len(columns[0])
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    basis, _ = _buchberger(ring, [as_column(c) for c in columns], shifts, cap, False)
+    basis, _ = _buchberger(ring, [as_column(c) for c in columns], shifts, ring.cap, False)
     return [as_vector(ring, g.col, rank) for g in basis]
 
 
-def module_normal_form(vec, basis, shifts=None, cap=None):
+def module_normal_form(vec, basis, shifts=None):
     """Fully reduced normal form of a vector of polynomials against module
-    basis vectors, below the cap as in `normal_form`."""
+    basis vectors, below the ring's cap as in `normal_form`."""
     ring = vec[0].ring
     shifts = tuple(shifts) if shifts is not None else (0,) * len(vec)
     leads = _leads(ring, [_Tracked(as_column(b)) for b in basis])
-    return as_vector(ring, _reduce(ring, shifts, _Tracked(as_column(vec)), leads, cap).col,
+    return as_vector(ring, _reduce(ring, shifts, _Tracked(as_column(vec)), leads, ring.cap).col,
                      len(vec))
 
 
@@ -467,21 +473,20 @@ def _interreduce(ring, polys):
     return out
 
 
-def normal_form(p, basis, cap=None):
+def normal_form(p, basis):
     """Fully reduced normal form of p against a list of polynomials: no
     term of the result is divisible by a leading monomial of the basis.
 
-    Terms of degree > cap are dropped; the cap defaults to the ring's (so
-    local rings are truncated, graded ones are not).  Against a standard
-    basis of I valid up to the cap the result is the unique normal form
-    in k[x]/(I + m^{cap+1}), and the map is k-linear.  Against an empty
-    basis it is the truncation at the cap.
+    Over a local ring, terms of degree > the ring's cap are dropped.
+    Against a standard basis of I valid up to the cap the result is the
+    unique normal form in k[x]/(I + m^{cap+1}), and the map is k-linear.
+    Against an empty basis it is p, already cut at the cap.
     """
-    return module_normal_form([p], [[g] for g in basis], (0,), cap)[0]
+    return module_normal_form([p], [[g] for g in basis], (0,))[0]
 
 
-def standard_basis(ideal, cap=None):
-    """Standard basis for the local-degree order, valid up to the cap.
+def standard_basis(ideal):
+    """Standard basis for the local-degree order, valid to the ring's cap.
 
     With the monomials of degree cap + 1 it is a standard basis of
     I + m^{cap+1}, so initial forms of the result generate the initial
@@ -490,13 +495,7 @@ def standard_basis(ideal, cap=None):
     ring = ideal.ring
     if ring.setting != LOCAL:
         raise GrtorError("standard_basis needs a local ring")
-    cap = cap if cap is not None else ring.cap
-    for g in ideal.generators:
-        if g.truncate(cap).is_zero() or g.order_degree() > cap:
-            raise CapExceededError(
-                "generator %s has order beyond the cap %d" % (g, cap))
-    polys = [v[0] for v in module_groebner_basis(ring, [[g] for g in ideal.generators],
-                                                 (0,), cap)]
+    polys = [v[0] for v in module_groebner_basis(ring, [[g] for g in ideal.generators])]
     # head-interreduce: drop members whose leading monomial another divides
     order = ring.order
     polys.sort(key=lambda p: order.key(p.leading_monomial()), reverse=True)
@@ -508,16 +507,16 @@ def graded_twin(ring):
     return Ring(ring.variables, ring.field, GRADED)
 
 
-def initial_ideal(ideal, cap=None):
+def initial_ideal(ideal):
     """The ideal of initial forms, presented over the graded twin ring.
 
     For a local ideal I this presents gr(R/I) = k[x]/in(I); valid up to
-    the cap.  A homogeneous ideal comes back as a minimal subset of its
-    reduced Groebner basis.
+    the ring's cap.  A homogeneous ideal comes back as a minimal subset of
+    its reduced Groebner basis.
     """
     ring = ideal.ring
     if ring.setting == LOCAL:
-        gr, basis = graded_twin(ring), standard_basis(ideal, cap)
+        gr, basis = graded_twin(ring), standard_basis(ideal)
     else:
         gr, basis = ring, groebner_basis(ideal)
         if not all(p.is_homogeneous() for p in basis):
@@ -556,19 +555,19 @@ def minimal_generator_indices(ring, forms):
     return chosen
 
 
-def syzygies(ring, columns, shifts=None, cap=None):
+def syzygies(ring, columns, shifts=None):
     """Generators of the first syzygy module of the given column vectors.
 
     Columns are vectors of polynomials in a free module with the given
     degree shifts; the result is a list of vectors u (length =
-    #columns) with sum_b columns[b] * u[b] = 0 (up to the cap in the
-    local setting).
+    #columns) with sum_b columns[b] * u[b] = 0 (up to the ring's cap in
+    the local setting).
     """
     if not columns:
         return []
     rank = len(columns[0])
     shifts = tuple(shifts) if shifts is not None else (0,) * rank
-    _, syz = _buchberger(ring, [as_column(c) for c in columns], shifts, cap, True)
+    _, syz = _buchberger(ring, [as_column(c) for c in columns], shifts, ring.cap, True)
     return [as_vector(ring, expr, len(columns)) for expr in syz]
 
 
@@ -576,37 +575,26 @@ def ideal_sum(I, J):
     return IdealPresentation(I.ring, list(I.generators) + list(J.generators))
 
 
-def ideal_product(I, J, cap=None):
-    """I*J; with a cap, each generator is cut at that degree, since a term
-    of higher order is zero in R/m^{cap+1}."""
-    gens = []
-    for f in I.generators:
-        for g in J.generators:
-            fg = f * g if cap is None else (f * g).truncate(cap)
-            if not fg.is_zero():
-                gens.append(fg)
+def ideal_product(I, J):
+    """I*J; over a local ring the products are cut at its cap, since a
+    term of higher order is zero in R/m^{cap+1}."""
+    gens = [f * g for f in I.generators for g in J.generators]
+    gens = [fg for fg in gens if not fg.is_zero()]
     if not gens:
         raise CapExceededError("ideal product truncated to zero; raise the cap")
     return IdealPresentation(I.ring, gens)
 
 
-def ideal_intersection(I, J, cap=None):
+def ideal_intersection(I, J):
     """I \\cap J by the syzygy method: syzygies of the row [f_1..f_s, -g_1..-g_t]
     project to coefficient vectors whose I-halves generate the intersection.
-    With a cap, the syzygies are valid to it and each generator is cut there."""
+    Over a local ring the syzygies and generators stop at its cap."""
     ring = I.ring
     fs, gs = list(I.generators), list(J.generators)
     cols = [[f] for f in fs] + [[-g] for g in gs]
-    syz = syzygies(ring, cols, (0,), cap)
-    gens = []
-    for u in syz:
-        h = ring.zero()
-        for b, f in enumerate(fs):
-            h = h + u[b] * f
-        if cap is not None:
-            h = h.truncate(cap)
-        if not h.is_zero():
-            gens.append(h)
+    gens = [sum((u[b] * f for b, f in enumerate(fs)), ring.zero())
+            for u in syzygies(ring, cols, (0,))]
+    gens = [h for h in gens if not h.is_zero()]
     if not gens:
         # intersection may genuinely be zero only for zero ideals; with
         # nonzero gens over a domain it never is, so report cap trouble
@@ -614,10 +602,10 @@ def ideal_intersection(I, J, cap=None):
     return IdealPresentation(ring, gens)
 
 
-def leading_monomial_ideal(ideal, cap=None):
+def leading_monomial_ideal(ideal):
     """Exponent tuples generating the leading monomial ideal (minimalized)."""
     if ideal.ring.setting == LOCAL:
-        return basis_leads(standard_basis(ideal, cap))
+        return basis_leads(standard_basis(ideal))
     return basis_leads(groebner_basis(ideal))
 
 
@@ -647,17 +635,17 @@ def standard_monomial_layers(lm, nvars, top=None):
         degree += 1
 
 
-def colength(ideal, cap=None):
+def colength(ideal):
     """dim_k R/I when finite; math.inf otherwise.
 
     Counted as standard monomials of the leading monomial ideal.  In the
-    local setting 'infinite' means: not finite within the cap's validity
-    window.
+    local setting 'infinite' means: not finite within the window of the
+    ring's cap.
     """
-    return colength_from_leads(ideal.ring, leading_monomial_ideal(ideal, cap), cap)
+    return colength_from_leads(ideal.ring, leading_monomial_ideal(ideal))
 
 
-def colength_from_leads(ring, lm, cap=None):
+def colength_from_leads(ring, lm):
     """`colength` of an ideal of `ring` off its leading monomial ideal lm."""
     if any(sum(e) == 0 for e in lm):
         return 0  # unit ideal
@@ -674,7 +662,7 @@ def colength_from_leads(ring, lm, cap=None):
             return math.inf
         bound = sum(p - 1 for p in pure) + 1
     else:
-        bound = (cap if cap is not None else ring.cap)
+        bound = ring.cap
     layers = list(standard_monomial_layers(lm, n, bound))
     if len(layers) <= bound or ring.setting == GRADED:
         return sum(map(len, layers))

@@ -6,10 +6,10 @@ oracle: `Polynomial` arithmetic, then one full reduction per entry."""
 from grtor.groebner import normal_form, quotient_groebner
 
 
-def matmul_poly(ring, a, b, gb=None, cap=None):
+def matmul_poly(ring, a, b, gb=None):
     """Product of polynomial matrices, each entry in normal form against
-    gb (default: the Groebner basis of the ring's quotient) below the cap
-    (default: the ring's; for a local ring the product is then truncated)."""
+    gb (default: the Groebner basis of the ring's quotient); for a local
+    ring the product is truncated at its cap."""
     if gb is None:
         gb = quotient_groebner(ring)
     n = len(a)
@@ -23,5 +23,5 @@ def matmul_poly(ring, a, b, gb=None, cap=None):
                 if a[i][t].is_zero() or b[t][j].is_zero():
                     continue
                 s = s + a[i][t] * b[t][j]
-            out[i][j] = normal_form(s, gb, cap)
+            out[i][j] = normal_form(s, gb)
     return out

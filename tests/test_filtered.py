@@ -58,7 +58,7 @@ def test_lift_rejects_wrong_initial_forms():
     from grtor.resolution import minimal_resolution
     gres = minimal_resolution(ModulePresentation.cyclic(forms[0].ring, forms), 3)
     with pytest.raises(GrtorError, match=r"generator 0 has initial form -X\^2, expected X\^2"):
-        lift_resolution(gres, [L.parse("Y^3 - X^2")], 20)
+        lift_resolution(gres, [L.parse("Y^3 - X^2")])
 
 
 def test_lift_cap_is_at_most_the_ring_cap():
@@ -66,7 +66,7 @@ def test_lift_cap_is_at_most_the_ring_cap():
     # stop there too, and a tensor truncation past it is refused
     L = Ring(list("abcde"), Field(32003), LOCAL, cap=6)
     I = IdealPresentation(L, ["a^2 + b^3", "b^2 - c^3", "c^2 - d^3 + e^4", "d*e - a^3"])
-    fres = resolve_local_cyclic(I, 10)
+    fres = resolve_local_cyclic(I)
     assert fres.cap == 6 and fres.length == 4
     fres.check_postconditions()
     with pytest.raises(CapExceededError, match="tensor truncation 8 exceeds the resolution cap 6"):
@@ -88,48 +88,57 @@ WINDOW_PAIRS = [
 ]
 
 
-def _three_variable_ideal(rng):
-    """Generators of a seeded ideal of k[[X, Y, Z]]: one to three, each
+def _seeded_ideal(rng, variables):
+    """Generators of a seeded ideal of k[[variables]]: one to three, each
     of one to three terms of degree 1 to 4."""
     gens = []
     for _ in range(rng.randint(1, 3)):
         terms = {}
         for _ in range(rng.randint(1, 3)):
-            e = [0, 0, 0]
+            e = [0] * len(variables)
             for _ in range(rng.randint(1, 4)):
-                e[rng.randrange(3)] += 1
-            terms["*".join("%s^%d" % (v, k) for v, k in zip("XYZ", e) if k)] = \
+                e[rng.randrange(len(variables))] += 1
+            terms["*".join("%s^%d" % (v, k) for v, k in zip(variables, e) if k)] = \
                 rng.choice([-2, -1, 1, 2, 3])
         gens.append(" + ".join("%d*%s" % (c, m) for m, c in terms.items()))
     return ", ".join(gens)
 
 
 WINDOW_SEEDS = range(16)
-WINDOW_CASES = WINDOW_PAIRS + [(_three_variable_ideal(rng), _three_variable_ideal(rng))
-                               for rng in map(random.Random, WINDOW_SEEDS)]
+SEEDED_PAIRS = [(_seeded_ideal(rng, "XYZ"), _seeded_ideal(rng, "XYZ"))
+                for rng in map(random.Random, WINDOW_SEEDS)]
+FOUR_SEEDS = range(24)
+# (variables, jmax, pair): k[[X, Y, Z]] at jmax 8, k[[A, B, C, D]] at jmax 6
+WINDOW_CASES = ([("XYZ", 8, pair) for pair in WINDOW_PAIRS + SEEDED_PAIRS]
+                + [("ABCD", 6, (_seeded_ideal(rng, "ABCD"), _seeded_ideal(rng, "ABCD")))
+                   for rng in map(random.Random, FOUR_SEEDS)])
 
 
-@pytest.mark.parametrize("pair", WINDOW_CASES,
+@pytest.mark.parametrize("case", WINDOW_CASES,
                          ids=["pair%d" % k for k in range(len(WINDOW_PAIRS))]
-                         + ["seed%d" % k for k in WINDOW_SEEDS])
-def test_lift_window_is_filtration_degree(tmp_path, capsys, pair):
+                         + ["seed%d" % k for k in WINDOW_SEEDS]
+                         + ["four-seed%d" % k for k in FOUR_SEEDS])
+def test_lift_window_is_filtration_degree(tmp_path, capsys, case):
     # truncation, corrections and postconditions all measure |e| + shift,
     # so every residual term lies in the window and has a correction: the
-    # lift of each side finishes, and check-theorem agrees in both
-    # orientations (Tor is balanced) up to imax, the resolved side's length
-    ring = Ring(["X", "Y", "Z"], Field(32003), LOCAL, cap=16)
+    # lift of each side finishes, and check-theorem verifies and agrees in
+    # both orientations (Tor is balanced) up to imax, the resolved side's
+    # length
+    variables, jmax, pair = case
+    ring = Ring(list(variables), Field(32003), LOCAL, cap=2 * jmax)
     for gens in pair:
-        resolve_local_cyclic(IdealPresentation(ring, gens.split(",")), 16).check_postconditions()
+        resolve_local_cyclic(IdealPresentation(ring, gens.split(","))).check_postconditions()
     runs = []
     for m_gens, n_gens in (pair, pair[::-1]):
         job = tmp_path / "window.job"
-        job.write_text("[ring]\nvariables = X Y Z\nsetting = local\n\n[module M]\nideal = %s\n\n"
-                       "[module N]\nideal = %s\n" % (m_gens, n_gens))
-        code = main(["check-theorem", str(job), "--jmax", "8", "--char", "32003",
+        job.write_text("[ring]\nvariables = %s\nsetting = local\n\n[module M]\nideal = %s\n\n"
+                       "[module N]\nideal = %s\n" % (" ".join(variables), m_gens, n_gens))
+        code = main(["check-theorem", str(job), "--jmax", str(jmax), "--char", "32003",
                      "--format", "json"])
         out, err = capsys.readouterr()
         assert (code, err) == (0, ""), (m_gens, n_gens)
         runs.append(json.loads(out))
+        assert runs[-1]["verified"] and runs[-1]["page1_matches_tor"], (m_gens, n_gens)
     a, b = runs
     for key in ("certificate", "verdict", "r_stab", "verified", "page1_matches_tor"):
         assert a[key] == b[key], key
@@ -141,7 +150,7 @@ def test_lift_window_is_filtration_degree(tmp_path, capsys, pair):
     else:
         # one tensor complex is exact (its window is jmax), the other a
         # truncation: page infinity agrees on the cells the truncation settles
-        assert pair not in WINDOW_PAIRS and 8 in (a["validity_window"], b["validity_window"])
+        assert pair not in WINDOW_PAIRS and jmax in (a["validity_window"], b["validity_window"])
         flagged = {tuple(c) for run in runs for c in run["page_infinity_indeterminate"]}
         settled = [[t for t in run["page_infinity"]["terms"] if tuple(t[:2]) not in flagged]
                    for run in runs]
@@ -155,7 +164,7 @@ def test_check_theorem_over_qq_matches_f32003(tmp_path, capsys, seed):
     # the same over QQ and F_32003
     job = tmp_path / "pair.job"
     job.write_text("[ring]\nvariables = X Y Z\nsetting = local\n\n[module M]\nideal = %s\n\n"
-                   "[module N]\nideal = %s\n" % WINDOW_CASES[len(WINDOW_PAIRS) + seed])
+                   "[module N]\nideal = %s\n" % SEEDED_PAIRS[seed])
     runs = []
     for field in ([], ["--char", "32003"]):
         code = main(["check-theorem", str(job), "--jmax", "8", "--format", "json"] + field)
@@ -192,12 +201,12 @@ def test_tensor_cap_insufficiency():
 def test_tensor_m_stability_by_rank():
     # level j+1 span equals m * (level j span) past the stability bound;
     # the x_v actions on L_i = F_i (x) N are built here from normal forms
-    L = cusp_ring()
+    j_max = 10
+    L = cusp_ring(j_max)
     fres = resolve_local_cyclic(IdealPresentation(L, ["X^2 - Y^3"]))
     N = IdealPresentation(L, ["X^2 - Y^5"])
-    j_max = 10
     Lc = filtered_tensor(fres, N, j_max)
-    nb = standard_basis(N, fres.cap)
+    nb = standard_basis(N)
     lm = [g.leading_monomial() for g in nb]
     basis_n = [u for d in range(j_max + 1) for u in standard_monomials(lm, 2, d)]
     field = Lc.field
@@ -214,7 +223,7 @@ def test_tensor_m_stability_by_rank():
                     if fres.shifts[i][b] + sum(u) < j:
                         continue
                     col = [field.zero] * n
-                    prod = normal_form(monomial_multiple(L.monomial(u), v), nb, j_max)
+                    prod = normal_form(monomial_multiple(L.monomial(u), v), nb)
                     for e, c in prod.terms.items():
                         if (b, e) in index:
                             col[index[(b, e)]] = c

@@ -132,49 +132,49 @@ def test_golden_digest(tmp_path, name):
     assert digest(tmp_path, *job) == want
 
 
-# name -> (variables, generators, field, ring cap, lift cap, SHA-256 of the
-# lifted differentials, printed one "i a b entry" line per entry)
+# name -> (variables, generators, field, the local ring's cap, SHA-256 of
+# the lifted differentials, printed one "i a b entry" line per entry)
 LIFTS = {
-    "cusps-M-QQ": (CUSPS[0], CUSPS[1], "QQ", 12, 12,
+    "cusps-M-QQ": (CUSPS[0], CUSPS[1], "QQ", 12,
                    "71950b0a28190863f1c6dc3e4a1441bc4dce23afbdb9022c8fe1b44a0757c472"),
-    "cusps-M-Fp": (CUSPS[0], CUSPS[1], P, 12, 12,
+    "cusps-M-Fp": (CUSPS[0], CUSPS[1], P, 12,
                    "368647968806c627456c22f1864b54e2f530238d0a9e99ea66e1ad34c77f7598"),
-    "cusps-N-QQ": (CUSPS[0], CUSPS[2], "QQ", 12, 12,
+    "cusps-N-QQ": (CUSPS[0], CUSPS[2], "QQ", 12,
                    "a6d5155d7065aa81c64e0b512711d7042d8005e73ae67050c8905d68282d216c"),
-    "cusps-N-Fp": (CUSPS[0], CUSPS[2], P, 12, 12,
+    "cusps-N-Fp": (CUSPS[0], CUSPS[2], P, 12,
                    "b5d8ed9be629151a342d411292233610bb42819bdaf161005a2065f16489547e"),
     # in(I) = (X^2, X*Y, Y^4): the lift of d_2 takes a unit correction
-    "cusp-unit-QQ": ("X Y", "X^2 + Y^3, X*Y", "QQ", 20, 20,
+    "cusp-unit-QQ": ("X Y", "X^2 + Y^3, X*Y", "QQ", 20,
                      "29c0ba9a509035251104e42968951f34772822cbdf94a5a89e283ceef3297c84"),
-    "cusp-unit-Fp": ("X Y", "X^2 + Y^3, X*Y", P, 20, 20,
+    "cusp-unit-Fp": ("X Y", "X^2 + Y^3, X*Y", P, 20,
                      "d4f12023e7b9e179c0e3e4269e8f90a4bb7f26a8ef95c1bad1167181a2e3ab6c"),
-    "three-M-QQ": (THREE[0], THREE[1], "QQ", 10, 10,
+    "three-M-QQ": (THREE[0], THREE[1], "QQ", 10,
                    "535779aeeb92feb34280bb5ab0edacce77d0ddcfcbe927b4283b759c300822c1"),
-    "three-M-Fp": (THREE[0], THREE[1], P, 10, 10,
+    "three-M-Fp": (THREE[0], THREE[1], P, 10,
                    "aa66b2d6bd4e7d4f7e86c93973cf47d9be3c86694f326cb6d66b42a56b4db9b2"),
-    "l4-M-QQ": (L4[0], L4[1], "QQ", 10, 10,
+    "l4-M-QQ": (L4[0], L4[1], "QQ", 10,
                 "14efb9f681decb2dd1ee5036345e89f6c36bcfeb802e459578491d55ac775b19"),
-    "l4-M-Fp": (L4[0], L4[1], P, 10, 10,
+    "l4-M-Fp": (L4[0], L4[1], P, 10,
                 "cfce35816920b78cedab458eb1b20ef64480f7237364f2ab1e15f6576b225a05"),
-    "l4-N-QQ": (L4[0], L4[2], "QQ", 10, 10,
+    "l4-N-QQ": (L4[0], L4[2], "QQ", 10,
                 "6fa2e9d1cf3e2f7175b495cd342fc8d4ee037748a5fd76def9c5d1387e44c848"),
-    "l4-N-Fp": (L4[0], L4[2], P, 10, 10,
+    "l4-N-Fp": (L4[0], L4[2], P, 10,
                 "ce5b8a0a702ff538c5aceb86fccca6b657d45b9d1d2fe56a201b1c6d6688f806"),
     # the window drops terms of filtration degree past the cap from the two
     # five lifts (1 and 26 terms), and changes nothing else
-    "five-M-Fp": (FIVE[0], FIVE[1], P, 10, 10,
+    "five-M-Fp": (FIVE[0], FIVE[1], P, 10,
                   "b1d5c2b6f5e2cc584f7c287c64f5199046c83c6eff818a182b2d301a1ca59a40"),
-    # a lift cap below the ring's truncates the corrections
-    "five-M-Fp-cap6": (FIVE[0], FIVE[1], P, 10, 6,
+    # at cap 6 the window also cuts the corrections
+    "five-M-Fp-cap6": (FIVE[0], FIVE[1], P, 6,
                        "9b053e6e35bdce7c3d7db5137fa7d575279eba07a9b2a062429f737313110230"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LIFTS))
 def test_lift_digest(name):
-    variables, gens, field, ring_cap, cap, want = LIFTS[name]
-    ring = Ring(variables.split(), Field(0 if field == "QQ" else int(field)), LOCAL, cap=ring_cap)
-    fres = resolve_local_cyclic(IdealPresentation(ring, gens.split(",")), cap)
+    variables, gens, field, cap, want = LIFTS[name]
+    ring = Ring(variables.split(), Field(0 if field == "QQ" else int(field)), LOCAL, cap=cap)
+    fres = resolve_local_cyclic(IdealPresentation(ring, gens.split(",")))
     # the lift lives in the window: filtration degree |e| + shift <= cap
     assert all(sum(e) + fres.shifts[i - 1][a] <= fres.cap
                for i in range(1, len(fres.diffs)) for col in fres.diffs[i] for a, e in col)

@@ -388,7 +388,7 @@ L4_GENS = ["a^2 + b^3", "b^2 - c^3 + d^4", "c*d - a^3"]
 
 def _l4_lift(cap=10):
     L = Ring(["a", "b", "c", "d"], Field(32003), LOCAL, cap=cap)
-    return resolve_local_cyclic(IdealPresentation(L, L4_GENS), cap)
+    return resolve_local_cyclic(IdealPresentation(L, L4_GENS))
 
 
 def _changed(diffs, i, factor=2):
@@ -415,8 +415,7 @@ def test_changing_one_coefficient_of_d2_breaks_d_squared():
         GradedFreeResolution(res.ring, res.shifts, _changed(res.diffs, 2), res.i_max)
     fres = _l4_lift()
     fres.check_postconditions()
-    broken = FilteredResolution(fres.ring, fres.shifts, _changed(fres.diffs, 2), fres.cap,
-                                fres.graded)
+    broken = FilteredResolution(fres.ring, fres.shifts, _changed(fres.diffs, 2), fres.graded)
     with pytest.raises(GrtorError, match="do not compose to zero"):
         broken.check_postconditions()
 
@@ -466,7 +465,7 @@ def test_lift_postconditions_reject_each_changed_column(change, message):
     fres = _unit_cusp_lift()
     fres.check_postconditions()
     broken = FilteredResolution(fres.ring, fres.shifts, [None, fres.diffs[1], change(fres.diffs[2])],
-                                fres.cap, fres.graded)
+                                fres.graded)
     with pytest.raises(GrtorError, match=message):
         broken.check_postconditions()
 
@@ -490,7 +489,7 @@ def test_product_normal_forms_match_the_polynomial_product(case):
         left, rows = res.diffs[i - 1], len(res.shifts[i - 2])
         for right in (res.diffs[i], _scaled(res.diffs[i])):
             want = matmul_poly(ring, matrix(ring, left, rows),
-                               matrix(ring, right, len(res.shifts[i - 1])), gb, cap)
+                               matrix(ring, right, len(res.shifts[i - 1])), gb)
             got = [nf(compose(ring.field, left, col, cap), key) for col in right]
             assert got == [{(a, (0, e)): c for a in range(rows) for e, c in want[a][b].terms.items()}
                            for b in range(len(right))]
