@@ -327,47 +327,51 @@ def cmd_cancel(args, out):
     return EXIT_OK if decision.feasible else EXIT_UNVERIFIED
 
 
+# name -> (help line, the command's own arguments, run); the common options follow them
+COMMANDS = {
+    "gr": ("initial ideal and Hilbert series of the associated graded", [("input", {})], cmd_gr),
+    "tor-gr": ("bigraded Tor series over a graded ring", [("input", {})], cmd_tor_gr),
+    "check-theorem": (
+        "run the spectral sequence and verify the cancellation certificate",
+        [("input", {"nargs": "?"}),
+         ("--synthetic", {"default": None,
+                          "help": "run on a serialized filtered complex instead of ring data"}),
+         ("--seed", {"type": int, "default": 0, "help": "seed of --synthetic random"})],
+        cmd_check_theorem),
+    "cancel": ("decide cancellation between two series files",
+               [("source", {}), ("target", {})], cmd_cancel),
+}
+COMMON = [
+    ("--imax", {"type": int, "default": 6}),
+    ("--jmax", {"type": int, "default": 12}),
+    ("--char", {"type": int, "default": 0, "help": "prime characteristic (0 = rationals)"}),
+    ("--cap", {"type": int, "default": None,
+               "help": "local truncation cap (default: [bounds] cap, else jmax + imax + 2)"}),
+    ("--format", {"choices": ["table", "series", "json"], "default": "table"}),
+]
+
+
 def make_parser(command=None):
-    """The command-line parser.  Given a command name, only that subcommand
-    gets the common options, which are most of the cost of building it."""
+    """Given a command name, the parser of `grtor <command>` alone, for the
+    words after the name: `main` asks for it when argv's first word names a
+    command.  Otherwise, with no words, an option or an unknown name first,
+    the full tree of subcommands, which words that argv's help and errors."""
+    def build(parser, name):
+        arguments, run = COMMANDS[name][1:]
+        for flag, kwargs in arguments + COMMON:
+            parser.add_argument(flag, **kwargs)
+        parser.set_defaults(run=run)
+        return parser
+
+    if command in COMMANDS:
+        return build(_Parser(prog="grtor " + command), command)
     parser = _Parser(
         prog="grtor",
         description="Bigraded Tor series over associated graded rings and "
                     "negative consecutive cancellation certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--imax", type=int, default=6)
-        p.add_argument("--jmax", type=int, default=12)
-        p.add_argument("--char", type=int, default=0,
-                       help="prime characteristic (0 = rationals)")
-        p.add_argument("--cap", type=int, default=None,
-                       help="local truncation cap (default: [bounds] cap, else jmax + imax + 2)")
-        p.add_argument("--format", choices=["table", "series", "json"], default="table")
-
-    p_gr = sub.add_parser("gr", help="initial ideal and Hilbert series of the associated graded")
-    p_gr.add_argument("input")
-    p_gr.set_defaults(run=cmd_gr)
-
-    p_tor = sub.add_parser("tor-gr", help="bigraded Tor series over a graded ring")
-    p_tor.add_argument("input")
-    p_tor.set_defaults(run=cmd_tor_gr)
-
-    p_check = sub.add_parser("check-theorem",
-                             help="run the spectral sequence and verify the cancellation certificate")
-    p_check.add_argument("input", nargs="?")
-    p_check.add_argument("--synthetic", default=None,
-                         help="run on a serialized filtered complex instead of ring data")
-    p_check.add_argument("--seed", type=int, default=0, help="seed of --synthetic random")
-    p_check.set_defaults(run=cmd_check_theorem)
-
-    p_cancel = sub.add_parser("cancel", help="decide cancellation between two series files")
-    p_cancel.add_argument("source")
-    p_cancel.add_argument("target")
-    p_cancel.set_defaults(run=cmd_cancel)
-    for name, p in sub.choices.items():
-        if command in (None, name):
-            common(p)
+    for name, (help_line, _arguments, _run) in COMMANDS.items():
+        build(sub.add_parser(name, help=help_line), name)
     return parser
 
 
@@ -378,13 +382,13 @@ def main(argv=None):
     # that it then fails to close; the one line below is all a run writes
     sys.stderr = None
     try:
-        # the first word that is not an option names the command
-        args = make_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+        command, rest = (argv[0], argv[1:]) if argv and argv[0] in COMMANDS else (None, argv)
+        args = make_parser(command).parse_args(rest)
         return args.run(args, out)
     except CapExceededError as exc:
         print("window exhausted: %s" % exc, file=err)
         return EXIT_WINDOW
-    except (GrtorError, OSError) as exc:
+    except (GrtorError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=err)
         return EXIT_USAGE
     except MemoryError:

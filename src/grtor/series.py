@@ -171,7 +171,9 @@ class CancellationCertificate:
             s.validate()
 
     def sorted(self):
-        return CancellationCertificate(sorted(self.steps, key=lambda c: (c.page, c.i, c.a)))
+        out = CancellationCertificate()
+        out.steps = sorted(self.steps, key=lambda c: (c.page, c.i, c.a))  # already validated
+        return out
 
     def __len__(self):
         return len(self.steps)

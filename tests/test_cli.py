@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 import grtor
+import grtor.cli
 import grtor.groebner
 import grtor.orders
 import grtor.resolution
@@ -293,6 +294,20 @@ def test_job_file_cap_applies_and_the_flag_overrides_it(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["gr", "/nonexistent/path.job"])
     assert code == 1
+
+
+@pytest.mark.parametrize("form", [["gr"], ["tor-gr"], ["check-theorem"],
+                                  ["check-theorem", "--synthetic"], ["cancel"]], ids=" ".join)
+def test_undecodable_input_file_is_one_error_line(tmp_path, capsys, form):
+    # the head of an executable: bytes 0x80-0xff start no UTF-8 character
+    binary = tmp_path / "bin.dat"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100)))
+    target = tmp_path / "t.series"
+    target.write_text(BigradedSeries(0, 0).to_text())
+    argv = form + [str(binary)] + ([str(target)] if form == ["cancel"] else [])
+    code, out, err = run_cli(capsys, argv)
+    assert_one_line_error(code, err)
+    assert out == ""
 
 
 def test_tor_gr_over_quotient_ring(tmp_path, capsys):
@@ -907,6 +922,13 @@ PARSER_TEXTS = {
     ("--help", "gr"): (0, "5e60d23d0f0a736c948ec567aa58cef90186dd9fc9f3687a2139bc23647bbb04"),
     ("nope", "--help"): (1, "f4fe09bc7936bbbe824305e4ace787d260cb27e5b3cbe7862d752d5aded156f9"),
     ("tor-gr",): (1, "f630dd40a0a5fe20115c69b6e17e67e9e9c26a63c41e7a49119a44ffef84747f"),
+    ("--jmax", "3", "cancel", "a", "b"): (
+        1, "ffed572990b140c1fc7eef3143978d3e5747e417d82303bbb5354f1fe5338d9e"),
+    ("canc", "a", "b"): (1, "d649989def139c1ee6b1acb25fb5d4738b2e8f19117e60ea41703d4b968d9783"),
+    ("cancel", "-h"): (0, "ff597396469356d080e8d5c50272d2678d3d1720a01a82869f1bc4437bbcd151"),
+    ("cancel", "a"): (1, "f4e77c76ce2baf139bdde99f0709f235b6a290f8b8ebf029cbc0d9a019bad1db"),
+    ("tor-gr", "x", "--format", "xml"): (
+        1, "21ca4310ac731b589ff8c1358135cd579ef22ef62101d95e0dee96f01ced7bb5"),
 }
 
 
@@ -922,8 +944,8 @@ def _exit_code(parse, argv):
 
 @pytest.mark.parametrize("argv", sorted(PARSER_TEXTS))
 def test_per_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
-    # `main` gives the common options only to the command it runs; help
-    # and the errors for a missing or unknown command must not change
+    # `main` builds only the parser of the command it runs; help and the
+    # errors, of a command or of a missing or unknown one, must not change
     monkeypatch.setenv("COLUMNS", "80")
     code = _exit_code(main, argv)
     got = capsys.readouterr()
@@ -932,6 +954,29 @@ def test_per_command_parser_prints_what_the_full_parser_prints(capsys, monkeypat
     if sys.version_info[:2] == (3, 11):  # argparse's wording differs by version
         digest = hashlib.sha256((got.out + "\0" + got.err).encode()).hexdigest()
         assert (code, digest) == PARSER_TEXTS[argv]
+
+
+@pytest.mark.parametrize("command", ["gr", "tor-gr", "check-theorem", "cancel"])
+def test_a_command_line_builds_one_parser(pair_job, graded_job, tmp_path, capsys,
+                                          monkeypatch, command):
+    # the full tree is five parsers; a valid command line needs its own only
+    series = tmp_path / "s.series"
+    series.write_text(BigradedSeries(0, 0).to_text())
+    argv = {"gr": [pair_job], "tor-gr": [graded_job], "check-theorem": ["--synthetic", "random"],
+            "cancel": [str(series), str(series)]}[command]
+    built = []
+    init = grtor.cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(grtor.cli._Parser, "__init__", counted)
+    assert main([command] + argv) == 0
+    assert len(built) == 1
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(built) == 6
 
 
 def count_calls(monkeypatch, targets):
