@@ -35,26 +35,35 @@ class _Parser(argparse.ArgumentParser):
         raise GrtorError(message)
 
 
+def _read_input(path):
+    """The text of an input file, read as UTF-8 whatever the locale; bytes
+    that do not decode are a GrtorError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GrtorError("%s: %s" % (path, exc)) from None
+
+
 def parse_job_file(path):
     """Flat key/value job format with [section] headers; values keep their
     text form.  Errors carry line numbers."""
     sections = {}
     current = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip().lower()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise GrtorError("%s:%d: expected 'key = value', got %r" % (path, lineno, raw.strip()))
-            if current is None:
-                raise GrtorError("%s:%d: key/value outside any [section]" % (path, lineno))
-            key, val = line.split("=", 1)
-            sections[current][key.strip().lower()] = val.strip()
+    for lineno, raw in enumerate(_read_input(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip().lower()
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise GrtorError("%s:%d: expected 'key = value', got %r" % (path, lineno, raw.strip()))
+        if current is None:
+            raise GrtorError("%s:%d: key/value outside any [section]" % (path, lineno))
+        key, val = line.split("=", 1)
+        sections[current][key.strip().lower()] = val.strip()
     return sections
 
 
@@ -191,8 +200,7 @@ def _check_synthetic(args, out):
         from .spectral import random_filtered_complex
         L = random_filtered_complex(args.seed)
     else:
-        with open(args.synthetic) as fh:
-            L = FilteredComplex.from_text(fh.read())
+        L = FilteredComplex.from_text(_read_input(args.synthetic))
     run = run_to_stability(L)
     return _report_run(args, out, run, tor_graded=None, page1_matches=None)
 
@@ -298,10 +306,8 @@ def cmd_check_theorem(args, out):
 
 
 def cmd_cancel(args, out):
-    with open(args.source) as fh:
-        source = BigradedSeries.from_text(fh.read())
-    with open(args.target) as fh:
-        target = BigradedSeries.from_text(fh.read())
+    source = BigradedSeries.from_text(_read_input(args.source))
+    target = BigradedSeries.from_text(_read_input(args.target))
     decision = decide_cancellation(source, target)
     if args.format == "json":
         payload = {
@@ -388,7 +394,7 @@ def main(argv=None):
     except CapExceededError as exc:
         print("window exhausted: %s" % exc, file=err)
         return EXIT_WINDOW
-    except (GrtorError, OSError, UnicodeDecodeError) as exc:
+    except (GrtorError, OSError) as exc:
         print("error: %s" % exc, file=err)
         return EXIT_USAGE
     except MemoryError:

@@ -1,45 +1,9 @@
 """Exact linear algebra over a coefficient field.  Columns come in sparse,
-{row: nonzero x}; `solve` and `ColumnEchelon` build dense rows (lists of
-field elements) inside and reduce those.
+{row: nonzero x}.  `ColumnEchelon`, the one dense elimination, makes
+them dense rows (lists of field elements) inside; given a combination
+{tag: x} with every column (or with none), it reduces that beside the
+column, so the column minus its combination never changes.
 """
-
-
-def solve(field, columns, rhs, nrows):
-    """One solution x of sum_c x[c] * columns[c] = rhs, or None if there is
-    none; the columns and rhs are sparse {row: x} over `nrows` rows, and x
-    is a dense list, one entry per column.  The augmented matrix is brought
-    to reduced row echelon form; rhs is in the span exactly when its
-    column takes no pivot."""
-    ncols = len(columns)
-    m = [[field.zero] * (ncols + 1) for _ in range(nrows)]
-    for c, col in enumerate((*columns, rhs)):
-        for r, x in col.items():
-            m[r][c] = x
-    pivots = []
-    r = 0
-    for c in range(ncols + 1):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        m[r] = field.scale(field.inv(m[r][c]), m[r])
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                m[i] = field.axpy(m[i], m[i][c], m[r])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
-    return x
 
 
 def sparse_pivots(field, columns, key=None):
@@ -71,18 +35,24 @@ class ColumnEchelon:
 
     Sparse columns {row: x} are added one at a time, made dense and
     reduced against the stored echelon; each stored column has a unique
-    pivot row, its first nonzero row.
+    pivot row, its first nonzero row.  Either every column carries a
+    combination {tag: x} of the tagged columns, or none does.  Each step
+    is made on it too, so a column added with {its tag: 1} is stored with
+    a combination equal to it (`combos`), and one added with {} that lies
+    in the span is left with minus its expression on the stored columns.
     """
 
     def __init__(self, field, nrows):
         self.field = field
         self.nrows = nrows
         self.columns = {}  # pivot row -> column vector
+        self.combos = {}  # pivot row -> its combination, if columns are tagged
 
-    def add(self, column):
+    def add(self, column, combo=None):
         """Reduce column against the echelon and insert if independent.
 
         Returns the pivot row, or None if column lies in the current span.
+        `combo`, the column's combination, is reduced in place beside it.
         """
         field = self.field
         col = [field.zero] * self.nrows
@@ -97,6 +67,17 @@ class ColumnEchelon:
             if piv is None:
                 return None
             if piv not in self.columns:
-                self.columns[piv] = field.scale(field.inv(col[piv]), col)
+                inv = field.inv(col[piv])
+                self.columns[piv] = field.scale(inv, col)
+                if combo is not None:
+                    self.combos[piv] = {t: field.mul(inv, x) for t, x in combo.items()}
                 return piv
-            col = field.axpy(col, col[piv], self.columns[piv])
+            f = col[piv]
+            col = field.axpy(col, f, self.columns[piv])
+            if combo is not None:
+                for t, x in self.combos[piv].items():
+                    v = field.submul(combo.get(t, field.zero), f, x)
+                    if v:
+                        combo[t] = v
+                    else:
+                        del combo[t]

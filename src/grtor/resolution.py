@@ -19,7 +19,7 @@ from math import comb
 from .groebner import (NormalFormTable, _buchberger, _submul, as_column,
                        as_vector, quotient_table, syzygies)
 from .fields import GrtorError
-from .linalg import ColumnEchelon, solve
+from .linalg import ColumnEchelon
 from .poly import GRADED
 from .series import BigradedSeries
 
@@ -43,21 +43,26 @@ def free_basis(nf, shifts, degree):
 def strand_solve(nf, d, src_shifts, dst_shifts, target, degree):
     """Solve d * u = target in one internal degree, or return None: d is a
     differential as columns, target a term dict {(dst row, exponents): c}
-    of that degree in normal form, and u one {(src column, exponents): c}."""
-    src = free_basis(nf, src_shifts, degree)
+    of that degree in normal form, and u one {(src column, exponents): c}.
+    The strand's columns go into one echelon in `free_basis` order, each
+    with the combination {its key of u: 1}, then the target with {}: so
+    every column is tagged, and the target, in their span iff it takes no
+    pivot, ends with minus its expression on them, which is u."""
+    field = nf.ring.field
     dst_index = {key: n for n, key in enumerate(free_basis(nf, dst_shifts, degree))}
-    cols = [nf.column(d[col], key, dst_index) for col, key in src]
-    rhs = {dst_index[(a, (0, e))]: c for (a, e), c in target.items()}
-    sol = solve(nf.ring.field, cols, rhs, len(dst_index))
-    if sol is None:
+    ech = ColumnEchelon(field, len(dst_index))
+    for col, key in free_basis(nf, src_shifts, degree):
+        ech.add(nf.column(d[col], key, dst_index), {(col, key[1]): field.one})
+    combo = {}
+    if ech.add({dst_index[(a, (0, e))]: c for (a, e), c in target.items()}, combo) is not None:
         return None
-    return {(col, mono): c for c, (col, (_, mono)) in zip(sol, src) if c}
+    return {key: field.neg(x) for key, x in combo.items()}
 
 
 # --- presented modules, degreewise ---------------------------------------------
 
 
-class GradedModulePieces:
+class GradedModulePieces(NormalFormTable):
     """The table of normal forms of a presented graded module.
 
     Over the polynomial cover F = ⊕ k[x](-shift), the module is F modulo
@@ -65,10 +70,12 @@ class GradedModulePieces:
     that submodule, truncated at degree j_max (exact in every degree <=
     j_max, since the input is homogeneous), gives a k-basis of each piece
     (Macaulay): the standard terms (col, mono), those that no lead term of
-    the same row divides, which `nf.basis(j_max)` lists.  `nf` is the
-    table of monomial normal forms against that Groebner basis;
-    `tor_series` hands it to the tensor builder.
+    the same row divides, which `basis(j_max)` lists.  The table reduces
+    monomials against that Groebner basis; `tor_from_resolution` hands it
+    to the tensor builder.
     """
+
+    __slots__ = ()
 
     def __init__(self, module, j_max):
         ring = module.ring
@@ -77,7 +84,7 @@ class GradedModulePieces:
         cols += [{(a, e): c for e, c in q.terms.items()}
                  for q in ring.quotient for a in range(len(shifts))]
         gb, _ = _buchberger(ring, cols, shifts, j_max, False)
-        self.nf = NormalFormTable(ring, [g.col for g in gb], shifts)
+        super().__init__(ring, [g.col for g in gb], shifts)
 
 
 # --- minimal generators -------------------------------------------------------
@@ -298,7 +305,7 @@ def tor_from_resolution(res, mN, i_max, j_max):
     of the spectral sequence of that complex."""
     from .filtered import FilteredComplex, tensor_complex
     from .spectral import page
-    nf = GradedModulePieces(mN, j_max).nf
+    nf = GradedModulePieces(mN, j_max)
     top = min(res.length, i_max + 1) + 1
     levels, diffs = tensor_complex(res.shifts[:top], res.diffs[:top], nf, j_max)
     homology = page(FilteredComplex(mN.ring.field, levels, diffs, j_max), 1).dims

@@ -8,10 +8,9 @@ homology with the induced filtration.  Slow; tests only.  Its dense
 test that counts a rank independently.  `ColumnEchelon` (dense
 columns, any row priority order) and the dense `solve` are reference
 kernels: the echelon serves `Engine` and `pieces_oracle`, and both are
-the oracles of the sparse-input kernels of `grtor.linalg`.  `rank`,
-`solve` and `kernel_basis` reduce with this module's own dense `rref`
-(`grtor.linalg` keeps its copy inside `solve`), so no oracle shares its
-elimination with the code it checks.  `run_by_pages` and
+oracles of `grtor.linalg.ColumnEchelon`, without and with combinations.
+`rank`, `solve` and `kernel_basis` reduce with this module's own dense
+`rref`, so no oracle shares its elimination with the code it checks.  `run_by_pages` and
 `cancellations_by_page` read a run off the same pairing as
 `grtor.spectral`, but page by page: the reference for the one-pass
 bookkeeping of `run_to_stability`; `to_cancellation` turns each page

@@ -296,18 +296,42 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("form", [["gr"], ["tor-gr"], ["check-theorem"],
-                                  ["check-theorem", "--synthetic"], ["cancel"]], ids=" ".join)
-def test_undecodable_input_file_is_one_error_line(tmp_path, capsys, form):
-    # the head of an executable: bytes 0x80-0xff start no UTF-8 character
+@pytest.mark.parametrize("form, binary_at", [(["gr"], 0), (["tor-gr"], 0), (["check-theorem"], 0),
+                                              (["check-theorem", "--synthetic"], 0),
+                                              (["cancel"], 0), (["cancel"], 1)],
+                         ids=["gr", "tor-gr", "check-theorem", "check-theorem --synthetic",
+                              "cancel", "cancel second"])
+def test_undecodable_input_file_is_one_error_line(tmp_path, capsys, form, binary_at):
+    # the head of an executable: bytes 0x80-0xff start no UTF-8 character;
+    # the line names the file that does not decode, not the other input
     binary = tmp_path / "bin.dat"
     binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100)))
-    target = tmp_path / "t.series"
-    target.write_text(BigradedSeries(0, 0).to_text())
-    argv = form + [str(binary)] + ([str(target)] if form == ["cancel"] else [])
-    code, out, err = run_cli(capsys, argv)
+    series = tmp_path / "t.series"
+    series.write_text(BigradedSeries(0, 0).to_text())
+    files = [str(binary), str(series)] if form == ["cancel"] else [str(binary)]
+    code, out, err = run_cli(capsys, form + files[binary_at:] + files[:binary_at])
     assert_one_line_error(code, err)
+    assert err.startswith("error: %s: 'utf-8' codec can't decode" % binary)
+    assert str(series) not in err
     assert out == ""
+
+
+def test_input_files_are_utf8_in_every_locale(tmp_path):
+    # a job whose only non-ASCII bytes are a comment reads the same under
+    # the C locale, with UTF-8 mode off, as under a UTF-8 locale
+    job = tmp_path / "cafe.job"
+    job.write_bytes("[ring]\nvariables = x y\nsetting = graded\n# café\n\n"
+                    "[module M]\nideal = x^2, x*y\n\n[module N]\nideal = x, y\n".encode())
+    runs = []
+    for locale, utf8_mode in (("C", "0"), ("C.UTF-8", "1")):
+        env = dict(os.environ, LC_ALL=locale,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(grtor.__file__)))
+        runs.append(subprocess.run([sys.executable, "-X", "utf8=" + utf8_mode, "-m", "grtor.cli",
+                                    "tor-gr", str(job), "--imax", "2", "--jmax", "4"],
+                                   capture_output=True, timeout=60, env=env))
+    c, utf8 = runs
+    assert (c.returncode, c.stderr) == (0, b"")
+    assert c.stdout == utf8.stdout and b"1:" in c.stdout
 
 
 def test_tor_gr_over_quotient_ring(tmp_path, capsys):

@@ -121,13 +121,16 @@ WINDOW_CASES = ([("XYZ", 8, pair) for pair in WINDOW_PAIRS + SEEDED_PAIRS]
 def test_lift_window_is_filtration_degree(tmp_path, capsys, case):
     # truncation, corrections and postconditions all measure |e| + shift,
     # so every residual term lies in the window and has a correction: the
-    # lift of each side finishes, and check-theorem verifies and agrees in
-    # both orientations (Tor is balanced) up to imax, the resolved side's
-    # length
+    # lift of each side finishes on a ring of cap 2 * jmax, and check-theorem
+    # verifies and agrees in both orientations (Tor is balanced) up to imax,
+    # the resolved side's length
     variables, jmax, pair = case
-    ring = Ring(list(variables), Field(32003), LOCAL, cap=2 * jmax)
-    for gens in pair:
-        resolve_local_cyclic(IdealPresentation(ring, gens.split(","))).check_postconditions()
+    if 2 * jmax != jmax + 6 + 2:
+        # check-theorem's default cap, jmax + imax + 2 at imax 6, is another
+        # ring: lift there too (`lift_resolution` checks its postconditions)
+        ring = Ring(list(variables), Field(32003), LOCAL, cap=2 * jmax)
+        for gens in pair:
+            resolve_local_cyclic(IdealPresentation(ring, gens.split(",")))
     runs = []
     for m_gens, n_gens in (pair, pair[::-1]):
         job = tmp_path / "window.job"

@@ -1,8 +1,9 @@
 """The exact-arithmetic kernels: bound field operations and row primitives,
 pickling, the heap-ordered normal form against the scan-based oracle in
 tests/reduce_oracle.py, the table of monomial normal forms against
-direct reduction, the quotient memo, and the sparse-input `linalg.solve`
-and `ColumnEchelon` against the dense kernels of tests/spectral_oracle.py."""
+direct reduction, the quotient memo, and the sparse-input `ColumnEchelon`,
+untagged and solving through its combinations, against the dense kernels
+of tests/spectral_oracle.py."""
 
 import pickle
 import random
@@ -17,7 +18,7 @@ from grtor.groebner import (IdealPresentation, NormalFormTable, _buchberger,
                             _divides, _leads, _reduce, _Tracked, groebner_basis,
                             module_groebner_basis, module_normal_form, normal_form,
                             quotient_groebner, quotient_table, standard_basis)
-from grtor.linalg import ColumnEchelon, solve
+from grtor.linalg import ColumnEchelon
 from grtor.poly import GRADED, LOCAL, Ring
 
 from poly_oracle import column, entries, monomial_multiple
@@ -374,6 +375,20 @@ def _sparse_columns(rng, field, nrows, ncols):
     return cols
 
 
+def _echelon_solve(field, cols, rhs, nrows):
+    """x with sum_c x[c] * cols[c] = rhs, as `strand_solve` finds it: the
+    columns go into a `ColumnEchelon` tagged by index, rhs follows with the
+    combination {}, and x is minus what is left of it; None if rhs takes
+    a pivot."""
+    ech = ColumnEchelon(field, nrows)
+    for c, col in enumerate(cols):
+        ech.add(col, {c: field.one})
+    combo = {}
+    if ech.add(rhs, combo) is not None:
+        return None
+    return [field.neg(combo[c]) if c in combo else field.zero for c in range(len(cols))]
+
+
 @pytest.mark.parametrize("p", [0, P])
 def test_sparse_solve_matches_the_dense_oracle(p):
     field = Field(p)
@@ -386,7 +401,7 @@ def test_sparse_solve_matches_the_dense_oracle(p):
             rhs = _combine(field, cols, [field.of(rng.randint(-2, 2)) for _ in cols])
         else:  # often inconsistent
             rhs = {r: field.of(rng.randint(1, 4)) for r in range(nrows) if rng.random() < 0.5}
-        got = solve(field, cols, rhs, nrows)
+        got = _echelon_solve(field, cols, rhs, nrows)
         if nrows:
             rows = [[col.get(r, field.zero) for col in cols] for r in range(nrows)]
             want = solve_oracle(field, rows, [rhs.get(r, field.zero) for r in range(nrows)])
@@ -399,6 +414,30 @@ def test_sparse_solve_matches_the_dense_oracle(p):
         found["inconsistent" if got is None else "no columns" if not ncols
               else "no rows" if not nrows else "solved"] += 1
     assert len(found) == 4 and min(found.values()) > 10
+
+
+@pytest.mark.parametrize("p", [0, P])
+def test_tagged_echelon_stores_each_column_with_its_combination(p):
+    # a stored column is its stored combination of the columns added, and
+    # an untagged echelon stores no combinations
+    field = Field(p)
+    rng = random.Random(p + 2)
+    stored = 0
+    for _ in range(100):
+        nrows = rng.randint(0, 8)
+        cols = _sparse_columns(rng, field, nrows, rng.randint(1, 10))
+        ech, untagged = ColumnEchelon(field, nrows), ColumnEchelon(field, nrows)
+        for c, col in enumerate(cols):
+            assert ech.add(col, {c: field.one}) == untagged.add(col)
+        assert ech.columns == untagged.columns and untagged.combos == {}
+        assert ech.combos.keys() == ech.columns.keys()
+        for piv, column in ech.columns.items():
+            combo = ech.combos[piv]
+            assert all(type(x) is type(field.zero) and x for x in combo.values())
+            assert (_combine(field, cols, [combo.get(c, field.zero) for c in range(len(cols))])
+                    == {r: x for r, x in enumerate(column) if x})
+            stored += 1
+    assert stored > 200
 
 
 @pytest.mark.parametrize("p", [0, P])

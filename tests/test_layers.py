@@ -131,7 +131,7 @@ def test_table_terms_and_basis_of_a_module():
     ring = Ring(["x", "y", "z"], Field(32003), quotient=["x^3 - y*z^2"])
     module = ModulePresentation(ring, 3, (1, 0, 7), [["x", "0", "0"], ["y^2", "0", "0"],
                                                      ["0", "1", "0"], ["0", "0", "z"]])
-    table = GradedModulePieces(module, 9).nf
+    table = GradedModulePieces(module, 9)
     assert table.terms(1, 0) == [] and table.terms(2, 7) == [(0, 0, 0)]
     check_table(table, (8, -1, 1, 0, 30, 7, 2, 9), (-1, 0, 3, 6, 9))
     assert all(row != 1 for row, _e in table.basis(9))

@@ -88,14 +88,14 @@ def dense_homology(L):
 def dim(pieces, d, j_max):
     """The number of standard terms of degree d <= j_max: dim_k of the
     piece N_d."""
-    shifts = pieces.nf.shifts
-    return sum(shifts[col] + sum(mono) == d for col, mono in pieces.nf.basis(j_max))
+    shifts = pieces.shifts
+    return sum(shifts[col] + sum(mono) == d for col, mono in pieces.basis(j_max))
 
 
 def multiplication_complex(pieces, p, j_max):
     """F (x) N for F = G(-deg p) --p--> G: the level-(d + deg p) strand is the
     matrix of p: N_d -> N_{d + deg p}."""
-    levels, diffs = tensor_complex([(0,), (p.degree(),)], [None, [column([p])]], pieces.nf,
+    levels, diffs = tensor_complex([(0,), (p.degree(),)], [None, [column([p])]], pieces,
                                    j_max)
     return FilteredComplex(p.ring.field, levels, diffs, j_max)
 
@@ -135,7 +135,7 @@ def test_sparse_strand_ranks_on_tensor_complexes(case):
         assert page(L, 1).dims == dense_homology(L), str(p)
     # F (x) N for F the minimal resolution of k, as `tor_series` builds it
     res = minimal_resolution(ModulePresentation.cyclic(ring, ring.gens()), 3)
-    levels, diffs = tensor_complex(res.shifts, res.diffs, pieces.nf, top)
+    levels, diffs = tensor_complex(res.shifts, res.diffs, pieces, top)
     L = FilteredComplex(ring.field, levels, diffs, top)
     assert page(L, 1).dims == dense_homology(L)
 
