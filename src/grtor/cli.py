@@ -1,5 +1,7 @@
 """Batch command line: parse ring/module input files, dispatch the
-pipelines, and emit series, diagrams, certificates and verdicts.
+pipelines, and emit series, diagrams, certificates and verdicts.  A
+command takes only the options it reads (COMMANDS), and a job file only
+the sections and keys of JOB_KEYS; anything else is a usage error.
 
 Exit codes: 0 success/verified, 1 usage, parse or internal error (a
 GrtorError, or a file that cannot be read), 2 infeasible or unverified,
@@ -45,9 +47,16 @@ def _read_input(path):
             raise GrtorError("%s: %s" % (path, exc)) from None
 
 
+# section -> the keys it may set
+JOB_KEYS = {"ring": ("field", "variables", "setting", "quotient"),
+            "module m": ("ideal", "filtration"), "module n": ("ideal", "filtration"),
+            "bounds": ("cap",)}
+
+
 def parse_job_file(path):
     """Flat key/value job format with [section] headers; values keep their
-    text form.  Errors carry line numbers."""
+    text form.  A section or key outside JOB_KEYS, and a key set twice, is
+    an error; errors carry line numbers."""
     sections = {}
     current = None
     for lineno, raw in enumerate(_read_input(path).split("\n"), start=1):
@@ -56,6 +65,8 @@ def parse_job_file(path):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
+            if current not in JOB_KEYS:
+                raise GrtorError("%s:%d: unknown section %s" % (path, lineno, line))
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -63,11 +74,22 @@ def parse_job_file(path):
         if current is None:
             raise GrtorError("%s:%d: key/value outside any [section]" % (path, lineno))
         key, val = line.split("=", 1)
-        sections[current][key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key not in JOB_KEYS[current]:
+            raise GrtorError("%s:%d: unknown key %r in [%s]" % (path, lineno, key, current))
+        if key in sections[current]:
+            raise GrtorError("%s:%d: %r set twice in [%s]" % (path, lineno, key, current))
+        sections[current][key] = val.strip()
     return sections
 
 
-def build_ring(sections, args):
+def job_setting(sections):
+    return sections.get("ring", {}).get("setting", "graded").lower()
+
+
+def build_ring(sections, args, setting=None):
+    """The job's ring, in the job's setting unless `setting` is given.  A
+    local ring's cap is --cap, else [bounds] cap, else jmax + imax + 2."""
     ring_sec = sections.get("ring")
     if ring_sec is None:
         raise GrtorError("input file needs a [ring] section")
@@ -75,7 +97,13 @@ def build_ring(sections, args):
     variables = ring_sec.get("variables", "").split()
     if not variables:
         raise GrtorError("[ring] needs 'variables = ...'")
-    setting = ring_sec.get("setting", "graded").lower()
+    quotient = ring_sec.get("quotient", "")
+    if (setting or job_setting(sections)) != LOCAL:
+        base = Ring(variables, field, GRADED)
+        gens = parse_ideal(base, quotient) if quotient else ()
+        return Ring(variables, field, GRADED, quotient=gens)
+    if quotient:
+        raise GrtorError("local rings with quotients are out of scope; present modules by ideals")
     cap = args.cap
     if cap is None and "cap" in sections.get("bounds", {}):
         try:
@@ -85,20 +113,11 @@ def build_ring(sections, args):
                              % (args.input, sections["bounds"]["cap"])) from None
     if cap is None:
         cap = args.jmax + args.imax + 2
-    quotient = ring_sec.get("quotient", "")
-    if setting == LOCAL:
-        ring = Ring(variables, field, LOCAL, cap=cap)
-        if quotient:
-            raise GrtorError("local rings with quotients are out of scope; present modules by ideals")
-    else:
-        base = Ring(variables, field, GRADED)
-        gens = parse_ideal(base, quotient) if quotient else ()
-        ring = Ring(variables, field, GRADED, quotient=gens)
-    return ring, cap
+    return Ring(variables, field, LOCAL, cap=cap)
 
 
 def module_ideal(sections, name, ring):
-    sec = sections.get("module %s" % name.lower(), sections.get(name.lower()))
+    sec = sections.get("module %s" % name.lower())
     if sec is None:
         raise GrtorError("input file needs a [module %s] section" % name)
     text = sec.get("ideal", "").strip()
@@ -135,9 +154,10 @@ def emit_series(series, fmt, out):
 
 def cmd_gr(args, out):
     sections = parse_job_file(args.input)
-    ring, cap = build_ring(sections, args)
+    ring = build_ring(sections, args)
     if ring.setting != LOCAL:
         raise GrtorError("gr needs a local ring (setting = local)")
+    cap = ring.cap
     ideal = module_ideal(sections, "M", ring)
     if ideal is None:
         raise GrtorError("gr needs a nonzero ideal in [module M]")
@@ -176,9 +196,9 @@ def cmd_gr(args, out):
 
 def cmd_tor_gr(args, out):
     sections = parse_job_file(args.input)
-    ring, _cap = build_ring(sections, args)
-    if ring.setting != GRADED:
+    if job_setting(sections) == LOCAL:
         raise GrtorError("tor-gr needs a graded ring (setting = graded)")
+    ring = build_ring(sections, args)
     iM = module_ideal(sections, "M", ring)
     iN = module_ideal(sections, "N", ring)
     mM = ModulePresentation.cyclic(ring, iM.generators if iM else [])
@@ -264,18 +284,13 @@ def _report_run(args, out, run, tor_graded, page1_matches):
 
 
 def cmd_check_theorem(args, out):
+    if bool(args.input) == bool(args.synthetic):
+        raise GrtorError("check-theorem needs one of an input file and --synthetic")
     if args.synthetic:
         return _check_synthetic(args, out)
-    if not args.input:
-        raise GrtorError("check-theorem needs an input file or --synthetic")
     sections = parse_job_file(args.input)
-    ring, cap = build_ring(sections, args)
-    if ring.setting == GRADED:
-        if ring.quotient:
-            raise GrtorError("check-theorem covers the regular case; no ring quotients")
-        local = Ring(ring.variables, ring.field, LOCAL, cap=cap)
-    else:
-        local = ring
+    # a graded job names the same variables, over the local ring
+    local = build_ring(sections, args, LOCAL)
     iM = module_ideal(sections, "M", local)
     iN = module_ideal(sections, "N", local)
     if iM is None:
@@ -333,28 +348,31 @@ def cmd_cancel(args, out):
     return EXIT_OK if decision.feasible else EXIT_UNVERIFIED
 
 
-# name -> (help line, the command's own arguments, run); the common options follow them
+# the common options, in the order each command takes those it reads; only
+# gr and tor-gr print one `series`.  COMMANDS: name -> (help, arguments, run)
+IMAX = ("--imax", {"type": int, "default": 6})
+JMAX = ("--jmax", {"type": int, "default": 12})
+CHAR = ("--char", {"type": int, "default": 0, "help": "prime characteristic (0 = rationals)"})
+CAP = ("--cap", {"type": int, "default": None,
+                 "help": "local truncation cap (default: [bounds] cap, else jmax + imax + 2)"})
+SERIES_FORMAT = ("--format", {"choices": ["table", "series", "json"], "default": "table"})
+REPORT_FORMAT = ("--format", {"choices": ["table", "json"], "default": "table"})
 COMMANDS = {
-    "gr": ("initial ideal and Hilbert series of the associated graded", [("input", {})], cmd_gr),
-    "tor-gr": ("bigraded Tor series over a graded ring", [("input", {})], cmd_tor_gr),
+    "gr": ("initial ideal and Hilbert series of the associated graded",
+           [("input", {}), IMAX, JMAX, CHAR, CAP, SERIES_FORMAT], cmd_gr),
+    "tor-gr": ("bigraded Tor series over a graded ring",
+               [("input", {}), IMAX, JMAX, CHAR, SERIES_FORMAT], cmd_tor_gr),
     "check-theorem": (
         "run the spectral sequence and verify the cancellation certificate",
         [("input", {"nargs": "?"}),
          ("--synthetic", {"default": None,
                           "help": "run on a serialized filtered complex instead of ring data"}),
-         ("--seed", {"type": int, "default": 0, "help": "seed of --synthetic random"})],
+         ("--seed", {"type": int, "default": 0, "help": "seed of --synthetic random"}),
+         IMAX, JMAX, CHAR, CAP, REPORT_FORMAT],
         cmd_check_theorem),
     "cancel": ("decide cancellation between two series files",
-               [("source", {}), ("target", {})], cmd_cancel),
+               [("source", {}), ("target", {}), REPORT_FORMAT], cmd_cancel),
 }
-COMMON = [
-    ("--imax", {"type": int, "default": 6}),
-    ("--jmax", {"type": int, "default": 12}),
-    ("--char", {"type": int, "default": 0, "help": "prime characteristic (0 = rationals)"}),
-    ("--cap", {"type": int, "default": None,
-               "help": "local truncation cap (default: [bounds] cap, else jmax + imax + 2)"}),
-    ("--format", {"choices": ["table", "series", "json"], "default": "table"}),
-]
 
 
 def make_parser(command=None):
@@ -364,7 +382,7 @@ def make_parser(command=None):
     the full tree of subcommands, which words that argv's help and errors."""
     def build(parser, name):
         arguments, run = COMMANDS[name][1:]
-        for flag, kwargs in arguments + COMMON:
+        for flag, kwargs in arguments:
             parser.add_argument(flag, **kwargs)
         parser.set_defaults(run=run)
         return parser

@@ -128,6 +128,8 @@ class BigradedSeries:
         series = cls(i_max, j_max)
         for ln in rows[1:]:
             i, j, c = _int_fields(ln, 3, "series line must be 'i j c'")
+            if c < 0:  # repeated cells add up, so a negative line could hide
+                raise GrtorError("series line has a negative coefficient: %r" % ln)
             series._set(i, j, series.get(i, j) + c)
         return series
 

@@ -1,6 +1,8 @@
 """Command line: formats, exit codes, determinism."""
 
+import argparse
 import hashlib
+import io
 import json
 import os
 import random
@@ -36,8 +38,6 @@ ideal = X^2 - Y^3
 ideal = X^2 - Y^5
 
 [bounds]
-imax = 2
-jmax = 12
 """
 
 GRADED_JOB = """\
@@ -378,10 +378,11 @@ def assert_one_line_error(code, err):
 
 
 @pytest.mark.parametrize("extra", [["--bogus"], ["--jmax", "x"], ["--format", "xml"],
-                                   ["--field", "QQ"], ["--seed", "3"]])
+                                   ["--field", "QQ"], ["--seed", "3"], ["--cap", "5"]])
 def test_argument_error_is_one_usage_line(graded_job, capsys, extra):
     # argparse's errors are usage errors: exit 1 and one `error:` line, not a
-    # usage dump; only check-theorem reads a seed, and --char sets the field
+    # usage dump; only check-theorem reads a seed, --char sets the field, and
+    # a graded ring has no cap
     code, out, err = run_cli(capsys, ["tor-gr", graded_job] + extra)
     assert out == ""
     assert_one_line_error(code, err)
@@ -449,6 +450,58 @@ def test_malformed_synthetic_complex_is_usage_error(tmp_path, capsys, damage):
     fc.write_text("\n".join(lines) + "\n")
     code, _, err = run_cli(capsys, ["check-theorem", "--synthetic", str(fc)])
     assert_one_line_error(code, err)
+
+
+@pytest.mark.parametrize("argv", [["cancel", "SERIES", "SERIES", "--jmax", "3"],
+                                  ["check-theorem", "JOB", "--format", "series"],
+                                  ["check-theorem", "JOB", "--synthetic", "random"]])
+def test_an_option_the_command_does_not_read_is_a_usage_error(pair_job, tmp_path, capsys, argv):
+    # cancel reads no bounds, check-theorem prints no single series, and a
+    # job file and --synthetic are two inputs for one run
+    series = tmp_path / "s.series"
+    series.write_text(BigradedSeries(0, 0).to_text())
+    files = {"JOB": pair_job, "SERIES": str(series)}
+    code, out, err = run_cli(capsys, [files.get(a, a) for a in argv])
+    assert out == ""
+    assert_one_line_error(code, err)
+
+
+@pytest.mark.parametrize("lines", [["1 1 5", "1 1 -3"], ["1 1 -3", "1 1 5"]])
+def test_cancel_negative_series_line_is_usage_error_in_either_order(tmp_path, capsys, lines):
+    # repeated cells add up; a negative line is refused wherever it stands
+    src = tmp_path / "s.series"
+    tgt = tmp_path / "t.series"
+    src.write_text("\n".join(["2 4"] + lines) + "\n")
+    tgt.write_text("2 4\n")
+    code, out, err = run_cli(capsys, ["cancel", str(src), str(tgt)])
+    assert out == ""
+    assert_one_line_error(code, err)
+    assert err == "error: series line has a negative coefficient: '1 1 -3'\n"
+
+
+# a misspelled key: read as a [module N] with no ideal, it made N = R
+IDAEL_JOB = ("[ring]\nvariables = X Y\nsetting = local\n[module M]\nideal = X^2 - Y^3\n"
+             "[module N]\nidael = X^2 - Y^5\n")
+# job text -> (line, error) for a section or key outside JOB_KEYS or set twice
+MISREAD_JOBS = {
+    "idael": (IDAEL_JOB, 7, "unknown key 'idael' in [module n]"),
+    "bounds jmax": (PAIR_JOB + "jmax = 20\n", 14, "unknown key 'jmax' in [bounds]"),
+    "modul N": (PAIR_JOB.replace("[module N]", "[modul N]"), 10, "unknown section [modul N]"),
+    "bare M": (PAIR_JOB.replace("[module M]", "[M]"), 7, "unknown section [M]"),
+    "ideal twice": (PAIR_JOB.replace("ideal = X^2 - Y^3", "ideal = X^2 - Y^3\nideal = X^2"), 9,
+                    "'ideal' set twice in [module m]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISREAD_JOBS))
+def test_job_file_reads_only_the_keys_it_declares(tmp_path, capsys, name):
+    # each of these once ran on what it did not say: N = R, or the first M
+    text, line, message = MISREAD_JOBS[name]
+    job = tmp_path / "misread.job"
+    job.write_text(text)
+    for command in ("gr", "tor-gr", "check-theorem"):
+        code, out, err = run_cli(capsys, [command, str(job)])
+        assert (code, out, err) == (1, "", "error: %s:%d: %s\n" % (job, line, message))
 
 
 def test_cancel_non_integer_series_line_is_usage_error(tmp_path, capsys):
@@ -932,15 +985,16 @@ def test_too_many_flagged_cells_is_one_error_line(tmp_path):
 
 
 # argv -> (exit code, SHA-256 of stdout + "\0" + stderr) at 80 columns,
-# recorded with Python 3.11's argparse from the parser that gave every
-# subcommand the common options; a usage error is one `error:` line, exit 1
+# recorded with Python 3.11's argparse; the help of cancel, check-theorem and
+# tor-gr lists only the common options that the command reads.  A usage
+# error is one `error:` line, exit 1
 PARSER_TEXTS = {
     ("--help",): (0, "5e60d23d0f0a736c948ec567aa58cef90186dd9fc9f3687a2139bc23647bbb04"),
     ("gr", "--help"): (0, "8177d9de6c03a2fa2093c1f138f7b089b414e46156120ec3c3486fb6ce0a8112"),
-    ("tor-gr", "--help"): (0, "870dda32e970b6c2170108bf2574389379b07a000eed7d72c57f61f3a342270b"),
+    ("tor-gr", "--help"): (0, "06c011f8087b1fe4bcd2cca485ffc233f886bd2899d5c86b0cb0e0127efed8b2"),
     ("check-theorem", "--help"): (
-        0, "f7910962979433393504e07b73c28a6646647000f89c31f7887c47d11e0266e9"),
-    ("cancel", "--help"): (0, "ff597396469356d080e8d5c50272d2678d3d1720a01a82869f1bc4437bbcd151"),
+        0, "95b18c4c96e92c48fc836176c680e80713776928eca0cf506b1eba482eb678eb"),
+    ("cancel", "--help"): (0, "9ef3d4710de453b893e544805b46cf7324f7e3595e080ad6fc83f92c12c11ab3"),
     (): (1, "dd9d12e69f049b4a9d48fe09798144d18ee21ee9fd53664fc5da95022d02c726"),
     ("nope",): (1, "f4fe09bc7936bbbe824305e4ace787d260cb27e5b3cbe7862d752d5aded156f9"),
     ("--help", "gr"): (0, "5e60d23d0f0a736c948ec567aa58cef90186dd9fc9f3687a2139bc23647bbb04"),
@@ -949,7 +1003,7 @@ PARSER_TEXTS = {
     ("--jmax", "3", "cancel", "a", "b"): (
         1, "ffed572990b140c1fc7eef3143978d3e5747e417d82303bbb5354f1fe5338d9e"),
     ("canc", "a", "b"): (1, "d649989def139c1ee6b1acb25fb5d4738b2e8f19117e60ea41703d4b968d9783"),
-    ("cancel", "-h"): (0, "ff597396469356d080e8d5c50272d2678d3d1720a01a82869f1bc4437bbcd151"),
+    ("cancel", "-h"): (0, "9ef3d4710de453b893e544805b46cf7324f7e3595e080ad6fc83f92c12c11ab3"),
     ("cancel", "a"): (1, "f4e77c76ce2baf139bdde99f0709f235b6a290f8b8ebf029cbc0d9a019bad1db"),
     ("tor-gr", "x", "--format", "xml"): (
         1, "21ca4310ac731b589ff8c1358135cd579ef22ef62101d95e0dee96f01ced7bb5"),
@@ -1001,6 +1055,33 @@ def test_a_command_line_builds_one_parser(pair_job, graded_job, tmp_path, capsys
     with pytest.raises(SystemExit):
         main(["--help"])
     assert len(built) == 6
+
+
+def test_every_command_reads_every_option_it_declares(pair_job, graded_job, tmp_path):
+    # an option that its command never reads would be accepted and ignored;
+    # the runs of a command together read each option its parser declares
+    series = tmp_path / "s.series"
+    series.write_text(BigradedSeries(0, 0).to_text())
+    runs = {"gr": [[pair_job]], "tor-gr": [[graded_job]],
+            "check-theorem": [[pair_job], ["--synthetic", "random"]],
+            "cancel": [[str(series), str(series)]]}
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    for command, argvs in runs.items():
+        parser = make_parser(command)
+        read = set()
+        for argv in argvs:
+            args = parser.parse_args(argv, namespace=Recording())
+            reads.clear()  # argparse itself reads every default
+            assert args.run(args, io.StringIO()) == 0
+            read |= reads
+        declared = {action.dest for action in parser._actions if action.dest != "help"}
+        assert declared - read == set(), command
 
 
 def count_calls(monkeypatch, targets):
