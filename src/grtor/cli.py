@@ -55,8 +55,9 @@ JOB_KEYS = {"ring": ("field", "variables", "setting", "quotient"),
 
 def parse_job_file(path):
     """Flat key/value job format with [section] headers; values keep their
-    text form.  A section or key outside JOB_KEYS, and a key set twice, is
-    an error; errors carry line numbers."""
+    text form.  A section or key outside JOB_KEYS, a key set twice, and a
+    setting other than local or graded, is an error; errors carry line
+    numbers."""
     sections = {}
     current = None
     for lineno, raw in enumerate(_read_input(path).split("\n"), start=1):
@@ -74,12 +75,15 @@ def parse_job_file(path):
         if current is None:
             raise GrtorError("%s:%d: key/value outside any [section]" % (path, lineno))
         key, val = line.split("=", 1)
-        key = key.strip().lower()
+        key, val = key.strip().lower(), val.strip()
         if key not in JOB_KEYS[current]:
             raise GrtorError("%s:%d: unknown key %r in [%s]" % (path, lineno, key, current))
         if key in sections[current]:
             raise GrtorError("%s:%d: %r set twice in [%s]" % (path, lineno, key, current))
-        sections[current][key] = val.strip()
+        if key == "setting" and val.lower() not in (LOCAL, GRADED):
+            raise GrtorError("%s:%d: setting must be local or graded, got %r"
+                             % (path, lineno, val))
+        sections[current][key] = val
     return sections
 
 
@@ -286,6 +290,17 @@ def _report_run(args, out, run, tor_graded, page1_matches):
 def cmd_check_theorem(args, out):
     if bool(args.input) == bool(args.synthetic):
         raise GrtorError("check-theorem needs one of an input file and --synthetic")
+    # each option is None unless given: a job file reads the bounds, the
+    # field and the cap, --synthetic random the seed, and a .fc file none
+    reads = ((IMAX, JMAX, CHAR, CAP) if not args.synthetic
+             else (SEED,) if args.synthetic == "random" else ())
+    for option in (SEED, IMAX, JMAX, CHAR, CAP):
+        name = option[0][2:]
+        if getattr(args, name) is None:
+            setattr(args, name, option[1]["default"])
+        elif option not in reads:
+            raise GrtorError("check-theorem with %s reads no %s" % (
+                "--synthetic " + args.synthetic if args.synthetic else "a job file", option[0]))
     if args.synthetic:
         return _check_synthetic(args, out)
     sections = parse_job_file(args.input)
@@ -350,6 +365,7 @@ def cmd_cancel(args, out):
 
 # the common options, in the order each command takes those it reads; only
 # gr and tor-gr print one `series`.  COMMANDS: name -> (help, arguments, run)
+SEED = ("--seed", {"type": int, "default": 0, "help": "seed of --synthetic random"})
 IMAX = ("--imax", {"type": int, "default": 6})
 JMAX = ("--jmax", {"type": int, "default": 12})
 CHAR = ("--char", {"type": int, "default": 0, "help": "prime characteristic (0 = rationals)"})
@@ -367,8 +383,8 @@ COMMANDS = {
         [("input", {"nargs": "?"}),
          ("--synthetic", {"default": None,
                           "help": "run on a serialized filtered complex instead of ring data"}),
-         ("--seed", {"type": int, "default": 0, "help": "seed of --synthetic random"}),
-         IMAX, JMAX, CHAR, CAP, REPORT_FORMAT],
+         *[(flag, dict(kw, default=None)) for flag, kw in (SEED, IMAX, JMAX, CHAR)],
+         CAP, REPORT_FORMAT],
         cmd_check_theorem),
     "cancel": ("decide cancellation between two series files",
                [("source", {}), ("target", {}), REPORT_FORMAT], cmd_cancel),

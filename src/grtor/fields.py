@@ -19,11 +19,12 @@ private constructor, `_fraction(n, d)`, inlined in the row loops of
 the public `Fraction(n, d)` constructor, the `numerator`/`denominator`
 properties or the operator dispatch of `Fraction.__add__` and its kin.
 Operands must be `Fraction`s: an `int` goes through `Field.of` first.
-Each result is still exactly one new `Fraction`, zeros and unchanged
-entries included, so an operation leaves as many live objects behind as
-the plain operators did.  With fewer, the garbage collector would run
-less often, and an in-process benchmark whose dropped module graphs are
-freed only by a full collection would read a higher peak memory.
+`axpy` keeps x itself where y is zero, and F_p `scale` keeps zeros;
+every other result is one new `Fraction`, zeros included, so what the
+echelon stores leaves as many live objects behind as the plain
+operators did.  With fewer, the garbage collector would run less often,
+and an in-process benchmark whose dropped module graphs are freed only
+by a full collection would read a higher peak memory.
 
 Characteristics are decided prime by Miller-Rabin on the first 13 prime
 bases, which is exact below 3.3 * 10^24; larger ones are rejected.
@@ -117,6 +118,9 @@ def _rational_axpy(xs, f, ys):
     fn, fd = f._numerator, f._denominator
     out = []
     for x, y in zip(xs, ys):
+        if not y._numerator:  # x - f*0 is x
+            out.append(x)
+            continue
         xd, d = x._denominator, fd * y._denominator
         n, d = x._numerator * d - fn * y._numerator * xd, xd * d
         g = gcd(n, d)
@@ -179,10 +183,10 @@ def _prime_ops(p):
         return (a - f * b) % p
 
     def axpy(xs, f, ys):
-        return [(x - f * y) % p for x, y in zip(xs, ys)]
+        return [(x - f * y) % p if y else x for x, y in zip(xs, ys)]
 
     def scale(f, xs):
-        return [f * x % p for x in xs]
+        return [f * x % p if x else 0 for x in xs]
 
     return add, sub, mul, neg, inv, div, submul, axpy, scale
 

@@ -1,6 +1,7 @@
 """Exact linear algebra over a coefficient field.  Columns come in sparse,
 {row: nonzero x}.  `ColumnEchelon`, the one dense elimination, makes
-them dense rows (lists of field elements) inside; given a combination
+them dense rows (lists of field elements) inside, but a step reduces
+only on the live span of the stored column it uses; given a combination
 {tag: x} with every column (or with none), it reduces that beside the
 column, so the column minus its combination never changes.
 """
@@ -40,6 +41,11 @@ class ColumnEchelon:
     is made on it too, so a column added with {its tag: 1} is stored with
     a combination equal to it (`combos`), and one added with {} that lies
     in the span is left with minus its expression on the stored columns.
+
+    A stored column is zero above its pivot and from `ends[pivot]` on (the
+    input's last row, or a used column's end, plus one), so a step reduces
+    only on that live span and the pivot search resumes from the last
+    pivot; the stored columns, combinations and pivots are unchanged.
     """
 
     def __init__(self, field, nrows):
@@ -47,6 +53,7 @@ class ColumnEchelon:
         self.nrows = nrows
         self.columns = {}  # pivot row -> column vector
         self.combos = {}  # pivot row -> its combination, if columns are tagged
+        self.ends = {}  # pivot row -> one past the last row its column may be nonzero
 
     def add(self, column, combo=None):
         """Reduce column against the echelon and insert if independent.
@@ -58,22 +65,22 @@ class ColumnEchelon:
         col = [field.zero] * self.nrows
         for r, x in column.items():
             col[r] = x
+        piv, end = min(column, default=0), max(column, default=-1) + 1
         while True:
-            piv = None
-            for r in range(self.nrows):
-                if col[r]:
-                    piv = r
-                    break
-            if piv is None:
+            while piv < end and not col[piv]:
+                piv += 1
+            if piv == end:
                 return None
             if piv not in self.columns:
                 inv = field.inv(col[piv])
                 self.columns[piv] = field.scale(inv, col)
+                self.ends[piv] = end
                 if combo is not None:
                     self.combos[piv] = {t: field.mul(inv, x) for t, x in combo.items()}
                 return piv
-            f = col[piv]
-            col = field.axpy(col, f, self.columns[piv])
+            f, e = col[piv], self.ends[piv]
+            col[piv:e] = field.axpy(col[piv:e], f, self.columns[piv][piv:e])
+            end = max(end, e)
             if combo is not None:
                 for t, x in self.combos[piv].items():
                     v = field.submul(combo.get(t, field.zero), f, x)

@@ -454,13 +454,28 @@ def test_malformed_synthetic_complex_is_usage_error(tmp_path, capsys, damage):
 
 @pytest.mark.parametrize("argv", [["cancel", "SERIES", "SERIES", "--jmax", "3"],
                                   ["check-theorem", "JOB", "--format", "series"],
-                                  ["check-theorem", "JOB", "--synthetic", "random"]])
+                                  ["check-theorem", "JOB", "--synthetic", "random"],
+                                  ["check-theorem", "JOB", "--jmax", "4", "--seed", "99"],
+                                  ["check-theorem", "JOB", "--seed", "0"],
+                                  ["check-theorem", "--synthetic", "random", "--jmax", "3",
+                                   "--char", "7", "--cap", "2"],
+                                  ["check-theorem", "--synthetic", "random", "--imax", "6"],
+                                  ["check-theorem", "--synthetic", "random", "--jmax", "3"],
+                                  ["check-theorem", "--synthetic", "random", "--char", "7"],
+                                  ["check-theorem", "--synthetic", "random", "--cap", "2"],
+                                  ["check-theorem", "--synthetic", "FC", "--seed", "3"],
+                                  ["check-theorem", "--synthetic", "FC", "--jmax", "3"]])
 def test_an_option_the_command_does_not_read_is_a_usage_error(pair_job, tmp_path, capsys, argv):
     # cancel reads no bounds, check-theorem prints no single series, and a
-    # job file and --synthetic are two inputs for one run
+    # job file and --synthetic are two inputs for one run; a job file reads
+    # no seed, --synthetic random only the seed, and a .fc file neither the
+    # seed nor the bounds, the field or the cap, given or at their defaults
     series = tmp_path / "s.series"
     series.write_text(BigradedSeries(0, 0).to_text())
-    files = {"JOB": pair_job, "SERIES": str(series)}
+    fc = tmp_path / "l.fc"
+    fc.write_text(FC_HEADER % ("Fp 32003", 1, 2, 0)
+                  + "term 0 dim 1 levels 2\nterm 1 dim 1 levels 0\ndiff 1 nnz 1\n0 0 5\n")
+    files = {"JOB": pair_job, "SERIES": str(series), "FC": str(fc)}
     code, out, err = run_cli(capsys, [files.get(a, a) for a in argv])
     assert out == ""
     assert_one_line_error(code, err)
@@ -490,6 +505,9 @@ MISREAD_JOBS = {
     "bare M": (PAIR_JOB.replace("[module M]", "[M]"), 7, "unknown section [M]"),
     "ideal twice": (PAIR_JOB.replace("ideal = X^2 - Y^3", "ideal = X^2 - Y^3\nideal = X^2"), 9,
                     "'ideal' set twice in [module m]"),
+    # a misspelled setting: read as graded, tor-gr and check-theorem ran on it
+    "setting lcoal": (GRADED_JOB.replace("graded", "lcoal"), 3,
+                      "setting must be local or graded, got 'lcoal'"),
 }
 
 

@@ -9,6 +9,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -103,6 +104,28 @@ def test_bound_operations_match_plain_arithmetic(p):
     for op in (F.inv, lambda a: F.div(F.one, a)):
         with pytest.raises(ZeroDivisionError, match="field inverse of zero"):
             op(F.zero)
+
+
+@pytest.mark.parametrize("p", [0, P])
+def test_row_updates_on_rows_with_zeros_match_the_entrywise_formulas(p):
+    # axpy keeps x where y is zero and F_p scale keeps zeros: every entry is
+    # still the field's submul(x, f, y) and mul(f, x), of the field's type
+    F = Field(p)
+    rng = random.Random(p + 5)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        xs = [_element(rng, p) if rng.random() < 0.5 else F.zero for _ in range(n)]
+        ys = [_element(rng, p) if rng.random() < 0.5 else F.zero for _ in range(n)]
+        f = rng.choice([F.zero, F.one, _element(rng, p)])
+        for got, want in ((F.axpy(xs, f, ys), [F.submul(x, f, y) for x, y in zip(xs, ys)]),
+                          (F.scale(f, xs), [F.mul(f, x) for x in xs])):
+            assert got == want
+            assert all(type(x) is type(F.zero) for x in got)
+            if p:
+                assert all(0 <= x < p for x in got)
+            else:
+                assert all(x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+                           for x in got)
 
 
 def test_primality_is_exact_below_the_limit():
@@ -455,3 +478,58 @@ def test_column_echelon_matches_the_row_order_oracle(p):
             dropped += piv is None
         assert ech.columns == oracle.columns
     assert kept > 100 and dropped > 100
+
+
+def _spanned_columns(rng, field, nrows, ncols):
+    """Sparse columns {row: nonzero x} on `nrows` rows, each nonzero only on
+    a short run of rows with long zero runs before and after it, and a
+    third of them combinations of earlier ones."""
+    cols = []
+    for _ in range(ncols):
+        if cols and rng.random() < 0.3:
+            picked = rng.sample(range(len(cols)), min(len(cols), 2))
+            cols.append(_combine(field, cols, [field.of(rng.choice([-2, -1, 1, 3]))
+                                               if c in picked else field.zero
+                                               for c in range(len(cols))]))
+        else:
+            lo = rng.randrange(nrows)
+            hi = min(nrows, lo + rng.randint(1, 5))
+            cols.append({r: field.of(rng.choice([-3, -1, 1, 2, 5])) for r in range(lo, hi)
+                         if r == lo or rng.random() < 0.6})
+    return cols
+
+
+@pytest.mark.parametrize("p", [0, P])
+def test_echelon_on_live_spans_matches_the_dense_oracle(p):
+    # a step reduces only on the stored column's rows [pivot, end): with
+    # long zero runs above and below each column, the pivots, the stored
+    # columns and the combinations are still those of the full-row oracle,
+    # whose columns carry the tags as extra rows below the pivot rows
+    field = Field(p)
+    rng = random.Random(p + 3)
+    kept = dropped = 0
+    for _ in range(60):
+        nrows = rng.randint(12, 30)
+        cols = _spanned_columns(rng, field, nrows, rng.randint(5, 24))
+        ech, untagged = ColumnEchelon(field, nrows), ColumnEchelon(field, nrows)
+        oracle = ColumnEchelonOracle(field, range(nrows))
+        for c, col in enumerate(cols):
+            dense = [col.get(r, field.zero) for r in range(nrows)]
+            tag = [field.one if t == c else field.zero for t in range(len(cols))]
+            combo = {c: field.one}
+            piv = ech.add(col, combo)
+            assert piv == untagged.add(col) == oracle.add(dense + tag)
+            if piv is None:  # what is left of the tag is a relation among the columns
+                assert combo[c] == field.one
+                assert _combine(field, cols, [combo.get(t, field.zero)
+                                              for t in range(len(cols))]) == {}
+                dropped += 1
+            else:
+                kept += 1
+        assert ech.columns == untagged.columns and untagged.combos == {}
+        assert ech.columns == {piv: column[:nrows] for piv, column in oracle.columns.items()}
+        assert ech.combos == {piv: {t: x for t, x in enumerate(column[nrows:]) if x}
+                              for piv, column in oracle.columns.items()}
+        for piv, column in ech.columns.items():
+            assert not any(column[:piv]) and not any(column[ech.ends[piv]:])
+    assert kept > 300 and dropped > 100
